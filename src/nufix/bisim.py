@@ -90,11 +90,6 @@ def relation_from_json(obj, left, right):
     return Relation(tuple(left), tuple(right), pairs)
 
 
-def identity_relation(carrier):
-    carrier = tuple(carrier)
-    return Relation(carrier, carrier, frozenset((x, x) for x in carrier))
-
-
 @dataclass(frozen=True)
 class Equivalence:
     """A partition; blocks are canonically sorted for determinism."""

@@ -17,10 +17,15 @@ from . import bisim as bisim_mod
 from . import laws as laws_mod
 from . import mediator as mediator_mod
 from . import serialize
-from .engine import solve_hob, terminal_sequence
+from .engine import (
+    DEFAULT_INNER_BUDGET,
+    DEFAULT_OUTER_BUDGET,
+    solve_hob,
+    terminal_sequence,
+)
 from .errors import InputError, NufixError
 from .functors import Backend, instantiate, parse as parse_expr
-from .posets import poset_from_json, unit
+from .posets import DEFAULT_ELEMENT_CAP, poset_from_json, unit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -299,13 +304,15 @@ def cmd_render(args):
 
 
 def _add_common(p, outer=False):
-    p.add_argument("--inner-budget", type=int, default=8, dest="inner_budget")
+    p.add_argument("--inner-budget", type=int, default=DEFAULT_INNER_BUDGET,
+                   dest="inner_budget")
     if outer:
-        p.add_argument("--outer-budget", type=int, default=6, dest="outer_budget")
-    p.add_argument("--element-cap", type=int, default=512, dest="element_cap")
+        p.add_argument("--outer-budget", type=int, default=DEFAULT_OUTER_BUDGET,
+                       dest="outer_budget")
+    p.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP,
+                   dest="element_cap")
     p.add_argument("--out", default=None)
     p.add_argument("--render", action="store_true")
-    p.add_argument("--seed", type=int, default=42)
 
 
 def build_parser():

@@ -160,10 +160,6 @@ def has_upset_nodes(expr):
     return any(isinstance(e, (Upset, StrictUpset)) for e in subexprs(expr))
 
 
-def has_param_v(expr):
-    return any(isinstance(e, ParamV) for e in subexprs(expr))
-
-
 def has_strict_nodes(expr):
     return any(isinstance(e, (StrictFun, StrictUpset)) for e in subexprs(expr))
 
@@ -670,10 +666,6 @@ class Reindex:
     def component(self, p):
         """The ep-pair at object p."""
         return functor_ep(self.expr, self.src, self.dst, identity_ep(p), self.ep_param)
-
-    def combined(self, state_ep):
-        """Parameter reindexing and state action applied in one step."""
-        return functor_ep(self.expr, self.src, self.dst, state_ep, self.ep_param)
 
 
 def reindex_ep(expr, backend, ep_param, element_cap=posets.DEFAULT_ELEMENT_CAP,

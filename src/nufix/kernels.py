@@ -1,76 +1,53 @@
 """Hot combinatorial kernels: closure, table/upset enumeration, iso search.
 
-Each backtracking kernel is written once in nopython-friendly form and
-compiled with numba when available.  Setting NUFIX_NUMBA=0 (or running
-without numba installed) selects the interpreted fallback; both paths run
-the same code and emit identical arrays in identical order, so results are
-reproducible regardless of backend.  benchmarks/bench_kernels.py compares
-the two paths.
+The two enumerators backtrack over Python-int bitsets and emit their rows in
+a fixed order, so every result built from them is reproducible:
+
+* monotone tables come out in lexicographic order of their values read
+  along `linear_extension(dom)`;
+* upsets come out in lexicographic order of their membership bits read
+  along the fewest-elements-above-first order, excluded before included
+  (so the empty set is first).
+
+A capped enumeration returns a prefix of the full list.  The brute-force
+counters are independent oracles for the law suites.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("NUFIX_NUMBA", "").strip().lower()
-_WANT_JIT = _env not in ("0", "off", "false", "no")
 
-if _WANT_JIT:
-    try:
-        from numba import njit as _njit
-
-        KERNEL_BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _njit = None
-        KERNEL_BACKEND = "python"
-else:
-    _njit = None
-    KERNEL_BACKEND = "python"
+def _bits(row):
+    """Bitset of the indices where a boolean row is true."""
+    mask = 0
+    for i in np.flatnonzero(row).tolist():
+        mask |= 1 << i
+    return mask
 
 
-def _maybe_jit(fn):
-    if KERNEL_BACKEND == "numba":
-        return _njit(cache=True)(fn)
-    return fn
+def _unpack(masks, n):
+    """Bitsets over n elements as a (len(masks), n) boolean array."""
+    width = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
+        axis=1, bitorder="little",
+    )
+    return bits[:, :n].astype(np.bool_)
 
 
 # --------------------------------------------------------------------------
 # transitive closure
 
 
-def _closure_loops(rel):
-    n = rel.shape[0]
-    out = rel.copy()
-    for i in range(n):
-        out[i, i] = True
-    for k in range(n):
-        for i in range(n):
-            if out[i, k]:
-                for j in range(n):
-                    if out[k, j]:
-                        out[i, j] = True
-    return out
-
-
-_closure_jit = _maybe_jit(_closure_loops)
-
-
-def _closure_numpy(rel):
-    out = rel.copy()
+def transitive_closure(rel):
+    """Reflexive-transitive closure of a boolean relation matrix."""
+    out = np.array(rel, dtype=np.bool_)
     np.fill_diagonal(out, True)
     for k in range(out.shape[0]):
         out |= out[:, k : k + 1] & out[k : k + 1, :]
     return out
-
-
-def transitive_closure(rel):
-    """Reflexive-transitive closure of a boolean relation matrix."""
-    rel = np.ascontiguousarray(rel, dtype=np.bool_)
-    if KERNEL_BACKEND == "numba":
-        return _closure_jit(rel)
-    return _closure_numpy(rel)
 
 
 # --------------------------------------------------------------------------
@@ -80,64 +57,46 @@ def transitive_closure(rel):
 def _enum_monotone(leq_dom, leq_cod, order, forced, limit):
     n = leq_dom.shape[0]
     m = leq_cod.shape[0]
-    out = np.empty((limit, n), dtype=np.int32)
     if n == 0:
-        if limit > 0:
-            return out[:1]
-        return out[:0]
+        return np.zeros((min(limit, 1), 0), dtype=np.int32)
     if m == 0 or limit == 0:
-        return out[:0]
+        return np.zeros((0, n), dtype=np.int32)
+    up = [_bits(row) for row in leq_cod]
+    order = order.tolist()
+    # per position: the forced bit or all of cod, and the earlier positions
+    # holding a dom predecessor, whose values bound this one from below
+    start = [1 << int(forced[e]) if forced[e] >= 0 else (1 << m) - 1 for e in order]
+    preds = [
+        [q for q in range(pos) if leq_dom[order[q], e]] for pos, e in enumerate(order)
+    ]
+    vals = [0] * n
+    rest = [0] * n
+    rest[0] = start[0]
+    flat = []
     count = 0
-    val = np.full(n, -1, dtype=np.int32)
-    cand = np.full(n, -1, dtype=np.int32)
     pos = 0
     while pos >= 0:
-        e = order[pos]
-        nxt = -1
-        c = cand[pos] + 1
-        f = forced[e]
-        if f >= 0:
-            if c <= f:
-                ok = True
-                for q in range(pos):
-                    d = order[q]
-                    if leq_dom[d, e] and not leq_cod[val[d], f]:
-                        ok = False
-                        break
-                if ok:
-                    nxt = f
-        else:
-            while c < m:
-                ok = True
-                for q in range(pos):
-                    d = order[q]
-                    if leq_dom[d, e] and not leq_cod[val[d], c]:
-                        ok = False
-                        break
-                if ok:
-                    nxt = c
-                    break
-                c += 1
-        if nxt < 0:
-            cand[pos] = -1
-            val[e] = -1
+        r = rest[pos]
+        if not r:
             pos -= 1
             continue
-        cand[pos] = nxt
-        val[e] = nxt
+        low = r & -r
+        rest[pos] = r ^ low
+        vals[pos] = low.bit_length() - 1
         if pos == n - 1:
-            for t in range(n):
-                out[count, t] = val[t]
+            flat.extend(vals)
             count += 1
             if count >= limit:
                 break
         else:
             pos += 1
-            cand[pos] = -1
-    return out[:count]
-
-
-_enum_monotone_jit = _maybe_jit(_enum_monotone)
+            c = start[pos]
+            for q in preds[pos]:
+                c &= up[vals[q]]
+            rest[pos] = c
+    out = np.empty((count, n), dtype=np.int32)
+    out[:, order] = np.array(flat, dtype=np.int32).reshape(count, n)
+    return out
 
 
 def linear_extension(leq):
@@ -152,16 +111,15 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
     `forced[i] >= 0` pins element i of the domain to that codomain index
     (used for bottom-strictness).  Tables come out int32 of shape (k, n).
     """
-    leq_dom = np.ascontiguousarray(leq_dom, dtype=np.bool_)
-    leq_cod = np.ascontiguousarray(leq_cod, dtype=np.bool_)
+    leq_dom = np.asarray(leq_dom, dtype=np.bool_)
+    leq_cod = np.asarray(leq_cod, dtype=np.bool_)
     n = leq_dom.shape[0]
     if forced is None:
         forced = np.full(n, -1, dtype=np.int32)
     else:
-        forced = np.ascontiguousarray(forced, dtype=np.int32)
+        forced = np.asarray(forced, dtype=np.int32)
     order = linear_extension(leq_dom)
-    fn = _enum_monotone_jit if KERNEL_BACKEND == "numba" else _enum_monotone
-    return fn(leq_dom, leq_cod, order, forced, int(limit))
+    return _enum_monotone(leq_dom, leq_cod, order, forced, int(limit))
 
 
 def monotone_ok(leq_dom, leq_cod, table):
@@ -204,66 +162,48 @@ def count_monotone_bruteforce(leq_dom, leq_cod, strict_pair=None):
 
 def _enum_upsets(leq, order, limit):
     n = leq.shape[0]
-    out = np.zeros((limit, n), dtype=np.bool_)
-    count = 0
     if n == 0:
-        if limit > 0:
-            count = 1
-        return out[:count]
+        return np.zeros((min(limit, 1), 0), dtype=np.bool_)
     if limit == 0:
-        return out[:0]
-    inc = np.zeros(n, dtype=np.bool_)
-    choice = np.full(n, -1, dtype=np.int8)
+        return np.zeros((0, n), dtype=np.bool_)
+    order = order.tolist()
+    bit = [1 << e for e in order]
+    # strictly-above sets; they come earlier in the order, so they are
+    # decided by the time their lower element is
+    above = [_bits(leq[e]) & ~(1 << e) for e in order]
+    inc = [0] * (n + 1)  # inclusion mask before deciding each position
+    step = [0] * n  # 0: exclude next, 1: include next, 2: both tried
+    masks = []
     pos = 0
     while pos >= 0:
         if pos == n:
-            for t in range(n):
-                out[count, t] = inc[t]
-            count += 1
-            if count >= limit:
+            masks.append(inc[n])
+            if len(masks) >= limit:
                 break
             pos -= 1
             continue
-        e = order[pos]
-        ch = choice[pos]
-        if ch == -1:
-            inc[e] = False
-            choice[pos] = 0
-            pos += 1
-            if pos < n:
-                choice[pos] = -1
-        elif ch == 0:
-            ok = True
-            for u in range(n):
-                if u != e and leq[e, u] and not inc[u]:
-                    ok = False
-                    break
-            if ok:
-                inc[e] = True
-                choice[pos] = 1
-                pos += 1
-                if pos < n:
-                    choice[pos] = -1
-            else:
-                choice[pos] = -1
-                pos -= 1
+        s = step[pos]
+        if s == 0:
+            step[pos] = 1
+            inc[pos + 1] = inc[pos]
+        elif s == 1 and not above[pos] & ~inc[pos]:
+            step[pos] = 2
+            inc[pos + 1] = inc[pos] | bit[pos]
         else:
-            inc[e] = False
-            choice[pos] = -1
             pos -= 1
-    return out[:count]
-
-
-_enum_upsets_jit = _maybe_jit(_enum_upsets)
+            continue
+        pos += 1
+        if pos < n:
+            step[pos] = 0
+    return _unpack(masks, n)
 
 
 def enum_upsets(leq, limit):
     """Up to `limit` up-closed subsets as boolean masks, empty set first."""
-    leq = np.ascontiguousarray(leq, dtype=np.bool_)
+    leq = np.asarray(leq, dtype=np.bool_)
     above = (leq.sum(axis=1) - 1).astype(np.int64)
     order = np.argsort(above, kind="stable").astype(np.int32)
-    fn = _enum_upsets_jit if KERNEL_BACKEND == "numba" else _enum_upsets
-    return fn(leq, order, int(limit))
+    return _enum_upsets(leq, order, int(limit))
 
 
 def count_upsets_bruteforce(leq):
@@ -283,53 +223,43 @@ def count_upsets_bruteforce(leq):
 # isomorphism search
 
 
-def _iso_backtrack(leq_a, leq_b, order, cand_flat, cand_off):
-    n = leq_a.shape[0]
-    mapped = np.full(n, -1, dtype=np.int32)
-    used = np.zeros(n, dtype=np.bool_)
-    choice = np.full(n, -1, dtype=np.int32)
+def _iso_backtrack(leq_a, leq_b, order, cands):
+    """Depth-first search along `order`, trying each element's candidates
+    in list order; returns the first consistent bijection or None."""
+    n = len(order)
+    a = leq_a.tolist()
+    b = leq_b.tolist()
+    mapped = [-1] * n
+    used = [False] * n
+    choice = [-1] * n
     pos = 0
-    while True:
-        if pos == n:
-            return mapped
+    while pos < n:
         i = order[pos]
-        lo = cand_off[i]
-        hi = cand_off[i + 1]
-        nxt = -1
-        t = lo + choice[pos] + 1
-        while t < hi:
-            j = cand_flat[t]
-            if not used[j]:
-                ok = True
-                for q in range(pos):
-                    a2 = order[q]
-                    b2 = mapped[a2]
-                    if leq_a[i, a2] != leq_b[j, b2] or leq_a[a2, i] != leq_b[b2, j]:
-                        ok = False
-                        break
-                if ok:
-                    nxt = t - lo
-                    break
+        mine = cands[i]
+        t = choice[pos] + 1
+        while t < len(mine):
+            j = mine[t]
+            if not used[j] and all(
+                a[i][i2] == b[j][mapped[i2]] and a[i2][i] == b[mapped[i2]][j]
+                for i2 in order[:pos]
+            ):
+                break
             t += 1
-        if nxt < 0:
+        if t == len(mine):
             choice[pos] = -1
             pos -= 1
             if pos < 0:
-                return mapped[:0]
+                return None
             i2 = order[pos]
             used[mapped[i2]] = False
             mapped[i2] = -1
         else:
-            choice[pos] = nxt
-            j = cand_flat[lo + nxt]
-            mapped[i] = j
-            used[j] = True
+            choice[pos] = t
+            mapped[i] = mine[t]
+            used[mine[t]] = True
             pos += 1
-            if pos < n:
-                choice[pos] = -1
+    return np.array(mapped, dtype=np.int32)
 
-
-_iso_backtrack_jit = _maybe_jit(_iso_backtrack)
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
@@ -373,8 +303,8 @@ def find_isomorphism(leq_a, leq_b):
     Complete (pruning uses iso-invariant labels only) and sound (the final
     mapping is fully re-verified).
     """
-    leq_a = np.ascontiguousarray(leq_a, dtype=np.bool_)
-    leq_b = np.ascontiguousarray(leq_b, dtype=np.bool_)
+    leq_a = np.asarray(leq_a, dtype=np.bool_)
+    leq_b = np.asarray(leq_b, dtype=np.bool_)
     n = leq_a.shape[0]
     if leq_b.shape[0] != n:
         return None
@@ -389,34 +319,16 @@ def find_isomorphism(leq_a, leq_b):
     buckets = {}
     for j in range(n):
         buckets.setdefault(int(lb[j]), []).append(j)
-    cand_lists = []
+    cands = []
     for i in range(n):
         c = buckets.get(int(la[i]), [])
         if not c:
             return None
-        cand_lists.append(c)
-    order = np.array(
-        sorted(range(n), key=lambda i: (len(cand_lists[i]), i)), dtype=np.int32
-    )
-    cand_off = np.zeros(n + 1, dtype=np.int32)
-    for i in range(n):
-        cand_off[i + 1] = cand_off[i] + len(cand_lists[i])
-    cand_flat = np.array(
-        [j for c in cand_lists for j in c], dtype=np.int32
-    )
-    fn = _iso_backtrack_jit if KERNEL_BACKEND == "numba" else _iso_backtrack
-    perm = fn(leq_a, leq_b, order, cand_flat, cand_off)
-    if perm.shape[0] != n:
+        cands.append(c)
+    order = sorted(range(n), key=lambda i: (len(cands[i]), i))
+    perm = _iso_backtrack(leq_a, leq_b, order, cands)
+    if perm is None:
         return None
     if not np.array_equal(leq_b[perm][:, perm], leq_a):  # pragma: no cover
         raise AssertionError("iso search produced an unverified mapping")
     return perm
-
-
-def warm_up():
-    """Force JIT compilation of all kernels on a tiny input."""
-    leq = np.array([[True, True], [False, True]])
-    transitive_closure(np.array([[False, True], [False, False]]))
-    enum_monotone_tables(leq, leq, 16)
-    enum_upsets(leq, 16)
-    find_isomorphism(leq, np.array([[True, False], [True, True]]))

@@ -109,10 +109,6 @@ class FinPoset:
         point = f", bottom={pretty_tag(self.bottom)}" if self.is_pointed else ""
         return f"FinPoset({len(self)} elements{point})"
 
-    def minimal_elements(self):
-        strict = self.leq & ~np.eye(len(self), dtype=np.bool_)
-        return [self.elements[i] for i in range(len(self)) if not strict[:, i].any()]
-
 
 def _check_cap(size, cap, what):
     if cap is not None and size > cap:

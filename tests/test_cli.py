@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from nufix import engine as E
+from nufix import posets as P
 from nufix import serialize as S
-from nufix.cli import main
+from nufix.cli import build_parser, main
 
 DET = "(V -!> Id) + W"
 
@@ -205,3 +207,13 @@ def test_check_laws_transcript_deterministic(workdir, capsys):
     main(["check-laws", "--seed", "42", "--samples", "5"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_defaults_come_from_the_engine():
+    parser = build_parser()
+    for argv in (["solve", "-f", "x"], ["terminal", "-f", "x"], ["mediator", "-f", "x"]):
+        args = parser.parse_args(argv)
+        assert args.inner_budget == E.DEFAULT_INNER_BUDGET
+        assert args.element_cap == P.DEFAULT_ELEMENT_CAP
+        assert not hasattr(args, "seed")
+    assert parser.parse_args(["solve", "-f", "x"]).outer_budget == E.DEFAULT_OUTER_BUDGET
