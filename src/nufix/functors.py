@@ -442,51 +442,9 @@ class FunctorInstance:
             raise NotCovariant("upset nodes act on ep-pairs only")
         self._check_state(f.dom)
         self._check_state(f.cod)
-        fn = self._map_fn(self.expr, f)
-        return _mk_map(self.on_object(f.dom), self.on_object(f.cod), fn)
-
-    def _map_fn(self, node, f):
-        if isinstance(node, ConstP):
-            return lambda t: t
-        if isinstance(node, IdF):
-            return f
-        if isinstance(node, ParamW):
-            return lambda t: t
-        if isinstance(node, Sum):
-            lf = self._map_fn(node.left, f)
-            rf = self._map_fn(node.right, f)
-            if self.sum_mode == "coalesced":
-                lbot = self._obj(node.left, f.cod).bottom
-                rbot = self._obj(node.right, f.cod).bottom
-
-                def go(tag):
-                    if tag == CBOT:
-                        return CBOT
-                    if tag[0] == "inl":
-                        out = lf(tag[1])
-                        return CBOT if out == lbot else ("inl", out)
-                    out = rf(tag[1])
-                    return CBOT if out == rbot else ("inr", out)
-
-                return go
-
-            def go(tag):
-                if tag[0] == "inl":
-                    return ("inl", lf(tag[1]))
-                return ("inr", rf(tag[1]))
-
-            return go
-        if isinstance(node, Prod):
-            lf = self._map_fn(node.left, f)
-            rf = self._map_fn(node.right, f)
-            return lambda tag: ("pair", lf(tag[1]), rf(tag[2]))
-        if isinstance(node, LiftF):
-            inner = self._map_fn(node.inner, f)
-            return lambda tag: LBOT if tag == LBOT else ("lup", inner(tag[1]))
-        if isinstance(node, (Fun, StrictFun)):
-            inner = self._map_fn(node.cod, f)
-            return lambda tag: ("table", tuple(inner(v) for v in tag[1]))
-        raise NotCovariant("upset nodes act on ep-pairs only")
+        dom, cod = self.on_object(f.dom), self.on_object(f.cod)
+        table = _act(self.expr, self, self, f.dom, f.cod, f.table, None, None, None)
+        return MonoMap.auto_strict(dom, cod, table)
 
 
 def instantiate(expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
@@ -495,13 +453,6 @@ def instantiate(expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
     if isinstance(expr, str):
         expr = parse(expr)
     return FunctorInstance(expr, backend, v, w, element_cap, sum_mode)
-
-
-def _mk_map(dom, cod, fn):
-    if isinstance(fn, MonoMap):
-        fn = fn.__call__
-    table = np.array([cod.index(fn(e)) for e in dom.elements], dtype=np.int32)
-    return MonoMap.auto_strict(dom, cod, table)
 
 
 # --------------------------------------------------------------------------
@@ -519,128 +470,72 @@ def functor_ep(expr, src, dst, state_ep, param_ep):
     """
     if param_ep is None and (src.v != dst.v or src.w != dst.w):
         raise BackendMismatch("parameter ep required when parameters differ")
-    emb_fn, proj_fn = _ep_fns(expr, src, dst, state_ep, param_ep)
-    src_obj = src.on_object(state_ep.dom)
-    dst_obj = dst.on_object(state_ep.cod)
-    e = _mk_map(src_obj, dst_obj, emb_fn)
-    p = _mk_map(dst_obj, src_obj, proj_fn)
+    x, y = state_ep.dom, state_ep.cod
+    se, sp = state_ep.e.table, state_ep.p.table
+    pe, pp = (None, None) if param_ep is None else (param_ep.e.table, param_ep.p.table)
+    src_obj = src.on_object(x)
+    dst_obj = dst.on_object(y)
+    e = MonoMap.auto_strict(src_obj, dst_obj, _act(expr, src, dst, x, y, se, sp, pe, pp))
+    p = MonoMap.auto_strict(dst_obj, src_obj, _act(expr, dst, src, y, x, sp, se, pp, pe))
     return EpPair(e, p)
 
 
-def _ep_fns(node, src, dst, state_ep, param_ep):
-    """Tag-level embedding/projection transforms, by structural recursion."""
-    x, y = state_ep.dom, state_ep.cod
+def _act(node, a, b, xa, xb, f, g, pf, pg):
+    """Index table F_a(xa) -> F_b(xb) of the action on a state map.
+
+    `f` is the state map's table xa -> xb and `g` the opposite one, or None
+    for a plain map.  `pf` and `pg` are the parameter maps' tables a -> b and
+    b -> a, or None for the identity.  Every table follows the index layouts
+    of the `posets` constructors; nodes with index rows (arrows, upsets) are
+    mapped row-wise and looked up in the destination object.
+    """
+    args = (a, b, xa, xb, f, g, pf, pg)
     if isinstance(node, ConstP):
-        same = lambda t: t
-        return same, same
+        return np.arange(len(node.poset), dtype=np.int32)
     if isinstance(node, IdF):
-        return state_ep.e.__call__, state_ep.p.__call__
+        return f
     if isinstance(node, ParamW):
-        if param_ep is None:
-            same = lambda t: t
-            return same, same
-        return param_ep.e.__call__, param_ep.p.__call__
-    if isinstance(node, Sum):
-        le, lp = _ep_fns(node.left, src, dst, state_ep, param_ep)
-        re_, rp = _ep_fns(node.right, src, dst, state_ep, param_ep)
-        if src.sum_mode == "separated":
-            def emb(tag):
-                return ("inl", le(tag[1])) if tag[0] == "inl" else ("inr", re_(tag[1]))
-
-            def proj(tag):
-                return ("inl", lp(tag[1])) if tag[0] == "inl" else ("inr", rp(tag[1]))
-
-            return emb, proj
-        lbot_src = src._obj(node.left, x).bottom
-        rbot_src = src._obj(node.right, x).bottom
-        lbot_dst = dst._obj(node.left, y).bottom
-        rbot_dst = dst._obj(node.right, y).bottom
-
-        def emb(tag):
-            if tag == CBOT:
-                return CBOT
-            if tag[0] == "inl":
-                out = le(tag[1])
-                return CBOT if out == lbot_dst else ("inl", out)
-            out = re_(tag[1])
-            return CBOT if out == rbot_dst else ("inr", out)
-
-        def proj(tag):
-            if tag == CBOT:
-                return CBOT
-            if tag[0] == "inl":
-                out = lp(tag[1])
-                return CBOT if out == lbot_src else ("inl", out)
-            out = rp(tag[1])
-            return CBOT if out == rbot_src else ("inr", out)
-
-        return emb, proj
-    if isinstance(node, Prod):
-        le, lp = _ep_fns(node.left, src, dst, state_ep, param_ep)
-        re_, rp = _ep_fns(node.right, src, dst, state_ep, param_ep)
-        return (
-            lambda tag: ("pair", le(tag[1]), re_(tag[2])),
-            lambda tag: ("pair", lp(tag[1]), rp(tag[2])),
-        )
+        return np.arange(len(a.w), dtype=np.int32) if pf is None else pf
+    if isinstance(node, Sum) and a.sum_mode == "coalesced":
+        return np.concatenate([
+            [0],
+            _summand(node.left, 1, *args),
+            _summand(node.right, len(b._obj(node.left, xb)), *args),
+        ])
+    if isinstance(node, (Sum, Prod)):
+        lt, rt = _act(node.left, *args), _act(node.right, *args)
+        if isinstance(node, Prod):
+            return (lt[:, None] * len(b._obj(node.right, xb)) + rt).ravel()
+        return np.concatenate([lt, rt + len(b._obj(node.left, xb))])
     if isinstance(node, LiftF):
-        ie, ip = _ep_fns(node.inner, src, dst, state_ep, param_ep)
-        return (
-            lambda tag: LBOT if tag == LBOT else ("lup", ie(tag[1])),
-            lambda tag: LBOT if tag == LBOT else ("lup", ip(tag[1])),
-        )
+        return np.concatenate([[0], _act(node.inner, *args) + 1])
     if isinstance(node, (Fun, StrictFun)):
-        ce, cp = _ep_fns(node.cod, src, dst, state_ep, param_ep)
-        if isinstance(node.dom, ConstP):
-            return (
-                lambda tag: ("table", tuple(ce(v) for v in tag[1])),
-                lambda tag: ("table", tuple(cp(v) for v in tag[1])),
-            )
-        # contravariant parameter slot: precompose with the opposite side
-        v_src, v_dst = src.v, dst.v
-        if param_ep is None:
-            return (
-                lambda tag: ("table", tuple(ce(v) for v in tag[1])),
-                lambda tag: ("table", tuple(cp(v) for v in tag[1])),
-            )
-        pv = param_ep.p
-        ev = param_ep.e
-
-        def emb(tag):
-            vals = tag[1]
-            return (
-                "table",
-                tuple(ce(vals[v_src.index(pv(d))]) for d in v_dst.elements),
-            )
-
-        def proj(tag):
-            vals = tag[1]
-            return (
-                "table",
-                tuple(cp(vals[v_dst.index(ev(d))]) for d in v_src.elements),
-            )
-
-        return emb, proj
+        rows = _act(node.cod, *args)[a._obj(node, xa).rows]
+        if isinstance(node.dom, ParamV) and pg is not None:
+            # contravariant parameter slot: precompose with the opposite map
+            rows = rows[:, pg]
+        return b._obj(node, xb).locate(rows)
     if isinstance(node, (Upset, StrictUpset)):
-        ie, ip = _ep_fns(node.inner, src, dst, state_ep, param_ep)
-        src_g = src._obj(node.inner, x)
-        dst_g = dst._obj(node.inner, y)
-
-        def emb(tag):
-            members = set(tag[1])
-            return (
-                "upset",
-                tuple(t for t in dst_g.elements if ip(t) in members),
-            )
-
-        def proj(tag):
-            members = set(tag[1])
-            return (
-                "upset",
-                tuple(t for t in src_g.elements if ie(t) in members),
-            )
-
-        return emb, proj
+        if g is None:
+            raise NotCovariant("upset nodes act on ep-pairs only")
+        back = _act(node.inner, b, a, xb, xa, g, f, pg, pf)
+        return b._obj(node, xb).locate(a._obj(node, xa).rows[:, back])
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _summand(node, off, a, b, xa, xb, f, g, pf, pg):
+    """A coalesced summand's table with both bottoms dropped, placed at `off`.
+
+    Only the summand's other elements occur in the sum, so a one-point
+    summand is not mapped at all: under a non-strict plain map its image
+    need not exist.
+    """
+    a_side, b_side = a._obj(node, xa), b._obj(node, xb)
+    if len(a_side) == 1:
+        return np.zeros(0, dtype=np.int32)
+    t = np.delete(_act(node, a, b, xa, xb, f, g, pf, pg), a_side.bottom_idx)
+    bot = b_side.bottom_idx
+    return np.where(t == bot, 0, off + t - (t > bot))
 
 
 class Reindex:

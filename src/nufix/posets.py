@@ -10,6 +10,24 @@ Element tags are strings for user-supplied posets and nested tuples for
 constructed ones (pairs, injections, tables, upsets, lifts), so that equal
 constructions produce identical posets, not merely isomorphic ones.
 
+Each constructor lays its elements out by index, so maps between
+constructed posets can be computed on indices alone:
+
+- `product(p, q)`: the pair of p's i-th and q's j-th element is at
+  `i * len(q) + j`.
+- `separated_sum(p, q)`: p's elements at `0..len(p)-1`, then q's.
+- `coalesced_sum(p, q)`: the shared bottom at 0, then p's non-bottom
+  elements in p's order, then q's.
+- `lift(p)`: the new bottom at 0, p's i-th element at `i + 1`.
+- `fun_space` / `strict_fun_space`: element k is the table `rows[k]`, an
+  int32 row of codomain indices, one per domain element.
+- `upsets` / `strict_upsets`: element k is the upset `rows[k]`, a boolean
+  membership mask over all of the ground poset's elements (the bottom
+  column is false for strict upsets).
+
+`rows` is None for every other poset.  `locate` maps index rows back to
+element indices.
+
 Every monotone map is continuous at this scale (all chains stabilize), so
 no continuity side conditions appear anywhere.
 """
@@ -41,17 +59,23 @@ LBOT = ("lbot",)
 class FinPoset:
     """A finite partial order with an optional declared bottom."""
 
-    __slots__ = ("elements", "leq", "bottom_idx", "_index", "_key", "_hash")
+    __slots__ = ("elements", "leq", "bottom_idx", "rows", "_index", "_row_index",
+                 "_key", "_hash")
 
-    def __init__(self, elements, leq, bottom_idx=None):
+    def __init__(self, elements, leq, bottom_idx=None, rows=None):
         self.elements = tuple(elements)
         leq = np.ascontiguousarray(leq, dtype=np.bool_)
         leq.flags.writeable = False
         self.leq = leq
         self.bottom_idx = bottom_idx
+        if rows is not None:
+            rows = np.ascontiguousarray(rows)
+            rows.flags.writeable = False
+        self.rows = rows
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise DuplicateElement("duplicate element tags")
+        self._row_index = None
         self._key = None
         self._hash = None
 
@@ -66,6 +90,16 @@ class FinPoset:
             return self._index[tag]
         except KeyError:
             raise DomainMismatch(f"element {tag!r} not in poset") from None
+
+    def locate(self, rows):
+        """Element indices of a table/upset poset's index rows, as int32."""
+        if self._row_index is None:
+            self._row_index = {k: i for i, k in enumerate(_row_keys(self.rows))}
+        rows = np.asarray(rows, dtype=self.rows.dtype)
+        try:
+            return np.array([self._row_index[k] for k in _row_keys(rows)], dtype=np.int32)
+        except KeyError:
+            raise DomainMismatch("index row not in poset") from None
 
     def __contains__(self, tag):
         return tag in self._index
@@ -108,6 +142,13 @@ class FinPoset:
     def __repr__(self):
         point = f", bottom={pretty_tag(self.bottom)}" if self.is_pointed else ""
         return f"FinPoset({len(self)} elements{point})"
+
+
+def _row_keys(rows):
+    """One bytes key per row of a 2-d array."""
+    width = rows.shape[1] * rows.itemsize
+    data = np.ascontiguousarray(rows).tobytes()
+    return [data[i * width : (i + 1) * width] for i in range(len(rows))]
 
 
 def _check_cap(size, cap, what):
@@ -209,21 +250,15 @@ def coalesced_sum(p, q, cap=None):
     p.require_pointed("coalesced_sum")
     q.require_pointed("coalesced_sum")
     _check_cap(len(p) + len(q) - 1, cap, "coalesced sum")
-    lefts = [x for i, x in enumerate(p.elements) if i != p.bottom_idx]
-    rights = [y for i, y in enumerate(q.elements) if i != q.bottom_idx]
-    elements = [CBOT] + [("inl", x) for x in lefts] + [("inr", y) for y in rights]
-    n = len(elements)
-    leq = np.eye(n, dtype=np.bool_)
+    kp = [i for i in range(len(p)) if i != p.bottom_idx]
+    kq = [j for j in range(len(q)) if j != q.bottom_idx]
+    elements = ([CBOT] + [("inl", p.elements[i]) for i in kp]
+                + [("inr", q.elements[j]) for j in kq])
+    n, off = len(elements), 1 + len(kp)
+    leq = np.zeros((n, n), dtype=np.bool_)
     leq[0, :] = True
-    for i, x in enumerate(lefts):
-        for j, x2 in enumerate(lefts):
-            if p.leq_tags(x, x2):
-                leq[1 + i, 1 + j] = True
-    off = 1 + len(lefts)
-    for i, y in enumerate(rights):
-        for j, y2 in enumerate(rights):
-            if q.leq_tags(y, y2):
-                leq[off + i, off + j] = True
+    leq[1:off, 1:off] = p.leq[np.ix_(kp, kp)]
+    leq[off:, off:] = q.leq[np.ix_(kq, kq)]
     return FinPoset(elements, leq, 0)
 
 
@@ -239,7 +274,7 @@ def lift(p, cap=None):
     return FinPoset(elements, leq, 0)
 
 
-def _tables_to_poset(tables, dom, cod):
+def _tables_to_poset(tables, cod):
     """Build the pointwise-ordered poset of assignment tables."""
     elements = [("table", tuple(cod.elements[v] for v in row)) for row in tables]
     k = len(elements)
@@ -252,13 +287,9 @@ def _tables_to_poset(tables, dom, cod):
             else:
                 leq[i, :] = True
     bottom_idx = None
-    if cod.is_pointed:
-        bot_row = ("table", tuple(cod.bottom for _ in range(len(dom))))
-        for i, e in enumerate(elements):
-            if e == bot_row:
-                bottom_idx = i
-                break
-    return FinPoset(elements, leq, bottom_idx)
+    if cod.is_pointed:  # the constant bottom table is always enumerated
+        bottom_idx = int(np.argmax((tables == cod.bottom_idx).all(axis=1)))
+    return FinPoset(elements, leq, bottom_idx, tables)
 
 
 def fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
@@ -266,7 +297,7 @@ def fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     limit = (cap + 1) if cap is not None else (max(1, len(q)) ** max(1, len(p)) + 1)
     tables = kernels.enum_monotone_tables(p.leq, q.leq, limit)
     _check_cap(len(tables), cap, "function space")
-    return _tables_to_poset(tables, p, q)
+    return _tables_to_poset(tables, q)
 
 
 def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
@@ -278,29 +309,25 @@ def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     limit = (cap + 1) if cap is not None else (max(1, len(q)) ** max(1, len(p)) + 1)
     tables = kernels.enum_monotone_tables(p.leq, q.leq, limit, forced)
     _check_cap(len(tables), cap, "strict function space")
-    return _tables_to_poset(tables, p, q)
+    return _tables_to_poset(tables, q)
 
 
-def _masks_to_poset(masks, ground_elements):
+def _masks_to_poset(masks, ground):
+    """Build the inclusion-ordered poset of full-ground membership masks."""
     elements = [
-        ("upset", tuple(e for e, m in zip(ground_elements, row) if m))
+        ("upset", tuple(e for e, m in zip(ground.elements, row) if m))
         for row in masks
     ]
     k = len(elements)
     leq = np.zeros((k, k), dtype=np.bool_)
     if k:
-        m = np.asarray(masks, dtype=np.bool_)
         for i in range(k):
-            if m.shape[1]:
-                leq[i, :] = ~(m[i][None, :] & ~m).any(axis=1)
+            if masks.shape[1]:
+                leq[i, :] = ~(masks[i][None, :] & ~masks).any(axis=1)
             else:
                 leq[i, :] = True
-    bottom_idx = None
-    for i, e in enumerate(elements):
-        if e == ("upset", ()):
-            bottom_idx = i
-            break
-    return FinPoset(elements, leq, bottom_idx)
+    bottom_idx = int(np.argmax(~masks.any(axis=1)))  # the empty upset
+    return FinPoset(elements, leq, bottom_idx, masks)
 
 
 def upsets(p, cap=DEFAULT_ELEMENT_CAP):
@@ -308,7 +335,7 @@ def upsets(p, cap=DEFAULT_ELEMENT_CAP):
     limit = (cap + 1) if cap is not None else (1 << len(p)) + 1
     masks = kernels.enum_upsets(p.leq, limit)
     _check_cap(len(masks), cap, "upset poset")
-    return _masks_to_poset(masks, p.elements)
+    return _masks_to_poset(masks, p)
 
 
 def strict_upsets(p, cap=DEFAULT_ELEMENT_CAP):
@@ -319,8 +346,9 @@ def strict_upsets(p, cap=DEFAULT_ELEMENT_CAP):
     limit = (cap + 1) if cap is not None else (1 << len(keep)) + 1
     masks = kernels.enum_upsets(sub, limit)
     _check_cap(len(masks), cap, "strict upset poset")
-    ground = [p.elements[i] for i in keep]
-    return _masks_to_poset(masks, ground)
+    full = np.zeros((len(masks), len(p)), dtype=np.bool_)
+    full[:, keep] = masks
+    return _masks_to_poset(full, p)
 
 
 def all_posets_upto(n, prefix="e"):

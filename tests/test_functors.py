@@ -10,6 +10,7 @@ from nufix import functors as F
 from nufix import posets as P
 from nufix.errors import (
     BackendMismatch,
+    DomainMismatch,
     ExprSyntaxError,
     NotCovariant,
     NotPointed,
@@ -20,6 +21,13 @@ from nufix.laws import random_ep_chain
 
 ONE = P.unit()
 BOOL = P.boolean_lattice()
+C3 = P.chain(3)
+# Bool into the chain c0 < c1 < c2: top goes to the top, c1 projects down
+EP_B3 = P.EpPair(
+    P.MonoMap.from_tags(BOOL, C3, {"bot": "c0", "top": "c2"}),
+    P.MonoMap.from_tags(C3, BOOL, {"c0": "bot", "c1": "bot", "c2": "top"}),
+)
+HO_CCS_BODY = "C * W * Id + C * (V -> Id) + Id"
 
 
 def pointed(expr, v=ONE, w=ONE, constants=None, cap=6000):
@@ -157,6 +165,71 @@ def test_on_ep_strict_upset_concrete():
         assert out.p(tag) == ("upset", ())
 
 
+def _on_ep_b3(text, backend=F.Backend.POINTED_STRICT):
+    return lambda: F.instantiate(text, backend, BOOL, BOOL).on_ep(EP_B3)
+
+
+def _reindex_b3(text):
+    return lambda: F.reindex_ep(text, F.Backend.POINTED_STRICT, EP_B3).component(BOOL)
+
+
+# one concrete case per node kind: (the ep-pair, embedding cases, projection cases)
+NODE_CASES = {
+    "product": (
+        _on_ep_b3("Id * Bool"),
+        [(("pair", "top", "bot"), ("pair", "c2", "bot"))],
+        [(("pair", "c1", "top"), ("pair", "bot", "top"))],
+    ),
+    "coalesced-sum": (
+        _on_ep_b3("Id + W"),
+        [(P.CBOT, P.CBOT), (("inl", "top"), ("inl", "c2")), (("inr", "top"), ("inr", "top"))],
+        [(("inl", "c1"), P.CBOT), (("inl", "c2"), ("inl", "top"))],
+    ),
+    "separated-sum": (
+        _on_ep_b3("Id + W", F.Backend.PLAIN),
+        [(("inl", "bot"), ("inl", "c0")), (("inr", "bot"), ("inr", "bot"))],
+        [(("inl", "c1"), ("inl", "bot")), (("inr", "top"), ("inr", "top"))],
+    ),
+    "lift": (
+        _on_ep_b3("Lift(Id)"),
+        [(P.LBOT, P.LBOT), (("lup", "top"), ("lup", "c2"))],
+        [(("lup", "c1"), ("lup", "bot"))],
+    ),
+    "constant-domain-arrow": (
+        _on_ep_b3("(Bool -> Id)"),
+        [(("table", ("bot", "top")), ("table", ("c0", "c2")))],
+        [(("table", ("c1", "c2")), ("table", ("bot", "top")))],
+    ),
+    # identity state ep; the V domain is reindexed along EP_B3
+    "parameter-domain-arrow": (
+        _reindex_b3("(V -> Id)"),
+        [(("table", ("bot", "top")), ("table", ("bot", "bot", "top")))],
+        [(("table", ("bot", "top", "top")), ("table", ("bot", "top")))],
+    ),
+    "upset": (
+        _on_ep_b3("U(Id)"),
+        [(("upset", ("top",)), ("upset", ("c2",))),
+         (("upset", ("bot", "top")), ("upset", ("c0", "c1", "c2")))],
+        [(("upset", ("c1", "c2")), ("upset", ("top",))), (("upset", ()), ("upset", ()))],
+    ),
+    "strict-upset": (
+        _on_ep_b3("Us(Id)"),
+        [(("upset", ("top",)), ("upset", ("c2",)))],
+        [(("upset", ("c1", "c2")), ("upset", ("top",)))],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_CASES))
+def test_on_ep_node_concrete(kind):
+    make, emb, proj = NODE_CASES[kind]
+    out = make()
+    for tag, expected in emb:
+        assert out.e(tag) == expected
+    for tag, expected in proj:
+        assert out.p(tag) == expected
+
+
 def test_on_ep_preserves_identity_everywhere():
     rng = random.Random(23)
     for text in ["Id", "U(Id)", "Us(Id)", "(V -> Id)", "Lift(Id + W)"]:
@@ -208,6 +281,17 @@ def test_on_map_functorial():
         f, g = ep1.e, ep2.e
         assert inst.on_map(P.compose(f, g)) == P.compose(inst.on_map(f), inst.on_map(g))
         assert inst.on_map(P.identity(ep1.dom)).is_identity()
+
+
+def test_on_map_non_strict_through_strict_arrow_has_no_image():
+    inst = pointed("(V -!> Id)", BOOL, BOOL)
+    top = P.MonoMap(BOOL, BOOL, np.array([1, 1], dtype=np.int32))
+    # post-composing a strict table with the constant top map is not strict
+    with pytest.raises(DomainMismatch):
+        inst.on_map(top)
+    # a one-point summand of a coalesced sum has no element left to map
+    summed = pointed("(V -!> Id) + W", ONE, BOOL)
+    assert summed.on_map(top).is_identity()
 
 
 def test_on_map_rejects_upsets():
@@ -269,6 +353,24 @@ def test_reindex_natural_on_state_eps():
             rhs = reindex.src.on_ep(state_ep).then(reindex.component(state_ep.cod))
             assert lhs.e == rhs.e
             assert lhs.p == rhs.p
+
+
+@pytest.mark.parametrize("text", ["Us(" + HO_CCS_BODY + ")", HO_CCS_BODY, "U(Id)"],
+                         ids=["ho-ccs", "ho-ccs-body", "upsets"])
+def test_actions_never_look_up_tags(text, monkeypatch):
+    ast = F.parse(text, {"C": P.lift(P.discrete(["c"]))})
+    inst = F.instantiate(ast, F.Backend.POINTED_STRICT, BOOL, BOOL)
+    reindex = F.reindex_ep(ast, F.Backend.POINTED_STRICT, P.bottom_ep(ONE, BOOL))
+
+    def no_tags(*args):
+        raise AssertionError("functor action looked up an element tag")
+
+    monkeypatch.setattr(P.FinPoset, "index", no_tags)
+    monkeypatch.setattr(P.MonoMap, "__call__", no_tags)
+    outs = [inst.on_ep(P.bottom_ep(ONE, BOOL)), reindex.component(BOOL)]
+    if not F.has_upset_nodes(ast):
+        outs += [inst.on_map(EP_B3.e), inst.on_map(EP_B3.p)]
+    assert all(len(out.dom) and len(out.cod) for out in outs)
 
 
 # --------------------------------------------------------------------------
