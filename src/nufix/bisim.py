@@ -438,8 +438,8 @@ def behavioural_equiv(coalg, final):
     same abstract behaviour."""
     ext = _engine.coinductive_extension(coalg, final)
     groups = {}
-    for x in coalg.carrier.elements:
-        groups.setdefault(ext(x), []).append(x)
+    for x, image in zip(coalg.carrier.elements, ext.table.tolist()):
+        groups.setdefault(image, []).append(x)
     return Equivalence.from_blocks(list(groups.values()))
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import kernels
 from .engine import SeqStatus, terminal_sequence
 from .errors import (
+    DomainMismatch,
     ElementCapExceeded,
     InputError,
     NotCovariant,
@@ -41,6 +42,7 @@ from .posets import (
     MonoMap,
     iso_check,
     lift,
+    unit,
 )
 
 
@@ -57,21 +59,14 @@ def lift_left_adjoint(p):
 
 def transpose(f, p, q):
     """Strict map lift(P) -> Q to its adjunct P -> include(Q)."""
-    inc = include(q)
-    table = np.array(
-        [f.table[f.dom.index(("lup", x))] for x in p.elements], dtype=np.int32
-    )
-    return MonoMap(p, inc, table)
+    if f.dom != lift(p):  # lift puts P's i-th element at i + 1
+        raise DomainMismatch("transpose expects a map out of lift(P)")
+    return MonoMap(p, include(q), f.table[1:])
 
 
 def untranspose(g, p, q):
     """Monotone map P -> include(Q) to its strict adjunct lift(P) -> Q."""
-    lp = lift(p)
-    table = np.empty(len(lp), dtype=np.int32)
-    table[0] = q.bottom_idx
-    for i, x in enumerate(p.elements):
-        table[lp.index(("lup", x))] = g.table[i]
-    return MonoMap(lp, q, table, strict=True)
+    return MonoMap(lift(p), q, np.concatenate([[q.bottom_idx], g.table]), strict=True)
 
 
 def adjunction_check(p, q, cap=64):
@@ -125,12 +120,7 @@ class PlainSequence:
 
 
 def plain_terminal_sequence(inst, inner_budget=8):
-    from .posets import unit
-
-    one = unit()
-    # the plain backend sees the one-point poset as an ordinary object
-    one = FinPoset(one.elements, one.leq, None)
-    stages = [one]
+    stages = [include(unit())]
     projs = []
     status = SeqStatus("truncated", reason="budget")
     for k in range(inner_budget):

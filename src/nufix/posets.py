@@ -10,6 +10,13 @@ Element tags are strings for user-supplied posets and nested tuples for
 constructed ones (pairs, injections, tables, upsets, lifts), so that equal
 constructions produce identical posets, not merely isomorphic ones.
 
+Identity is the declared bottom, the order and the tags; the hash comes
+from the order and the bottom alone, and equality compares tags last.
+Constructed tags share their children, so building them is linear, but
+hashing one walks its whole history.  So the tag index behind `index`
+and `in` is built on the first lookup, where a repeated tag raises
+`DuplicateElement` (`validate_poset` and `discrete` check at once).
+
 Each constructor lays its elements out by index, so maps between
 constructed posets can be computed on indices alone:
 
@@ -60,7 +67,7 @@ class FinPoset:
     """A finite partial order with an optional declared bottom."""
 
     __slots__ = ("elements", "leq", "bottom_idx", "rows", "_index", "_row_index",
-                 "_key", "_hash")
+                 "_hash")
 
     def __init__(self, elements, leq, bottom_idx=None, rows=None):
         self.elements = tuple(elements)
@@ -72,11 +79,8 @@ class FinPoset:
             rows = np.ascontiguousarray(rows)
             rows.flags.writeable = False
         self.rows = rows
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise DuplicateElement("duplicate element tags")
+        self._index = None
         self._row_index = None
-        self._key = None
         self._hash = None
 
     def __len__(self):
@@ -85,9 +89,17 @@ class FinPoset:
     def __iter__(self):
         return iter(self.elements)
 
+    def _tags(self):
+        if self._index is None:
+            index = {e: i for i, e in enumerate(self.elements)}
+            if len(index) != len(self.elements):
+                raise DuplicateElement("duplicate element tags")
+            self._index = index
+        return self._index
+
     def index(self, tag):
         try:
-            return self._index[tag]
+            return self._tags()[tag]
         except KeyError:
             raise DomainMismatch(f"element {tag!r} not in poset") from None
 
@@ -102,7 +114,7 @@ class FinPoset:
             raise DomainMismatch("index row not in poset") from None
 
     def __contains__(self, tag):
-        return tag in self._index
+        return tag in self._tags()
 
     def leq_tags(self, a, b):
         return bool(self.leq[self.index(a), self.index(b)])
@@ -122,21 +134,18 @@ class FinPoset:
             raise NotPointed(f"{what} requires a pointed poset")
         return self
 
-    def key(self):
-        if self._key is None:
-            self._key = (self.elements, self.leq.tobytes(), self.bottom_idx)
-        return self._key
-
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, FinPoset):
             return NotImplemented
-        return self.key() == other.key()
+        return (self.bottom_idx == other.bottom_idx
+                and np.array_equal(self.leq, other.leq)
+                and self.elements == other.elements)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.leq.tobytes(), self.bottom_idx))
         return self._hash
 
     def __repr__(self):

@@ -1,6 +1,7 @@
 """CLI checks: exit-code conventions, report determinism, reload
 validation, DOT emission."""
 
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,29 @@ def test_solve_truncated_exit_two(workdir):
     assert main(["solve", "-f", f, "--out", out]) == 2
     obj = json.loads(open(out).read())
     assert obj["rows"][0]["sizes"] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def test_reports_are_pinned(workdir):
+    # a deliberate report format change updates these digests
+    consts = write_json(
+        workdir / "consts.json",
+        {"A": {"elements": ["b", "a"], "leq": [["b", "a"]], "bottom": "b"}},
+    )
+    cases = [
+        (DET, ["solve", "--element-cap", "512"], 0,
+         "754f6625cbcd71f2677cfb77cc9b2c69022e25a2e0c6227bf012d56d5e9c8c1d"),
+        (DET + " + A", ["solve", "--element-cap", "512", "--constants", consts], 2,
+         "72d6095800d4847fbd426191f53d5c55b8e63809ead31c9b15c2b513dacd2cd2"),
+        ("U(Id)", ["terminal", "--inner-budget", "5", "--element-cap", "4096"], 2,
+         "2f1e6286012e99f2e142eaa4674794cc0bcfdba8ea58a933667b09aadb713161"),
+        ("Us(Id)", ["terminal"], 0,
+         "4188bdf3e3940a351df86f2fa91b62d83256ba16eed9db22367acb44f2d6e789"),
+    ]
+    for k, (expr, argv, code, digest) in enumerate(cases):
+        f = write(workdir / f"in{k}.expr", expr + "\n")
+        out = workdir / f"out{k}.json"
+        assert main(argv + ["-f", f, "--out", str(out)]) == code, expr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, expr
 
 
 def test_missing_file_exit_one(workdir, capsys):

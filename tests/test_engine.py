@@ -53,6 +53,17 @@ def test_truncated_growth_is_monotone():
     assert all(x <= y for x, y in zip(sizes, sizes[1:]))
 
 
+def test_deep_upsets_of_id_look_up_no_tag(monkeypatch):
+    def no_lookup(self, tag):
+        raise AssertionError(f"tag lookup of {tag!r}")
+
+    monkeypatch.setattr(P.FinPoset, "index", no_lookup)
+    monkeypatch.setattr(P.FinPoset, "__contains__", no_lookup)
+    seq = E.terminal_sequence(pointed("U(Id)", cap=4096), inner_budget=40)
+    assert [len(s) for s in seq.stages] == list(range(1, 42))
+    assert seq.status.kind == "truncated" and seq.status.reason == "budget"
+
+
 def test_element_cap_truncates_without_crash():
     c = P.lift(P.discrete(["c"]))
     inst = pointed("Us(C * W * Id + C * (V -> Id) + Id)", ONE, ONE, {"C": c})

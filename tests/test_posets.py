@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from nufix import engine as E
+from nufix import functors as F
 from nufix import posets as P
 from nufix.errors import (
     BottomNotLeast,
@@ -18,6 +20,7 @@ from nufix.errors import (
     NotPointed,
     SizeCapExceeded,
 )
+from nufix.mediator import include
 
 
 def two_chain():
@@ -354,3 +357,33 @@ def test_all_posets_upto_counts():
     for p in shapes:
         by_size.setdefault(len(p), []).append(p)
     assert [len(by_size.get(k, [])) for k in range(5)] == [1, 1, 2, 5, 16]
+
+
+# --------------------------------------------------------------------------
+# identity: the order and the tags, hashed by the order alone
+
+
+def uid_stage(k):
+    inst = F.instantiate(F.parse("U(Id)"), F.Backend.POINTED_STRICT, P.unit(), P.unit(), 4096)
+    return E.terminal_sequence(inst, inner_budget=k).stages[k]
+
+
+def test_equal_constructions_are_equal_with_equal_hashes():
+    a, b = uid_stage(4), uid_stage(4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    back = P.poset_from_json(json.loads(json.dumps(P.poset_to_json(a))))
+    assert back.is_pointed and back == a and hash(back) == hash(a)
+
+
+def test_same_order_with_other_tags_or_bottom_differs():
+    assert P.chain(3) != P.chain(3, prefix="d")
+    b = P.boolean_lattice()
+    assert include(b) != b
+
+
+def test_duplicate_tags_raise_by_the_first_lookup():
+    for lookup in (lambda p: p.index("a"), lambda p: "a" in p):
+        with pytest.raises(DuplicateElement):
+            lookup(P.FinPoset(("a", "a"), np.eye(2, dtype=bool)))
+    with pytest.raises(DuplicateElement):
+        P.discrete(["a", "a"])
