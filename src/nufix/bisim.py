@@ -8,14 +8,15 @@ one.  Three equivalence notions live here:
 * the game up to a value equivalence (`dimmed_bisim`), and
 * coalgebraic bisimulation by structural relation lifting (`coalg_bisim`).
 
-The game engines are deliberately independent of the relation-lifting
-code so that the coincidence between the two (on quotient instances) is a
-genuine cross-check, not a tautology; `lemma1_check` runs that comparison
-exhaustively at desk scale.
+The game predicate is deliberately independent of the relation-lifting
+code (the two share only the greatest-fixpoint loop), so the coincidence
+between them on quotient instances is a genuine cross-check, not a
+tautology; `lemma1_check` runs that comparison exhaustively at desk scale.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import engine as _engine
@@ -28,7 +29,7 @@ from .errors import (
     ValueSetMismatch,
 )
 from .functors import Backend, CoalgebraSpec, instantiate, lifted_related, parse
-from .posets import discrete, tag_sort_key
+from .posets import discrete, tag_from_json, tag_sort_key, tag_to_json
 
 VALUE_FAMILY = "(V -> Id) + W"
 
@@ -73,17 +74,17 @@ class Relation:
         )
 
     def sorted_pairs(self):
-        return sorted(self.pairs, key=lambda p: (tag_sort_key(p[0]), tag_sort_key(p[1])))
+        return sorted(self.pairs, key=_pair_sort_key)
 
     def to_json(self):
-        from .posets import tag_to_json
-
         return [[tag_to_json(a), tag_to_json(b)] for a, b in self.sorted_pairs()]
 
 
-def relation_from_json(obj, left, right):
-    from .posets import tag_from_json
+def _pair_sort_key(pair):
+    return tag_sort_key(pair[0]), tag_sort_key(pair[1])
 
+
+def relation_from_json(obj, left, right):
     if not isinstance(obj, list):
         raise InputError("relation JSON must be a list of pairs")
     pairs = frozenset((tag_from_json(a), tag_from_json(b)) for a, b in obj)
@@ -163,21 +164,13 @@ class Equivalence:
         return [("cls", block) for block in self.blocks]
 
     def to_json(self):
-        from .posets import tag_to_json
-
         return [[tag_to_json(x) for x in block] for block in self.blocks]
 
 
 def equivalence_from_json(obj):
     if not isinstance(obj, list):
         raise InputError("equivalence JSON must be a list of blocks")
-    return Equivalence.from_blocks([[_tag(x) for x in block] for block in obj])
-
-
-def _tag(obj):
-    from .posets import tag_from_json
-
-    return tag_from_json(obj)
+    return Equivalence.from_blocks([[tag_from_json(x) for x in block] for block in obj])
 
 
 # --------------------------------------------------------------------------
@@ -235,8 +228,6 @@ class LtsSpec:
         return payload
 
     def to_json(self):
-        from .posets import tag_to_json
-
         beh = {}
         for x in self.states:
             kind, payload = self.behaviour[x]
@@ -293,38 +284,50 @@ def lts_to_coalgebra(lts, inst=None):
 # game engines (independent of relation lifting)
 
 
-def _game_violation(lts1, lts2, pairs, related_values):
-    """First pair violating the matching game, with the failing clause."""
-    for x, y in sorted(pairs, key=lambda p: (tag_sort_key(p[0]), tag_sort_key(p[1]))):
-        k1, k2 = lts1.kind(x), lts2.kind(y)
-        if k1 != k2:
-            return (x, y), "shape-match"
-        if k1 == OUTPUT:
-            if not related_values(lts1.out(x), lts2.out(y)):
-                return (x, y), "output-match"
-        else:
-            for p in lts1.values:
-                for q in lts2.values:
-                    if related_values(p, q):
-                        if (lts1.cont(x, p), lts2.cont(y, q)) not in pairs:
-                            return (x, y), "input-match"
+def _game_clause(lts1, lts2, x, y, pairs, related_values):
+    """The matching-game clause that (x, y) fails against `pairs`, or None."""
+    k1, k2 = lts1.kind(x), lts2.kind(y)
+    if k1 != k2:
+        return "shape-match"
+    if k1 == OUTPUT:
+        return None if related_values(lts1.out(x), lts2.out(y)) else "output-match"
+    for p in lts1.values:
+        for q in lts2.values:
+            if related_values(p, q) and (lts1.cont(x, p), lts2.cont(y, q)) not in pairs:
+                return "input-match"
     return None
 
 
-def _greatest_game_bisim(lts1, lts2, related_values):
-    pairs = {(x, y) for x in lts1.states for y in lts2.states}
+def _game_violation(lts1, lts2, pairs, related_values):
+    """First pair in tag order that fails the game, with its clause."""
+    for x, y in sorted(pairs, key=_pair_sort_key):
+        clause = _game_clause(lts1, lts2, x, y, pairs, related_values)
+        if clause is not None:
+            return (x, y), clause
+    return None
+
+
+def _greatest_relation(left, right, keeps):
+    """Greatest R within left x right with keeps(x, y, R) for all its pairs.
+    Each round drops every pair failing against that round's set; `keeps` is
+    monotone in R, so the order of removal cannot change the result."""
+    pairs = {(x, y) for x in left for y in right}
     while True:
-        bad = _game_violation(lts1, lts2, pairs, related_values)
-        if bad is None:
-            return Relation(lts1.states, lts2.states, frozenset(pairs))
-        pairs.discard(bad[0])
+        drop = [(x, y) for x, y in pairs if not keeps(x, y, pairs)]
+        if not drop:
+            return Relation(left, right, frozenset(pairs))
+        pairs.difference_update(drop)
 
 
 def value_bisim(lts1, lts2):
     """Greatest plain value-passing bisimulation between two systems."""
     if set(lts1.values) != set(lts2.values):
         raise ValueSetMismatch("the two systems exchange different value sets")
-    return _greatest_game_bisim(lts1, lts2, lambda p, q: p == q)
+    return _greatest_relation(
+        lts1.states,
+        lts2.states,
+        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, operator.eq) is None,
+    )
 
 
 def dimmed_bisim(lts1, lts2, approx):
@@ -333,13 +336,17 @@ def dimmed_bisim(lts1, lts2, approx):
         raise ValueSetMismatch("the two systems exchange different value sets")
     if set(approx.carrier()) != set(lts1.values):
         raise NotEquivalence("approx must partition the value set")
-    return _greatest_game_bisim(lts1, lts2, approx.related)
+    return _greatest_relation(
+        lts1.states,
+        lts2.states,
+        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, approx.related) is None,
+    )
 
 
 def is_game_bisim(lts1, lts2, pairs, approx=None):
     """Is the given pair set a (dimmed) bisimulation?  Returns the first
     violation as ((x, y), clause) or None."""
-    related = (lambda p, q: p == q) if approx is None else approx.related
+    related = operator.eq if approx is None else approx.related
     return _game_violation(lts1, lts2, set(pairs), related)
 
 
@@ -409,19 +416,11 @@ def coalg_bisim(coalg1, coalg2):
     if not coalg1.inst.same_instance(coalg2.inst):
         raise InstanceMismatch("coalgebras live over different instances")
     inst = coalg1.inst
-    xs = coalg1.carrier.elements
-    ys = coalg2.carrier.elements
-    pairs = {(x, y) for x in xs for y in ys}
-    while True:
-        drop = [
-            (x, y)
-            for (x, y) in pairs
-            if not lifted_related(inst, pairs, coalg1.value(x), coalg2.value(y))
-        ]
-        if not drop:
-            return Relation(xs, ys, frozenset(pairs))
-        for pair in drop:
-            pairs.discard(pair)
+    return _greatest_relation(
+        coalg1.carrier.elements,
+        coalg2.carrier.elements,
+        lambda x, y, pairs: lifted_related(inst, pairs, coalg1.value(x), coalg2.value(y)),
+    )
 
 
 def is_lifting_bisim(coalg1, coalg2, pairs, param_rel=None):

@@ -25,7 +25,7 @@ from .engine import (
 )
 from .errors import InputError, NufixError
 from .functors import Backend, instantiate, parse as parse_expr
-from .posets import DEFAULT_ELEMENT_CAP, poset_from_json, unit
+from .posets import DEFAULT_ELEMENT_CAP, poset_from_json, tag_to_json, unit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -196,8 +196,6 @@ def cmd_quotient(args):
         _read_json(args.relation), lts1.states, lts1.states
     )
     coalg = bisim_mod.quotient(lts1, rel, approx)
-    from .posets import tag_to_json
-
     structure = [
         [tag_to_json(state), tag_to_json(coalg.value(state))]
         for state in coalg.carrier.elements

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DepthMismatch,
     ElementCapExceeded,
@@ -38,6 +39,7 @@ from .posets import (
     bottom_ep,
     compose,
     identity,
+    iso_check,
     unit,
 )
 
@@ -92,8 +94,7 @@ class TerminalSequence:
             self.eps.append(ep)
 
 
-def terminal_sequence(inst, inner_budget=DEFAULT_INNER_BUDGET,
-                      stop_on_stabilize=True):
+def terminal_sequence(inst, inner_budget=DEFAULT_INNER_BUDGET):
     """Unfold the final sequence of a pointed-backend instance.
 
     Stops with Stabilized(n) as soon as the n-th connecting ep-pair is an
@@ -116,7 +117,7 @@ def terminal_sequence(inst, inner_budget=DEFAULT_INNER_BUDGET,
             ep = inst.on_ep(seq.eps[-1])
         seq.stages.append(nxt)
         seq.eps.append(ep)
-        if stop_on_stabilize and ep.as_iso() is not None:
+        if ep.as_iso() is not None:
             status = SeqStatus("stabilized", at=k)
             break
     seq.status = status
@@ -202,8 +203,6 @@ def coinductive_extension(coalg, final):
 def coalgebra_morphisms(coalg, final):
     """All coalgebra morphisms from `coalg` into the final coalgebra,
     found by exhaustive search; finality predicts exactly one."""
-    from . import kernels
-
     inst = final.inst
     s = coalg.carrier
     z = final.carrier
@@ -339,8 +338,6 @@ def _instances_agree(expr, backend, vep, seq, element_cap):
     """A vertical iso only counts as a solution when it carries the two
     parameter instantiations onto each other: reindexing along it must be
     an iso at the carrier, and an independent iso search must concur."""
-    from .posets import iso_check
-
     if iso_check(vep.dom, vep.cod, cap=None) is None:
         return False
     comp = Reindex(expr, backend, vep, element_cap).component(seq.carrier())

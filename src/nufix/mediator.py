@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .engine import SeqStatus, terminal_sequence
+from .engine import DEFAULT_INNER_BUDGET, SeqStatus, terminal_sequence
 from .errors import (
     DomainMismatch,
     ElementCapExceeded,
     InputError,
     NotCovariant,
     NotPointed,
+    SizeCapExceeded,
 )
 from .functors import (
     Backend,
@@ -40,9 +41,11 @@ from .posets import (
     FinPoset,
     Iso,
     MonoMap,
+    all_posets_upto,
     iso_check,
     lift,
     unit,
+    with_declared_bottom,
 )
 
 
@@ -74,8 +77,6 @@ def adjunction_check(p, q, cap=64):
     by exhaustive enumeration of both sides and the explicit transposes."""
     q.require_pointed("adjunction_check")
     if len(p) > cap or len(q) > cap:
-        from .errors import SizeCapExceeded
-
         raise SizeCapExceeded("adjunction_check is exhaustive; inputs are capped")
     lp = lift(p)
     inc = include(q)
@@ -119,7 +120,7 @@ class PlainSequence:
     status: SeqStatus
 
 
-def plain_terminal_sequence(inst, inner_budget=8):
+def plain_terminal_sequence(inst, inner_budget=DEFAULT_INNER_BUDGET):
     stages = [include(unit())]
     projs = []
     status = SeqStatus("truncated", reason="budget")
@@ -181,7 +182,7 @@ class MediatorReport:
         return self.status == "agree"
 
 
-def solve_lifted(expr, v, w, constants=None, inner_budget=8,
+def solve_lifted(expr, v, w, constants=None, inner_budget=DEFAULT_INNER_BUDGET,
                  element_cap=DEFAULT_ELEMENT_CAP, adjunction_cap=3):
     """Run the lazy-shaped family on both sides of the inclusion and
     compare the final sequences stagewise.
@@ -224,8 +225,6 @@ def solve_lifted(expr, v, w, constants=None, inner_budget=8,
             StageComparison(k, len(seq_h.stages[k]), len(sg), iso, agree)
         )
     sweep = []
-    from .posets import all_posets_upto, with_declared_bottom
-
     shapes = all_posets_upto(adjunction_cap)
     pointed = [q for q in map(with_declared_bottom, shapes) if q is not None]
     for p in shapes:

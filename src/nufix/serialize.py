@@ -19,6 +19,7 @@ from .posets import (
     Iso,
     MonoMap,
     poset_from_json,
+    poset_to_dot,
     poset_to_json,
 )
 
@@ -97,6 +98,27 @@ def _seq_json(seq, pool):
     }
 
 
+def _seq_from_json(row, posets, links="eps"):
+    """Stages, connecting maps and status of a sequence row, checked against
+    each other: ep-pairs (`eps`) run up the stages, plain projections
+    (`projs`) run down them."""
+    stages = [posets[i] for i in row["stages"]]
+    if [len(s) for s in stages] != row["sizes"]:
+        raise InputError("stage sizes disagree with the poset pool")
+    if len(row[links]) != len(stages) - 1:
+        raise InputError(f"a row of {len(stages)} stages needs {len(stages) - 1} {links}")
+    if links == "eps":
+        maps = [_ep_from_json(e, posets) for e in row[links]]
+        ends = [(ep.dom, ep.cod) for ep in maps]
+    else:
+        maps = [_map_from_json(m, posets) for m in row[links]]
+        ends = [(m.cod, m.dom) for m in maps]
+    for k, (lower, upper) in enumerate(ends):
+        if lower != stages[k] or upper != stages[k + 1]:
+            raise InputError(f"{links} endpoints disagree with the stages")
+    return stages, maps, _status_from_json(row["status"])
+
+
 def dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -149,16 +171,7 @@ def load_solution_report(obj):
         raise InputError("not a solution report")
     posets = [poset_from_json(p) for p in obj["posets"]]
     params = [posets[i] for i in obj["params"]]
-    rows = []
-    for row in obj["rows"]:
-        stages = [posets[i] for i in row["stages"]]
-        eps = [_ep_from_json(e, posets) for e in row["eps"]]
-        if [len(s) for s in stages] != row["sizes"]:
-            raise InputError("stage sizes disagree with the poset pool")
-        for k, ep in enumerate(eps):
-            if ep.dom != stages[k] or ep.cod != stages[k + 1]:
-                raise InputError("ep endpoints disagree with the stages")
-        rows.append((stages, eps, _status_from_json(row["status"])))
+    rows = [_seq_from_json(row, posets) for row in obj["rows"]]
     vertical = [_ep_from_json(e, posets) for e in obj["vertical_eps"]]
     for k, ep in enumerate(vertical):
         if ep.dom != params[k] or ep.cod != params[k + 1]:
@@ -215,14 +228,9 @@ def load_terminal_report(obj):
     if obj.get("kind") != "terminal-report":
         raise InputError("not a terminal report")
     posets = [poset_from_json(p) for p in obj["posets"]]
-    row = obj["row"]
-    stages = [posets[i] for i in row["stages"]]
-    eps = [_ep_from_json(e, posets) for e in row["eps"]]
-    for k, ep in enumerate(eps):
-        if ep.dom != stages[k] or ep.cod != stages[k + 1]:
-            raise InputError("ep endpoints disagree with the stages")
+    stages, eps, status = _seq_from_json(obj["row"], posets)
     return {
-        "status": _status_from_json(row["status"]),
+        "status": status,
         "stages": stages,
         "eps": eps,
     }
@@ -269,10 +277,8 @@ def load_mediator_report(obj):
     if obj.get("kind") != "mediator-report":
         raise InputError("not a mediator report")
     posets = [poset_from_json(p) for p in obj["posets"]]
-    pointed_stages = [posets[i] for i in obj["pointed"]["stages"]]
-    pointed_eps = [_ep_from_json(e, posets) for e in obj["pointed"]["eps"]]
-    plain_stages = [posets[i] for i in obj["plain"]["stages"]]
-    plain_projs = [_map_from_json(m, posets) for m in obj["plain"]["projs"]]
+    pointed_stages, pointed_eps, _ = _seq_from_json(obj["pointed"], posets)
+    plain_stages, plain_projs, _ = _seq_from_json(obj["plain"], posets, links="projs")
     isos = []
     for c in obj["stage_comparisons"]:
         if c["iso"] is not None:
@@ -293,8 +299,6 @@ def load_mediator_report(obj):
 
 def dot_bundle(obj):
     """Per-stage Hasse diagrams of a report: {filename: dot source}."""
-    from .posets import poset_to_dot
-
     posets = [poset_from_json(p) for p in obj.get("posets", [])]
     out = {}
 

@@ -2,6 +2,7 @@
 lifting coincidences, behavioural equivalence."""
 
 import itertools
+import random
 
 import pytest
 
@@ -209,6 +210,32 @@ def _all_behaviours(states, values=VALUES):
         yield dict(zip(states, combo))
 
 
+def _union_of_game_bisims(lts, approx=None):
+    """Oracle for the greatest bisimulation: the union of every relation the
+    game accepts, found by trying each of them."""
+    union = set()
+    for pairs in B.all_relations(lts.states):
+        if B.is_game_bisim(lts, lts, pairs, approx) is None:
+            union |= pairs
+    return union
+
+
+def _small_systems():
+    for behaviour in _all_behaviours(["x", "y"]):
+        yield mk(["x", "y"], behaviour)
+    behaviours = list(_all_behaviours(["x", "y", "z"]))
+    for behaviour in random.Random(5).sample(behaviours, 20):
+        yield mk(["x", "y", "z"], behaviour)
+
+
+def test_greatest_bisims_equal_the_union_of_all_bisims():
+    approxes = (B.Equivalence.identity(VALUES), B.Equivalence.total(VALUES))
+    for lts in _small_systems():
+        assert B.value_bisim(lts, lts).pairs == _union_of_game_bisims(lts)
+        for approx in approxes:
+            assert B.dimmed_bisim(lts, lts, approx).pairs == _union_of_game_bisims(lts, approx)
+
+
 def test_coalg_bisim_contains_identity_on_self():
     lts = mk(["x", "y"], {"x": (B.OUTPUT, "p"), "y": (B.INPUT, {"p": "x", "q": "x"})})
     c = B.lts_to_coalgebra(lts)
@@ -227,8 +254,6 @@ def test_coalg_bisim_equals_value_bisim_exhaustive():
 
 def test_coalg_bisim_on_three_state_instances():
     states = ["x", "y", "z"]
-    import random
-
     rng = random.Random(2)
     inst = B.lts_instance(VALUES)
     behaviours = list(_all_behaviours(states))

@@ -11,6 +11,7 @@ from nufix import mediator as M
 from nufix import posets as P
 from nufix import serialize as S
 from nufix.errors import EpLawViolation, InputError
+from nufix.functors import Backend, instantiate
 
 
 def det_report():
@@ -60,14 +61,32 @@ def test_tampered_poset_is_rejected():
         S.load_solution_report(obj)
 
 
-def test_terminal_report_roundtrip():
-    from nufix.functors import Backend, instantiate
-
+def terminal_report():
     inst = instantiate("U(Id)", Backend.POINTED_STRICT, P.unit(), P.unit())
-    seq = E.terminal_sequence(inst, inner_budget=4)
-    obj = json.loads(S.dumps(S.terminal_report_json(seq, "U(Id)")))
+    return S.terminal_report_json(E.terminal_sequence(inst, inner_budget=4), "U(Id)")
+
+
+def test_terminal_report_roundtrip():
+    obj = json.loads(S.dumps(terminal_report()))
     loaded = S.load_terminal_report(obj)
     assert [len(s) for s in loaded["stages"]] == [1, 2, 3, 4, 5]
+
+
+def test_terminal_report_with_wrong_sizes_is_rejected():
+    obj = terminal_report()
+    obj["row"]["sizes"][2] += 1
+    with pytest.raises(InputError):
+        S.load_terminal_report(obj)
+
+
+def test_terminal_report_with_an_extra_ep_is_rejected():
+    obj = terminal_report()
+    row = obj["row"]
+    last = row["stages"][-1]
+    ident = {"dom": last, "cod": last, "table": list(range(row["sizes"][-1])), "strict": True}
+    row["eps"].append({"e": ident, "p": ident})
+    with pytest.raises(InputError):
+        S.load_terminal_report(obj)
 
 
 def test_mediator_report_roundtrip():
@@ -77,6 +96,28 @@ def test_mediator_report_roundtrip():
     assert loaded["status"] == "agree"
     assert [len(s) for s in loaded["pointed_stages"]] == [1, 3, 5, 7, 9]
     assert len(loaded["stage_isos"]) == len(rep.stages)
+
+
+def mediator_report():
+    rep = M.solve_lifted("Lift((V -> Id) + W)", P.unit(), P.unit(), inner_budget=4)
+    return S.mediator_report_json(rep)
+
+
+@pytest.mark.parametrize("row", ["pointed", "plain"])
+def test_mediator_report_with_swapped_stages_is_rejected(row):
+    obj = mediator_report()
+    stages = obj[row]["stages"]
+    stages[1], stages[2] = stages[2], stages[1]
+    obj[row]["sizes"] = [len(P.poset_from_json(obj["posets"][i])) for i in stages]
+    with pytest.raises(InputError):
+        S.load_mediator_report(obj)
+
+
+def test_mediator_report_with_wrong_sizes_is_rejected():
+    obj = mediator_report()
+    obj["plain"]["sizes"][1] += 1
+    with pytest.raises(InputError):
+        S.load_mediator_report(obj)
 
 
 def test_dot_bundle_names_follow_row_col_scheme():
