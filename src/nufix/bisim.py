@@ -98,14 +98,15 @@ class Equivalence:
     blocks: tuple
 
     def __post_init__(self):
-        seen = set()
+        block_of = {}  # element -> its block, the very tuple in self.blocks
         for block in self.blocks:
             if not block:
                 raise NotEquivalence("empty block")
             for x in block:
-                if x in seen:
+                if x in block_of:
                     raise NotEquivalence(f"element {x!r} appears in two blocks")
-                seen.add(x)
+                block_of[x] = block
+        object.__setattr__(self, "_block_of", block_of)
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -144,13 +145,12 @@ class Equivalence:
         return tuple(x for block in self.blocks for x in block)
 
     def class_of(self, x):
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise InputError(f"{x!r} not covered by the partition")
+        if x not in self._block_of:
+            raise InputError(f"{x!r} not covered by the partition")
+        return self._block_of[x]
 
     def related(self, a, b):
-        return b in self.class_of(a)
+        return self._block_of.get(b) is self.class_of(a)
 
     def as_pairs(self):
         return frozenset(

@@ -1,4 +1,4 @@
-"""Hot combinatorial kernels: closure, table/upset enumeration, iso search.
+"""Hot kernels: closure, inclusion order, table/upset enumeration, iso search.
 
 The two enumerators backtrack over Python-int bitsets and emit their rows in
 a fixed order, so every result built from them is reproducible:
@@ -38,7 +38,7 @@ def _unpack(masks, n):
 
 
 # --------------------------------------------------------------------------
-# transitive closure
+# order matrices: closure and inclusion
 
 
 def transitive_closure(rel):
@@ -48,6 +48,24 @@ def transitive_closure(rel):
     for k in range(out.shape[0]):
         out |= out[:, k : k + 1] & out[k : k + 1, :]
     return out
+
+
+def inclusion_order(masks):
+    """leq[i, j] = (masks[i] is a subset of masks[j]) for a (k, w) boolean
+    array.  Rows are packed into 64-bit words; each block of rows ANDs
+    `(a & ~b) == 0` over the words, through one reused word buffer."""
+    packed = np.packbits(np.asarray(masks, dtype=np.bool_), axis=1, bitorder="little")
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    outside = np.ascontiguousarray(~words.T)  # one row of complements per word
+    k, step = len(words), 32  # a 32 x k buffer: as fast as 64 rows, half the memory
+    leq = np.ones((k, k), dtype=np.bool_)
+    miss = np.empty((min(step, k), k), dtype=np.uint64)
+    for s in range(0, k, step):
+        block, buf = leq[s : s + step], miss[: min(step, k - s)]
+        for c in range(words.shape[1]):
+            np.bitwise_and(words[s : s + step, c, None], outside[c], out=buf)
+            block &= buf == 0
+    return leq
 
 
 # --------------------------------------------------------------------------

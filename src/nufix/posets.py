@@ -33,7 +33,10 @@ constructed posets can be computed on indices alone:
   column is false for strict upsets).
 
 `rows` is None for every other poset.  `locate` maps index rows back to
-element indices.
+element indices.  Both orders come from `kernels.inclusion_order` in one
+call: upsets by inclusion of their masks, tables by inclusion of their
+rows of codomain down-sets (t <= u pointwise iff each down-set of t[p] is
+inside the down-set of u[p]).
 
 Every monotone map is continuous at this scale (all chains stabilize), so
 no continuity side conditions appear anywhere.
@@ -286,15 +289,8 @@ def lift(p, cap=None):
 def _tables_to_poset(tables, cod):
     """Build the pointwise-ordered poset of assignment tables."""
     elements = [("table", tuple(cod.elements[v] for v in row)) for row in tables]
-    k = len(elements)
-    leq = np.zeros((k, k), dtype=np.bool_)
-    if k:
-        t = np.asarray(tables, dtype=np.int64)
-        for i in range(k):
-            if t.shape[1]:
-                leq[i, :] = cod.leq[t[i][None, :], t].all(axis=1)
-            else:
-                leq[i, :] = True
+    k, n = tables.shape  # compare rows of codomain down-sets (module docstring)
+    leq = kernels.inclusion_order(cod.leq.T[tables].reshape(k, n * len(cod)))
     bottom_idx = None
     if cod.is_pointed:  # the constant bottom table is always enumerated
         bottom_idx = int(np.argmax((tables == cod.bottom_idx).all(axis=1)))
@@ -327,14 +323,7 @@ def _masks_to_poset(masks, ground):
         ("upset", tuple(e for e, m in zip(ground.elements, row) if m))
         for row in masks
     ]
-    k = len(elements)
-    leq = np.zeros((k, k), dtype=np.bool_)
-    if k:
-        for i in range(k):
-            if masks.shape[1]:
-                leq[i, :] = ~(masks[i][None, :] & ~masks).any(axis=1)
-            else:
-                leq[i, :] = True
+    leq = kernels.inclusion_order(masks)
     bottom_idx = int(np.argmax(~masks.any(axis=1)))  # the empty upset
     return FinPoset(elements, leq, bottom_idx, masks)
 

@@ -173,6 +173,12 @@ def load_solution_report(obj):
     params = [posets[i] for i in obj["params"]]
     rows = [_seq_from_json(row, posets) for row in obj["rows"]]
     vertical = [_ep_from_json(e, posets) for e in obj["vertical_eps"]]
+    status = _status_from_json(obj["status"])
+    if len(params) != len(rows) + 1:
+        raise InputError("a solution report has one parameter more than rows")
+    # solve_hob stops without the last row's vertical ep when none exists
+    if len(vertical) != len(rows) - (status.reason == "vertical-ep-unavailable"):
+        raise InputError("a solution report has one vertical ep per row")
     for k, ep in enumerate(vertical):
         if ep.dom != params[k] or ep.cod != params[k + 1]:
             raise InputError("vertical ep endpoints disagree with the parameters")
@@ -198,7 +204,7 @@ def load_solution_report(obj):
         if witness.dom != final["carrier"]:
             raise InputError("witness does not start at the final carrier")
     return {
-        "status": _status_from_json(obj["status"]),
+        "status": status,
         "params": params,
         "rows": rows,
         "vertical_eps": vertical,

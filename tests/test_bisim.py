@@ -11,6 +11,7 @@ from nufix import engine as E
 from nufix import functors as F
 from nufix import posets as P
 from nufix.errors import (
+    InputError,
     NotABisimulation,
     NotEquivalence,
     SizeCapExceeded,
@@ -133,6 +134,17 @@ def test_dimmed_output_is_greatest_fixed_point():
 def test_not_equivalence_rejected():
     with pytest.raises(NotEquivalence):
         B.Equivalence.from_pairs(VALUES, {("p", "q")})
+
+
+def test_equivalence_lookups():
+    eq = B.Equivalence.from_blocks([["r", "p"], ["q"]])
+    assert eq.class_of("p") == ("p", "r") and eq.class_of("q") == ("q",)
+    assert eq.related("p", "r") and eq.related("q", "q")
+    assert not eq.related("p", "q") and not eq.related("p", "ghost")
+    assert eq == B.Equivalence((("p", "r"), ("q",)))
+    for lookup in (eq.class_of, lambda x: eq.related(x, "p")):
+        with pytest.raises(InputError):
+            lookup("ghost")
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """CLI checks: exit-code conventions, report determinism, reload
 validation, DOT emission."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -215,22 +217,27 @@ def test_mediator_command_and_render(workdir):
     assert (workdir / "dots" / "stage_0_1.dot").exists()
 
 
-def test_check_laws_fast(workdir, capsys):
-    out = str(workdir / "laws.json")
-    code = main(["check-laws", "--seed", "42", "--samples", "5", "--out", out])
-    captured = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def laws_run(tmp_path_factory):
+    """One `check-laws` run shared by the module: exit code, transcript and
+    the report it wrote."""
+    out = tmp_path_factory.mktemp("laws") / "laws.json"
+    transcript = io.StringIO()
+    with contextlib.redirect_stdout(transcript):
+        code = main(["check-laws", "--seed", "42", "--samples", "5", "--out", str(out)])
+    return code, transcript.getvalue(), json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_check_laws_fast(laws_run):
+    code, transcript, obj = laws_run
     assert code == 0
-    assert "functor-ep-laws" in captured
-    obj = json.loads(open(out).read())
+    assert "functor-ep-laws" in transcript
     assert obj["ok"] is True
 
 
-def test_check_laws_transcript_deterministic(workdir, capsys):
+def test_check_laws_transcript_deterministic(laws_run, workdir, capsys):
     main(["check-laws", "--seed", "42", "--samples", "5"])
-    first = capsys.readouterr().out
-    main(["check-laws", "--seed", "42", "--samples", "5"])
-    second = capsys.readouterr().out
-    assert first == second
+    assert capsys.readouterr().out == laws_run[1]
 
 
 def test_parser_defaults_come_from_the_engine():

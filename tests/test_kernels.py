@@ -1,6 +1,7 @@
 """Kernel-level checks: the closure matches a reachability search, the
-enumerators emit exactly the brute-force rows in their documented order,
-and iso search agrees with permutation search."""
+inclusion order matches pairwise subset tests, the enumerators emit exactly
+the brute-force rows in their documented order, and iso search agrees with
+permutation search."""
 
 import itertools
 
@@ -32,6 +33,32 @@ def test_closure_matches_loop_reference():
         out = kernels.transitive_closure(rel)
         assert out.dtype == np.bool_
         assert np.array_equal(out, _reachability(rel))
+
+
+def _masks_with_inclusions(rng, k, w):
+    """k random rows of width w; about half are copies of an earlier row
+    with some bits cleared, so that many pairs are strict inclusions."""
+    masks = np.zeros((k, w), dtype=np.bool_)
+    for i in range(k):
+        density = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+        masks[i] = rng.rand(w) < density
+        if i and rng.rand() < 0.5:
+            masks[i] &= masks[rng.randint(i)]
+    return masks
+
+
+def test_inclusion_order_matches_pairwise_subsets():
+    rng = np.random.RandomState(11)
+    for w in (0, 1, 63, 64, 65, 130):
+        for k in (0, 1, 64, 65, 200):
+            masks = _masks_with_inclusions(rng, k, w)
+            sets = [set(np.flatnonzero(row).tolist()) for row in masks]
+            want = np.array([[a <= b for b in sets] for a in sets], dtype=np.bool_)
+            got = kernels.inclusion_order(masks)
+            assert got.dtype == np.bool_ and got.shape == (k, k)
+            assert np.array_equal(got, want.reshape(k, k)), (k, w)
+            if k > 1 and w:
+                assert 0 < got.sum() - k < k * (k - 1)
 
 
 def _monotone_in_order(leq_dom, leq_cod, forced):

@@ -9,6 +9,7 @@ import pytest
 
 from nufix import engine as E
 from nufix import functors as F
+from nufix import kernels
 from nufix import posets as P
 from nufix.errors import (
     BottomNotLeast,
@@ -181,9 +182,50 @@ def test_upsets_agree_with_bool_valued_maps():
             assert len(sf) == len(su)
 
 
-def test_fun_space_counts_against_bruteforce_small():
-    from nufix import kernels
+def _random_poset(rng, n, prefix):
+    rel = np.triu(rng.rand(n, n) < 0.3, 1)
+    return P.FinPoset([f"{prefix}{i}" for i in range(n)], kernels.transitive_closure(rel))
 
+
+def _assert_pointwise_order(f, cod):
+    t = f.rows
+    want = [[all(cod.leq[a, b] for a, b in zip(ti, tj)) for tj in t] for ti in t]
+    assert np.array_equal(f.leq, np.array(want, dtype=np.bool_).reshape(len(t), len(t)))
+
+
+def _assert_inclusion_order(u):
+    sets = [set(np.flatnonzero(row).tolist()) for row in u.rows]
+    want = [[a <= b for b in sets] for a in sets]
+    assert np.array_equal(u.leq, np.array(want, dtype=np.bool_).reshape(len(u), len(u)))
+
+
+def test_table_and_upset_orders_match_their_definitions():
+    rng = np.random.RandomState(3)
+    empty = P.discrete([])
+    small = [empty, P.discrete(["d0", "d1"]), P.chain(3)]
+    small += [_random_poset(rng, 3, f"r{i}_") for i in range(4)]
+    for p in small:
+        for q in small:
+            _assert_pointwise_order(P.fun_space(p, q, cap=None), q)
+            lp, lq = P.lift(p), P.lift(q)
+            _assert_pointwise_order(P.strict_fun_space(lp, lq, cap=None), lq)
+    # 125 tables and 128 upsets: several row blocks of the inclusion kernel
+    wide = P.fun_space(P.discrete(["x", "y", "z"]), P.chain(5), cap=None)
+    assert len(wide) == 125
+    _assert_pointwise_order(wide, P.chain(5))
+    grounds = small + [_random_poset(rng, 6, f"u{i}_") for i in range(6)]
+    grounds.append(P.discrete([f"g{i}" for i in range(7)]))
+    for p in grounds:
+        _assert_inclusion_order(P.upsets(p, cap=None))
+        _assert_inclusion_order(P.strict_upsets(P.lift(p), cap=None))
+    assert len(P.upsets(grounds[-1], cap=None)) == 128
+    # an empty codomain gives no tables; an empty domain gives one
+    assert len(P.fun_space(P.chain(2), empty)) == 0
+    assert len(P.fun_space(empty, P.chain(2))) == 1
+    assert len(P.upsets(empty)) == 1
+
+
+def test_fun_space_counts_against_bruteforce_small():
     shapes = P.all_posets_upto(4)
     for p in shapes:
         for q in shapes:

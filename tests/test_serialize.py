@@ -53,6 +53,16 @@ def test_tampered_ep_table_is_rejected():
             S.load_solution_report(bad)
 
 
+@pytest.mark.parametrize("key, keep", [("params", 1), ("vertical_eps", 0)])
+def test_solution_report_with_wrong_counts_is_rejected(key, keep):
+    obj = json.loads(S.dumps(S.solution_report_json(atom_report())))
+    assert obj["status"]["reason"] == "vertical-ep-unavailable"
+    assert (len(obj["params"]), len(obj["rows"]), len(obj["vertical_eps"])) == (4, 3, 2)
+    obj[key] = obj[key][:keep]
+    with pytest.raises(InputError):
+        S.load_solution_report(obj)
+
+
 def test_tampered_poset_is_rejected():
     rep = det_report()
     obj = copy.deepcopy(S.solution_report_json(rep))
