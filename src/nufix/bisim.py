@@ -284,24 +284,31 @@ def lts_to_coalgebra(lts, inst=None):
 # game engines (independent of relation lifting)
 
 
-def _game_clause(lts1, lts2, x, y, pairs, related_values):
-    """The matching-game clause that (x, y) fails against `pairs`, or None."""
-    k1, k2 = lts1.kind(x), lts2.kind(y)
+def _matched_values(lts1, lts2, related_values):
+    """The value pairs (p, q) the game matches, computed once per call."""
+    return frozenset(
+        (p, q) for p in lts1.values for q in lts2.values if related_values(p, q)
+    )
+
+
+def _game_clause(lts1, lts2, x, y, pairs, matched):
+    """The matching-game clause that (x, y) fails against `pairs`, or None;
+    `matched` is the `_matched_values` set of the value relation."""
+    (k1, b1), (k2, b2) = lts1.behaviour[x], lts2.behaviour[y]
     if k1 != k2:
         return "shape-match"
     if k1 == OUTPUT:
-        return None if related_values(lts1.out(x), lts2.out(y)) else "output-match"
-    for p in lts1.values:
-        for q in lts2.values:
-            if related_values(p, q) and (lts1.cont(x, p), lts2.cont(y, q)) not in pairs:
-                return "input-match"
+        return None if (b1, b2) in matched else "output-match"
+    for p, q in matched:
+        if (b1[p], b2[q]) not in pairs:
+            return "input-match"
     return None
 
 
-def _game_violation(lts1, lts2, pairs, related_values):
+def _game_violation(lts1, lts2, pairs, matched):
     """First pair in tag order that fails the game, with its clause."""
     for x, y in sorted(pairs, key=_pair_sort_key):
-        clause = _game_clause(lts1, lts2, x, y, pairs, related_values)
+        clause = _game_clause(lts1, lts2, x, y, pairs, matched)
         if clause is not None:
             return (x, y), clause
     return None
@@ -323,10 +330,11 @@ def value_bisim(lts1, lts2):
     """Greatest plain value-passing bisimulation between two systems."""
     if set(lts1.values) != set(lts2.values):
         raise ValueSetMismatch("the two systems exchange different value sets")
+    matched = _matched_values(lts1, lts2, operator.eq)
     return _greatest_relation(
         lts1.states,
         lts2.states,
-        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, operator.eq) is None,
+        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, matched) is None,
     )
 
 
@@ -336,10 +344,11 @@ def dimmed_bisim(lts1, lts2, approx):
         raise ValueSetMismatch("the two systems exchange different value sets")
     if set(approx.carrier()) != set(lts1.values):
         raise NotEquivalence("approx must partition the value set")
+    matched = _matched_values(lts1, lts2, approx.related)
     return _greatest_relation(
         lts1.states,
         lts2.states,
-        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, approx.related) is None,
+        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, matched) is None,
     )
 
 
@@ -347,7 +356,8 @@ def is_game_bisim(lts1, lts2, pairs, approx=None):
     """Is the given pair set a (dimmed) bisimulation?  Returns the first
     violation as ((x, y), clause) or None."""
     related = operator.eq if approx is None else approx.related
-    return _game_violation(lts1, lts2, set(pairs), related)
+    matched = _matched_values(lts1, lts2, related)
+    return _game_violation(lts1, lts2, set(pairs), matched)
 
 
 # --------------------------------------------------------------------------

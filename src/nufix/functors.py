@@ -22,6 +22,7 @@ backend and the separated sum in the plain backend.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import posets
 from .errors import (
     BackendMismatch,
+    DomainMismatch,
     ExprSyntaxError,
     NotCovariant,
     NotPointed,
@@ -336,8 +338,9 @@ class FunctorInstance:
     """An expression instantiated at concrete parameter posets.
 
     Acts on objects (`on_object`), on ep-pairs (`on_ep`, defined for the
-    whole grammar), and on plain monotone maps (`on_map`, defined for the
-    upset-free fragment; function spaces act by post-composition).
+    whole grammar), and on plain monotone maps (`on_map`, and `on_tables`
+    for a stack of them at once; defined for the upset-free fragment,
+    where function spaces act by post-composition).
     """
 
     def __init__(self, expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
@@ -436,15 +439,29 @@ class FunctorInstance:
         """Covariant action on a plain monotone map between states.
 
         Function spaces (including those with domain V) act by
-        post-composition; upset nodes have no action on plain maps.
+        post-composition; upset nodes have no action on plain maps.  This
+        is the one-row case of `on_tables`, validated as a `MonoMap`.
+        """
+        table = self.on_tables(f.dom, f.cod, f.table)
+        return MonoMap.auto_strict(self.on_object(f.dom), self.on_object(f.cod), table)
+
+    def on_tables(self, x, y, tables):
+        """Index tables of F(f): F(x) -> F(y) for a stack of plain maps.
+
+        `tables` holds monotone state-map tables x -> y with any leading
+        batch axes, shape (..., |x|); the result has shape (..., |F(x)|).
+        The tables are trusted: nothing is validated as a `MonoMap`.
         """
         if has_upset_nodes(self.expr):
             raise NotCovariant("upset nodes act on ep-pairs only")
-        self._check_state(f.dom)
-        self._check_state(f.cod)
-        dom, cod = self.on_object(f.dom), self.on_object(f.cod)
-        table = _act(self.expr, self, self, f.dom, f.cod, f.table, None, None, None)
-        return MonoMap.auto_strict(dom, cod, table)
+        self._check_state(x)
+        self._check_state(y)
+        self._obj(self.expr, x)  # F(x) and F(y) must exist under the cap
+        self._obj(self.expr, y)
+        tables = np.asarray(tables)
+        if tables.shape[-1:] != (len(x),):
+            raise DomainMismatch("table length does not match domain size")
+        return _act(self.expr, self, self, x, y, tables, None, None, None)
 
 
 def instantiate(expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
@@ -481,40 +498,47 @@ def functor_ep(expr, src, dst, state_ep, param_ep):
 
 
 def _act(node, a, b, xa, xb, f, g, pf, pg):
-    """Index table F_a(xa) -> F_b(xb) of the action on a state map.
+    """Index tables F_a(xa) -> F_b(xb) of the action on state maps.
 
-    `f` is the state map's table xa -> xb and `g` the opposite one, or None
-    for a plain map.  `pf` and `pg` are the parameter maps' tables a -> b and
-    b -> a, or None for the identity.  Every table follows the index layouts
-    of the `posets` constructors; nodes with index rows (arrows, upsets) are
-    mapped row-wise and looked up in the destination object.
+    `f` holds state-map tables xa -> xb with any leading batch axes,
+    shape (..., |xa|); the result has shape (..., |F_a(xa)|), one table per
+    state map.  `g` is the opposite table, or None for plain maps.  `pf` and
+    `pg` are the parameter maps' tables a -> b and b -> a, or None for the
+    identity.  Every table follows the index layouts of the `posets`
+    constructors; nodes with index rows (arrows, upsets) are mapped
+    row-wise and looked up in the destination object.  Upset nodes act on
+    ep-pairs only, which never stack, so they take a single table.
     """
     args = (a, b, xa, xb, f, g, pf, pg)
+    batch = f.shape[:-1]
     if isinstance(node, ConstP):
-        return np.arange(len(node.poset), dtype=np.int32)
+        return _const(np.arange(len(node.poset), dtype=np.int32), batch)
     if isinstance(node, IdF):
         return f
     if isinstance(node, ParamW):
-        return np.arange(len(a.w), dtype=np.int32) if pf is None else pf
+        return _const(np.arange(len(a.w), dtype=np.int32) if pf is None else pf, batch)
     if isinstance(node, Sum) and a.sum_mode == "coalesced":
         return np.concatenate([
-            [0],
+            np.zeros(batch + (1,), dtype=np.int32),
             _summand(node.left, 1, *args),
             _summand(node.right, len(b._obj(node.left, xb)), *args),
-        ])
+        ], axis=-1)
     if isinstance(node, (Sum, Prod)):
         lt, rt = _act(node.left, *args), _act(node.right, *args)
         if isinstance(node, Prod):
-            return (lt[:, None] * len(b._obj(node.right, xb)) + rt).ravel()
-        return np.concatenate([lt, rt + len(b._obj(node.left, xb))])
+            pairs = lt[..., :, None] * len(b._obj(node.right, xb)) + rt[..., None, :]
+            return pairs.reshape(batch + (lt.shape[-1] * rt.shape[-1],))
+        return np.concatenate([lt, rt + len(b._obj(node.left, xb))], axis=-1)
     if isinstance(node, LiftF):
-        return np.concatenate([[0], _act(node.inner, *args) + 1])
+        inner = _act(node.inner, *args)
+        return np.concatenate([np.zeros(batch + (1,), dtype=np.int32), inner + 1], axis=-1)
     if isinstance(node, (Fun, StrictFun)):
-        rows = _act(node.cod, *args)[a._obj(node, xa).rows]
+        rows = _act(node.cod, *args)[..., a._obj(node, xa).rows]
         if isinstance(node.dom, ParamV) and pg is not None:
             # contravariant parameter slot: precompose with the opposite map
-            rows = rows[:, pg]
-        return b._obj(node, xb).locate(rows)
+            rows = rows[..., pg]
+        k, (r, d) = math.prod(batch), rows.shape[-2:]
+        return b._obj(node, xb).locate(rows.reshape(k * r, d)).reshape(batch + (r,))
     if isinstance(node, (Upset, StrictUpset)):
         if g is None:
             raise NotCovariant("upset nodes act on ep-pairs only")
@@ -523,8 +547,13 @@ def _act(node, a, b, xa, xb, f, g, pf, pg):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _const(table, batch):
+    """The same table for every state map of the batch."""
+    return np.broadcast_to(table, batch + table.shape) if batch else table
+
+
 def _summand(node, off, a, b, xa, xb, f, g, pf, pg):
-    """A coalesced summand's table with both bottoms dropped, placed at `off`.
+    """A coalesced summand's tables with both bottoms dropped, placed at `off`.
 
     Only the summand's other elements occur in the sum, so a one-point
     summand is not mapped at all: under a non-strict plain map its image
@@ -532,8 +561,8 @@ def _summand(node, off, a, b, xa, xb, f, g, pf, pg):
     """
     a_side, b_side = a._obj(node, xa), b._obj(node, xb)
     if len(a_side) == 1:
-        return np.zeros(0, dtype=np.int32)
-    t = np.delete(_act(node, a, b, xa, xb, f, g, pf, pg), a_side.bottom_idx)
+        return np.zeros(f.shape[:-1] + (0,), dtype=np.int32)
+    t = np.delete(_act(node, a, b, xa, xb, f, g, pf, pg), a_side.bottom_idx, axis=-1)
     bot = b_side.bottom_idx
     return np.where(t == bot, 0, off + t - (t > bot))
 

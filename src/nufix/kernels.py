@@ -141,15 +141,10 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
 
 
 def monotone_ok(leq_dom, leq_cod, table):
-    """Check that `table` is a monotone assignment dom -> cod."""
-    table = np.asarray(table, dtype=np.int64)
-    if table.shape[0] != leq_dom.shape[0]:
-        return False
-    if table.shape[0] == 0:
-        return True
-    if table.min() < 0 or table.max() >= leq_cod.shape[0]:
-        return False
-    return bool(leq_cod[table[:, None], table[None, :]][leq_dom].all())
+    """Is `table`, one codomain index per domain element, monotone?
+
+    The caller checks its length and range (`posets.MonoMap` does)."""
+    return bool(leq_cod[table[:, None], table][leq_dom].all())
 
 
 def count_monotone_bruteforce(leq_dom, leq_cod, strict_pair=None):

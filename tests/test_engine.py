@@ -2,11 +2,14 @@
 extensions, the carrier action on transformations, the outer solver, and
 the limit-colimit coincidence."""
 
+import numpy as np
 import pytest
 
 from nufix import engine as E
 from nufix import functors as F
+from nufix import kernels as K
 from nufix import posets as P
+from nufix.laws import _stabilizing_instances
 from nufix.errors import DepthMismatch, NotStabilized
 from nufix.serialize import dumps, solution_report_json
 
@@ -158,6 +161,55 @@ def test_extension_unique_among_morphisms():
     ext = E.coinductive_extension(coalg, fin)
     morphisms = E.coalgebra_morphisms(coalg, fin)
     assert morphisms == [ext]
+
+
+def _maps(inst, s, z, cod_bottom):
+    """All monotone tables s -> z, bottom-strict in the pointed backend."""
+    forced = None
+    if inst.backend is F.Backend.POINTED_STRICT:
+        forced = np.full(len(s), -1, dtype=np.int32)
+        forced[s.bottom_idx] = cod_bottom
+    return K.enum_monotone_tables(s.leq, z.leq, len(z) ** len(s) + 1, forced)
+
+
+def _morphisms_one_by_one(coalg, final):
+    """Reference search: every candidate as a validated map, its image
+    under `on_map`, and the morphism square compared by `compose`."""
+    inst, s, z = final.inst, coalg.carrier, final.carrier
+    strict = inst.backend is F.Backend.POINTED_STRICT
+    out = []
+    for row in _maps(inst, s, z, z.bottom_idx):
+        cand = P.MonoMap(s, z, row, strict=strict)
+        if final.depth == 0:
+            fs = inst.on_object(s)
+            fcand = P.MonoMap(fs, inst.on_object(z), np.zeros(len(fs), dtype=np.int32))
+        else:
+            fcand = inst.on_map(cand)
+        if P.compose(cand, final.structure) == P.compose(coalg.as_map(), fcand):
+            out.append(cand)
+    return out
+
+
+def test_batched_morphism_search_matches_one_by_one(monkeypatch):
+    blocks = (E.MORPHISM_BLOCK, 3)  # one block, and several with a short last one
+    insts = _stabilizing_instances() + [
+        F.instantiate(text, F.Backend.PLAIN, BOOL, BOOL) for text in ("Lift(W)", "W * W")
+    ]
+    carriers = [P.lift(p) for p in P.all_posets_upto(3)]
+    checked = 0
+    for inst in insts:
+        fin = E.final_coalgebra(E.terminal_sequence(inst), require_exact=True)
+        for s in carriers:
+            fs = inst.on_object(s)
+            for row in _maps(inst, s, fs, fs.bottom_idx):
+                structure = {e: fs.elements[v] for e, v in zip(s.elements, row)}
+                coalg = F.CoalgebraSpec(inst, s, structure)
+                expected = _morphisms_one_by_one(coalg, fin)
+                for block in blocks:
+                    monkeypatch.setattr(E, "MORPHISM_BLOCK", block)
+                    assert E.coalgebra_morphisms(coalg, fin) == expected
+                checked += 1
+    assert checked == 761 + 9 + 102 + 87 + 149 + 281
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nufix import functors as F
+from nufix import kernels as K
 from nufix import posets as P
 from nufix.errors import (
     BackendMismatch,
@@ -298,6 +299,54 @@ def test_on_map_rejects_upsets():
     inst = pointed("Us(Id)")
     with pytest.raises(NotCovariant):
         inst.on_map(P.identity(ONE))
+
+
+EMPTY = P.empty_poset()
+FLAT = P.lift(P.discrete(["a", "b"]))
+BATCH_CASES = [
+    ("Id * (V -> Id)", F.Backend.POINTED_STRICT, BOOL),
+    ("Lift(Id) + W", F.Backend.POINTED_STRICT, BOOL),
+    ("Lift(Id * Id) + W", F.Backend.POINTED_STRICT, BOOL),
+    ("(V -!> Id)", F.Backend.POINTED_STRICT, BOOL),
+    ("(V -> Lift(Id))", F.Backend.POINTED_STRICT, BOOL),
+    ("Id + W", F.Backend.PLAIN, BOOL),
+    ("W", F.Backend.PLAIN, BOOL),
+    ("Bool * Id", F.Backend.PLAIN, BOOL),
+    ("(V -> Id)", F.Backend.PLAIN, EMPTY),
+    ("(E -> Id) + Id", F.Backend.PLAIN, BOOL),
+]
+
+
+@pytest.mark.parametrize("text,backend,v", BATCH_CASES,
+                         ids=[f"{t}-{b.value}" for t, b, _ in BATCH_CASES])
+def test_on_tables_stacks_the_one_row_action(text, backend, v):
+    inst = F.instantiate(F.parse(text, {"E": EMPTY}), backend, v, BOOL)
+    strict = backend is F.Backend.POINTED_STRICT
+    x, y = (FLAT, C3) if strict else (P.discrete(["a", "b"]), C3)
+    forced = np.full(len(x), -1, dtype=np.int32)
+    if strict:
+        forced[x.bottom_idx] = y.bottom_idx
+    tables = K.enum_monotone_tables(x.leq, y.leq, 100, forced)
+    assert len(tables) >= 4
+    size = len(inst.on_object(x))
+    for k in (0, 1, len(tables)):
+        out = inst.on_tables(x, y, tables[:k])
+        assert out.shape == (k, size)
+        for row, image in zip(tables[:k], out):
+            one = F._act(inst.expr, inst, inst, x, y, row, None, None, None)
+            assert np.array_equal(image, one)
+            assert np.array_equal(image, inst.on_map(P.MonoMap(x, y, row, strict)).table)
+    two_axes = inst.on_tables(x, y, tables[:4].reshape(2, 2, len(x)))
+    assert np.array_equal(two_axes.reshape(4, size), inst.on_tables(x, y, tables[:4]))
+
+
+def test_on_tables_checks_like_on_map():
+    with pytest.raises(NotCovariant):
+        pointed("Us(Id)").on_tables(ONE, ONE, np.zeros((2, 1), dtype=np.int32))
+    with pytest.raises(BackendMismatch):
+        pointed("Id").on_tables(P.discrete(["a"]), ONE, np.zeros((2, 1), dtype=np.int32))
+    with pytest.raises(DomainMismatch):
+        pointed("Id").on_tables(BOOL, BOOL, np.zeros((2, 3), dtype=np.int32))
 
 
 # --------------------------------------------------------------------------
