@@ -8,16 +8,20 @@ one.  Three equivalence notions live here:
 * the game up to a value equivalence (`dimmed_bisim`), and
 * coalgebraic bisimulation by structural relation lifting (`coalg_bisim`).
 
-The game predicate is deliberately independent of the relation-lifting
-code (the two share only the greatest-fixpoint loop), so the coincidence
-between them on quotient instances is a genuine cross-check, not a
-tautology; `lemma1_check` runs that comparison exhaustively at desk scale.
+The two engines share only the greatest-fixpoint loop, which drops every
+failing pair per round.  The game checks tag pairs clause by clause; the
+lifting side lifts the whole relation as a boolean matrix and compares
+structure values by index.  So their coincidence on quotient instances is
+a genuine cross-check, not a tautology; `lemma1_check` runs it exhaustively
+at desk scale, lifting every candidate relation in one batched call.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import engine as _engine
 from .errors import (
@@ -28,10 +32,11 @@ from .errors import (
     SizeCapExceeded,
     ValueSetMismatch,
 )
-from .functors import Backend, CoalgebraSpec, instantiate, lifted_related, parse
+from .functors import Backend, CoalgebraSpec, _pair_matrix, instantiate, lifted_related, parse
 from .posets import discrete, tag_from_json, tag_sort_key, tag_to_json
 
 VALUE_FAMILY = "(V -> Id) + W"
+_LEMMA1_SIZE_CAP = (3, 2)  # (states, values): lemma1_check lifts 2^(states^2) relations
 
 
 # --------------------------------------------------------------------------
@@ -258,11 +263,10 @@ def lts_from_json(obj):
     return LtsSpec(values, states, behaviour)
 
 
-def lts_instance(values, element_cap=None):
+def lts_instance(values):
     """The value-passing instance F(P, P) over discrete posets."""
     v = discrete(sorted(values, key=tag_sort_key))
-    kwargs = {} if element_cap is None else {"element_cap": element_cap}
-    return instantiate(parse(VALUE_FAMILY), Backend.PLAIN, v, v, **kwargs)
+    return instantiate(parse(VALUE_FAMILY), Backend.PLAIN, v, v)
 
 
 def lts_to_coalgebra(lts, inst=None):
@@ -305,6 +309,12 @@ def _game_clause(lts1, lts2, x, y, pairs, matched):
     return None
 
 
+def _game_failing(lts1, lts2, matched):
+    """The round predicate of the game: the pairs of R that fail against R."""
+    return lambda pairs: [(x, y) for x, y in pairs
+                          if _game_clause(lts1, lts2, x, y, pairs, matched) is not None]
+
+
 def _game_violation(lts1, lts2, pairs, matched):
     """First pair in tag order that fails the game, with its clause."""
     for x, y in sorted(pairs, key=_pair_sort_key):
@@ -314,13 +324,13 @@ def _game_violation(lts1, lts2, pairs, matched):
     return None
 
 
-def _greatest_relation(left, right, keeps):
-    """Greatest R within left x right with keeps(x, y, R) for all its pairs.
-    Each round drops every pair failing against that round's set; `keeps` is
-    monotone in R, so the order of removal cannot change the result."""
+def _greatest_relation(left, right, failing):
+    """Greatest R within left x right that `failing(R)` finds no pair of.
+    Each round drops every pair failing against that round's set; passing
+    is monotone in R, so the order of removal cannot change the result."""
     pairs = {(x, y) for x in left for y in right}
     while True:
-        drop = [(x, y) for x, y in pairs if not keeps(x, y, pairs)]
+        drop = failing(pairs)
         if not drop:
             return Relation(left, right, frozenset(pairs))
         pairs.difference_update(drop)
@@ -331,11 +341,7 @@ def value_bisim(lts1, lts2):
     if set(lts1.values) != set(lts2.values):
         raise ValueSetMismatch("the two systems exchange different value sets")
     matched = _matched_values(lts1, lts2, operator.eq)
-    return _greatest_relation(
-        lts1.states,
-        lts2.states,
-        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, matched) is None,
-    )
+    return _greatest_relation(lts1.states, lts2.states, _game_failing(lts1, lts2, matched))
 
 
 def dimmed_bisim(lts1, lts2, approx):
@@ -345,11 +351,7 @@ def dimmed_bisim(lts1, lts2, approx):
     if set(approx.carrier()) != set(lts1.values):
         raise NotEquivalence("approx must partition the value set")
     matched = _matched_values(lts1, lts2, approx.related)
-    return _greatest_relation(
-        lts1.states,
-        lts2.states,
-        lambda x, y, pairs: _game_clause(lts1, lts2, x, y, pairs, matched) is None,
-    )
+    return _greatest_relation(lts1.states, lts2.states, _game_failing(lts1, lts2, matched))
 
 
 def is_game_bisim(lts1, lts2, pairs, approx=None):
@@ -421,24 +423,30 @@ def quotient(lts, relation, approx):
 # coalgebraic bisimulation via relation lifting
 
 
+def _separated(coalg1, coalg2, rel, param_rel=None):
+    """The pairs of `rel` whose structure values the lifting of `rel`
+    separates; `rel` holds |x| x |y| matrices with any leading batch axes."""
+    lifted = lifted_related(coalg1.inst, rel, coalg1.carrier, coalg2.carrier, param_rel)
+    return rel & ~lifted[..., coalg1.as_map().table[:, None], coalg2.as_map().table]
+
+
 def coalg_bisim(coalg1, coalg2):
     """Greatest relation R with lifted-related structure values."""
     if not coalg1.inst.same_instance(coalg2.inst):
         raise InstanceMismatch("coalgebras live over different instances")
-    inst = coalg1.inst
-    return _greatest_relation(
-        coalg1.carrier.elements,
-        coalg2.carrier.elements,
-        lambda x, y, pairs: lifted_related(inst, pairs, coalg1.value(x), coalg2.value(y)),
-    )
+    left, right = coalg1.carrier.elements, coalg2.carrier.elements
+
+    def failing(pairs):  # lift the round's relation once, for every pair
+        rel = _pair_matrix(coalg1.carrier, coalg2.carrier, pairs)
+        bad = np.argwhere(_separated(coalg1, coalg2, rel)).tolist()
+        return [(left[i], right[j]) for i, j in bad]
+
+    return _greatest_relation(left, right, failing)
 
 
 def is_lifting_bisim(coalg1, coalg2, pairs, param_rel=None):
-    inst = coalg1.inst
-    return all(
-        lifted_related(inst, pairs, coalg1.value(x), coalg2.value(y), param_rel)
-        for (x, y) in pairs
-    )
+    rel = _pair_matrix(coalg1.carrier, coalg2.carrier, pairs)
+    return not _separated(coalg1, coalg2, rel, param_rel).any()
 
 
 def behavioural_equiv(coalg, final):
@@ -463,7 +471,7 @@ def all_relations(states):
         yield frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1)
 
 
-def lemma1_check(lts, approx, size_cap=(3, 2)):
+def lemma1_check(lts, approx):
     """Exhaustively compare the game predicate with the lifting predicate.
 
     For every relation R on the states: 'R is an approx-bisimulation'
@@ -473,14 +481,16 @@ def lemma1_check(lts, approx, size_cap=(3, 2)):
     pushed through the quotient constructor as a further cross-check.
     Returns (True, None) or (False, counterexample_pairs).
     """
-    max_states, max_values = size_cap
+    max_states, max_values = _LEMMA1_SIZE_CAP
     if len(lts.states) > max_states or len(lts.values) > max_values:
         raise SizeCapExceeded("lemma1_check is exhaustive; inputs are capped")
     coalg = lts_to_coalgebra(lts)
-    param_rel = approx.as_pairs()
-    for pairs in all_relations(lts.states):
+    n = len(lts.states)
+    masks = np.arange(1 << (n * n))  # bit i of a mask is pair i, as in all_relations
+    stack = (masks[:, None] >> np.arange(n * n) & 1).astype(np.bool_).reshape(len(masks), n, n)
+    is_lifting = ~_separated(coalg, coalg, stack, approx.as_pairs()).any(axis=(1, 2))
+    for pairs, lifted in zip(all_relations(lts.states), is_lifting.tolist()):
         game = is_game_bisim(lts, lts, pairs, approx) is None
-        lifted = is_lifting_bisim(coalg, coalg, pairs, param_rel)
         if game != lifted:
             return False, pairs
         rel = Relation(lts.states, lts.states, pairs)

@@ -197,7 +197,7 @@ def cmd_quotient(args):
     )
     coalg = bisim_mod.quotient(lts1, rel, approx)
     structure = [
-        [tag_to_json(state), tag_to_json(coalg.value(state))]
+        [tag_to_json(state), tag_to_json(coalg.as_map()(state))]
         for state in coalg.carrier.elements
     ]
     obj = {
@@ -292,8 +292,7 @@ def cmd_check_laws(args):
 
 def cmd_render(args):
     obj = _read_json(args.report)
-    serialize.load_report(obj)  # re-validate witnesses before rendering
-    _emit_dots(obj, None, out_dir=args.out_dir)
+    _emit_dots(obj, None, out_dir=args.out_dir)  # dot_bundle re-validates the report
     return EXIT_OK
 
 

@@ -140,7 +140,7 @@ class FinalCoalgebra:
     depth: int
 
 
-def final_coalgebra(seq, inst=None, require_exact=False):
+def final_coalgebra(seq, require_exact=False):
     """Extract the final coalgebra from a terminal sequence.
 
     On a stabilized sequence the structure map is the stabilizing
@@ -149,12 +149,11 @@ def final_coalgebra(seq, inst=None, require_exact=False):
     truncated sequence the last stage is returned as a flagged
     approximant, or NotStabilized is raised when exactness is demanded.
     """
-    inst = inst or seq.inst
     if not seq.status.stabilized:
         if require_exact:
             raise NotStabilized(f"sequence is {seq.status.describe()}")
         return FinalCoalgebra(
-            inst, seq, seq.stages[-1], None, None, False, len(seq.stages) - 1
+            seq.inst, seq, seq.stages[-1], None, None, False, len(seq.stages) - 1
         )
     n = seq.status.at
     ep = seq.eps[n]
@@ -163,7 +162,7 @@ def final_coalgebra(seq, inst=None, require_exact=False):
         raise EpLawViolation("structure . inverse is not the identity")
     if not compose(structure, inverse).is_identity():
         raise EpLawViolation("inverse . structure is not the identity")
-    return FinalCoalgebra(inst, seq, seq.stages[n], structure, inverse, True, n)
+    return FinalCoalgebra(seq.inst, seq, seq.stages[n], structure, inverse, True, n)
 
 
 def coinductive_extension(coalg, final):

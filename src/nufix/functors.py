@@ -39,8 +39,6 @@ from .errors import (
     VarianceError,
 )
 from .posets import (
-    CBOT,
-    LBOT,
     EpPair,
     FinPoset,
     MonoMap,
@@ -598,12 +596,109 @@ def reindex_ep(expr, backend, ep_param, element_cap=posets.DEFAULT_ELEMENT_CAP,
 
 
 # --------------------------------------------------------------------------
+# relation lifting
+
+
+def lifted_related(inst, rel, x, y, param_rel=None):
+    """Structural lifting of relations x -> y, as boolean matrices.
+
+    `rel` holds |x| x |y| relation matrices with any leading batch axes;
+    the result holds the (..., |F(x)|, |F(y)|) matrices of related values.
+    `param_rel`, a set of tag pairs, replaces equality at parameter
+    positions (quotient-parameterised lifting).
+    """
+    inst.on_object(x)  # F(x) and F(y) must exist under the cap
+    inst.on_object(y)
+    rel = np.asarray(rel, dtype=np.bool_)
+    if rel.shape[-2:] != (len(x), len(y)):
+        raise DomainMismatch("relation matrix does not match the carriers")
+    pv, pw = (None if param_rel is None else _pair_matrix(p, p, param_rel)
+              for p in (inst.v, inst.w))
+    return _lift(inst.expr, inst, rel, x, y, pv, pw)
+
+
+def _lift(node, inst, rel, x, y, pv, pw):
+    """Related-value matrices F(x) x F(y), on the `posets` index layouts.
+
+    Sums and `Lift` are block diagonals, products Kronecker products;
+    arrows AND their codomain's lifting over matched domain slots, and
+    upsets take the Egli-Milner lifting through boolean matrix products
+    with the membership masks.
+    """
+    args = (inst, rel, x, y, pv, pw)
+    batch = rel.shape[:-2]
+    if isinstance(node, ConstP):
+        return _const(np.eye(len(node.poset), dtype=np.bool_), batch)
+    if isinstance(node, IdF):
+        return rel
+    if isinstance(node, ParamW):
+        return _const(np.eye(len(inst.w), dtype=np.bool_) if pw is None else pw, batch)
+    if isinstance(node, Prod):
+        lt, rt = _lift(node.left, *args), _lift(node.right, *args)
+        (a, b), (c, d) = lt.shape[-2:], rt.shape[-2:]
+        kron = lt[..., :, None, :, None] & rt[..., None, :, None, :]
+        return kron.reshape(batch + (a * c, b * d))
+    if isinstance(node, Sum):
+        blocks = [_lift(node.left, *args), _lift(node.right, *args)]
+        if inst.sum_mode == "coalesced":  # summand bottoms give way to the shared one
+            blocks = [np.ones(batch + (1, 1), dtype=np.bool_)] + [
+                np.delete(np.delete(t, inst._obj(n, x).bottom_idx, axis=-2),
+                          inst._obj(n, y).bottom_idx, axis=-1)
+                for t, n in zip(blocks, (node.left, node.right))
+            ]
+        return _block_diag(blocks, batch)
+    if isinstance(node, LiftF):
+        return _block_diag([np.ones(batch + (1, 1), dtype=np.bool_),
+                            _lift(node.inner, *args)], batch)
+    if isinstance(node, (Fun, StrictFun)):
+        rx, ry = inst._obj(node, x).rows, inst._obj(node, y).rows
+        ps = qs = np.arange(rx.shape[1])
+        if isinstance(node.dom, ParamV) and pv is not None:
+            ps, qs = np.nonzero(pv)
+        cod = _lift(node.cod, *args)
+        return cod[..., rx[:, None, ps], ry[None, :, qs]].all(axis=-1)
+    if isinstance(node, (Upset, StrictUpset)):
+        mx, my = inst._obj(node, x).rows, inst._obj(node, y).rows
+        inner = _lift(node.inner, *args)
+        fwd = ~(mx @ ~(inner @ my.T))  # each x-side member has a partner on the y side
+        bwd = ~(~(mx @ inner) @ my.T)  # and each y-side member one on the x side
+        return fwd & bwd
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _block_diag(blocks, batch):
+    """Batched matrices with `blocks` down the diagonal, False elsewhere."""
+    ends = np.cumsum([t.shape[-2:] for t in blocks], axis=0).tolist()
+    out = np.zeros(batch + tuple(ends[-1]), dtype=np.bool_)
+    for t, (i, j) in zip(blocks, ends):
+        out[..., i - t.shape[-2] : i, j - t.shape[-1] : j] = t
+    return out
+
+
+def _pair_matrix(x, y, pairs):
+    """The |x| x |y| matrix of a set of tag pairs; other pairs are ignored."""
+    m = np.zeros((len(x), len(y)), dtype=np.bool_)
+    for a, b in pairs:
+        if a in x and b in y:
+            m[x.index(a), y.index(b)] = True
+    return m
+
+
+def rel_lift(inst, pairs, x, y, param_rel=None):
+    """Materialised structural lifting: the set of related pairs between
+    the elements of F(x) and F(y)."""
+    fx, fy = inst.on_object(x), inst.on_object(y)
+    rows, cols = np.nonzero(lifted_related(inst, _pair_matrix(x, y, pairs), x, y, param_rel))
+    return {(fx.elements[i], fy.elements[j]) for i, j in zip(rows.tolist(), cols.tolist())}
+
+
+# --------------------------------------------------------------------------
 # coalgebras
 
 
 class CoalgebraSpec:
-    """A finite coalgebra: a carrier and an elementwise structure map into
-    the instance's value object over that carrier.
+    """A finite coalgebra: a carrier and a structure map into the
+    instance's value object over that carrier, given elementwise by tags.
 
     Validation checks that every structure value is an element of
     F(carrier) and that the assignment is monotone (and bottom-strict in
@@ -612,99 +707,15 @@ class CoalgebraSpec:
 
     def __init__(self, inst, carrier, structure):
         inst._check_state(carrier)
-        self.inst = inst
-        self.carrier = carrier
-        self.functor_obj = inst.on_object(carrier)
         if set(structure) != set(carrier.elements):
             raise BackendMismatch("structure must assign exactly the carrier elements")
-        self.structure = dict(structure)
-        table = np.array(
-            [self.functor_obj.index(self.structure[e]) for e in carrier.elements],
-            dtype=np.int32,
-        )
+        self.inst = inst
+        self.carrier = carrier
         strict = inst.backend is Backend.POINTED_STRICT
-        self._map = MonoMap(carrier, self.functor_obj, table, strict=strict)
+        self._map = MonoMap.from_tags(carrier, inst.on_object(carrier), structure, strict)
 
     def as_map(self):
         return self._map
 
-    def value(self, state):
-        return self.structure[state]
-
     def __repr__(self):
         return f"CoalgebraSpec({len(self.carrier)} states over {pretty(self.inst.expr)!r})"
-
-
-# --------------------------------------------------------------------------
-# relation lifting
-
-
-def lifted_related(inst, pairs, v1, v2, param_rel=None):
-    """Are two structured values related under the structural lifting of
-    `pairs`?  `param_rel`, when given, replaces tag equality at parameter
-    positions (quotient-parameterised lifting)."""
-    return _lift_rec(inst, inst.expr, pairs, v1, v2, param_rel)
-
-
-def _lift_rec(inst, node, pairs, v1, v2, param_rel):
-    if isinstance(node, ConstP):
-        return v1 == v2
-    if isinstance(node, IdF):
-        return (v1, v2) in pairs
-    if isinstance(node, ParamW):
-        if param_rel is not None:
-            return (v1, v2) in param_rel
-        return v1 == v2
-    if isinstance(node, Sum):
-        if inst.sum_mode == "coalesced" and (v1 == CBOT or v2 == CBOT):
-            return v1 == v2
-        if v1[0] != v2[0]:
-            return False
-        sub = node.left if v1[0] == "inl" else node.right
-        return _lift_rec(inst, sub, pairs, v1[1], v2[1], param_rel)
-    if isinstance(node, Prod):
-        return _lift_rec(
-            inst, node.left, pairs, v1[1], v2[1], param_rel
-        ) and _lift_rec(inst, node.right, pairs, v1[2], v2[2], param_rel)
-    if isinstance(node, LiftF):
-        if v1 == LBOT or v2 == LBOT:
-            return v1 == v2
-        return _lift_rec(inst, node.inner, pairs, v1[1], v2[1], param_rel)
-    if isinstance(node, (Fun, StrictFun)):
-        t1, t2 = v1[1], v2[1]
-        if isinstance(node.dom, ParamV) and param_rel is not None:
-            idx = inst.v.index
-            return all(
-                _lift_rec(inst, node.cod, pairs, t1[idx(p)], t2[idx(q)], param_rel)
-                for (p, q) in param_rel
-            )
-        return all(
-            _lift_rec(inst, node.cod, pairs, a, b, param_rel)
-            for a, b in zip(t1, t2)
-        )
-    if isinstance(node, (Upset, StrictUpset)):
-        s1, s2 = v1[1], v2[1]
-        fwd = all(
-            any(_lift_rec(inst, node.inner, pairs, a, b, param_rel) for b in s2)
-            for a in s1
-        )
-        if not fwd:
-            return False
-        return all(
-            any(_lift_rec(inst, node.inner, pairs, a, b, param_rel) for a in s1)
-            for b in s2
-        )
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def rel_lift(inst, pairs, x, y, param_rel=None):
-    """Materialised structural lifting: the set of related pairs between
-    the elements of F(x) and F(y)."""
-    fx = inst.on_object(x)
-    fy = inst.on_object(y)
-    return {
-        (a, b)
-        for a in fx.elements
-        for b in fy.elements
-        if lifted_related(inst, pairs, a, b, param_rel)
-    }

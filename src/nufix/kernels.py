@@ -274,12 +274,12 @@ def _iso_backtrack(leq_a, leq_b, order, cands):
     return np.array(mapped, dtype=np.int32)
 
 
-_MIX = 0x9E3779B97F4A7C15
-_MASK = (1 << 63) - 1
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MASK = np.uint64((1 << 63) - 1)
 
 
 def _mix(x):
-    return ((x ^ (x >> 31)) * _MIX) & _MASK
+    return ((x ^ (x >> np.uint64(31))) * _MIX) & _MASK
 
 
 def invariant_labels(leq):
@@ -287,27 +287,20 @@ def invariant_labels(leq):
 
     Iso-invariant by construction: equal posets get equal label multisets,
     and corresponding nodes of isomorphic posets get equal labels.  Used to
-    prune the backtracking search; soundness never depends on them.
+    prune the backtracking search; soundness never depends on them.  Each
+    round sums the mixed labels above and below every node with a uint64
+    matrix-vector product; it wraps modulo 2^64, so the sums cut to 63 bits
+    are those of a loop that masks after every addition.
     """
-    n = leq.shape[0]
-    below = leq.sum(axis=0).astype(np.int64)
-    above = leq.sum(axis=1).astype(np.int64)
-    labels = [(int(below[i]) << 20) ^ int(above[i]) for i in range(n)]
+    off = np.array(leq, dtype=np.uint64)
+    np.fill_diagonal(off, 0)
+    below, above = leq.sum(axis=0).astype(np.uint64), leq.sum(axis=1).astype(np.uint64)
+    labels = (below << np.uint64(20)) ^ above
     for _ in range(3):
-        new = []
-        for i in range(n):
-            up = 0
-            down = 0
-            for j in range(n):
-                if j == i:
-                    continue
-                if leq[i, j]:
-                    up = (up + _mix(labels[j])) & _MASK
-                if leq[j, i]:
-                    down = (down + _mix(labels[j])) & _MASK
-            new.append(_mix(labels[i] ^ _mix(up) ^ _mix(_mix(down))))
-        labels = new
-    return np.array(labels, dtype=np.int64)
+        mixed = _mix(labels)
+        up, down = (off @ mixed) & _MASK, (off.T @ mixed) & _MASK
+        labels = _mix(labels ^ _mix(up) ^ _mix(_mix(down)))
+    return labels.astype(np.int64)
 
 
 def find_isomorphism(leq_a, leq_b):

@@ -622,14 +622,13 @@ def _iso_from_perm(p, q, perm):
 
 def hasse(p):
     """Cover-relation edge list (the transitive reduction of leq)."""
+    return [(p.elements[i], p.elements[j]) for i, j in _covers(p)]
+
+
+def _covers(p):
+    """Index pairs (i, j) of the covers i < j, in row-major order."""
     lt = p.leq & ~np.eye(len(p), dtype=np.bool_)
-    covers = lt & ~(lt @ lt)
-    return [
-        (p.elements[i], p.elements[j])
-        for i in range(len(p))
-        for j in range(len(p))
-        if covers[i, j]
-    ]
+    return np.argwhere(lt & ~(lt @ lt)).tolist()
 
 
 def tag_to_json(tag):
@@ -704,12 +703,7 @@ def poset_to_dot(p, name="poset"):
     for i, e in enumerate(p.elements):
         style = ' style=bold' if i == p.bottom_idx else ""
         lines.append(f'  n{i} [label="{_dot_escape(pretty_tag(e))}"{style}];')
-    lt = p.leq & ~np.eye(len(p), dtype=np.bool_)
-    covers = lt & ~(lt @ lt)
-    for i in range(len(p)):
-        for j in range(len(p)):
-            if covers[i, j]:
-                lines.append(f"  n{i} -> n{j};")
+    lines += [f"  n{i} -> n{j};" for i, j in _covers(p)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -304,27 +304,23 @@ def load_mediator_report(obj):
 
 
 def dot_bundle(obj):
-    """Per-stage Hasse diagrams of a report: {filename: dot source}."""
-    posets = [poset_from_json(p) for p in obj.get("posets", [])]
-    out = {}
+    """Per-stage Hasse diagrams of a report: {filename: dot source}.
 
-    def add(row_idx, refs):
-        for col, ref in enumerate(refs):
-            name = f"stage_{row_idx}_{col}"
-            out[name + ".dot"] = poset_to_dot(posets[ref], name)
-
-    kind = obj.get("kind")
-    if kind == "solution-report":
-        for r, row in enumerate(obj["rows"]):
-            add(r, row["stages"])
-    elif kind == "terminal-report":
-        add(0, obj["row"]["stages"])
-    elif kind == "mediator-report":
-        add(0, obj["pointed"]["stages"])
-        add(1, obj["plain"]["stages"])
+    The report is loaded, and so re-verified, first; the diagrams are drawn
+    from the stage posets its loader rebuilt.
+    """
+    loaded = load_report(obj)
+    if obj["kind"] == "solution-report":
+        rows = [stages for stages, _, _ in loaded["rows"]]
+    elif obj["kind"] == "terminal-report":
+        rows = [loaded["stages"]]
     else:
-        raise InputError(f"no DOT bundle for report kind {kind!r}")
-    return out
+        rows = [loaded["pointed_stages"], loaded["plain_stages"]]
+    return {
+        f"stage_{r}_{c}.dot": poset_to_dot(p, f"stage_{r}_{c}")
+        for r, stages in enumerate(rows)
+        for c, p in enumerate(stages)
+    }
 
 
 def load_report(obj):

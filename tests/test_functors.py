@@ -460,6 +460,87 @@ def test_rel_lift_monotone_in_relation():
     assert F.rel_lift(inst, small, flat, flat) <= F.rel_lift(inst, big, flat, flat)
 
 
+def _lift_by_tags(inst, node, pairs, v1, v2, param_rel):
+    """Reference lifting: take the two values' nested tags apart."""
+    rec = lambda node, a, b: _lift_by_tags(inst, node, pairs, a, b, param_rel)  # noqa: E731
+    if isinstance(node, F.ConstP):
+        return v1 == v2
+    if isinstance(node, F.IdF):
+        return (v1, v2) in pairs
+    if isinstance(node, F.ParamW):
+        return (v1, v2) in param_rel if param_rel is not None else v1 == v2
+    if isinstance(node, F.Sum):
+        if inst.sum_mode == "coalesced" and (v1 == P.CBOT or v2 == P.CBOT):
+            return v1 == v2
+        if v1[0] != v2[0]:
+            return False
+        return rec(node.left if v1[0] == "inl" else node.right, v1[1], v2[1])
+    if isinstance(node, F.Prod):
+        return rec(node.left, v1[1], v2[1]) and rec(node.right, v1[2], v2[2])
+    if isinstance(node, F.LiftF):
+        if v1 == P.LBOT or v2 == P.LBOT:
+            return v1 == v2
+        return rec(node.inner, v1[1], v2[1])
+    if isinstance(node, (F.Fun, F.StrictFun)):
+        t1, t2 = v1[1], v2[1]
+        if isinstance(node.dom, F.ParamV) and param_rel is not None:
+            idx = inst.v.index
+            return all(rec(node.cod, t1[idx(p)], t2[idx(q)]) for p, q in param_rel)
+        return all(rec(node.cod, a, b) for a, b in zip(t1, t2))
+    s1, s2 = v1[1], v2[1]  # upsets: the Egli-Milner lifting
+    return (all(any(rec(node.inner, a, b) for b in s2) for a in s1)
+            and all(any(rec(node.inner, a, b) for a in s1) for b in s2))
+
+
+TWO = P.discrete(["x", "y"])
+REV = P.validate_poset(["t", "m", "b"], [("b", "m"), ("m", "t")], "b")  # bottom last
+LIFT_CASES = [  # every node kind; x and y differ in size so swapped axes show
+    ("Bool * Id", F.Backend.POINTED_STRICT, BOOL, FLAT, C3),
+    ("Lift(Id) + W", F.Backend.POINTED_STRICT, REV, FLAT, C3),
+    ("One + Id + W", F.Backend.POINTED_STRICT, BOOL, BOOL, REV),
+    ("(V -!> Id) * W", F.Backend.POINTED_STRICT, BOOL, BOOL, C3),
+    ("(V -> Lift(Id))", F.Backend.POINTED_STRICT, BOOL, BOOL, FLAT),
+    ("(Bool -> Id)", F.Backend.POINTED_STRICT, BOOL, BOOL, C3),
+    ("U(Id)", F.Backend.POINTED_STRICT, BOOL, BOOL, FLAT),
+    ("Us(Lift(Id) + W)", F.Backend.POINTED_STRICT, BOOL, BOOL, FLAT),
+    ("Us(One) + Id", F.Backend.POINTED_STRICT, BOOL, REV, C3),
+    ("Id + W", F.Backend.PLAIN, TWO, P.discrete(["a"]), C3),
+    ("(V -> Id) + W", F.Backend.PLAIN, TWO, TWO, C3),
+    ("Lift(Id * W) + Id", F.Backend.PLAIN, TWO, TWO, P.discrete(["a"])),
+    ("(E -> Id) * (V -> W)", F.Backend.PLAIN, TWO, TWO, C3),
+    ("U(Id) + U(E)", F.Backend.PLAIN, TWO, TWO, C3),
+    ("U(Id * W)", F.Backend.PLAIN, TWO, EMPTY, TWO),
+    ("(V -> Id) + Id", F.Backend.PLAIN, TWO, EMPTY, EMPTY),
+]
+
+
+@pytest.mark.parametrize("text,backend,v,x,y", LIFT_CASES,
+                         ids=[f"{t}-{b.value}" for t, b, *_ in LIFT_CASES])
+def test_lifted_related_matches_the_tag_walk(text, backend, v, x, y):
+    inst = F.instantiate(F.parse(text, {"E": EMPTY, "One": ONE}), backend, v, v)
+    fx, fy = inst.on_object(x), inst.on_object(y)
+    rng = np.random.RandomState(len(fx) * 31 + len(fy))
+    for batch in [(), (0,), (1,), (5,), (2, 3)]:
+        for with_param in (False, True):
+            param_rel = None
+            if with_param:
+                param_rel = {(p, q) for p in v.elements for q in v.elements
+                             if p == q or rng.rand() < 0.4}
+            rel = rng.rand(*batch, len(x), len(y)) < 0.6
+            got = F.lifted_related(inst, rel, x, y, param_rel)
+            assert got.dtype == np.bool_ and got.shape == batch + (len(fx), len(fy))
+            for idx in np.ndindex(*batch):
+                pairs = {(x.elements[i], y.elements[j]) for i, j in np.argwhere(rel[idx])}
+                want = [[_lift_by_tags(inst, inst.expr, pairs, a, b, param_rel)
+                         for b in fy.elements] for a in fx.elements]
+                assert got[idx].tolist() == want
+
+
+def test_lifted_related_checks_the_relation_shape():
+    with pytest.raises(DomainMismatch):
+        F.lifted_related(pointed("Id"), np.ones((3, 2), dtype=np.bool_), BOOL, BOOL)
+
+
 # --------------------------------------------------------------------------
 # coalgebra validation
 

@@ -196,3 +196,32 @@ def test_find_isomorphism_medium_sizes():
     assert kernels.find_isomorphism(cube.leq, eight.leq) is None
     got = kernels.find_isomorphism(eight.leq, eight.leq)
     assert got is not None and np.array_equal(got, np.arange(8))
+
+
+def _loop_labels(leq):
+    """The invariant labels as three rounds of Python loops over all pairs."""
+    mix = lambda x: ((x ^ (x >> 31)) * 0x9E3779B97F4A7C15) & ((1 << 63) - 1)  # noqa: E731
+    n = leq.shape[0]
+    labels = [(int(leq[:, i].sum()) << 20) ^ int(leq[i, :].sum()) for i in range(n)]
+    for _ in range(3):
+        new = []
+        for i in range(n):
+            up = sum(mix(labels[j]) for j in range(n) if j != i and leq[i, j])
+            down = sum(mix(labels[j]) for j in range(n) if j != i and leq[j, i])
+            up, down = up & ((1 << 63) - 1), down & ((1 << 63) - 1)
+            new.append(mix(labels[i] ^ mix(up) ^ mix(mix(down))))
+        labels = new
+    return labels
+
+
+def test_invariant_labels_match_loop_reference():
+    rng = np.random.RandomState(11)
+    cases = [np.zeros((0, 0), dtype=np.bool_), np.ones((1, 1), dtype=np.bool_)]
+    for _ in range(40):
+        n = rng.randint(2, 41)
+        rel = np.triu(rng.rand(n, n) < rng.uniform(0.05, 0.5))
+        perm = rng.permutation(n)
+        cases.append(kernels.transitive_closure(rel)[np.ix_(perm, perm)])
+    for leq in cases:
+        got = kernels.invariant_labels(leq)
+        assert got.dtype == np.int64 and got.tolist() == _loop_labels(leq)

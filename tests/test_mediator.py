@@ -125,3 +125,13 @@ def test_stage_isos_are_reverifiable():
         iso = c.iso
         assert P.compose(iso.forward, iso.backward).is_identity()
         assert P.compose(iso.backward, iso.forward).is_identity()
+
+
+def test_plain_iso_needs_a_monotone_inverse():
+    flat = P.discrete(["a", "b"])
+    two = P.chain(2)
+    bijection = P.MonoMap(flat, two, np.array([0, 1], dtype=np.int32))
+    assert not M._is_plain_iso(bijection)  # c0 <= c1 but a, b are unrelated
+    swap = P.MonoMap(flat, flat, np.array([1, 0], dtype=np.int32))
+    assert M._is_plain_iso(swap)
+    assert M._is_plain_iso(P.identity(two))
