@@ -8,16 +8,20 @@ one.  Three equivalence notions live here:
 * the game up to a value equivalence (`dimmed_bisim`), and
 * coalgebraic bisimulation by structural relation lifting (`coalg_bisim`).
 
-The two engines share only the greatest-fixpoint loop, which drops every
-failing pair per round.  The game checks tag pairs clause by clause; the
-lifting side lifts the whole relation as a boolean matrix and compares
-structure values by index.  So their coincidence on quotient instances is
-a genuine cross-check, not a tautology; `lemma1_check` runs it exhaustively
-at desk scale, lifting every candidate relation in one batched call.
+Relations are boolean matrices over state indices, with any leading batch
+axes; tags appear only in `Relation` results, JSON and the order in which
+violations are reported.  The two engines share only the greatest-fixpoint
+loop, which drops every failing pair per round.  The game reads only the
+systems' index tables; the lifting side lifts the relation through the
+functor and compares structure values by index.  So their coincidence on
+quotient instances is a genuine cross-check, not a tautology;
+`lemma1_check` runs it exhaustively at desk scale, playing the game on and
+lifting every candidate relation in one batched call each.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -52,8 +56,9 @@ class Relation:
     pairs: frozenset
 
     def __post_init__(self):
+        left, right = set(self.left), set(self.right)
         for a, b in self.pairs:
-            if a not in self.left or b not in self.right:
+            if a not in left or b not in right:
                 raise InputError(f"pair ({a!r}, {b!r}) outside the carriers")
 
     def __contains__(self, pair):
@@ -66,17 +71,8 @@ class Relation:
     def is_equivalence(self):
         if set(self.left) != set(self.right):
             return False
-        xs = self.left
-        if any((x, x) not in self.pairs for x in xs):
-            return False
-        if any((b, a) not in self.pairs for a, b in self.pairs):
-            return False
-        return all(
-            (a, d) in self.pairs
-            for a, b in self.pairs
-            for c, d in self.pairs
-            if b == c
-        )
+        carrier = tuple(dict.fromkeys(self.left))
+        return bool(_equivalence_flags(_matrix(carrier, carrier, self.pairs)))
 
     def sorted_pairs(self):
         return sorted(self.pairs, key=_pair_sort_key)
@@ -87,6 +83,33 @@ class Relation:
 
 def _pair_sort_key(pair):
     return tag_sort_key(pair[0]), tag_sort_key(pair[1])
+
+
+def _matrix(left, right, pairs):
+    """The boolean |left| x |right| matrix of a set of tag pairs."""
+    li = {x: i for i, x in enumerate(left)}
+    ri = {y: j for j, y in enumerate(right)}
+    m = np.zeros((len(left), len(right)), dtype=np.bool_)
+    for a, b in pairs:
+        if a not in li or b not in ri:
+            raise InputError(f"pair ({a!r}, {b!r}) outside the carriers")
+        m[li[a], ri[b]] = True
+    return m
+
+
+def _relation(left, right, m):
+    """The `Relation` of a boolean |left| x |right| matrix."""
+    pairs = frozenset((left[i], right[j]) for i, j in np.argwhere(m).tolist())
+    return Relation(left, right, pairs)
+
+
+def _equivalence_flags(m):
+    """Which square relation matrices (any leading batch axes) are
+    equivalences: reflexive, symmetric, and with R @ R inside R."""
+    cells = (-2, -1)
+    reflexive = np.diagonal(m, axis1=-2, axis2=-1).all(axis=-1)
+    symmetric = (m == np.swapaxes(m, -2, -1)).all(axis=cells)
+    return reflexive & symmetric & ~((m @ m) & ~m).any(axis=cells)
 
 
 def relation_from_json(obj, left, right):
@@ -115,13 +138,8 @@ class Equivalence:
 
     @classmethod
     def from_blocks(cls, blocks):
-        canon = tuple(
-            sorted(
-                (tuple(sorted(b, key=tag_sort_key)) for b in blocks),
-                key=lambda b: tag_sort_key(b[0]),
-            )
-        )
-        return cls(canon)
+        blocks = (tuple(sorted(b, key=tag_sort_key)) for b in blocks)
+        return cls(tuple(sorted(blocks, key=lambda b: tag_sort_key(b[0]))))
 
     @classmethod
     def identity(cls, carrier):
@@ -134,17 +152,11 @@ class Equivalence:
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
-        rel = Relation(tuple(carrier), tuple(carrier), frozenset(pairs))
+        carrier = tuple(carrier)
+        rel = Relation(carrier, carrier, frozenset(pairs))
         if not rel.is_equivalence:
             raise NotEquivalence("pair set is not an equivalence relation")
-        blocks = []
-        left = list(carrier)
-        while left:
-            x = left[0]
-            block = [y for y in left if (x, y) in rel.pairs]
-            blocks.append(block)
-            left = [y for y in left if y not in block]
-        return cls.from_blocks(blocks)
+        return cls.from_blocks({tuple(y for y in carrier if (x, y) in rel) for x in carrier})
 
     def carrier(self):
         return tuple(x for block in self.blocks for x in block)
@@ -288,60 +300,60 @@ def lts_to_coalgebra(lts, inst=None):
 # game engines (independent of relation lifting)
 
 
-def _matched_values(lts1, lts2, related_values):
-    """The value pairs (p, q) the game matches, computed once per call."""
-    return frozenset(
-        (p, q) for p in lts1.values for q in lts2.values if related_values(p, q)
-    )
+def _tables(lts):
+    """The system's input flags, successor table (states x values, in
+    `lts.values` order) and output value indices (-1 at input states)."""
+    state = {x: i for i, x in enumerate(lts.states)}
+    value = {p: i for i, p in enumerate(lts.values)}
+    succ = np.zeros((len(lts.states), len(lts.values)), dtype=np.intp)
+    out = np.full(len(lts.states), -1, dtype=np.intp)
+    for i, x in enumerate(lts.states):
+        kind, payload = lts.behaviour[x]
+        if kind == INPUT:
+            succ[i] = [state[payload[p]] for p in lts.values]
+        else:
+            out[i] = value[payload]
+    return out < 0, succ, out
 
 
-def _game_clause(lts1, lts2, x, y, pairs, matched):
-    """The matching-game clause that (x, y) fails against `pairs`, or None;
-    `matched` is the `_matched_values` set of the value relation."""
-    (k1, b1), (k2, b2) = lts1.behaviour[x], lts2.behaviour[y]
-    if k1 != k2:
-        return "shape-match"
-    if k1 == OUTPUT:
-        return None if (b1, b2) in matched else "output-match"
-    for p, q in matched:
-        if (b1[p], b2[q]) not in pairs:
-            return "input-match"
-    return None
+def _game(lts1, lts2, related_values):
+    """The matching game on state indices: the |S1| x |S2| masks of the
+    pairs failing the shape and the output clause, and the round predicate
+    `failing(R)` that adds the input pairs whose matched successors R (with
+    any leading batch axes) leaves unrelated."""
+    in1, succ1, out1 = _tables(lts1)
+    in2, succ2, out2 = _tables(lts2)
+    # value pairs matched by identity, padded with an all-true row and
+    # column that index -1 (an input state's output) reads
+    match = np.ones((len(lts1.values) + 1, len(lts2.values) + 1), dtype=np.bool_)
+    match[:-1, :-1] = [[related_values(p, q) for q in lts2.values] for p in lts1.values]
+    shape = in1[:, None] != in2
+    output = ~match[out1[:, None], out2]
+    static, inputs = shape | output, in1[:, None] & in2
+    p, q = np.nonzero(match[:-1, :-1])
+    after1, after2 = succ1[:, p][:, None], succ2[:, q][None]  # (S1, 1, m), (1, S2, m)
 
+    def failing(rel):
+        return static | (inputs & ~rel[..., after1, after2].all(axis=-1))
 
-def _game_failing(lts1, lts2, matched):
-    """The round predicate of the game: the pairs of R that fail against R."""
-    return lambda pairs: [(x, y) for x, y in pairs
-                          if _game_clause(lts1, lts2, x, y, pairs, matched) is not None]
-
-
-def _game_violation(lts1, lts2, pairs, matched):
-    """First pair in tag order that fails the game, with its clause."""
-    for x, y in sorted(pairs, key=_pair_sort_key):
-        clause = _game_clause(lts1, lts2, x, y, pairs, matched)
-        if clause is not None:
-            return (x, y), clause
-    return None
+    return shape, output, failing
 
 
 def _greatest_relation(left, right, failing):
     """Greatest R within left x right that `failing(R)` finds no pair of.
-    Each round drops every pair failing against that round's set; passing
-    is monotone in R, so the order of removal cannot change the result."""
-    pairs = {(x, y) for x in left for y in right}
-    while True:
-        drop = failing(pairs)
-        if not drop:
-            return Relation(left, right, frozenset(pairs))
-        pairs.difference_update(drop)
+    Each round drops every pair failing against that round's matrix;
+    passing is monotone in R, so the removal order cannot change R."""
+    rel = np.ones((len(left), len(right)), dtype=np.bool_)
+    while (drop := rel & failing(rel)).any():
+        rel &= ~drop
+    return _relation(left, right, rel)
 
 
 def value_bisim(lts1, lts2):
     """Greatest plain value-passing bisimulation between two systems."""
     if set(lts1.values) != set(lts2.values):
         raise ValueSetMismatch("the two systems exchange different value sets")
-    matched = _matched_values(lts1, lts2, operator.eq)
-    return _greatest_relation(lts1.states, lts2.states, _game_failing(lts1, lts2, matched))
+    return _greatest_relation(lts1.states, lts2.states, _game(lts1, lts2, operator.eq)[2])
 
 
 def dimmed_bisim(lts1, lts2, approx):
@@ -350,16 +362,21 @@ def dimmed_bisim(lts1, lts2, approx):
         raise ValueSetMismatch("the two systems exchange different value sets")
     if set(approx.carrier()) != set(lts1.values):
         raise NotEquivalence("approx must partition the value set")
-    matched = _matched_values(lts1, lts2, approx.related)
-    return _greatest_relation(lts1.states, lts2.states, _game_failing(lts1, lts2, matched))
+    return _greatest_relation(lts1.states, lts2.states, _game(lts1, lts2, approx.related)[2])
 
 
 def is_game_bisim(lts1, lts2, pairs, approx=None):
     """Is the given pair set a (dimmed) bisimulation?  Returns the first
-    violation as ((x, y), clause) or None."""
-    related = operator.eq if approx is None else approx.related
-    matched = _matched_values(lts1, lts2, related)
-    return _game_violation(lts1, lts2, set(pairs), matched)
+    violation in tag order as ((x, y), clause) or None."""
+    shape, output, failing = _game(lts1, lts2, operator.eq if approx is None else approx.related)
+    rel = _matrix(lts1.states, lts2.states, pairs)
+    bad = np.argwhere(rel & failing(rel)).tolist()
+    if not bad:
+        return None
+    i, j = min(bad, key=lambda ij: _pair_sort_key((lts1.states[ij[0]], lts2.states[ij[1]])))
+    clause = ("shape-match" if shape[i, j] else
+              "output-match" if output[i, j] else "input-match")
+    return (lts1.states[i], lts2.states[j]), clause
 
 
 # --------------------------------------------------------------------------
@@ -388,34 +405,22 @@ def quotient(lts, relation, approx):
     carrier = discrete(sorted(state_eq.class_tags(), key=tag_sort_key))
     structure = {}
     for block in state_eq.blocks:
-        tag = ("cls", block)
         rows = set()
         for x in block:
             kind, payload = lts.behaviour[x]
             if kind == INPUT:
-                table = tuple(
-                    state_eq.class_tag(lts.cont(x, cls[1][0]))
-                    for cls in vq.elements
-                )
-                rows.add(("inl", ("table", table)))
+                table = (state_eq.class_tag(lts.cont(x, cls[1][0])) for cls in vq.elements)
+                rows.add(("inl", ("table", tuple(table))))
             else:
                 rows.add(("inr", approx.class_tag(payload)))
         if len(rows) != 1:
             raise NotABisimulation(
-                f"structure of class {block!r} depends on the representative"
-            )
-        structure[tag] = rows.pop()
-    # representative independence inside input tables
-    for block in state_eq.blocks:
-        for x in block:
-            if lts.kind(x) != INPUT:
-                continue
-            for cls in vq.elements:
-                targets = {state_eq.class_tag(lts.cont(x, p)) for p in cls[1]}
-                if len(targets) != 1:
-                    raise NotABisimulation(
-                        f"class table of {x!r} depends on the value representative"
-                    )
+                f"structure of class {block!r} depends on the representative")
+        structure[("cls", block)] = rows.pop()
+    inputs = [x for x in state_eq.carrier() if lts.kind(x) == INPUT]
+    for x, cls in itertools.product(inputs, vq.elements):  # value-representative independence
+        if len({state_eq.class_tag(lts.cont(x, p)) for p in cls[1]}) != 1:
+            raise NotABisimulation(f"class table of {x!r} depends on the value representative")
     return CoalgebraSpec(inst, carrier, structure)
 
 
@@ -435,13 +440,7 @@ def coalg_bisim(coalg1, coalg2):
     if not coalg1.inst.same_instance(coalg2.inst):
         raise InstanceMismatch("coalgebras live over different instances")
     left, right = coalg1.carrier.elements, coalg2.carrier.elements
-
-    def failing(pairs):  # lift the round's relation once, for every pair
-        rel = _pair_matrix(coalg1.carrier, coalg2.carrier, pairs)
-        bad = np.argwhere(_separated(coalg1, coalg2, rel)).tolist()
-        return [(left[i], right[j]) for i, j in bad]
-
-    return _greatest_relation(left, right, failing)
+    return _greatest_relation(left, right, lambda rel: _separated(coalg1, coalg2, rel))
 
 
 def is_lifting_bisim(coalg1, coalg2, pairs, param_rel=None):
@@ -489,17 +488,17 @@ def lemma1_check(lts, approx):
     masks = np.arange(1 << (n * n))  # bit i of a mask is pair i, as in all_relations
     stack = (masks[:, None] >> np.arange(n * n) & 1).astype(np.bool_).reshape(len(masks), n, n)
     is_lifting = ~_separated(coalg, coalg, stack, approx.as_pairs()).any(axis=(1, 2))
-    for pairs, lifted in zip(all_relations(lts.states), is_lifting.tolist()):
-        game = is_game_bisim(lts, lts, pairs, approx) is None
-        if game != lifted:
-            return False, pairs
-        rel = Relation(lts.states, lts.states, pairs)
-        if rel.is_equivalence:
-            try:
-                quotient(lts, rel, approx)
-                built = True
-            except NotABisimulation:
-                built = False
-            if built != game:
-                return False, pairs
+    is_game = ~(stack & _game(lts, lts, approx.related)[2](stack)).any(axis=(1, 2))
+    is_equivalence = _equivalence_flags(stack)
+    for k in np.flatnonzero((is_game != is_lifting) | is_equivalence).tolist():
+        rel = _relation(lts.states, lts.states, stack[k])
+        if is_game[k] != is_lifting[k]:
+            return False, rel.pairs
+        try:
+            quotient(lts, rel, approx)
+            built = True
+        except NotABisimulation:
+            built = False
+        if built != is_game[k]:
+            return False, rel.pairs
     return True, None

@@ -154,35 +154,22 @@ def _relation_check(lts1, lts2, relation_path, approx):
 
 
 def cmd_bisim(args):
+    """`bisim`, or `dimmed` (the game up to the --approx value classes)."""
     lts1, lts2 = _load_ltss(args)
-    greatest = bisim_mod.value_bisim(lts1, lts2)
-    obj = {
-        "kind": "bisim-report",
-        "left": list(lts1.states),
-        "right": list(lts2.states),
-        "relation": greatest.to_json(),
-        "is_equivalence": greatest.is_equivalence,
-        "check": _relation_check(lts1, lts2, args.relation, None),
-    }
-    _emit(obj, args.out)
-    if obj["check"] is not None and not obj["check"]["relation_is_bisimulation"]:
-        return EXIT_TRUNCATED
-    return EXIT_OK
-
-
-def cmd_dimmed(args):
-    lts1, lts2 = _load_ltss(args)
-    approx = bisim_mod.equivalence_from_json(_read_json(args.approx))
-    greatest = bisim_mod.dimmed_bisim(lts1, lts2, approx)
-    obj = {
-        "kind": "dimmed-report",
-        "approx": approx.to_json(),
+    obj = {"kind": f"{args.command}-report"}
+    if args.command == "dimmed":
+        approx = bisim_mod.equivalence_from_json(_read_json(args.approx))
+        greatest = bisim_mod.dimmed_bisim(lts1, lts2, approx)
+        obj["approx"] = approx.to_json()
+    else:
+        approx, greatest = None, bisim_mod.value_bisim(lts1, lts2)
+    obj.update({
         "left": list(lts1.states),
         "right": list(lts2.states),
         "relation": greatest.to_json(),
         "is_equivalence": greatest.is_equivalence,
         "check": _relation_check(lts1, lts2, args.relation, approx),
-    }
+    })
     _emit(obj, args.out)
     if obj["check"] is not None and not obj["check"]["relation_is_bisimulation"]:
         return EXIT_TRUNCATED
@@ -345,7 +332,7 @@ def build_parser():
     p.add_argument("--approx", required=True)
     p.add_argument("--relation", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_dimmed)
+    p.set_defaults(fn=cmd_bisim)
 
     p = sub.add_parser("quotient", help="quotient coalgebra over value classes")
     p.add_argument("--lts", action="append", default=[])

@@ -354,12 +354,14 @@ def all_posets_upto(n, prefix="e"):
 
     Enumerates reflexive upper-triangular transitive matrices (every poset
     admits a linear extension, so this hits every iso class) and dedupes
-    with the iso search.  Feasible up to n = 5 or so.
+    with the iso search, run only against the representatives whose sorted
+    invariant labels match (the search rejects every other one anyway).
+    Feasible up to n = 5 or so.
     """
     out = [empty_poset()]
     for k in range(1, n + 1):
         slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        reps = []
+        reps, by_labels = [], {}
         for mask in range(1 << len(slots)):
             leq = np.eye(k, dtype=np.bool_)
             for b, (i, j) in enumerate(slots):
@@ -368,8 +370,11 @@ def all_posets_upto(n, prefix="e"):
             closed = kernels.transitive_closure(leq)
             if not np.array_equal(closed, leq):
                 continue
-            if any(kernels.find_isomorphism(leq, r) is not None for r in reps):
+            labels = tuple(sorted(kernels.invariant_labels(leq).tolist()))
+            same = by_labels.setdefault(labels, [])
+            if any(kernels.find_isomorphism(leq, r) is not None for r in same):
                 continue
+            same.append(leq)
             reps.append(leq)
         for leq in reps:
             out.append(

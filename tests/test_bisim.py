@@ -2,6 +2,7 @@
 lifting coincidences, behavioural equivalence."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -208,6 +209,152 @@ def test_quotient_representative_independence():
 
 
 # --------------------------------------------------------------------------
+# the reference game: one pair at a time, over tags
+
+
+def _ref_clause(lts1, lts2, x, y, pairs, related):
+    """The matching-game clause that (x, y) fails against `pairs`, or None."""
+    (k1, b1), (k2, b2) = lts1.behaviour[x], lts2.behaviour[y]
+    if k1 != k2:
+        return "shape-match"
+    if k1 == B.OUTPUT:
+        return None if related(b1, b2) else "output-match"
+    for p in lts1.values:
+        for q in lts2.values:
+            if related(p, q) and (b1[p], b2[q]) not in pairs:
+                return "input-match"
+    return None
+
+
+def _related(approx):
+    return operator.eq if approx is None else approx.related
+
+
+def _ref_violation(lts1, lts2, pairs, approx=None):
+    """First pair in tag order failing the reference game, with its clause."""
+    for x, y in sorted(pairs, key=B._pair_sort_key):
+        clause = _ref_clause(lts1, lts2, x, y, pairs, _related(approx))
+        if clause is not None:
+            return (x, y), clause
+    return None
+
+
+def _ref_greatest(lts1, lts2, approx=None):
+    """Greatest bisimulation by the reference game: drop failing pairs until
+    none is left."""
+    pairs = set(itertools.product(lts1.states, lts2.states))
+    while True:
+        drop = {(x, y) for x, y in pairs
+                if _ref_clause(lts1, lts2, x, y, pairs, _related(approx)) is not None}
+        if not drop:
+            return pairs
+        pairs -= drop
+
+
+def _approxes(values):
+    return (None, B.Equivalence.identity(values), B.Equivalence.total(values))
+
+
+def _random_lts(rng, states, values):
+    return mk(states, {
+        x: (B.INPUT, {p: rng.choice(states) for p in values}) if rng.random() < 0.6
+        else (B.OUTPUT, rng.choice(values))
+        for x in states
+    }, values)
+
+
+def _system_pairs():
+    """Pairs of distinct systems, the second listing the values in another
+    order; then systems with no values at all and with no states at all."""
+    rng = random.Random(11)
+    behaviours1 = list(_all_behaviours(["x", "y", "z"]))
+    behaviours2 = list(_all_behaviours(["u", "v"]))
+    for behaviour in rng.sample(behaviours1, 12):
+        for b2 in rng.sample(behaviours2, 3):
+            yield mk(["x", "y", "z"], behaviour), mk(["u", "v"], b2, ["q", "p"])
+    for _ in range(12):
+        yield (_random_lts(rng, ["x", "y", "z"], ["p", "q", "r"]),
+               _random_lts(rng, ["u", "v", "w"], ["r", "p", "q"]))
+    loops = {"x": (B.INPUT, {}), "y": (B.INPUT, {})}
+    yield mk(["x", "y"], loops, []), mk(["u"], {"u": (B.INPUT, {})}, [])
+    empty = mk([], {}, VALUES)
+    yield empty, empty
+    yield empty, mk(["x"], {"x": (B.OUTPUT, "p")})
+    yield mk(["x"], {"x": (B.INPUT, {"p": "x", "q": "x"})}), empty
+
+
+def _sampled_relations(lts1, lts2, rng, count):
+    universe = list(itertools.product(lts1.states, lts2.states))
+    yield from (set(rng.sample(universe, rng.randint(0, len(universe)))) for _ in range(count))
+
+
+def test_is_game_bisim_matches_the_reference_game_on_self_pairs():
+    rng = random.Random(3)
+    for lts in _small_systems():
+        relations = (B.all_relations(lts.states) if len(lts.states) == 2
+                     else _sampled_relations(lts, lts, rng, 40))
+        for pairs in relations:
+            for approx in _approxes(VALUES):
+                expected = _ref_violation(lts, lts, pairs, approx)
+                assert B.is_game_bisim(lts, lts, pairs, approx) == expected
+
+
+def test_game_matches_the_reference_game_across_systems():
+    rng = random.Random(4)
+    for lts1, lts2 in _system_pairs():
+        for approx in _approxes(lts1.values):
+            related = _ref_greatest(lts1, lts2, approx)
+            if approx is None:
+                assert B.value_bisim(lts1, lts2).pairs == related
+            else:
+                assert B.dimmed_bisim(lts1, lts2, approx).pairs == related
+            for pairs in itertools.chain([related], _sampled_relations(lts1, lts2, rng, 8)):
+                expected = _ref_violation(lts1, lts2, pairs, approx)
+                assert B.is_game_bisim(lts1, lts2, pairs, approx) == expected
+
+
+def test_is_game_bisim_rejects_pairs_outside_the_states():
+    lts = mk(["x"], {"x": (B.OUTPUT, "p")})
+    with pytest.raises(InputError):
+        B.is_game_bisim(lts, lts, {("x", "ghost")})
+
+
+def _is_equivalence_by_definition(rel):
+    if set(rel.left) != set(rel.right):
+        return False
+    pairs = rel.pairs
+    return (all((x, x) in pairs for x in rel.left)
+            and all((b, a) in pairs for a, b in pairs)
+            and all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c))
+
+
+def test_is_equivalence_matches_the_definition():
+    rng = random.Random(8)
+    carriers = [(), ("a",), ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]
+    cases = []
+    for left in carriers:
+        for right in (left, tuple(reversed(left)), left[:-1], left + ("e",)):
+            universe = list(itertools.product(left, right))
+            cases.append(B.Relation(left, right, frozenset()))
+            cases.append(B.Relation(left, right, frozenset(universe)))
+            for _ in range(30):
+                picked = rng.sample(universe, rng.randint(0, len(universe)))
+                cases.append(B.Relation(left, right, frozenset(picked)))
+        square = list(itertools.product(left, left))
+        for _ in range(10):  # equivalences, and each with one pair toggled
+            blocks = {}
+            for x in left:
+                blocks.setdefault(rng.randrange(3), []).append(x)
+            pairs = B.Equivalence.from_blocks(list(blocks.values())).as_pairs()
+            cases.append(B.Relation(left, left, pairs))
+            for toggled in rng.sample(square, min(2, len(square))):
+                cases.append(B.Relation(left, left, pairs ^ {toggled}))
+    assert any(r.is_equivalence for r in cases) and not all(r.is_equivalence for r in cases)
+    for rel in cases:
+        assert rel.is_equivalence == _is_equivalence_by_definition(rel), rel
+
+
+# --------------------------------------------------------------------------
 # coalgebraic bisimulation and cross-checks
 
 
@@ -224,10 +371,10 @@ def _all_behaviours(states, values=VALUES):
 
 def _union_of_game_bisims(lts, approx=None):
     """Oracle for the greatest bisimulation: the union of every relation the
-    game accepts, found by trying each of them."""
+    reference game accepts, found by trying each of them."""
     union = set()
     for pairs in B.all_relations(lts.states):
-        if B.is_game_bisim(lts, lts, pairs, approx) is None:
+        if _ref_violation(lts, lts, pairs, approx) is None:
             union |= pairs
     return union
 
