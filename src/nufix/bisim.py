@@ -321,8 +321,8 @@ def _game(lts1, lts2, related_values):
     pairs failing the shape and the output clause, and the round predicate
     `failing(R)` that adds the input pairs whose matched successors R (with
     any leading batch axes) leaves unrelated."""
-    in1, succ1, out1 = _tables(lts1)
-    in2, succ2, out2 = _tables(lts2)
+    in1, succ1, out1 = tables = _tables(lts1)
+    in2, succ2, out2 = tables if lts2 is lts1 else _tables(lts2)
     # value pairs matched by identity, padded with an all-true row and
     # column that index -1 (an input state's output) reads
     match = np.ones((len(lts1.values) + 1, len(lts2.values) + 1), dtype=np.bool_)

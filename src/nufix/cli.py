@@ -9,6 +9,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -370,8 +371,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The process's one parser: parsing leaves it unchanged (`append`
+    actions copy their default list), and building it costs about 2 ms."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NufixError as exc:

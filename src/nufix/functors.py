@@ -698,7 +698,8 @@ def rel_lift(inst, pairs, x, y, param_rel=None):
 
 class CoalgebraSpec:
     """A finite coalgebra: a carrier and a structure map into the
-    instance's value object over that carrier, given elementwise by tags.
+    instance's value object over that carrier, given elementwise by tags
+    (or by F(carrier) indices through `from_table`).
 
     Validation checks that every structure value is an element of
     F(carrier) and that the assignment is monotone (and bottom-strict in
@@ -709,10 +710,22 @@ class CoalgebraSpec:
         inst._check_state(carrier)
         if set(structure) != set(carrier.elements):
             raise BackendMismatch("structure must assign exactly the carrier elements")
+        fc = inst.on_object(carrier)
+        self._bind(inst, carrier, [fc.index(structure[e]) for e in carrier.elements])
+
+    @classmethod
+    def from_table(cls, inst, carrier, table):
+        """The coalgebra sending carrier element i to element table[i] of
+        F(carrier), validated as the tag form is."""
+        self = cls.__new__(cls)
+        self._bind(inst, carrier, table)
+        return self
+
+    def _bind(self, inst, carrier, table):
+        strict = inst.backend is Backend.POINTED_STRICT
         self.inst = inst
         self.carrier = carrier
-        strict = inst.backend is Backend.POINTED_STRICT
-        self._map = MonoMap.from_tags(carrier, inst.on_object(carrier), structure, strict)
+        self._map = MonoMap(carrier, inst.on_object(carrier), table, strict)
 
     def as_map(self):
         return self._map

@@ -1,4 +1,5 @@
-"""Hot kernels: closure, inclusion order, table/upset enumeration, iso search.
+"""Hot kernels: closure, inclusion order, table/upset enumeration,
+cardinality certificates, iso search.
 
 The two enumerators backtrack over Python-int bitsets and emit their rows in
 a fixed order, so every result built from them is reproducible:
@@ -9,8 +10,12 @@ a fixed order, so every result built from them is reproducible:
   along the fewest-elements-above-first order, excluded before included
   (so the empty set is first).
 
-A capped enumeration returns a prefix of the full list.  The brute-force
-counters are independent oracles for the law suites.
+A capped enumeration returns a prefix of the full list.  The certificates
+bound those counts without enumerating: `levels` groups a poset into
+antichains by longest chain, `count_upsets` counts upsets exactly up to a
+limit, and `monotone_bound` gives a lower bound on monotone maps from an
+antichain and a chain.  The brute-force counters are independent oracles
+for the law suites.
 """
 
 from __future__ import annotations
@@ -18,12 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _bits(row):
-    """Bitset of the indices where a boolean row is true."""
-    mask = 0
-    for i in np.flatnonzero(row).tolist():
-        mask |= 1 << i
-    return mask
+def _row_bits(mat):
+    """One bitset per row of a boolean matrix: bit i of row r is mat[r, i]."""
+    packed = np.packbits(np.asarray(mat, dtype=np.bool_), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _unpack(masks, n):
@@ -79,14 +82,13 @@ def _enum_monotone(leq_dom, leq_cod, order, forced, limit):
         return np.zeros((min(limit, 1), 0), dtype=np.int32)
     if m == 0 or limit == 0:
         return np.zeros((0, n), dtype=np.int32)
-    up = [_bits(row) for row in leq_cod]
+    up = _row_bits(leq_cod)
+    below = leq_dom[order][:, order].T  # below[pos, q]: order[q] <= order[pos]
     order = order.tolist()
     # per position: the forced bit or all of cod, and the earlier positions
     # holding a dom predecessor, whose values bound this one from below
     start = [1 << int(forced[e]) if forced[e] >= 0 else (1 << m) - 1 for e in order]
-    preds = [
-        [q for q in range(pos) if leq_dom[order[q], e]] for pos, e in enumerate(order)
-    ]
+    preds = [np.flatnonzero(below[pos, :pos]).tolist() for pos in range(n)]
     vals = [0] * n
     rest = [0] * n
     rest[0] = start[0]
@@ -183,7 +185,8 @@ def _enum_upsets(leq, order, limit):
     bit = [1 << e for e in order]
     # strictly-above sets; they come earlier in the order, so they are
     # decided by the time their lower element is
-    above = [_bits(leq[e]) & ~(1 << e) for e in order]
+    rows = _row_bits(leq)
+    above = [rows[e] & ~(1 << e) for e in order]
     inc = [0] * (n + 1)  # inclusion mask before deciding each position
     step = [0] * n  # 0: exclude next, 1: include next, 2: both tried
     masks = []
@@ -217,6 +220,126 @@ def enum_upsets(leq, limit):
     above = (leq.sum(axis=1) - 1).astype(np.int64)
     order = np.argsort(above, kind="stable").astype(np.int32)
     return _enum_upsets(leq, order, int(limit))
+
+
+# --------------------------------------------------------------------------
+# cardinality certificates
+
+
+def levels(leq):
+    """Element indices grouped by the longest chain below them, lowest first.
+
+    Each group is an antichain and there are as many groups as the longest
+    chain has elements (Mirsky, Amer. Math. Monthly 78(8), 1971).  Every
+    round peels all minimal elements of what is left: `below` counts the
+    strict predecessors not yet peeled, and a peeled element drops to -1.
+    """
+    leq = np.asarray(leq, dtype=np.bool_)
+    below = leq.sum(axis=0) - 1
+    out = []
+    low = np.flatnonzero(below == 0)
+    while low.size:
+        out.append(low)
+        below -= leq[low].sum(axis=0)
+        low = np.flatnonzero(below == 0)
+    return out
+
+
+def _members(s):
+    """Indices of the set bits of s, lowest first."""
+    out = []
+    while s:
+        low = s & -s
+        out.append(low.bit_length() - 1)
+        s ^= low
+    return out
+
+
+def count_upsets(leq, limit):
+    """min(number of up-closed subsets, limit), exactly.
+
+    An antichain of w elements has 2**w upsets, so a wide level of `leq`
+    settles it at once.  Otherwise the count splits on the element x
+    comparable to most others, by whether an upset holds x:
+    U(S) = U(S - up(x)) + U(S - down(x)).  Components multiply, a chain of
+    k elements counts k + 1 and an antichain 2**k.  Sub-posets are
+    Python-int bitsets; their counts are memoised, cut at `limit`, and
+    combined on an explicit stack, so the ground may have any size.
+    """
+    leq = np.asarray(leq, dtype=np.bool_)
+    n, limit = leq.shape[0], int(limit)
+    if n == 0:
+        return min(1, limit)
+    if 1 << max(len(group) for group in levels(leq)) >= limit:
+        return limit
+    up, down = _row_bits(leq), _row_bits(leq.T)
+    near = [u | d for u, d in zip(up, down)]
+
+    def split(s):
+        """(count, None, None) for a leaf, else (None, product?, parts):
+        its components, or the two sides of a split."""
+        members = _members(s)
+        if all(near[i] & s == 1 << i for i in members):
+            return min(1 << len(members), limit), None, None
+        parts, rest = [], s
+        while rest:
+            comp = grow = rest & -rest
+            while grow:
+                reach = 0
+                for i in _members(grow):
+                    reach |= near[i]
+                grow = reach & rest & ~comp
+                comp |= grow
+            parts.append(comp)
+            rest &= ~comp
+        if len(parts) > 1:
+            return None, True, parts
+        if all(near[i] & s == s for i in members):
+            return min(len(members) + 1, limit), None, None
+        x = max(members, key=lambda i: (near[i] & s).bit_count())
+        return None, False, (s & ~up[x], s & ~down[x])
+
+    memo = {}
+    # a frame combines its parts' counts: [product?, parts, next part, acc];
+    # the root sums its one part, the whole ground
+    stack = [[False, [(1 << n) - 1], 0, 0]]
+    while True:
+        frame = stack[-1]
+        _, parts, i, acc = frame
+        if acc < limit and i < len(parts):
+            count = memo.get(parts[i])
+            if count is None:
+                count, product, sub_parts = split(parts[i])
+                if count is None:
+                    stack.append([product, sub_parts, 0, int(product)])
+                    continue
+        else:
+            count = min(acc, limit)
+            stack.pop()
+            if not stack:
+                return count
+            frame = stack[-1]
+        memo[frame[1][frame[2]]] = count
+        frame[3] = frame[3] * count if frame[0] else frame[3] + count
+        frame[2] += 1
+
+
+def monotone_bound(leq_dom, leq_cod, bottom=None):
+    """(w, h) with h**w at most the number of monotone maps dom -> cod,
+    bottom-strict ones when `bottom` names dom's least element (cod's
+    least element is then the start of its longest chain).
+
+    w is the largest of `levels(dom)` without `bottom`, h the number of
+    levels of cod.  Given an antichain A of w elements and a chain
+    c_0 < ... < c_{h-1}, each g: A -> range(h) gives the monotone map
+    y -> c_max{g(a) : a in A, a <= y}, or c_0 when no a is below y.  It
+    sends each a to c_g(a), so the h**w maps are distinct, and it sends a
+    bottom outside A to c_0.
+    """
+    groups = levels(leq_dom)
+    if bottom is not None:
+        groups = [g[g != bottom] for g in groups]
+    return max((len(g) for g in groups), default=0), len(levels(leq_cod))
 
 
 def count_upsets_bruteforce(leq):

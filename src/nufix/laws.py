@@ -349,11 +349,7 @@ def _all_coalgebras(inst, carrier):
     limit = max(1, len(fc)) ** max(1, len(carrier)) + 1
     tables = kernels.enum_monotone_tables(carrier.leq, fc.leq, limit, forced)
     for row in tables:
-        structure = {
-            carrier.elements[i]: fc.elements[int(row[i])]
-            for i in range(len(carrier))
-        }
-        yield CoalgebraSpec(inst, carrier, structure)
+        yield CoalgebraSpec.from_table(inst, carrier, row)
 
 
 def law_coinductive_uniqueness(max_states=4):

@@ -38,6 +38,15 @@ call: upsets by inclusion of their masks, tables by inclusion of their
 rows of codomain down-sets (t <= u pointwise iff each down-set of t[p] is
 inside the down-set of u[p]).
 
+These four constructors check their cap before they enumerate whenever
+the naive bound (2^n upsets, |q|^|p| tables) exceeds it.  Upset posets
+raise `ElementCapExceeded` when a level of the ground (an antichain of w
+elements, so at least 2^w upsets) or `kernels.count_upsets` shows more
+than `cap` upsets; function spaces raise when `kernels.monotone_bound`
+does.  A certificate only raises early: a poset that fits is enumerated as
+before, and one that the certificates miss still raises after `cap + 1`
+rows.
+
 Every monotone map is continuous at this scale (all chains stabilize), so
 no continuity side conditions appear anywhere.
 """
@@ -297,8 +306,22 @@ def _tables_to_poset(tables, cod):
     return FinPoset(elements, leq, bottom_idx, tables)
 
 
+def _check_tables_fit(p, q, cap, what, bottom=None):
+    """Raise before enumerating when an antichain of p and a chain of q
+    give more than `cap` monotone maps (`kernels.monotone_bound`)."""
+    if cap is None or len(q) ** len(p) <= cap:
+        return
+    w, h = kernels.monotone_bound(p.leq, q.leq, bottom)
+    if h**w > cap:
+        raise ElementCapExceeded(
+            f"{what} would have > {cap} elements: antichain of {w} into a chain "
+            f"of {h} ⇒ ≥ {h}^{w} maps"
+        )
+
+
 def fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     """All monotone tables p -> q under the pointwise order."""
+    _check_tables_fit(p, q, cap, "function space")
     limit = (cap + 1) if cap is not None else (max(1, len(q)) ** max(1, len(p)) + 1)
     tables = kernels.enum_monotone_tables(p.leq, q.leq, limit)
     _check_cap(len(tables), cap, "function space")
@@ -311,6 +334,7 @@ def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     q.require_pointed("strict_fun_space")
     forced = np.full(len(p), -1, dtype=np.int32)
     forced[p.bottom_idx] = q.bottom_idx
+    _check_tables_fit(p, q, cap, "strict function space", p.bottom_idx)
     limit = (cap + 1) if cap is not None else (max(1, len(q)) ** max(1, len(p)) + 1)
     tables = kernels.enum_monotone_tables(p.leq, q.leq, limit, forced)
     _check_cap(len(tables), cap, "strict function space")
@@ -328,8 +352,24 @@ def _masks_to_poset(masks, ground):
     return FinPoset(elements, leq, bottom_idx, masks)
 
 
+def _check_upsets_fit(leq, cap, what):
+    """Raise before enumerating when a certificate shows more than `cap`
+    upsets: a wide level of `leq`, else `kernels.count_upsets`."""
+    if cap is None or 1 << len(leq) <= cap:
+        return
+    width = max((len(group) for group in kernels.levels(leq)), default=0)
+    if 1 << width > cap:
+        raise ElementCapExceeded(f"{what} would have > {cap} elements: antichain "
+                                 f"of {width} ⇒ ≥ 2^{width} upsets")
+    if kernels.count_upsets(leq, cap + 1) > cap:
+        raise ElementCapExceeded(
+            f"{what} would have > {cap} elements: counted ≥ {cap + 1} upsets"
+        )
+
+
 def upsets(p, cap=DEFAULT_ELEMENT_CAP):
     """Up-closed subsets of p ordered by inclusion; empty set is bottom."""
+    _check_upsets_fit(p.leq, cap, "upset poset")
     limit = (cap + 1) if cap is not None else (1 << len(p)) + 1
     masks = kernels.enum_upsets(p.leq, limit)
     _check_cap(len(masks), cap, "upset poset")
@@ -341,6 +381,7 @@ def strict_upsets(p, cap=DEFAULT_ELEMENT_CAP):
     p.require_pointed("strict_upsets")
     keep = [i for i in range(len(p)) if i != p.bottom_idx]
     sub = p.leq[np.ix_(keep, keep)]
+    _check_upsets_fit(sub, cap, "strict upset poset")
     limit = (cap + 1) if cap is not None else (1 << len(keep)) + 1
     masks = kernels.enum_upsets(sub, limit)
     _check_cap(len(masks), cap, "strict upset poset")

@@ -313,6 +313,15 @@ def test_game_matches_the_reference_game_across_systems():
                 assert B.is_game_bisim(lts1, lts2, pairs, approx) == expected
 
 
+def test_game_builds_the_tables_of_a_system_once(monkeypatch):
+    built = []
+    tables = B._tables
+    monkeypatch.setattr(B, "_tables", lambda lts: built.append(lts) or tables(lts))
+    a, b = output_lts(["p1", "p2"]), output_lts(["p1", "p2"])
+    assert B.value_bisim(a, a).pairs == B.value_bisim(a, b).pairs
+    assert built == [a, a, b]
+
+
 def test_is_game_bisim_rejects_pairs_outside_the_states():
     lts = mk(["x"], {"x": (B.OUTPUT, "p")})
     with pytest.raises(InputError):

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from nufix import cli
 from nufix import engine as E
 from nufix import posets as P
 from nufix import serialize as S
@@ -141,6 +142,33 @@ def test_bisim_command_identity_example(workdir):
     assert main(["bisim", "--lts", lts, "--lts", lts, "--out", out]) == 0
     obj = json.loads(open(out).read())
     assert obj["relation"] == [[p, p] for p in values]
+
+
+def test_parser_is_built_once_and_keeps_no_state(workdir, monkeypatch):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for run, states in enumerate((["s", "t"], ["u", "v", "w"])):
+        ltss = [
+            write_json(workdir / f"lts{run}{side}.json", {
+                "values": ["p"],
+                "states": [x + side for x in states],
+                "behaviour": {x + side: {"output": "p"} for x in states},
+            })
+            for side in "ab"
+        ]
+        out = workdir / f"rep{run}.json"
+        assert main(["bisim", "--lts", ltss[0], "--lts", ltss[1], "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["left"] == [x + "a" for x in states]
+        assert obj["right"] == [x + "b" for x in states]
+    assert len(built) == 1
+    cli._parser.cache_clear()
 
 
 def test_dimmed_and_relation_check(workdir):

@@ -1,6 +1,7 @@
 """Kernel-level checks: the closure matches a reachability search, the
 inclusion order matches pairwise subset tests, the enumerators emit exactly
-the brute-force rows in their documented order, and iso search agrees with
+the brute-force rows in their documented order, the cardinality
+certificates agree with the brute-force counts, and iso search agrees with
 permutation search."""
 
 import itertools
@@ -225,3 +226,80 @@ def test_invariant_labels_match_loop_reference():
     for leq in cases:
         got = kernels.invariant_labels(leq)
         assert got.dtype == np.int64 and got.tolist() == _loop_labels(leq)
+
+
+def _random_order(rng, n, density):
+    """A random partial order on n elements, shuffled out of index order."""
+    rel = np.triu(rng.rand(n, n) < density, 1)
+    perm = rng.permutation(n)
+    return kernels.transitive_closure(rel)[np.ix_(perm, perm)]
+
+
+def _longest_chain_below(leq):
+    """Elements on the longest chain ending at each element, minus one, by
+    relaxing along a linear extension."""
+    depth = [0] * len(leq)
+    for j in kernels.linear_extension(leq).tolist():
+        for i in np.flatnonzero(leq[:, j]).tolist():
+            if i != j:
+                depth[j] = max(depth[j], depth[i] + 1)
+    return depth
+
+
+def test_levels_group_by_longest_chain_below():
+    rng = np.random.RandomState(5)
+    cases = [np.zeros((0, 0), dtype=np.bool_), chain(6).leq, np.eye(5, dtype=np.bool_)]
+    cases += [_random_order(rng, rng.randint(1, 30), rng.uniform(0.02, 0.4))
+              for _ in range(40)]
+    for leq in cases:
+        groups = kernels.levels(leq)
+        depth = _longest_chain_below(leq)
+        assert sorted(np.concatenate(groups or [[]]).tolist()) == list(range(len(leq)))
+        for k, group in enumerate(groups):
+            assert all(depth[i] == k for i in group.tolist())
+            assert np.array_equal(leq[np.ix_(group, group)], np.eye(len(group), dtype=np.bool_))
+
+
+def test_count_upsets_matches_bruteforce_on_small_posets():
+    for p in all_posets_upto(5):
+        want = kernels.count_upsets_bruteforce(p.leq)
+        for limit in (0, 1, 2, want - 1, want, want + 1, 10**6):
+            assert kernels.count_upsets(p.leq, limit) == min(want, limit)
+
+
+def test_count_upsets_matches_capped_enumeration():
+    rng = np.random.RandomState(9)
+    for _ in range(120):
+        n = rng.randint(0, 41)
+        leq = _random_order(rng, n, rng.choice([0.02, 0.05, 0.1, 0.2, 0.4]))
+        for limit in (1, 5, 100, 700, 4001):
+            assert kernels.count_upsets(leq, limit) == len(kernels.enum_upsets(leq, limit))
+
+
+def test_count_upsets_on_large_grounds_needs_no_recursion():
+    n, huge = 3000, 1 << 4000
+    assert kernels.count_upsets(chain(n).leq, huge) == n + 1
+    assert kernels.count_upsets(np.eye(n, dtype=np.bool_), huge) == 1 << n
+    # a fence a0 < a1 > a2 < a3 ... of m elements has Fibonacci(m + 2) upsets
+    m = 400
+    rel = np.zeros((m, m), dtype=np.bool_)
+    for i in range(m - 1):
+        rel[(i, i + 1) if i % 2 == 0 else (i + 1, i)] = True
+    fib = [0, 1]
+    while len(fib) < m + 3:
+        fib.append(fib[-1] + fib[-2])
+    assert kernels.count_upsets(kernels.transitive_closure(rel), huge) == fib[m + 2]
+
+
+def test_monotone_bound_never_exceeds_bruteforce_counts():
+    shapes = all_posets_upto(4)
+    pointed = [q for q in map(with_declared_bottom, shapes) if q is not None]
+    for p in shapes:
+        for q in shapes:
+            w, h = kernels.monotone_bound(p.leq, q.leq)
+            assert h**w <= kernels.count_monotone_bruteforce(p.leq, q.leq)
+    for p in pointed:
+        for q in pointed:
+            w, h = kernels.monotone_bound(p.leq, q.leq, p.bottom_idx)
+            strict_pair = (p.bottom_idx, q.bottom_idx)
+            assert h**w <= kernels.count_monotone_bruteforce(p.leq, q.leq, strict_pair)

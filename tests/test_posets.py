@@ -243,6 +243,82 @@ def test_discrete_and_caps():
         P.upsets(P.discrete([str(i) for i in range(12)]), cap=100)
 
 
+def _same_poset(a, b):
+    return (a == b and a.bottom_idx == b.bottom_idx
+            and (a.rows is None) == (b.rows is None)
+            and (a.rows is None or np.array_equal(a.rows, b.rows)))
+
+
+def _raises_exactly_past_cap(build, full):
+    caps = {0, 1, 16, len(full) // 2, len(full) - 1, len(full), len(full) + 1}
+    for cap in sorted(c for c in caps if c >= 0):
+        if len(full) > cap:
+            with pytest.raises(ElementCapExceeded):
+                build(cap)
+        else:
+            assert _same_poset(build(cap), full)
+
+
+def test_certificates_raise_only_past_the_cap():
+    rng = np.random.RandomState(17)
+    for k in range(40):
+        p = _random_poset(rng, rng.randint(0, 13), f"p{k}_")
+        _raises_exactly_past_cap(lambda cap: P.upsets(p, cap), P.upsets(p, cap=None))
+        lp = P.lift(p)
+        _raises_exactly_past_cap(lambda cap: P.strict_upsets(lp, cap),
+                                 P.strict_upsets(lp, cap=None))
+    for k in range(40):
+        p, q = _random_poset(rng, rng.randint(0, 6), "a"), _random_poset(rng, rng.randint(0, 5), "b")
+        _raises_exactly_past_cap(lambda cap: P.fun_space(p, q, cap), P.fun_space(p, q, cap=None))
+        lp, lq = P.lift(p), P.lift(q)
+        _raises_exactly_past_cap(lambda cap: P.strict_fun_space(lp, lq, cap),
+                                 P.strict_fun_space(lp, lq, cap=None))
+
+
+def test_certificates_raise_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past a certificate")
+
+    monkeypatch.setattr(kernels, "enum_upsets", no_enumeration)
+    monkeypatch.setattr(kernels, "enum_monotone_tables", no_enumeration)
+    wide = P.discrete([f"w{i}" for i in range(12)])
+    with pytest.raises(ElementCapExceeded, match="antichain of 12 ⇒ ≥ 2\\^12 upsets"):
+        P.upsets(wide, cap=100)
+    with pytest.raises(ElementCapExceeded, match="antichain of 12"):
+        P.strict_upsets(P.lift(wide), cap=100)
+    # three disjoint 4-chains: width 3, but 5^3 = 125 upsets
+    chains = P.separated_sum(P.chain(4, "a"), P.separated_sum(P.chain(4, "b"), P.chain(4, "c")))
+    with pytest.raises(ElementCapExceeded, match="counted ≥ 101 upsets"):
+        P.upsets(chains, cap=100)
+    atoms = P.lift(P.discrete([f"v{i}" for i in range(16)]))
+    with pytest.raises(ElementCapExceeded, match="antichain of 16 into a chain of 2"):
+        P.strict_fun_space(atoms, two_chain(), cap=4096)
+    with pytest.raises(ElementCapExceeded, match="antichain of 8 into a chain of 3 ⇒ ≥ 3\\^8"):
+        P.fun_space(P.discrete([f"v{i}" for i in range(8)]), P.chain(3), cap=4096)
+
+
+def test_ho_ccs_at_cap_4096_never_enumerates_past_the_cap(monkeypatch):
+    cap, seen = 4096, []
+
+    def recording(enum):
+        def run(*args):
+            out = enum(*args)
+            seen.append(len(out))
+            return out
+        return run
+
+    monkeypatch.setattr(kernels, "enum_upsets", recording(kernels.enum_upsets))
+    monkeypatch.setattr(kernels, "enum_monotone_tables", recording(kernels.enum_monotone_tables))
+    rep = E.solve_hob("Us(C * W * Id + C * (V -> Id) + Id)",
+                      constants={"C": two_chain()}, element_cap=cap)
+    assert seen and max(seen) <= cap
+    assert [len(p) for p in rep.chain.params] == [1, 1805, 1]
+    assert rep.chain.status == E.SeqStatus("truncated", reason="vertical-ep-unavailable")
+    assert [[len(s) for s in row.stages] for row in rep.chain.rows] == [[1, 4, 1805], [1]]
+    assert all(row.status.reason == "element-cap" for row in rep.chain.rows)
+    assert len(rep.chain.vertical_eps) == 1 and rep.z is None and not rep.solved
+
+
 # --------------------------------------------------------------------------
 # maps, composition, ep-pairs
 
