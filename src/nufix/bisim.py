@@ -463,13 +463,6 @@ def behavioural_equiv(coalg, final):
 # the quotient-instance equivalence check
 
 
-def all_relations(states):
-    states = list(states)
-    pairs = [(x, y) for x in states for y in states]
-    for mask in range(1 << len(pairs)):
-        yield frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1)
-
-
 def lemma1_check(lts, approx):
     """Exhaustively compare the game predicate with the lifting predicate.
 
@@ -485,7 +478,7 @@ def lemma1_check(lts, approx):
         raise SizeCapExceeded("lemma1_check is exhaustive; inputs are capped")
     coalg = lts_to_coalgebra(lts)
     n = len(lts.states)
-    masks = np.arange(1 << (n * n))  # bit i of a mask is pair i, as in all_relations
+    masks = np.arange(1 << (n * n))  # bit i of a mask is the pair (i // n, i % n)
     stack = (masks[:, None] >> np.arange(n * n) & 1).astype(np.bool_).reshape(len(masks), n, n)
     is_lifting = ~_separated(coalg, coalg, stack, approx.as_pairs()).any(axis=(1, 2))
     is_game = ~(stack & _game(lts, lts, approx.related)[2](stack)).any(axis=(1, 2))

@@ -11,11 +11,11 @@ a fixed order, so every result built from them is reproducible:
   (so the empty set is first).
 
 A capped enumeration returns a prefix of the full list.  The certificates
-bound those counts without enumerating: `levels` groups a poset into
-antichains by longest chain, `count_upsets` counts upsets exactly up to a
-limit, and `monotone_bound` gives a lower bound on monotone maps from an
-antichain and a chain.  The brute-force counters are independent oracles
-for the law suites.
+count without enumerating: `levels` groups a poset into antichains by
+longest chain, and `count_upsets` counts upsets exactly up to a limit.
+`count_chain_maps` counts the monotone maps into a chain the same way; a
+codomain's longest chain makes that a lower bound on its tables.  The
+brute-force counters are independent oracles for the law suites.
 """
 
 from __future__ import annotations
@@ -324,22 +324,20 @@ def count_upsets(leq, limit):
         frame[2] += 1
 
 
-def monotone_bound(leq_dom, leq_cod, bottom=None):
-    """(w, h) with h**w at most the number of monotone maps dom -> cod,
-    bottom-strict ones when `bottom` names dom's least element (cod's
-    least element is then the start of its longest chain).
+def count_chain_maps(leq_dom, h, limit):
+    """min(number of monotone maps dom -> an h-element chain, limit), exactly.
 
-    w is the largest of `levels(dom)` without `bottom`, h the number of
-    levels of cod.  Given an antichain A of w elements and a chain
-    c_0 < ... < c_{h-1}, each g: A -> range(h) gives the monotone map
-    y -> c_max{g(a) : a in A, a <= y}, or c_0 when no a is below y.  It
-    sends each a to c_g(a), so the h**w maps are distinct, and it sends a
-    bottom outside A to c_0.
+    A map f into 0 < ... < h - 1 is the upset {(x, i) : f(x) + i >= h - 1}
+    of dom x (a chain of h - 1 elements), and each upset U is the map
+    x -> #{i : (x, i) in U} (Davey & Priestley, Introduction to Lattices
+    and Order, 2nd ed., 2002, ch. 1), so `count_upsets` counts them.
+    Upsets are the maps into the 2-chain.
     """
-    groups = levels(leq_dom)
-    if bottom is not None:
-        groups = [g[g != bottom] for g in groups]
-    return max((len(g) for g in groups), default=0), len(levels(leq_cod))
+    leq_dom = np.asarray(leq_dom, dtype=np.bool_)
+    if h == 0:  # only the empty map, from the empty poset
+        return min(int(leq_dom.shape[0] == 0), int(limit))
+    steps = np.triu(np.ones((h - 1, h - 1), dtype=np.bool_))
+    return count_upsets(np.kron(leq_dom, steps), limit)
 
 
 def count_upsets_bruteforce(leq):

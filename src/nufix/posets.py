@@ -39,13 +39,14 @@ rows of codomain down-sets (t <= u pointwise iff each down-set of t[p] is
 inside the down-set of u[p]).
 
 These four constructors check their cap before they enumerate whenever
-the naive bound (2^n upsets, |q|^|p| tables) exceeds it.  Upset posets
-raise `ElementCapExceeded` when a level of the ground (an antichain of w
-elements, so at least 2^w upsets) or `kernels.count_upsets` shows more
-than `cap` upsets; function spaces raise when `kernels.monotone_bound`
-does.  A certificate only raises early: a poset that fits is enumerated as
-before, and one that the certificates miss still raises after `cap + 1`
-rows.
+the naive bound (2^n upsets, |q|^|p| tables) exceeds it, with one
+certificate: `kernels.count_chain_maps` counts the monotone maps from the
+domain (less its bottom, for the strict constructors) into a chain as long
+as the codomain's longest one, and raises `ElementCapExceeded` when there
+are more than `cap`.  An upset is a map into the 2-chain, so upsets are
+counted exactly; tables into a longest chain are some of all the tables.
+A certificate only raises early: a poset that fits is enumerated as
+before, and one that the count misses still raises after `cap + 1` rows.
 
 Every monotone map is continuous at this scale (all chains stabilize), so
 no continuity side conditions appear anywhere.
@@ -127,9 +128,6 @@ class FinPoset:
 
     def __contains__(self, tag):
         return tag in self._tags()
-
-    def leq_tags(self, a, b):
-        return bool(self.leq[self.index(a), self.index(b)])
 
     @property
     def is_pointed(self):
@@ -306,25 +304,32 @@ def _tables_to_poset(tables, cod):
     return FinPoset(elements, leq, bottom_idx, tables)
 
 
-def _check_tables_fit(p, q, cap, what, bottom=None):
-    """Raise before enumerating when an antichain of p and a chain of q
-    give more than `cap` monotone maps (`kernels.monotone_bound`)."""
-    if cap is None or len(q) ** len(p) <= cap:
-        return
-    w, h = kernels.monotone_bound(p.leq, q.leq, bottom)
-    if h**w > cap:
-        raise ElementCapExceeded(
-            f"{what} would have > {cap} elements: antichain of {w} into a chain "
-            f"of {h} ⇒ ≥ {h}^{w} maps"
-        )
+def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
+    """The rows of `enum(limit)`, raising `ElementCapExceeded` past `cap`.
+
+    When the naive bound exceeds `cap`, the monotone maps from `dom` (an
+    order matrix, less its `bottom` for strict maps) into a longest chain of
+    `cod` are counted first.  Each is a row, so more than `cap` of them
+    raise before enumerating.
+    """
+    if cap is not None and naive > cap:
+        if bottom is not None:
+            keep = np.arange(len(dom)) != bottom
+            dom = dom[np.ix_(keep, keep)]
+        h = len(kernels.levels(cod))
+        if kernels.count_chain_maps(dom, h, cap + 1) > cap:
+            raise ElementCapExceeded(f"{what} would have > {cap} elements: counted "
+                                     f"≥ {cap + 1} maps into a chain of {h}")
+    rows = enum(cap + 1 if cap is not None else naive + 1)
+    _check_cap(len(rows), cap, what)
+    return rows
 
 
 def fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     """All monotone tables p -> q under the pointwise order."""
-    _check_tables_fit(p, q, cap, "function space")
-    limit = (cap + 1) if cap is not None else (max(1, len(q)) ** max(1, len(p)) + 1)
-    tables = kernels.enum_monotone_tables(p.leq, q.leq, limit)
-    _check_cap(len(tables), cap, "function space")
+    tables = _rows_within_cap(
+        lambda limit: kernels.enum_monotone_tables(p.leq, q.leq, limit),
+        len(q) ** len(p), cap, "function space", p.leq, q.leq)
     return _tables_to_poset(tables, q)
 
 
@@ -334,11 +339,13 @@ def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     q.require_pointed("strict_fun_space")
     forced = np.full(len(p), -1, dtype=np.int32)
     forced[p.bottom_idx] = q.bottom_idx
-    _check_tables_fit(p, q, cap, "strict function space", p.bottom_idx)
-    limit = (cap + 1) if cap is not None else (max(1, len(q)) ** max(1, len(p)) + 1)
-    tables = kernels.enum_monotone_tables(p.leq, q.leq, limit, forced)
-    _check_cap(len(tables), cap, "strict function space")
+    tables = _rows_within_cap(
+        lambda limit: kernels.enum_monotone_tables(p.leq, q.leq, limit, forced),
+        len(q) ** len(p), cap, "strict function space", p.leq, q.leq, p.bottom_idx)
     return _tables_to_poset(tables, q)
+
+
+_TWO = np.triu(np.ones((2, 2), dtype=np.bool_))  # an upset is a map into the 2-chain
 
 
 def _masks_to_poset(masks, ground):
@@ -352,27 +359,10 @@ def _masks_to_poset(masks, ground):
     return FinPoset(elements, leq, bottom_idx, masks)
 
 
-def _check_upsets_fit(leq, cap, what):
-    """Raise before enumerating when a certificate shows more than `cap`
-    upsets: a wide level of `leq`, else `kernels.count_upsets`."""
-    if cap is None or 1 << len(leq) <= cap:
-        return
-    width = max((len(group) for group in kernels.levels(leq)), default=0)
-    if 1 << width > cap:
-        raise ElementCapExceeded(f"{what} would have > {cap} elements: antichain "
-                                 f"of {width} ⇒ ≥ 2^{width} upsets")
-    if kernels.count_upsets(leq, cap + 1) > cap:
-        raise ElementCapExceeded(
-            f"{what} would have > {cap} elements: counted ≥ {cap + 1} upsets"
-        )
-
-
 def upsets(p, cap=DEFAULT_ELEMENT_CAP):
     """Up-closed subsets of p ordered by inclusion; empty set is bottom."""
-    _check_upsets_fit(p.leq, cap, "upset poset")
-    limit = (cap + 1) if cap is not None else (1 << len(p)) + 1
-    masks = kernels.enum_upsets(p.leq, limit)
-    _check_cap(len(masks), cap, "upset poset")
+    masks = _rows_within_cap(lambda limit: kernels.enum_upsets(p.leq, limit),
+                             1 << len(p), cap, "upset poset", p.leq, _TWO)
     return _masks_to_poset(masks, p)
 
 
@@ -381,10 +371,8 @@ def strict_upsets(p, cap=DEFAULT_ELEMENT_CAP):
     p.require_pointed("strict_upsets")
     keep = [i for i in range(len(p)) if i != p.bottom_idx]
     sub = p.leq[np.ix_(keep, keep)]
-    _check_upsets_fit(sub, cap, "strict upset poset")
-    limit = (cap + 1) if cap is not None else (1 << len(keep)) + 1
-    masks = kernels.enum_upsets(sub, limit)
-    _check_cap(len(masks), cap, "strict upset poset")
+    masks = _rows_within_cap(lambda limit: kernels.enum_upsets(sub, limit),
+                             1 << len(keep), cap, "strict upset poset", sub, _TWO)
     full = np.zeros((len(masks), len(p)), dtype=np.bool_)
     full[:, keep] = masks
     return _masks_to_poset(full, p)
@@ -459,13 +447,6 @@ class MonoMap:
             if table[dom.bottom_idx] != cod.bottom_idx:
                 raise NotPointed("map does not preserve bottom")
         self.strict = bool(strict)
-
-    @classmethod
-    def from_tags(cls, dom, cod, assign, strict=False):
-        """Build from a dict or callable sending dom tags to cod tags."""
-        get = assign.__getitem__ if isinstance(assign, dict) else assign
-        table = np.array([cod.index(get(e)) for e in dom.elements], dtype=np.int32)
-        return cls(dom, cod, table, strict)
 
     @classmethod
     def auto_strict(cls, dom, cod, table):

@@ -49,6 +49,14 @@ def _status_from_json(obj):
     return SeqStatus(obj["state"], at=obj.get("at"), reason=obj.get("reason"))
 
 
+def _pooled(posets, ref):
+    """The pool entry at index `ref`: an int (not a bool) in range."""
+    if isinstance(ref, bool) or not isinstance(ref, int) or not 0 <= ref < len(posets):
+        raise InputError(f"poset reference {ref!r} is not an index into a pool "
+                         f"of {len(posets)}")
+    return posets[ref]
+
+
 def _map_json(m, pool):
     return {
         "dom": pool.ref(m.dom),
@@ -60,8 +68,8 @@ def _map_json(m, pool):
 
 def _map_from_json(obj, posets):
     return MonoMap(
-        posets[obj["dom"]],
-        posets[obj["cod"]],
+        _pooled(posets, obj["dom"]),
+        _pooled(posets, obj["cod"]),
         np.array(obj["table"], dtype=np.int32),
         strict=obj.get("strict", False),
     )
@@ -89,12 +97,15 @@ def _iso_from_json(obj, posets):
     )
 
 
-def _seq_json(seq, pool):
+def _seq_json(seq, pool, links="eps"):
+    """A sequence row: its status, stages, their sizes and its connecting
+    maps, ep-pairs (`eps`) or plain projections (`projs`)."""
+    write = _ep_json if links == "eps" else _map_json
     return {
         "status": _status_json(seq.status),
         "stages": [pool.ref(s) for s in seq.stages],
         "sizes": [len(s) for s in seq.stages],
-        "eps": [_ep_json(ep, pool) for ep in seq.eps],
+        links: [write(m, pool) for m in getattr(seq, links)],
     }
 
 
@@ -102,7 +113,7 @@ def _seq_from_json(row, posets, links="eps"):
     """Stages, connecting maps and status of a sequence row, checked against
     each other: ep-pairs (`eps`) run up the stages, plain projections
     (`projs`) run down them."""
-    stages = [posets[i] for i in row["stages"]]
+    stages = [_pooled(posets, i) for i in row["stages"]]
     if [len(s) for s in stages] != row["sizes"]:
         raise InputError("stage sizes disagree with the poset pool")
     if len(row[links]) != len(stages) - 1:
@@ -170,7 +181,7 @@ def load_solution_report(obj):
     if obj.get("kind") != "solution-report":
         raise InputError("not a solution report")
     posets = [poset_from_json(p) for p in obj["posets"]]
-    params = [posets[i] for i in obj["params"]]
+    params = [_pooled(posets, i) for i in obj["params"]]
     rows = [_seq_from_json(row, posets) for row in obj["rows"]]
     vertical = [_ep_from_json(e, posets) for e in obj["vertical_eps"]]
     status = _status_from_json(obj["status"])
@@ -194,7 +205,7 @@ def load_solution_report(obj):
             # Lambek: the structure map is an isomorphism
             Iso(structure, inverse)
         final = {
-            "carrier": posets[f["carrier"]],
+            "carrier": _pooled(posets, f["carrier"]),
             "structure": structure,
             "inverse": inverse,
             "exact": f["exact"],
@@ -210,7 +221,7 @@ def load_solution_report(obj):
         "vertical_eps": vertical,
         "witness": witness,
         "final": final,
-        "z": posets[obj["z"]] if obj["z"] is not None else None,
+        "z": _pooled(posets, obj["z"]) if obj["z"] is not None else None,
         "exact": obj["exact"],
     }
 
@@ -254,12 +265,7 @@ def mediator_report_json(rep):
         "expr_plain": rep.expr_plain,
         "status": rep.status,
         "pointed": _seq_json(rep.pointed_seq, pool),
-        "plain": {
-            "status": _status_json(rep.plain_seq.status),
-            "stages": [pool.ref(s) for s in rep.plain_seq.stages],
-            "sizes": [len(s) for s in rep.plain_seq.stages],
-            "projs": [_map_json(m, pool) for m in rep.plain_seq.projs],
-        },
+        "plain": _seq_json(rep.plain_seq, pool, links="projs"),
         "stage_comparisons": [
             {
                 "index": c.index,

@@ -291,15 +291,33 @@ def test_count_upsets_on_large_grounds_needs_no_recursion():
     assert kernels.count_upsets(kernels.transitive_closure(rel), huge) == fib[m + 2]
 
 
-def test_monotone_bound_never_exceeds_bruteforce_counts():
+def test_count_chain_maps_matches_bruteforce_counts():
     shapes = all_posets_upto(4)
     pointed = [q for q in map(with_declared_bottom, shapes) if q is not None]
+    huge = 1 << 20
+
+    def without_bottom(p):
+        keep = np.arange(len(p)) != p.bottom_idx
+        return p.leq[np.ix_(keep, keep)]
+
+    for p in shapes:
+        for h in range(5):
+            exact = kernels.count_monotone_bruteforce(p.leq, chain(h).leq)
+            assert kernels.count_chain_maps(p.leq, h, huge) == exact
+            assert kernels.count_chain_maps(p.leq, h, 3) == min(exact, 3)
+    for p in pointed:
+        for h in range(1, 5):  # strict maps send the bottom to the chain's first element
+            exact = kernels.count_monotone_bruteforce(p.leq, chain(h).leq, (p.bottom_idx, 0))
+            assert kernels.count_chain_maps(without_bottom(p), h, huge) == exact
+    # into a longest chain of q: a lower bound on all the maps into q
     for p in shapes:
         for q in shapes:
-            w, h = kernels.monotone_bound(p.leq, q.leq)
-            assert h**w <= kernels.count_monotone_bruteforce(p.leq, q.leq)
+            h = len(kernels.levels(q.leq))
+            assert kernels.count_chain_maps(p.leq, h, huge) <= (
+                kernels.count_monotone_bruteforce(p.leq, q.leq))
     for p in pointed:
         for q in pointed:
-            w, h = kernels.monotone_bound(p.leq, q.leq, p.bottom_idx)
+            h = len(kernels.levels(q.leq))
             strict_pair = (p.bottom_idx, q.bottom_idx)
-            assert h**w <= kernels.count_monotone_bruteforce(p.leq, q.leq, strict_pair)
+            assert kernels.count_chain_maps(without_bottom(p), h, huge) <= (
+                kernels.count_monotone_bruteforce(p.leq, q.leq, strict_pair))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from nufix import cli
 from nufix import engine as E
 from nufix import mediator as M
 from nufix import posets as P
@@ -69,6 +70,45 @@ def test_tampered_poset_is_rejected():
     obj["posets"][0]["elements"].append("ghost")
     with pytest.raises(Exception):
         S.load_solution_report(obj)
+
+
+@pytest.fixture(scope="module")
+def det_text():
+    return S.dumps(S.solution_report_json(det_report()))
+
+
+POOL_REFS = [("z",), ("rows", 0, "stages", 0), ("final", "carrier"),
+             ("final", "structure", "dom")]
+# each bad reference as a function of the pool's length
+BAD_REFS = {"negative": lambda n: -1, "bool": lambda n: True, "past-the-end": lambda n: n,
+            "str": lambda n: "x", "float": lambda n: 1.0}
+
+
+def _with_ref(text, path, bad):
+    """The report with the pool reference at `path` replaced by BAD_REFS[bad]."""
+    obj = json.loads(text)
+    value = BAD_REFS[bad](len(obj["posets"]))
+    *outer, last = path
+    node = obj
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_REFS))
+@pytest.mark.parametrize("path", POOL_REFS, ids=lambda path: "/".join(map(str, path)))
+def test_bad_pool_reference_is_rejected(det_text, path, bad):
+    with pytest.raises(InputError, match="not an index into a pool"):
+        S.load_solution_report(_with_ref(det_text, path, bad))
+
+
+def test_render_reports_a_bad_pool_reference(det_text, tmp_path, capsys):
+    report = tmp_path / "bad.json"
+    report.write_text(json.dumps(_with_ref(det_text, ("z",), "past-the-end")))
+    assert cli.main(["render", "--report", str(report), "--out-dir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "not an index into a pool" in err["message"]
 
 
 def terminal_report():
