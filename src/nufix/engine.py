@@ -45,8 +45,9 @@ from .posets import (
 
 DEFAULT_INNER_BUDGET = 8
 DEFAULT_OUTER_BUDGET = 6
-# candidate maps tested per batched functor action in `coalgebra_morphisms`;
-# a block's arrays hold MORPHISM_BLOCK rows of |F(carrier)| indices
+# candidate maps tested per batched functor action in `_square_hits`; a
+# block's arrays hold MORPHISM_BLOCK rows of |F(carrier)| indices, and its
+# gather MORPHISM_BLOCK x #coalgebras rows of |carrier| indices
 MORPHISM_BLOCK = 1024
 
 
@@ -165,6 +166,14 @@ def final_coalgebra(seq, require_exact=False):
     return FinalCoalgebra(seq.inst, seq, seq.stages[n], structure, inverse, True, n)
 
 
+def _require_final_for(coalg, final):
+    """Morphisms into `final` need its structure map and a shared instance."""
+    if not final.exact:
+        raise NotStabilized("coinductive extension needs an exact final coalgebra")
+    if not coalg.inst.same_instance(final.inst):
+        raise InstanceMismatch("coalgebra and final coalgebra use different instances")
+
+
 def coinductive_extension(coalg, final):
     """The unique coalgebra morphism from `coalg` into the final coalgebra.
 
@@ -172,10 +181,7 @@ def coinductive_extension(coalg, final):
     d_{k+1} = F(d_k) . h up to the stabilization depth.  The morphism
     square structure . d = F(d) . h is re-verified pointwise.
     """
-    if not final.exact:
-        raise NotStabilized("coinductive extension needs an exact final coalgebra")
-    if not coalg.inst.same_instance(final.inst):
-        raise InstanceMismatch("coalgebra and final coalgebra use different instances")
+    _require_final_for(coalg, final)
     inst = final.inst
     seq = final.seq
     h = coalg.as_map()
@@ -206,48 +212,86 @@ def coalgebra_morphisms(coalg, final):
     """All coalgebra morphisms from `coalg` into the final coalgebra,
     found by exhaustive search; finality predicts exactly one.
 
-    Every monotone candidate d is tested at once, block by block, by the
-    index-table square structure[d] == F(d)[h]; only the candidates that
-    pass are built as maps and have their square re-verified through
-    `on_map` and `compose`.
+    Every monotone candidate d is tested at once by `_square_hits`; only
+    the candidates that pass are built as maps and have their square
+    re-verified through `on_map` and `compose`.
     """
-    inst = final.inst
+    _require_final_for(coalg, final)
     s = coalg.carrier
-    z = final.carrier
     h = coalg.as_map()
-    strict = inst.backend is Backend.POINTED_STRICT
-    forced = None
-    if strict:
-        forced = np.full(len(s), -1, dtype=np.int32)
-        forced[s.bottom_idx] = z.bottom_idx
-    tables = kernels.enum_monotone_tables(
-        s.leq, z.leq, (len(z) ** max(len(s), 1)) + 1, forced
-    )
-    if not len(tables):
-        return []
-    fs = inst.on_object(s)
-    if h.cod != fs:
+    if h.cod != final.inst.on_object(s):
         raise DomainMismatch("coalgebra structure does not land in F(carrier)")
-    hits = []
-    for lo in range(0, len(tables), MORPHISM_BLOCK):
-        block = tables[lo:lo + MORPHISM_BLOCK]
-        lhs = final.structure.table[block]
-        if final.depth == 0:  # F(X_0) is a singleton
-            rhs = np.zeros_like(lhs)
-        else:
-            rhs = inst.on_tables(s, z, block)[:, h.table]
-        hits.extend(lo + np.flatnonzero((lhs == rhs).all(axis=1)))
+    tables = _candidate_tables(final, s)
+    hits = np.flatnonzero(_square_hits(final, s, tables, h.table[None])[:, 0])
     out = []
     for i in hits:
-        cand = MonoMap(s, z, tables[i], strict=strict)
-        if final.depth == 0:
-            fcand = MonoMap(fs, inst.on_object(z), np.zeros(len(fs), dtype=np.int32))
-        else:
-            fcand = inst.on_map(cand)
+        cand, fcand = _candidate_with_image(final, s, tables[i])
         if compose(cand, final.structure) != compose(h, fcand):  # pragma: no cover
             raise EpLawViolation("batched morphism test disagrees with on_map")
         out.append(cand)
     return out
+
+
+def _candidate_tables(final, s):
+    """Every monotone table s -> carrier, bottom-strict in the pointed
+    backend: the candidate morphisms out of any coalgebra on s."""
+    z = final.carrier
+    forced = None
+    if final.inst.backend is Backend.POINTED_STRICT:
+        forced = np.full(len(s), -1, dtype=np.int32)
+        forced[s.bottom_idx] = z.bottom_idx
+    return kernels.enum_monotone_tables(
+        s.leq, z.leq, (len(z) ** max(len(s), 1)) + 1, forced
+    )
+
+
+def _candidate_with_image(final, s, table):
+    """A candidate d as a validated map, and F(d) through `on_map`."""
+    inst = final.inst
+    cand = MonoMap(s, final.carrier, table,
+                   strict=inst.backend is Backend.POINTED_STRICT)
+    if final.depth == 0:  # F(X_0) is a singleton
+        fs = inst.on_object(s)
+        return cand, MonoMap(fs, inst.on_object(final.carrier),
+                             np.zeros(len(fs), dtype=np.int32))
+    return cand, inst.on_map(cand)
+
+
+def _square_hits(final, s, tables, coalgebras):
+    """Which candidates are morphisms out of which coalgebras.
+
+    `tables` stacks candidate maps d: s -> carrier, shape (#candidates, |s|);
+    `coalgebras` stacks structure tables h: s -> F(s), shape
+    (#coalgebras, |s|).  Entry [i, j] of the boolean result says whether
+    structure[d_i] == F(d_i)[h_j].  F(d) does not depend on h, so each
+    block of MORPHISM_BLOCK candidates takes one batched functor action
+    and one gather for all coalgebras.  The tables are trusted.
+    """
+    hits = np.zeros((len(tables), len(coalgebras)), dtype=np.bool_)
+    for lo in range(0, len(tables), MORPHISM_BLOCK):
+        block = tables[lo:lo + MORPHISM_BLOCK]
+        lhs = final.structure.table[block][:, None, :]
+        if final.depth == 0:  # F(X_0) is a singleton
+            rhs = 0
+        else:
+            rhs = final.inst.on_tables(s, final.carrier, block)[:, coalgebras]
+        hits[lo:lo + len(block)] = (lhs == rhs).all(axis=2)
+    return hits
+
+
+def _coinductive_extensions(final, s, coalgebras):
+    """Every coinductive extension at once, one row per coalgebra table.
+
+    The unfolding of `coinductive_extension` on a stack:
+    d_0 = 0 and d_{k+1} = F(d_k)[h], row by row, through the stages of the
+    final coalgebra's sequence.  The tables are trusted.
+    """
+    stages = final.seq.stages
+    d = np.zeros((len(coalgebras), len(s)), dtype=np.int32)
+    for k in range(final.depth):
+        fd = final.inst.on_tables(s, stages[k], d)
+        d = np.take_along_axis(fd, coalgebras, axis=1)
+    return d
 
 
 def nu_on_transformation(reindex, seq_f, seq_g):

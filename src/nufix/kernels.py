@@ -20,6 +20,8 @@ brute-force counters are independent oracles for the law suites.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -331,11 +333,17 @@ def count_chain_maps(leq_dom, h, limit):
     of dom x (a chain of h - 1 elements), and each upset U is the map
     x -> #{i : (x, i) in U} (Davey & Priestley, Introduction to Lattices
     and Order, 2nd ed., 2002, ch. 1), so `count_upsets` counts them.
-    Upsets are the maps into the 2-chain.
+    Upsets are the maps into the 2-chain.  From a chain of n the maps are
+    the multisets of n values out of h, counted in closed form: the grid
+    of a tall chain has narrow levels, where `count_upsets` splits element
+    by element.
     """
     leq_dom = np.asarray(leq_dom, dtype=np.bool_)
     if h == 0:  # only the empty map, from the empty poset
         return min(int(leq_dom.shape[0] == 0), int(limit))
+    if (leq_dom | leq_dom.T).all():  # every level holds one element
+        n = leq_dom.shape[0]
+        return min(math.comb(n + h - 1, n), int(limit))
     steps = np.triu(np.ones((h - 1, h - 1), dtype=np.bool_))
     return count_upsets(np.kron(leq_dom, steps), limit)
 

@@ -5,6 +5,15 @@ whole run is reproducible from the seed.  The suites pair every
 implementation path with an independent oracle: backtracking enumerators
 against vectorised brute force, the ep action against hand-composed
 pairs, coinductive extensions against exhaustive morphism search.
+
+Coinductive uniqueness is checked per (instance, carrier): the coalgebras
+and the candidate morphisms are enumerated once, one batched square test
+counts each coalgebra's morphisms, and one batched unfolding computes
+every extension.  Each coalgebra is validated through
+`CoalgebraSpec.from_table` and its square re-verified through `compose`
+against F(d) from `on_map`; `coinductive_extension` and
+`coalgebra_morphisms` remain the one-coalgebra paths that the tests
+compare the batch against.
 """
 
 from __future__ import annotations
@@ -17,8 +26,11 @@ import numpy as np
 from . import kernels
 from .bisim import lts_instance
 from .engine import (
+    _candidate_tables,
+    _candidate_with_image,
+    _coinductive_extensions,
+    _square_hits,
     check_limit_colimit,
-    coalgebra_morphisms,
     coinductive_extension,
     final_coalgebra,
     solve_hob,
@@ -38,6 +50,7 @@ from .posets import (
     MonoMap,
     all_posets_upto,
     boolean_lattice,
+    compose,
     discrete,
     ep_check,
     identity_ep,
@@ -342,14 +355,45 @@ def _stabilizing_instances():
     ]
 
 
-def _all_coalgebras(inst, carrier):
+def _coalgebra_tables(inst, carrier):
+    """Every strict structure table carrier -> F(carrier)."""
     fc = inst.on_object(carrier)
     forced = np.full(len(carrier), -1, dtype=np.int32)
     forced[carrier.bottom_idx] = fc.bottom_idx
     limit = max(1, len(fc)) ** max(1, len(carrier)) + 1
-    tables = kernels.enum_monotone_tables(carrier.leq, fc.leq, limit, forced)
-    for row in tables:
-        yield CoalgebraSpec.from_table(inst, carrier, row)
+    return kernels.enum_monotone_tables(carrier.leq, fc.leq, limit, forced)
+
+
+def _carrier_uniqueness(inst, fin, carrier, tables):
+    """Check the coalgebras with structure `tables` on `carrier` at once;
+    the failure detail, or None.
+
+    Each coalgebra is validated through `CoalgebraSpec.from_table`.  One
+    batched square test finds its morphisms among all candidates; exactly
+    one must pass, and it must equal the row of the batched unfolding.
+    Each distinct morphism d is then built once as a map with F(d), and
+    every coalgebra's square is re-verified through `compose`.
+    """
+    coalgs = [CoalgebraSpec.from_table(inst, carrier, row) for row in tables]
+    candidates = _candidate_tables(fin, carrier)
+    hits = _square_hits(fin, carrier, candidates, tables)
+    exts = _coinductive_extensions(fin, carrier, tables)
+    found = hits.sum(axis=0)
+    first = hits.argmax(axis=0)
+    bad = np.flatnonzero((found != 1) | (candidates[first] != exts).any(axis=1))
+    if bad.size:
+        return (f"{found[bad[0]]} morphisms for a {len(carrier)}-state "
+                f"coalgebra of {inst!r}")
+    squares = {}
+    for i in np.unique(first):
+        cand, fcand = _candidate_with_image(fin, carrier, candidates[i])
+        squares[i] = (compose(cand, fin.structure), fcand)
+    for j, coalg in enumerate(coalgs):
+        lhs, fcand = squares[first[j]]
+        if lhs != compose(coalg.as_map(), fcand):
+            return (f"batched square disagrees with on_map for a "
+                    f"{len(carrier)}-state coalgebra of {inst!r}")
+    return None
 
 
 def law_coinductive_uniqueness(max_states=4):
@@ -360,16 +404,11 @@ def law_coinductive_uniqueness(max_states=4):
         seq = terminal_sequence(inst)
         fin = final_coalgebra(seq, require_exact=True)
         for carrier in carriers:
-            for coalg in _all_coalgebras(inst, carrier):
-                ext = coinductive_extension(coalg, fin)
-                morphisms = coalgebra_morphisms(coalg, fin)
-                if len(morphisms) != 1 or morphisms[0] != ext:
-                    return LawResult(
-                        "coinductive-uniqueness", False,
-                        f"{len(morphisms)} morphisms for a {len(carrier)}-state "
-                        f"coalgebra of {inst!r}",
-                    )
-                total += 1
+            tables = _coalgebra_tables(inst, carrier)
+            failure = _carrier_uniqueness(inst, fin, carrier, tables)
+            if failure is not None:
+                return LawResult("coinductive-uniqueness", False, failure)
+            total += len(tables)
         # the final coalgebra extends to itself by the identity
         self_coalg = CoalgebraSpec(
             inst, fin.carrier,

@@ -8,9 +8,10 @@ import pytest
 from nufix import engine as E
 from nufix import functors as F
 from nufix import kernels as K
+from nufix import laws as L
 from nufix import posets as P
 from nufix.laws import _stabilizing_instances
-from nufix.errors import DepthMismatch, NotStabilized
+from nufix.errors import DepthMismatch, InstanceMismatch, NotStabilized
 from nufix.serialize import dumps, solution_report_json
 
 ONE = P.unit()
@@ -163,6 +164,30 @@ def test_extension_unique_among_morphisms():
     assert morphisms == [ext]
 
 
+def _constant_coalgebra(inst, carrier):
+    bottom = inst.on_object(carrier).bottom
+    return F.CoalgebraSpec(inst, carrier, {e: bottom for e in carrier.elements})
+
+
+@pytest.mark.parametrize("search", [E.coinductive_extension, E.coalgebra_morphisms])
+def test_morphisms_into_an_inexact_final_coalgebra_raise(search):
+    inst = pointed("U(Id)")
+    fin = E.final_coalgebra(E.terminal_sequence(inst, inner_budget=3))
+    assert not fin.exact
+    coalg = _constant_coalgebra(inst, P.lift(P.discrete(["x"])))
+    with pytest.raises(NotStabilized):
+        search(coalg, fin)
+
+
+@pytest.mark.parametrize("search", [E.coinductive_extension, E.coalgebra_morphisms])
+def test_morphisms_from_another_instance_raise(search):
+    fin = E.final_coalgebra(E.terminal_sequence(pointed("Bool + W", BOOL, BOOL)))
+    coalg = _constant_coalgebra(pointed("Lift(W)", BOOL, BOOL),
+                                P.lift(P.discrete(["x"])))
+    with pytest.raises(InstanceMismatch):
+        search(coalg, fin)
+
+
 def _maps(inst, s, z, cod_bottom):
     """All monotone tables s -> z, bottom-strict in the pointed backend."""
     forced = None
@@ -201,15 +226,41 @@ def test_batched_morphism_search_matches_one_by_one(monkeypatch):
         fin = E.final_coalgebra(E.terminal_sequence(inst), require_exact=True)
         for s in carriers:
             fs = inst.on_object(s)
-            for row in _maps(inst, s, fs, fs.bottom_idx):
+            rows = _maps(inst, s, fs, fs.bottom_idx)
+            cands = E._candidate_tables(fin, s)
+            exts = E._coinductive_extensions(fin, s, rows)
+            square_hits = []
+            for block in blocks:
+                monkeypatch.setattr(E, "MORPHISM_BLOCK", block)
+                square_hits.append(E._square_hits(fin, s, cands, rows))
+            for j, row in enumerate(rows):
                 structure = {e: fs.elements[v] for e, v in zip(s.elements, row)}
                 coalg = F.CoalgebraSpec(inst, s, structure)
                 expected = _morphisms_one_by_one(coalg, fin)
-                for block in blocks:
+                for block, hits in zip(blocks, square_hits):
                     monkeypatch.setattr(E, "MORPHISM_BLOCK", block)
                     assert E.coalgebra_morphisms(coalg, fin) == expected
+                    found = [cands[i].tolist() for i in np.flatnonzero(hits[:, j])]
+                    assert found == [m.table.tolist() for m in expected]
+                ext = E.coinductive_extension(coalg, fin)
+                assert exts[j].tolist() == ext.table.tolist()
                 checked += 1
     assert checked == 761 + 9 + 102 + 87 + 149 + 281
+
+
+def test_batched_uniqueness_law_fails_on_a_wrong_extension(monkeypatch):
+    unfold = L._coinductive_extensions
+
+    def shifted(final, s, coalgebras):
+        rows = unfold(final, s, coalgebras)
+        rows[-1] = (rows[-1] + 1) % len(final.carrier)
+        return rows
+
+    assert L.law_coinductive_uniqueness(3).ok
+    monkeypatch.setattr(L, "_coinductive_extensions", shifted)
+    result = L.law_coinductive_uniqueness(3)
+    assert not result.ok
+    assert "1 morphisms for a" in result.detail
 
 
 # --------------------------------------------------------------------------

@@ -321,3 +321,18 @@ def test_count_chain_maps_matches_bruteforce_counts():
             strict_pair = (p.bottom_idx, q.bottom_idx)
             assert kernels.count_chain_maps(without_bottom(p), h, huge) <= (
                 kernels.count_monotone_bruteforce(p.leq, q.leq, strict_pair))
+
+
+def test_count_chain_maps_from_a_chain_matches_the_upset_count():
+    rng = np.random.RandomState(3)
+    for n in range(8):
+        perm = rng.permutation(n)
+        for leq in (chain(n).leq, chain(n).leq[np.ix_(perm, perm)]):
+            for h in range(1, 8):
+                grid = np.kron(leq, np.triu(np.ones((h - 1, h - 1), dtype=np.bool_)))
+                for limit in (1 << 20, 5):
+                    general = kernels.count_upsets(grid, limit)
+                    assert kernels.count_chain_maps(leq, h, limit) == general
+                if h ** n <= 4096:
+                    exact = kernels.count_monotone_bruteforce(leq, chain(h).leq)
+                    assert kernels.count_chain_maps(leq, h, 1 << 20) == exact
