@@ -182,15 +182,42 @@ def _check_cap(size, cap, what):
 def validate_poset(elements, pairs, bottom=None):
     """Close a generating relation and validate it as a partial order."""
     elements = list(elements)
-    if len(set(elements)) != len(elements):
-        raise DuplicateElement("duplicate element identifiers")
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    rel = np.zeros((n, n), dtype=np.bool_)
+    ij = []
     for a, b in pairs:
         if a not in index or b not in index:
             raise InputError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
-        rel[index[a], index[b]] = True
+        ij.append((index[a], index[b]))
+    if bottom is not None and bottom not in index:
+        raise InputError(f"bottom {bottom!r} is not an element")
+    return _poset_from_index_pairs(elements, ij, None if bottom is None else index[bottom])
+
+
+def _indices(values, n, what):
+    """The list `values` as an int64 array, each a Python int (not a bool)
+    in 0..n-1, else InputError."""
+    if not all(type(v) is int for v in values) or (
+        values and (min(values) < 0 or max(values) >= n)
+    ):
+        raise InputError(f"{what} must be element indices below {n}")
+    return np.array(values, dtype=np.int64)
+
+
+def _poset_from_index_pairs(elements, pairs, bottom_idx=None):
+    """Close generating index pairs (i, j), meaning elements[i] <= elements[j],
+    and validate the result as a partial order with `bottom_idx` least: the
+    one builder behind `validate_poset` and the report loader."""
+    elements = tuple(elements)
+    n = len(elements)
+    if len(set(elements)) != n:
+        raise DuplicateElement("duplicate element identifiers")
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+    ):
+        raise InputError("order pairs must be pairs of element indices")
+    ij = _indices([k for pair in pairs for k in pair], n, "order pairs").reshape(-1, 2)
+    rel = np.zeros((n, n), dtype=np.bool_)
+    rel[ij[:, 0], ij[:, 1]] = True
     leq = kernels.transitive_closure(rel)
     sym = leq & leq.T
     np.fill_diagonal(sym, False)
@@ -199,13 +226,10 @@ def validate_poset(elements, pairs, bottom=None):
         raise CycleDetected(
             f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} are equivalent"
         )
-    bottom_idx = None
-    if bottom is not None:
-        if bottom not in index:
-            raise InputError(f"bottom {bottom!r} is not an element")
-        bottom_idx = index[bottom]
+    if bottom_idx is not None:
+        _indices([bottom_idx], n, "bottom")
         if not leq[bottom_idx, :].all():
-            raise BottomNotLeast(f"{bottom!r} is not below every element")
+            raise BottomNotLeast(f"{elements[bottom_idx]!r} is not below every element")
     return FinPoset(elements, leq, bottom_idx)
 
 
@@ -665,10 +689,12 @@ def tag_to_json(tag):
 
 
 def tag_from_json(obj):
+    """The tag of a JSON array tree, read as a list or, as in a report not
+    yet dumped, a tuple."""
     if isinstance(obj, str):
         return obj
-    if isinstance(obj, list):
-        return tuple(tag_from_json(part) for part in obj)
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(tag_from_json, obj))
     raise InputError(f"bad element tag in JSON: {obj!r}")
 
 
@@ -712,10 +738,23 @@ def poset_to_json(p):
     }
 
 
+def _poset_to_index_json(p):
+    """The index form that `poset_from_json` reads back: the element tags
+    (tuples, which `json` writes as arrays), the covers of `_covers` and
+    the bottom's index."""
+    return {"elements": list(p.elements), "covers": _covers(p), "bottom": p.bottom_idx}
+
+
 def poset_from_json(obj):
-    if not isinstance(obj, dict) or "elements" not in obj:
+    """A poset from its JSON object: `elements`, a list of tags, and then
+    either `leq`, generating order pairs of tags, with `bottom` a tag (the
+    constants-file form, optional fields), or `covers`, generating pairs of
+    element indices, with `bottom` an index (a report's pool entry)."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("elements"), list):
         raise InputError("poset JSON must be an object with an 'elements' list")
     elements = [tag_from_json(e) for e in obj["elements"]]
+    if "covers" in obj:
+        return _poset_from_index_pairs(elements, obj["covers"], obj.get("bottom"))
     pairs = [
         (tag_from_json(a), tag_from_json(b)) for a, b in obj.get("leq", [])
     ]

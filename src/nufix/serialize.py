@@ -1,9 +1,31 @@
-"""Report serialization: JSON with a shared poset pool, DOT bundles, and
-re-validating loaders.
+"""Report serialization: compact JSON with a shared poset pool, DOT bundles,
+and re-validating loaders.
+
+`dumps` writes sorted keys with no whitespace (`","` and `":"` separators)
+and escapes non-ASCII characters, so identical reports are identical bytes.
+
+Solution, terminal and mediator reports are format 2: a top-level
+`"format": 2` beside `"kind"`, and a `"posets"` pool that every other part
+of the report refers to by index.  A pool entry is
+
+    {"elements": [element tags], "covers": [[i, j], ...], "bottom": b}
+
+with the tags as nested JSON lists (`posets.tag_to_json`), the Hasse
+covers as element-index pairs (i covered by j, in row-major order) and the
+bottom's element index, or null for an unpointed poset.  Constants files
+(`--constants`, `posets.poset_from_json`) keep their own format, whose
+`"leq"` lists order pairs of element tags.
 
 Loading a report reconstructs every poset, ep-pair, and witness iso through
 the same validating constructors used by the engine, so a tampered or
-corrupted report fails loudly rather than round-tripping.
+corrupted report fails loudly rather than round-tripping: a pool poset goes
+through the builder behind `posets.validate_poset`, and a missing field, a
+field of the wrong JSON type, an index out of range or a report in another
+format raises InputError.  So does a claim that the verified objects
+contradict: a row status against the row's maps, a solution's `exact` and
+outer status against its rows, vertical ep-pairs, `z`, witness and final
+coalgebra, and a mediator report's stage comparisons and status against
+its two rows.
 """
 
 from __future__ import annotations
@@ -14,14 +36,43 @@ import numpy as np
 
 from .engine import SeqStatus
 from .errors import InputError
+from .mediator import _is_plain_iso, include
 from .posets import (
     EpPair,
     Iso,
     MonoMap,
+    _indices,
+    _poset_to_index_json,
     poset_from_json,
     poset_to_dot,
-    poset_to_json,
 )
+
+FORMAT = 2
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def _get(obj, key, kind=None):
+    """The required field `key` of the JSON object `obj`, of Python type
+    `kind` when one is given; anything else raises InputError."""
+    if not isinstance(obj, dict):
+        raise InputError(f"expected an object with field {key!r}, "
+                         f"found {type(obj).__name__}")
+    if key not in obj:
+        raise InputError(f"report field {key!r} is missing")
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise InputError(f"report field {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _checked(obj, kind):
+    """Check that `obj` is a report of `kind` in this module's format."""
+    if _get(obj, "kind") != kind:
+        raise InputError(f"not a {kind.replace('-', ' ')}")
+    fmt = obj.get("format", 1)  # format-1 reports have no "format" field
+    if type(fmt) is not int or fmt != FORMAT:
+        raise InputError(f"report format {fmt!r} is not readable: this version "
+                         f"reads format {FORMAT}; rerun the command to rewrite it")
 
 
 class _Pool:
@@ -38,7 +89,17 @@ class _Pool:
         return idx
 
     def dump(self):
-        return [poset_to_json(p) for p in self.posets]
+        return [_poset_to_index_json(p) for p in self.posets]
+
+
+def _pool_from_json(obj):
+    """The pool's posets, each rebuilt from its covers and re-validated."""
+    posets = []
+    for entry in _get(obj, "posets", list):
+        _get(entry, "covers", list)  # the index form, not a constants file's leq
+        _get(entry, "bottom")
+        posets.append(poset_from_json(entry))
+    return posets
 
 
 def _status_json(status):
@@ -46,7 +107,28 @@ def _status_json(status):
 
 
 def _status_from_json(obj):
-    return SeqStatus(obj["state"], at=obj.get("at"), reason=obj.get("reason"))
+    """A status is stabilized at an int or truncated for a reason."""
+    state, at, reason = _get(obj, "state"), _get(obj, "at"), _get(obj, "reason")
+    if state == "stabilized":
+        ok = type(at) is int and reason is None
+    else:
+        ok = state == "truncated" and at is None and isinstance(reason, str)
+    if not ok:
+        raise InputError(f"{state!r} at {at!r} for {reason!r} is not a sequence status")
+    return SeqStatus(state, at=at, reason=reason)
+
+
+def _check_row(status, isos):
+    """A row stabilizes at its first connecting map that is an iso (`isos`
+    flags them), and every later one is an iso too: `solve_hob` unfolds
+    stabilized rows past their fixed point.  A truncated row has no iso."""
+    if status.stabilized:
+        k = status.at
+        ok = 0 <= k < len(isos) and not any(isos[:k]) and all(isos[k:])
+    else:
+        ok = not any(isos)
+    if not ok:
+        raise InputError(f"status {status.describe()} disagrees with the row's maps")
 
 
 def _pooled(posets, ref):
@@ -61,18 +143,16 @@ def _map_json(m, pool):
     return {
         "dom": pool.ref(m.dom),
         "cod": pool.ref(m.cod),
-        "table": [int(t) for t in m.table],
+        "table": m.table.tolist(),
         "strict": m.strict,
     }
 
 
 def _map_from_json(obj, posets):
-    return MonoMap(
-        _pooled(posets, obj["dom"]),
-        _pooled(posets, obj["cod"]),
-        np.array(obj["table"], dtype=np.int32),
-        strict=obj.get("strict", False),
-    )
+    dom = _pooled(posets, _get(obj, "dom"))
+    cod = _pooled(posets, _get(obj, "cod"))
+    table = _indices(_get(obj, "table", list), len(cod), "a map table")
+    return MonoMap(dom, cod, table, strict=_get(obj, "strict", bool))
 
 
 def _ep_json(ep, pool):
@@ -80,7 +160,8 @@ def _ep_json(ep, pool):
 
 
 def _ep_from_json(obj, posets):
-    return EpPair(_map_from_json(obj["e"], posets), _map_from_json(obj["p"], posets))
+    return EpPair(_map_from_json(_get(obj, "e"), posets),
+                  _map_from_json(_get(obj, "p"), posets))
 
 
 def _iso_json(iso, pool):
@@ -92,8 +173,8 @@ def _iso_json(iso, pool):
 
 def _iso_from_json(obj, posets):
     return Iso(
-        _map_from_json(obj["forward"], posets),
-        _map_from_json(obj["backward"], posets),
+        _map_from_json(_get(obj, "forward"), posets),
+        _map_from_json(_get(obj, "backward"), posets),
     )
 
 
@@ -113,25 +194,29 @@ def _seq_from_json(row, posets, links="eps"):
     """Stages, connecting maps and status of a sequence row, checked against
     each other: ep-pairs (`eps`) run up the stages, plain projections
     (`projs`) run down them."""
-    stages = [_pooled(posets, i) for i in row["stages"]]
-    if [len(s) for s in stages] != row["sizes"]:
+    stages = [_pooled(posets, i) for i in _get(row, "stages", list)]
+    if [len(s) for s in stages] != _get(row, "sizes"):
         raise InputError("stage sizes disagree with the poset pool")
-    if len(row[links]) != len(stages) - 1:
+    links_json = _get(row, links, list)
+    if len(links_json) != len(stages) - 1:
         raise InputError(f"a row of {len(stages)} stages needs {len(stages) - 1} {links}")
+    status = _status_from_json(_get(row, "status"))
     if links == "eps":
-        maps = [_ep_from_json(e, posets) for e in row[links]]
+        maps = [_ep_from_json(e, posets) for e in links_json]
         ends = [(ep.dom, ep.cod) for ep in maps]
+        _check_row(status, [ep.as_iso() is not None for ep in maps])
     else:
-        maps = [_map_from_json(m, posets) for m in row[links]]
+        maps = [_map_from_json(m, posets) for m in links_json]
         ends = [(m.cod, m.dom) for m in maps]
+        _check_row(status, [_is_plain_iso(m) for m in maps])
     for k, (lower, upper) in enumerate(ends):
         if lower != stages[k] or upper != stages[k + 1]:
             raise InputError(f"{links} endpoints disagree with the stages")
-    return stages, maps, _status_from_json(row["status"])
+    return stages, maps, status
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +228,7 @@ def solution_report_json(rep):
     chain = rep.chain
     obj = {
         "kind": "solution-report",
+        "format": FORMAT,
         "expr": rep.expr_text,
         "backend": rep.backend.value,
         "budgets": {
@@ -178,13 +264,12 @@ def solution_report_json(rep):
 
 def load_solution_report(obj):
     """Reconstruct and re-verify a solution report from its JSON form."""
-    if obj.get("kind") != "solution-report":
-        raise InputError("not a solution report")
-    posets = [poset_from_json(p) for p in obj["posets"]]
-    params = [_pooled(posets, i) for i in obj["params"]]
-    rows = [_seq_from_json(row, posets) for row in obj["rows"]]
-    vertical = [_ep_from_json(e, posets) for e in obj["vertical_eps"]]
-    status = _status_from_json(obj["status"])
+    _checked(obj, "solution-report")
+    posets = _pool_from_json(obj)
+    params = [_pooled(posets, i) for i in _get(obj, "params", list)]
+    rows = [_seq_from_json(row, posets) for row in _get(obj, "rows", list)]
+    vertical = [_ep_from_json(e, posets) for e in _get(obj, "vertical_eps", list)]
+    status = _status_from_json(_get(obj, "status"))
     if len(params) != len(rows) + 1:
         raise InputError("a solution report has one parameter more than rows")
     # solve_hob stops without the last row's vertical ep when none exists
@@ -193,37 +278,61 @@ def load_solution_report(obj):
     for k, ep in enumerate(vertical):
         if ep.dom != params[k] or ep.cod != params[k + 1]:
             raise InputError("vertical ep endpoints disagree with the parameters")
-    witness = None
-    if obj["witness"] is not None:
-        witness = _iso_from_json(obj["witness"], posets)
-    final = None
-    if obj["final"] is not None:
-        f = obj["final"]
-        structure = _map_from_json(f["structure"], posets) if f["structure"] else None
-        inverse = _map_from_json(f["inverse"], posets) if f["inverse"] else None
-        if structure is not None and inverse is not None:
-            # Lambek: the structure map is an isomorphism
-            Iso(structure, inverse)
+    exact = _get(obj, "exact", bool)
+    if exact != all(row_status.stabilized for _, _, row_status in rows):
+        raise InputError(f"exact is {exact} but the rows say otherwise")
+    witness = _get(obj, "witness")
+    if witness is not None:
+        witness = _iso_from_json(witness, posets)
+    final = f = _get(obj, "final")
+    if f is not None:
+        structure, inverse = _get(f, "structure"), _get(f, "inverse")
         final = {
-            "carrier": _pooled(posets, f["carrier"]),
-            "structure": structure,
-            "inverse": inverse,
-            "exact": f["exact"],
-            "depth": f["depth"],
+            "carrier": _pooled(posets, _get(f, "carrier")),
+            "structure": _map_from_json(structure, posets) if structure else None,
+            "inverse": _map_from_json(inverse, posets) if inverse else None,
+            "exact": _get(f, "exact"),
+            "depth": _get(f, "depth"),
         }
-    if witness is not None and final is not None:
-        if witness.dom != final["carrier"]:
-            raise InputError("witness does not start at the final carrier")
+    z = _get(obj, "z")
+    z = _pooled(posets, z) if z is not None else None
+    _check_solved(status, params, rows, vertical, z, witness, final)
     return {
+        "expr": _get(obj, "expr", str),
+        "backend": _get(obj, "backend", str),
+        "budgets": _get(obj, "budgets", dict),
         "status": status,
         "params": params,
         "rows": rows,
         "vertical_eps": vertical,
         "witness": witness,
         "final": final,
-        "z": _pooled(posets, obj["z"]) if obj["z"] is not None else None,
-        "exact": obj["exact"],
+        "z": z,
+        "exact": exact,
     }
+
+
+def _check_solved(status, params, rows, vertical, z, witness, final):
+    """The outer status against the parts it implies.  Solved at n: row n
+    is the last, it stabilized and vertical ep n is an iso; z is Z_n, the
+    witness runs from row n's carrier into it, and `final` is row n's final
+    coalgebra, whose structure map and inverse are the stabilizing ep-pair
+    (an iso, so Lambek holds).  A truncated solution has none of the three."""
+    if not status.stabilized:
+        ok = z is None and witness is None and final is None
+    else:
+        n = status.at
+        ok = 0 <= n == len(rows) - 1 and rows[n][2].stabilized
+        if ok:
+            stages, eps, row_status = rows[n]
+            k = row_status.at
+            ok = (vertical[n].as_iso() is not None and z == params[n]
+                  and witness is not None and witness.dom == stages[k]
+                  and witness.cod == z
+                  and final == {"carrier": stages[k], "structure": eps[k].e,
+                                "inverse": eps[k].p, "exact": True, "depth": k})
+    if not ok:
+        raise InputError(f"outer status {status.describe()} disagrees with the solution")
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +343,7 @@ def terminal_report_json(seq, expr_text):
     pool = _Pool()
     obj = {
         "kind": "terminal-report",
+        "format": FORMAT,
         "expr": expr_text,
         "row": _seq_json(seq, pool),
         "posets": pool.dump(),
@@ -242,11 +352,11 @@ def terminal_report_json(seq, expr_text):
 
 
 def load_terminal_report(obj):
-    if obj.get("kind") != "terminal-report":
-        raise InputError("not a terminal report")
-    posets = [poset_from_json(p) for p in obj["posets"]]
-    stages, eps, status = _seq_from_json(obj["row"], posets)
+    _checked(obj, "terminal-report")
+    posets = _pool_from_json(obj)
+    stages, eps, status = _seq_from_json(_get(obj, "row"), posets)
     return {
+        "expr": _get(obj, "expr", str),
         "status": status,
         "stages": stages,
         "eps": eps,
@@ -261,6 +371,7 @@ def mediator_report_json(rep):
     pool = _Pool()
     obj = {
         "kind": "mediator-report",
+        "format": FORMAT,
         "expr_pointed": rep.expr_pointed,
         "expr_plain": rep.expr_plain,
         "status": rep.status,
@@ -286,17 +397,42 @@ def mediator_report_json(rep):
 
 
 def load_mediator_report(obj):
-    if obj.get("kind") != "mediator-report":
-        raise InputError("not a mediator report")
-    posets = [poset_from_json(p) for p in obj["posets"]]
-    pointed_stages, pointed_eps, _ = _seq_from_json(obj["pointed"], posets)
-    plain_stages, plain_projs, _ = _seq_from_json(obj["plain"], posets, links="projs")
-    isos = []
-    for c in obj["stage_comparisons"]:
-        if c["iso"] is not None:
-            isos.append(_iso_from_json(c["iso"], posets))
+    _checked(obj, "mediator-report")
+    posets = _pool_from_json(obj)
+    pointed_stages, pointed_eps, _ = _seq_from_json(_get(obj, "pointed"), posets)
+    plain_stages, plain_projs, _ = _seq_from_json(_get(obj, "plain"), posets,
+                                                  links="projs")
+    comparisons = _get(obj, "stage_comparisons", list)
+    if len(comparisons) != min(len(pointed_stages), len(plain_stages)):
+        raise InputError("the stage comparisons disagree with the stages both rows reach")
+    isos, agreeing = [], []
+    for k, c in enumerate(comparisons):
+        # solve_lifted's comparison of stage k, re-derived from the rows
+        agree = k == 0 or np.array_equal(pointed_eps[k - 1].p.table, plain_projs[k - 1].table)
+        claims = [_get(c, key) for key in ("index", "size_pointed", "size_plain",
+                                           "projections_agree")]
+        iso = _get(c, "iso")
+        if iso is not None:
+            iso = _iso_from_json(iso, posets)
+            isos.append(iso)
+        if claims != [k, len(pointed_stages[k]), len(plain_stages[k]), agree] or (
+            iso is not None
+            and (iso.dom != include(pointed_stages[k]) or iso.cod != plain_stages[k])
+        ):
+            raise InputError(f"stage comparison {k} disagrees with the rows")
+        agreeing.append(iso is not None and agree)
+    sweep = [
+        (_get(a, "p_size"), _get(a, "q_size"), _get(a, "ok", bool))
+        for a in _get(obj, "adjunction_sweep", list)
+    ]
+    status = _get(obj, "status", str)
+    if status != ("agree" if all(agreeing) and all(ok for *_, ok in sweep) else "disagree"):
+        raise InputError(f"mediator status {status!r} disagrees with its comparisons")
     return {
-        "status": obj["status"],
+        "expr_pointed": _get(obj, "expr_pointed", str),
+        "expr_plain": _get(obj, "expr_plain", str),
+        "adjunction_sweep": sweep,
+        "status": status,
         "pointed_stages": pointed_stages,
         "pointed_eps": pointed_eps,
         "plain_stages": plain_stages,
@@ -330,7 +466,7 @@ def dot_bundle(obj):
 
 
 def load_report(obj):
-    kind = obj.get("kind")
+    kind = _get(obj, "kind")
     if kind == "solution-report":
         return load_solution_report(obj)
     if kind == "terminal-report":

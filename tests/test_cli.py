@@ -60,19 +60,30 @@ def test_reports_are_pinned(workdir):
     )
     cases = [
         (DET, ["solve", "--element-cap", "512"], 0,
-         "754f6625cbcd71f2677cfb77cc9b2c69022e25a2e0c6227bf012d56d5e9c8c1d"),
+         "154305963c938731877e03163fa1c07226db3bd582f6b7bc125780172321ba26"),
         (DET + " + A", ["solve", "--element-cap", "512", "--constants", consts], 2,
-         "72d6095800d4847fbd426191f53d5c55b8e63809ead31c9b15c2b513dacd2cd2"),
+         "0a824daa4b2810620c2a8d41f91784eb44cf93c92b9576c007fde5bdcf8af36b"),
         ("U(Id)", ["terminal", "--inner-budget", "5", "--element-cap", "4096"], 2,
-         "2f1e6286012e99f2e142eaa4674794cc0bcfdba8ea58a933667b09aadb713161"),
+         "19ffdc1678add475d2b7581f7ed978b2a6dee40f7cc4809fd408ab36156cdd83"),
         ("Us(Id)", ["terminal"], 0,
-         "4188bdf3e3940a351df86f2fa91b62d83256ba16eed9db22367acb44f2d6e789"),
+         "dfeb9399111da4df856caa74c2af132fe10ca6cb52b18e1bada4f9e95cab77a9"),
     ]
     for k, (expr, argv, code, digest) in enumerate(cases):
         f = write(workdir / f"in{k}.expr", expr + "\n")
         out = workdir / f"out{k}.json"
         assert main(argv + ["-f", f, "--out", str(out)]) == code, expr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, expr
+
+
+def test_deep_tag_report_stays_small(workdir):
+    # U(Id) nests every element of stage k in the tags of stage k + 1; the
+    # pool writes each tag tree once and the covers as index pairs
+    f = write(workdir / "u.expr", "U(Id)\n")
+    out = workdir / "u.json"
+    argv = ["terminal", "-f", f, "--inner-budget", "7", "--element-cap", "4096"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert out.stat().st_size < 150_000
+    assert main(["render", "--report", str(out), "--out-dir", str(workdir / "dots")]) == 0
 
 
 def test_missing_file_exit_one(workdir, capsys):

@@ -3,6 +3,7 @@ constructors, and tampering is caught."""
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -11,7 +12,13 @@ from nufix import engine as E
 from nufix import mediator as M
 from nufix import posets as P
 from nufix import serialize as S
-from nufix.errors import EpLawViolation, InputError
+from nufix.errors import (
+    BottomNotLeast,
+    CycleDetected,
+    EpLawViolation,
+    InputError,
+    NufixError,
+)
 from nufix.functors import Backend, instantiate
 
 
@@ -184,3 +191,299 @@ def test_dumps_is_deterministic():
     rep1 = det_report()
     rep2 = det_report()
     assert S.dumps(S.solution_report_json(rep1)) == S.dumps(S.solution_report_json(rep2))
+
+
+# --------------------------------------------------------------------------
+# format 2: the pool, the format field and required fields
+
+
+def _reports():
+    """One small report of each kind, as written and read back."""
+    return {
+        "solution": json.loads(S.dumps(S.solution_report_json(det_report()))),
+        "truncated-solution": json.loads(S.dumps(S.solution_report_json(atom_report()))),
+        "terminal": json.loads(S.dumps(terminal_report())),
+        "mediator": json.loads(S.dumps(mediator_report())),
+    }
+
+
+REPORTS = _reports()
+
+
+def _covered_entry(obj):
+    """Index of the first pool poset with a cover."""
+    return next(i for i, p in enumerate(obj["posets"]) if p["covers"])
+
+
+def test_pool_entries_hold_covers_by_index():
+    inst = instantiate("U(Id)", Backend.POINTED_STRICT, P.unit(), P.unit())
+    seq = E.terminal_sequence(inst, inner_budget=4)
+    obj = json.loads(S.dumps(S.terminal_report_json(seq, "U(Id)")))
+    assert obj["format"] == 2
+    for ref, stage in zip(obj["row"]["stages"], seq.stages):
+        assert obj["posets"][ref] == {
+            "elements": [P.tag_to_json(e) for e in stage.elements],
+            "covers": P._covers(stage),
+            "bottom": stage.bottom_idx,
+        }
+    assert obj["posets"][obj["row"]["stages"][-1]]["covers"]
+    assert S.load_report(obj)["stages"] == seq.stages
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_REFS))
+@pytest.mark.parametrize("end", [0, 1])
+def test_bad_cover_index_is_rejected(bad, end):
+    obj = copy.deepcopy(REPORTS["terminal"])
+    entry = obj["posets"][_covered_entry(obj)]
+    entry["covers"][0][end] = BAD_REFS[bad](len(entry["elements"]))
+    with pytest.raises(InputError, match="order pairs must be element indices"):
+        S.load_report(obj)
+
+
+@pytest.mark.parametrize("covers", [[[0]], [[0, 1, 1]], [0], {"0": 1}, "01", 3])
+def test_malformed_covers_are_rejected(covers):
+    obj = copy.deepcopy(REPORTS["terminal"])
+    obj["posets"][_covered_entry(obj)]["covers"] = covers
+    with pytest.raises(InputError):
+        S.load_report(obj)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_REFS))
+def test_bad_bottom_index_is_rejected(bad):
+    obj = copy.deepcopy(REPORTS["terminal"])
+    entry = obj["posets"][_covered_entry(obj)]
+    entry["bottom"] = BAD_REFS[bad](len(entry["elements"]))
+    with pytest.raises(InputError, match="bottom must be element indices"):
+        S.load_report(obj)
+
+
+def test_bottom_that_is_not_least_is_rejected():
+    obj = copy.deepcopy(REPORTS["terminal"])
+    entry = obj["posets"][_covered_entry(obj)]
+    entry["bottom"] = entry["covers"][0][1]
+    with pytest.raises(BottomNotLeast):
+        S.load_report(obj)
+
+
+def test_cyclic_covers_are_rejected():
+    obj = copy.deepcopy(REPORTS["terminal"])
+    entry = obj["posets"][_covered_entry(obj)]
+    entry["covers"].append(entry["covers"][0][::-1])
+    with pytest.raises(CycleDetected):
+        S.load_report(obj)
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+@pytest.mark.parametrize("fmt", [None, 1, 3, "2", 2.0, True])
+def test_other_formats_are_rejected(kind, fmt):
+    obj = copy.deepcopy(REPORTS[kind])
+    if fmt is None:
+        del obj["format"]
+    else:
+        obj["format"] = fmt
+    named = f"report format {1 if fmt is None else fmt!r} is not readable"
+    with pytest.raises(InputError, match=re.escape(named)):
+        S.load_report(obj)
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind in sorted(REPORTS)
+                                       for key in sorted(REPORTS[kind])])
+def test_each_top_level_field_is_required(kind, key):
+    obj = copy.deepcopy(REPORTS[kind])
+    del obj[key]
+    with pytest.raises(InputError):
+        S.load_report(obj)
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _replaced(obj, path, value):
+    """A copy of `obj` with the node at `path` replaced by `value`."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    _at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_objects_replaced_by_lists_are_rejected(kind):
+    obj = REPORTS[kind]
+    objects = [p for p in _paths(obj) if isinstance(_at(obj, p), dict)]
+    assert len(objects) > 10
+    for path in objects:
+        with pytest.raises(InputError):
+            S.load_report(_replaced(obj, path, [0]))
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_any_retyped_field_raises_only_nufix_errors(kind):
+    obj = REPORTS[kind]
+    firsts = [p for p in _paths(obj) if not any(k != 0 for k in p if type(k) is int)]
+    for path in firsts:  # the first item of each list stands for the others
+        old = _at(obj, path)
+        for value in ([], {}, "x", -1, True, None, [[0, 0]]):
+            if type(value) is type(old) and value == old:
+                continue
+            try:
+                S.load_report(_replaced(obj, path, value))
+            except NufixError:
+                pass
+
+
+def test_render_reports_a_missing_field(tmp_path, capsys):
+    obj = copy.deepcopy(REPORTS["terminal"])
+    del obj["row"]
+    report = tmp_path / "bad.json"
+    report.write_text(json.dumps(obj))
+    assert cli.main(["render", "--report", str(report), "--out-dir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InputError", "message": "report field 'row' is missing"}
+
+
+# --------------------------------------------------------------------------
+# statuses must agree with their rows
+
+
+def _row_status(obj, **status):
+    obj = copy.deepcopy(obj)
+    obj["row"]["status"].update(status)
+    return obj
+
+
+@pytest.mark.parametrize("state", ["banana", "", None, 1, ["stabilized"]])
+def test_unknown_state_is_rejected(state):
+    with pytest.raises(InputError, match="is not a sequence status"):
+        S.load_report(_row_status(REPORTS["terminal"], state=state))
+
+
+def test_stabilized_at_a_non_iso_is_rejected():
+    obj = REPORTS["terminal"]  # U(Id) at budget 4: truncated, no iso
+    assert obj["row"]["status"]["state"] == "truncated"
+    bad = _row_status(obj, state="stabilized", at=2, reason=None)
+    with pytest.raises(InputError, match=r"stabilized\(2\) disagrees"):
+        S.load_report(bad)
+
+
+def stabilizing_report(expr):
+    inst = instantiate(expr, Backend.POINTED_STRICT, P.unit(), P.unit())
+    return json.loads(S.dumps(S.terminal_report_json(E.terminal_sequence(inst), expr)))
+
+
+@pytest.mark.parametrize("at", [-1, 0, 2, True])
+def test_stabilized_at_the_wrong_ep_is_rejected(at):
+    obj = stabilizing_report("Lift(W)")  # eps: not an iso, then an iso
+    assert obj["row"]["status"] == {"state": "stabilized", "at": 1, "reason": None}
+    S.load_report(obj)
+    with pytest.raises(InputError):
+        S.load_report(_row_status(obj, at=at))
+
+
+def test_truncated_row_with_an_iso_is_rejected():
+    obj = stabilizing_report("Us(Id)")  # its one ep is an iso
+    bad = _row_status(obj, state="truncated", at=None, reason="budget")
+    with pytest.raises(InputError, match=r"truncated\(budget\) disagrees"):
+        S.load_report(bad)
+
+
+def test_rows_unfolded_past_their_fixed_point_load():
+    obj = REPORTS["truncated-solution"]
+    row = obj["rows"][0]
+    assert row["status"]["state"] == "stabilized"
+    assert len(row["eps"]) > row["status"]["at"] + 1
+    assert S.load_report(obj)["rows"][0][2].at == row["status"]["at"]
+
+
+def test_exact_claim_on_a_truncated_solution_is_rejected():
+    obj = copy.deepcopy(REPORTS["truncated-solution"])
+    assert obj["exact"] is False
+    obj["exact"] = True
+    with pytest.raises(InputError, match="exact"):
+        S.load_report(obj)
+
+
+def test_inexact_claim_on_an_exact_solution_is_rejected():
+    obj = copy.deepcopy(REPORTS["solution"])
+    assert obj["exact"] is True
+    obj["exact"] = False
+    with pytest.raises(InputError, match="exact"):
+        S.load_report(obj)
+
+
+SOLVED_CLAIMS = [
+    (("status",), {"state": "truncated", "at": None, "reason": "outer-budget"}),
+    (("final", "depth"), 1),
+    (("final", "exact"), False),
+    (("final",), None),
+    (("witness",), None),
+    (("z",), None),
+]
+
+
+@pytest.mark.parametrize("path, value", SOLVED_CLAIMS,
+                         ids=lambda v: "/".join(v) if isinstance(v, tuple) else repr(v))
+def test_solution_parts_must_agree_with_the_outer_status(path, value):
+    obj = REPORTS["solution"]
+    assert obj["status"]["state"] == "stabilized"
+    with pytest.raises(InputError, match="outer status"):
+        S.load_report(_replaced(obj, path, value))
+
+
+def test_truncated_solution_has_no_solution_parts():
+    obj = REPORTS["truncated-solution"]
+    assert obj["status"]["state"] == "truncated"
+    with pytest.raises(InputError, match="outer status"):
+        S.load_report(_replaced(obj, ("z",), obj["params"][0]))
+
+
+def test_solution_solved_at_an_earlier_row_is_rejected():
+    obj = json.loads(S.dumps(S.solution_report_json(E.solve_hob("Bool"))))
+    assert obj["status"] == {"state": "stabilized", "at": 1, "reason": None}
+    S.load_report(obj)
+    with pytest.raises(InputError, match="outer status"):
+        S.load_report(_replaced(obj, ("status", "at"), 0))
+
+
+MEDIATOR = REPORTS["mediator"]
+MEDIATOR_CLAIMS = [
+    (("status",), "disagree"),
+    (("status",), "banana"),
+    (("stage_comparisons",), MEDIATOR["stage_comparisons"][:-1]),
+    (("stage_comparisons", 1, "index"), 2),
+    (("stage_comparisons", 1, "size_pointed"), 99),
+    (("stage_comparisons", 1, "size_plain"), 99),
+    (("stage_comparisons", 2, "projections_agree"), False),
+    (("stage_comparisons", 1, "iso"), None),
+    (("stage_comparisons", 1, "iso"), MEDIATOR["stage_comparisons"][2]["iso"]),
+    (("adjunction_sweep", 0, "ok"), False),
+    (("pointed", "status"), {"state": "stabilized", "at": 1, "reason": None}),
+    (("plain", "status"), {"state": "stabilized", "at": 1, "reason": None}),
+]
+
+
+@pytest.mark.parametrize("path, value", MEDIATOR_CLAIMS,
+                         ids=[f"{'/'.join(map(str, p))}={v!r}"[:40] for p, v in MEDIATOR_CLAIMS])
+def test_mediator_claims_must_agree_with_the_rows(path, value):
+    assert MEDIATOR["status"] == "agree"
+    with pytest.raises(InputError, match="disagree"):
+        S.load_report(_replaced(MEDIATOR, path, value))
+
+
+def test_mediator_disagreement_without_an_iso_loads():
+    # a missing iso cannot be refuted without the search, so it may stand
+    obj = _replaced(MEDIATOR, ("stage_comparisons", 1, "iso"), None)
+    obj["status"] = "disagree"
+    assert len(S.load_report(obj)["stage_isos"]) == len(MEDIATOR["stage_comparisons"]) - 1
