@@ -397,13 +397,15 @@ def check_limit_colimit(seq):
     return True
 
 
-def _instances_agree(expr, backend, vep, seq, element_cap):
+def _instances_agree(inst, vep, seq):
     """A vertical iso only counts as a solution when it carries the two
     parameter instantiations onto each other: reindexing along it must be
-    an iso at the carrier.  The caller has already checked `vep` itself
-    pointwise through `as_iso`."""
-    comp = Reindex(expr, backend, vep, element_cap).component(seq.carrier())
-    return comp.as_iso() is not None
+    an iso at the carrier.  `vep` runs Z_n -> Z_{n+1}, so the family goes
+    from row n's instance `inst` to a fresh one at Z_{n+1}.  The caller has
+    already checked `vep` itself pointwise through `as_iso`."""
+    nxt = instantiate(inst.expr, inst.backend, vep.cod, vep.cod, inst.element_cap,
+                      inst.sum_mode)
+    return Reindex(inst, nxt, vep).component(seq.carrier()).as_iso() is not None
 
 
 # --------------------------------------------------------------------------
@@ -466,7 +468,7 @@ def solve_hob(expr, constants=None, backend=Backend.POINTED_STRICT,
         if n == 0:
             vep = bottom_ep(params[0], params[1])
         else:
-            reindex = Reindex(expr, backend, veps[-1], element_cap)
+            reindex = Reindex(rows[n - 1].inst, inst, veps[-1])
             try:
                 vep = nu_on_transformation(reindex, rows[n - 1], rows[n])
             except DepthMismatch:
@@ -474,7 +476,7 @@ def solve_hob(expr, constants=None, backend=Backend.POINTED_STRICT,
                 break
         veps.append(vep)
         if seq.status.stabilized and vep.as_iso() is not None:
-            if _instances_agree(expr, backend, vep, seq, element_cap):
+            if _instances_agree(inst, vep, seq):
                 solved_at = n
                 status = SeqStatus("stabilized", at=n)
                 break

@@ -33,6 +33,7 @@ from .errors import (
     BackendMismatch,
     DomainMismatch,
     ExprSyntaxError,
+    InstanceMismatch,
     NotCovariant,
     NotPointed,
     UnknownConstant,
@@ -60,62 +61,85 @@ RESERVED = {"Id", "V", "W", "U", "Us", "Lift"}
 # expression AST
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed once per node.
+
+    The instance memos key on (node, poset) and look nodes up thousands of
+    times a solve; the generated hash would walk the whole subtree each
+    time.  The cached value is the generated one, and equality still
+    compares the fields.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class ConstP:
     name: str
     poset: FinPoset
 
 
-@dataclass(frozen=True)
+@_node
 class IdF:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ParamV:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ParamW:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Sum:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class Prod:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@_node
 class LiftF:
     inner: object
 
 
-@dataclass(frozen=True)
+@_node
 class Fun:
     dom: object  # ConstP | ParamV
     cod: object
 
 
-@dataclass(frozen=True)
+@_node
 class StrictFun:
     dom: object
     cod: object
 
 
-@dataclass(frozen=True)
+@_node
 class Upset:
     inner: object
 
 
-@dataclass(frozen=True)
+@_node
 class StrictUpset:
     inner: object
 
@@ -339,6 +363,11 @@ class FunctorInstance:
     whole grammar), and on plain monotone maps (`on_map`, and `on_tables`
     for a stack of them at once; defined for the upset-free fragment,
     where function spaces act by post-composition).
+
+    Objects and ep actions are memoized per instance, so one instance per
+    parameter pair builds each F(X), each constructed poset and each
+    F(e, p) once.  A memoized ep-pair was verified through `MonoMap` and
+    `EpPair` when it was built.
     """
 
     def __init__(self, expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
@@ -363,7 +392,9 @@ class FunctorInstance:
                 raise BackendMismatch(
                     "strict arrows and strict upsets need the pointed backend"
                 )
-        self._obj_memo = {}
+        self._obj_memo = {}  # (node, state) -> object
+        self._built = {}  # (constructor, operands) -> object
+        self._ep_memo = {}
 
     def signature(self):
         return (self.expr, self.backend, self.v, self.w, self.sum_mode)
@@ -394,7 +425,6 @@ class FunctorInstance:
         return out
 
     def _obj_raw(self, node, p):
-        cap = self.element_cap
         if isinstance(node, ConstP):
             return node.poset
         if isinstance(node, IdF):
@@ -404,32 +434,39 @@ class FunctorInstance:
         if isinstance(node, ParamV):
             raise VarianceError("'V' has no direct object action")
         if isinstance(node, Sum):
-            l = self._obj(node.left, p)
-            r = self._obj(node.right, p)
-            if self.sum_mode == "coalesced":
-                return coalesced_sum(l, r, cap)
-            return separated_sum(l, r, cap)
-        if isinstance(node, Prod):
-            return product(self._obj(node.left, p), self._obj(node.right, p), cap)
-        if isinstance(node, LiftF):
-            return lift(self._obj(node.inner, p), cap)
-        if isinstance(node, Fun):
+            build = coalesced_sum if self.sum_mode == "coalesced" else separated_sum
+            args = (self._obj(node.left, p), self._obj(node.right, p))
+        elif isinstance(node, Prod):
+            build, args = product, (self._obj(node.left, p), self._obj(node.right, p))
+        elif isinstance(node, LiftF):
+            build, args = lift, (self._obj(node.inner, p),)
+        elif isinstance(node, (Fun, StrictFun)):
+            build = fun_space if isinstance(node, Fun) else strict_fun_space
             dom = self.v if isinstance(node.dom, ParamV) else node.dom.poset
-            return fun_space(dom, self._obj(node.cod, p), cap)
-        if isinstance(node, StrictFun):
-            dom = self.v if isinstance(node.dom, ParamV) else node.dom.poset
-            return strict_fun_space(dom, self._obj(node.cod, p), cap)
-        if isinstance(node, Upset):
-            return upsets(self._obj(node.inner, p), cap)
-        if isinstance(node, StrictUpset):
-            return strict_upsets(self._obj(node.inner, p), cap)
-        raise TypeError(f"not an expression node: {node!r}")
+            args = (dom, self._obj(node.cod, p))
+        elif isinstance(node, (Upset, StrictUpset)):
+            build = upsets if isinstance(node, Upset) else strict_upsets
+            args = (self._obj(node.inner, p),)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        # different stages can give equal operands (every strict table space
+        # out of a one-point V is the same singleton): build each once
+        key = (build, *args)
+        out = self._built.get(key)
+        if out is None:
+            out = self._built[key] = build(*args, self.element_cap)
+        return out
 
     # -- ep action ----------------------------------------------------
 
     def on_ep(self, ep):
-        """The instance's action on an ep-pair between state objects."""
-        return functor_ep(self.expr, self, self, ep, None)
+        """The instance's action on an ep-pair between state objects,
+        memoized on its endpoints and both tables."""
+        key = (ep.dom, ep.cod, ep.e.table.tobytes(), ep.p.table.tobytes())
+        hit = self._ep_memo.get(key)
+        if hit is None:
+            hit = self._ep_memo[key] = functor_ep(self.expr, self, self, ep, None)
+        return hit
 
     # -- plain map action (upset-free fragment) ------------------------
 
@@ -560,7 +597,8 @@ def _summand(node, off, a, b, xa, xb, f, g, pf, pg):
     a_side, b_side = a._obj(node, xa), b._obj(node, xb)
     if len(a_side) == 1:
         return np.zeros(f.shape[:-1] + (0,), dtype=np.int32)
-    t = np.delete(_act(node, a, b, xa, xb, f, g, pf, pg), a_side.bottom_idx, axis=-1)
+    t, cut = _act(node, a, b, xa, xb, f, g, pf, pg), a_side.bottom_idx
+    t = np.concatenate([t[..., :cut], t[..., cut + 1:]], axis=-1)
     bot = b_side.bottom_idx
     return np.where(t == bot, 0, off + t - (t > bot))
 
@@ -569,30 +607,44 @@ class Reindex:
     """The natural family F(Z,Z)(P) -> F(Z',Z')(P) induced by an ep Z -> Z'.
 
     Embeddings precompose arrow domains with the parameter projection and
-    act covariantly elsewhere; projections do the opposite.
+    act covariantly elsewhere; projections do the opposite.  `src` and
+    `dst` are existing instances of one expression at Z and at Z', so the
+    family shares their object and ep memos; its components are memoized
+    on the stage poset.
     """
 
-    def __init__(self, expr, backend, ep_param, element_cap=posets.DEFAULT_ELEMENT_CAP,
-                 sum_mode=None):
-        if isinstance(expr, str):
-            expr = parse(expr)
-        self.expr = expr
+    def __init__(self, src, dst, ep_param):
+        if not (src.v == src.w == ep_param.dom and dst.v == dst.w == ep_param.cod):
+            raise InstanceMismatch(
+                "reindexing instances must sit at the parameter ep's endpoints"
+            )
+        if (src.expr, src.backend, src.element_cap, src.sum_mode) != (
+                dst.expr, dst.backend, dst.element_cap, dst.sum_mode):
+            raise InstanceMismatch("reindexing instances differ beyond their parameters")
+        self.expr = src.expr
         self.ep_param = ep_param
-        self.src = FunctorInstance(
-            expr, backend, ep_param.dom, ep_param.dom, element_cap, sum_mode
-        )
-        self.dst = FunctorInstance(
-            expr, backend, ep_param.cod, ep_param.cod, element_cap, sum_mode
-        )
+        self.src = src
+        self.dst = dst
+        self._memo = {}
 
     def component(self, p):
         """The ep-pair at object p."""
-        return functor_ep(self.expr, self.src, self.dst, identity_ep(p), self.ep_param)
+        hit = self._memo.get(p)
+        if hit is None:
+            hit = self._memo[p] = functor_ep(
+                self.expr, self.src, self.dst, identity_ep(p), self.ep_param
+            )
+        return hit
 
 
 def reindex_ep(expr, backend, ep_param, element_cap=posets.DEFAULT_ELEMENT_CAP,
                sum_mode=None):
-    return Reindex(expr, backend, ep_param, element_cap, sum_mode)
+    """The reindexing family along `ep_param`, on two fresh instances."""
+    if isinstance(expr, str):
+        expr = parse(expr)
+    src, dst = (FunctorInstance(expr, backend, z, z, element_cap, sum_mode)
+                for z in (ep_param.dom, ep_param.cod))
+    return Reindex(src, dst, ep_param)
 
 
 # --------------------------------------------------------------------------

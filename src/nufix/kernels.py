@@ -60,9 +60,12 @@ def inclusion_order(masks):
     array.  Rows are packed into 64-bit words; each block of rows ANDs
     `(a & ~b) == 0` over the words, through one reused word buffer."""
     packed = np.packbits(np.asarray(masks, dtype=np.bool_), axis=1, bitorder="little")
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    k, nbytes = packed.shape
+    words = np.zeros((k, -(-nbytes // 8) * 8), dtype=np.uint8)  # whole words
+    words[:, :nbytes] = packed
+    words = words.view(np.uint64)
     outside = np.ascontiguousarray(~words.T)  # one row of complements per word
-    k, step = len(words), 32  # a 32 x k buffer: as fast as 64 rows, half the memory
+    step = 32  # a 32 x k buffer: as fast as 64 rows, half the memory
     leq = np.ones((k, k), dtype=np.bool_)
     miss = np.empty((min(step, k), k), dtype=np.uint64)
     for s in range(0, k, step):
@@ -147,8 +150,16 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
 def monotone_ok(leq_dom, leq_cod, table):
     """Is `table`, one codomain index per domain element, monotone?
 
-    The caller checks its length and range (`posets.MonoMap` does)."""
-    return bool(leq_cod[table[:, None], table][leq_dom].all())
+    Monotone means leq_dom[i, j] implies leq_cod[table[i], table[j]].  The
+    codomain order is gathered at the table's values, columns and then
+    rows (two `take`s; one 2-d fancy index costs five times as much at
+    200 elements and thirty at 1800), and the implication is tested in
+    place: leq_dom > gathered marks exactly the violations, so the peak is
+    the |cod| x n column gather and one n x n array.  The caller checks the
+    table's length and range (`posets.MonoMap` does)."""
+    got = leq_cod.take(table, axis=1).take(table, axis=0)
+    np.greater(leq_dom, got, out=got)
+    return not got.any()
 
 
 def count_monotone_bruteforce(leq_dom, leq_cod, strict_pair=None):

@@ -170,6 +170,21 @@ def _row_keys(rows):
     return [data[i * width : (i + 1) * width] for i in range(len(rows))]
 
 
+def _drop_index(leq, i, out=None):
+    """The square matrix `leq` without row and column i, copied as the four
+    blocks around them into `out` (a new array when None).  A fancy index
+    such as `leq[np.ix_(keep, keep)]` gathers element by element and costs
+    about thirty times as much from a few hundred elements up."""
+    n = leq.shape[0]
+    if out is None:
+        out = np.empty((n - 1, n - 1), dtype=leq.dtype)
+    out[:i, :i] = leq[:i, :i]
+    out[:i, i:] = leq[:i, i + 1:]
+    out[i:, :i] = leq[i + 1:, :i]
+    out[i:, i:] = leq[i + 1:, i + 1:]
+    return out
+
+
 def _check_cap(size, cap, what):
     if cap is not None and size > cap:
         raise ElementCapExceeded(f"{what} would have {size} > {cap} elements")
@@ -293,15 +308,14 @@ def coalesced_sum(p, q, cap=None):
     p.require_pointed("coalesced_sum")
     q.require_pointed("coalesced_sum")
     _check_cap(len(p) + len(q) - 1, cap, "coalesced sum")
-    kp = [i for i in range(len(p)) if i != p.bottom_idx]
-    kq = [j for j in range(len(q)) if j != q.bottom_idx]
-    elements = ([CBOT] + [("inl", p.elements[i]) for i in kp]
-                + [("inr", q.elements[j]) for j in kq])
-    n, off = len(elements), 1 + len(kp)
+    bp, bq = p.bottom_idx, q.bottom_idx
+    elements = ([CBOT] + [("inl", x) for x in p.elements[:bp] + p.elements[bp + 1:]]
+                + [("inr", y) for y in q.elements[:bq] + q.elements[bq + 1:]])
+    n, off = len(elements), len(p)
     leq = np.zeros((n, n), dtype=np.bool_)
     leq[0, :] = True
-    leq[1:off, 1:off] = p.leq[np.ix_(kp, kp)]
-    leq[off:, off:] = q.leq[np.ix_(kq, kq)]
+    _drop_index(p.leq, bp, leq[1:off, 1:off])
+    _drop_index(q.leq, bq, leq[off:, off:])
     return FinPoset(elements, leq, 0)
 
 
@@ -338,8 +352,7 @@ def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
     """
     if cap is not None and naive > cap:
         if bottom is not None:
-            keep = np.arange(len(dom)) != bottom
-            dom = dom[np.ix_(keep, keep)]
+            dom = _drop_index(dom, bottom)
         h = len(kernels.levels(cod))
         if kernels.count_chain_maps(dom, h, cap + 1) > cap:
             raise ElementCapExceeded(f"{what} would have > {cap} elements: counted "
@@ -393,12 +406,12 @@ def upsets(p, cap=DEFAULT_ELEMENT_CAP):
 def strict_upsets(p, cap=DEFAULT_ELEMENT_CAP):
     """Up-closed subsets excluding the bottom, ordered by inclusion."""
     p.require_pointed("strict_upsets")
-    keep = [i for i in range(len(p)) if i != p.bottom_idx]
-    sub = p.leq[np.ix_(keep, keep)]
+    b = p.bottom_idx
+    sub = _drop_index(p.leq, b)
     masks = _rows_within_cap(lambda limit: kernels.enum_upsets(sub, limit),
-                             1 << len(keep), cap, "strict upset poset", sub, _TWO)
+                             1 << len(sub), cap, "strict upset poset", sub, _TWO)
     full = np.zeros((len(masks), len(p)), dtype=np.bool_)
-    full[:, keep] = masks
+    full[:, :b], full[:, b + 1:] = masks[:, :b], masks[:, b:]
     return _masks_to_poset(full, p)
 
 

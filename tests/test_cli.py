@@ -75,6 +75,27 @@ def test_reports_are_pinned(workdir):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, expr
 
 
+def test_larger_solve_reports_are_pinned(workdir):
+    # the outer iteration's shared instances and memoized ep actions must
+    # not change a byte of these; a deliberate format change updates them
+    consts = write_json(
+        workdir / "consts.json",
+        {n: {"elements": ["b", "a"], "leq": [["b", "a"]], "bottom": "b"} for n in "AC"},
+    )
+    cases = [
+        (DET + " + A", "4096", 2,
+         "27238da190a4d9fb3a8c74beb423ba8794e82e550392ba67df30cb0d97a801f5"),
+        ("Us(C * W * Id + C * (V -> Id) + Id)", "1024", 2,
+         "459b230acae3df28618cb6a9ca2b5bea3e8fa34d2273969283c789e5ccd2ad42"),
+    ]
+    for k, (expr, cap, code, digest) in enumerate(cases):
+        f = write(workdir / f"in{k}.expr", expr + "\n")
+        out = workdir / f"out{k}.json"
+        argv = ["solve", "-f", f, "--element-cap", cap, "--constants", consts]
+        assert main(argv + ["--out", str(out)]) == code, expr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, expr
+
+
 def test_deep_tag_report_stays_small(workdir):
     # U(Id) nests every element of stage k in the tags of stage k + 1; the
     # pool writes each tag tree once and the covers as index pairs

@@ -348,6 +348,50 @@ def test_solve_is_deterministic():
     assert dumps(solution_report_json(r1)) == dumps(solution_report_json(r2))
 
 
+def test_solve_builds_each_function_space_and_sum_once(monkeypatch):
+    built = {}
+    for name in ("strict_fun_space", "coalesced_sum"):
+        real = getattr(F, name)
+
+        def counting(p, q, cap, real=real, name=name):
+            built[name, p, q] = built.get((name, p, q), 0) + 1
+            return real(p, q, cap)
+
+        monkeypatch.setattr(F, name, counting)
+    flat2 = P.lift(P.discrete(["a"]))
+    rep = E.solve_hob("(V -!> Id) + W + A", constants={"A": flat2}, element_cap=4096)
+    assert [len(z) for z in rep.chain.params] == [1, 2, 17, 18]
+    assert {name for name, _, _ in built} == {"strict_fun_space", "coalesced_sum"}
+    assert set(built.values()) == {1}
+
+
+def test_solve_reindexes_between_the_rows_instances(monkeypatch):
+    made = []
+    real = E.Reindex
+
+    def recording(src, dst, ep):
+        made.append((src, dst))
+        return real(src, dst, ep)
+
+    monkeypatch.setattr(E, "Reindex", recording)
+    # unsolved: the vertical chain at row n runs from row n - 1's instance
+    # to row n's
+    flat2 = P.lift(P.discrete(["a"]))
+    rep = E.solve_hob("(V -!> Id) + W + A", constants={"A": flat2}, element_cap=4096)
+    insts = [row.inst for row in rep.chain.rows]
+    assert len(insts) == 3 and not rep.solved
+    assert [(src is insts[n], dst is insts[n + 1]) for n, (src, dst) in enumerate(made)] \
+        == [(True, True)] * 2
+    # solved at 0: the solution check runs from row 0's instance to a fresh
+    # one at Z_1
+    made.clear()
+    rep = E.solve_hob("(V -!> Id) + W")
+    assert rep.solved and rep.chain.status.at == 0 and len(made) == 1
+    src, dst = made[0]
+    assert src is rep.chain.rows[0].inst
+    assert dst is not src and dst.v == dst.w == rep.chain.params[1]
+
+
 def test_solved_witness_connects_final_carrier_and_z():
     rep = E.solve_hob("(V -!> Id) + W")
     assert rep.witness.dom == rep.final.carrier

@@ -14,6 +14,7 @@ from nufix.errors import (
     BackendMismatch,
     DomainMismatch,
     ExprSyntaxError,
+    InstanceMismatch,
     NotCovariant,
     NotPointed,
     NufixError,
@@ -410,6 +411,83 @@ def test_reindex_natural_on_state_eps():
             rhs = reindex.src.on_ep(state_ep).then(reindex.component(state_ep.cod))
             assert lhs.e == rhs.e
             assert lhs.p == rhs.p
+
+
+def test_reindex_rejects_mismatched_instances():
+    det, wide = F.parse("(V -!> Id) + W"), F.parse("(V -!> Id) + W + W")
+    lazy = F.parse("(V -> Id) + W")
+    pointed_backend, plain = F.Backend.POINTED_STRICT, F.Backend.PLAIN
+
+    def inst(z, expr=det, backend=pointed_backend, cap=512, mode=None, w=None):
+        return F.FunctorInstance(expr, backend, z, z if w is None else w, cap, mode)
+
+    ep = P.bottom_ep(ONE, BOOL)
+    reindex = F.Reindex(inst(ONE), inst(BOOL), ep)
+    assert reindex.component(BOOL).cod == reindex.dst.on_object(BOOL)
+    bad = [
+        (inst(BOOL), inst(ONE)),  # the ep's endpoints swapped
+        (inst(ONE), inst(ONE)),  # dst not at the ep's codomain
+        (inst(ONE, w=BOOL), inst(BOOL)),  # src's W is not the ep's domain
+        (inst(ONE), inst(BOOL, w=C3)),  # dst's W is not the ep's codomain
+        (inst(ONE), inst(BOOL, expr=wide)),
+        (inst(ONE), inst(BOOL, cap=1024)),
+        (inst(ONE), inst(BOOL, mode="separated")),
+        (inst(ONE, expr=lazy, mode="coalesced"),
+         inst(BOOL, expr=lazy, backend=plain, mode="coalesced")),
+    ]
+    for src, dst in bad:
+        with pytest.raises(InstanceMismatch):
+            F.Reindex(src, dst, ep)
+
+
+def _counting_functor_ep(monkeypatch):
+    calls = []
+    real = F.functor_ep
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(F, "functor_ep", counting)
+    return calls
+
+
+def _tables(ep):
+    return ep.e.table.tolist(), ep.p.table.tolist()
+
+
+def test_on_ep_memo_hits_equal_eps_and_misses_other_tables(monkeypatch):
+    calls = _counting_functor_ep(monkeypatch)
+    inst = pointed("(V -!> Id) + W + Us(Id)", BOOL, BOOL)
+    c3_again = P.chain(3)
+    bool_again = P.boolean_lattice()
+    twin = P.EpPair(P.MonoMap(bool_again, c3_again, EP_B3.e.table),
+                    P.MonoMap(c3_again, bool_again, EP_B3.p.table))
+    first = inst.on_ep(EP_B3)
+    assert inst.on_ep(twin) is first and len(calls) == 1  # equal, distinct objects
+    # the same endpoints with other tables: top goes to c1, c2 projects to top
+    other = P.EpPair(P.MonoMap(BOOL, C3, [0, 1]), P.MonoMap(C3, BOOL, [0, 1, 1]))
+    # the same tables between other (equal-order, differently tagged) posets
+    renamed = P.chain(3, prefix="d")
+    moved = P.EpPair(P.MonoMap(BOOL, renamed, EP_B3.e.table),
+                     P.MonoMap(renamed, BOOL, EP_B3.p.table))
+    for ep in (other, moved):
+        got = inst.on_ep(ep)
+        assert got is not first
+        fresh = F.functor_ep(inst.expr, inst, inst, ep, None)
+        assert _tables(got) == _tables(fresh) and got.cod == fresh.cod
+    assert _tables(inst.on_ep(other)) != _tables(first)
+    assert inst.on_ep(moved).cod != first.cod
+    assert len(calls) == 5  # one per distinct ep, plus the two fresh ones
+
+
+def test_reindex_component_memo_hits_equal_stages(monkeypatch):
+    calls = _counting_functor_ep(monkeypatch)
+    reindex = F.reindex_ep("(V -!> Id) + W", F.Backend.POINTED_STRICT, EP_B3)
+    first = reindex.component(BOOL)
+    assert reindex.component(P.boolean_lattice()) is first
+    assert reindex.component(C3) is not first
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("text", ["Us(" + HO_CCS_BODY + ")", HO_CCS_BODY, "U(Id)"],

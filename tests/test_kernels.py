@@ -1,15 +1,25 @@
 """Kernel-level checks: the closure matches a reachability search, the
 inclusion order matches pairwise subset tests, the enumerators emit exactly
 the brute-force rows in their documented order, the cardinality
-certificates agree with the brute-force counts, and iso search agrees with
-permutation search."""
+certificates agree with the brute-force counts, iso search agrees with
+permutation search, and the monotonicity test (with `MonoMap` and the
+plain-iso check that call it) agrees with a loop over every pair."""
 
 import itertools
 
 import numpy as np
+import pytest
 
-from nufix import kernels
-from nufix.posets import all_posets_upto, chain, validate_poset, with_declared_bottom
+from nufix import kernels, mediator
+from nufix.errors import DomainMismatch
+from nufix.posets import (
+    FinPoset,
+    MonoMap,
+    all_posets_upto,
+    chain,
+    validate_poset,
+    with_declared_bottom,
+)
 
 
 def _reachability(rel):
@@ -336,3 +346,97 @@ def test_count_chain_maps_from_a_chain_matches_the_upset_count():
                 if h ** n <= 4096:
                     exact = kernels.count_monotone_bruteforce(leq, chain(h).leq)
                     assert kernels.count_chain_maps(leq, h, 1 << 20) == exact
+
+
+def _violations(leq_dom, leq_cod, table):
+    """The comparable pairs (i, j) of the domain whose images are not
+    comparable, by a loop over every pair."""
+    n = len(table)
+    return [(i, j) for i in range(n) for j in range(n)
+            if leq_dom[i, j] and not leq_cod[table[i], table[j]]]
+
+
+def _break_one_pair(rng, leq_dom, leq_cod, table):
+    """A copy of a monotone table with one value changed so that exactly one
+    comparable pair of the domain is violated, or None if no change does."""
+    n = len(table)
+    for j in rng.permutation(n):
+        below, above = leq_dom[:, j].copy(), leq_dom[j].copy()
+        below[j] = above[j] = False
+        # violated pairs through j for every candidate value v of table[j]
+        hits = (below[:, None] & ~leq_cod[table]).sum(axis=0)
+        hits += (above[:, None] & ~leq_cod[:, table].T).sum(axis=0)
+        ones = np.flatnonzero(hits == 1)
+        if ones.size:
+            broken = table.copy()
+            broken[j] = rng.choice(ones)
+            return broken
+    return None
+
+
+def _random_table_cases(seed, count=80):
+    """(dom, cod, tables, broken) on random posets of 0 to 40 elements: up to
+    8 monotone tables from the enumerator and copies of them that break
+    exactly one comparable pair.  Each codomain gets a top element, so the
+    enumerator never backtracks out of a dead end."""
+    rng = np.random.RandomState(seed)
+    for _ in range(count):
+        n, m = rng.randint(0, 41), rng.randint(1, 41)
+        dom = _random_order(rng, n, rng.choice([0.02, 0.1, 0.3]))
+        cod = _random_order(rng, m, rng.choice([0.02, 0.1, 0.3]))
+        cod[:, rng.choice(np.flatnonzero(cod.sum(axis=1) == 1))] = True
+        tables = kernels.enum_monotone_tables(dom, cod, 8)
+        broken = [b for b in (_break_one_pair(rng, dom, cod, t) for t in tables)
+                  if b is not None]
+        yield dom, cod, tables, broken
+
+
+def test_monotone_ok_matches_a_per_pair_loop():
+    seen_broken = 0
+    for dom, cod, tables, broken in _random_table_cases(17):
+        for t in tables:
+            assert _violations(dom, cod, t) == []
+            assert kernels.monotone_ok(dom, cod, t) is True
+        for b in broken:
+            assert len(_violations(dom, cod, b)) == 1
+            assert kernels.monotone_ok(dom, cod, b) is False
+        seen_broken += len(broken)
+    assert seen_broken > 100
+    empty = np.zeros((0, 0), dtype=np.bool_)
+    assert kernels.monotone_ok(empty, chain(3).leq, np.zeros(0, dtype=np.int32))
+
+
+def test_monotone_map_rejects_exactly_the_broken_tables():
+    for dom, cod, tables, broken in _random_table_cases(19, count=30):
+        p = FinPoset([f"x{i}" for i in range(len(dom))], dom)
+        q = FinPoset([f"y{i}" for i in range(len(cod))], cod)
+        for t in tables:
+            assert np.array_equal(MonoMap(p, q, t).table, t)
+        for b in broken:
+            with pytest.raises(DomainMismatch, match="not monotone"):
+                MonoMap(p, q, b)
+
+
+def test_is_plain_iso_matches_the_order_reflecting_bijections():
+    rng = np.random.RandomState(23)
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        leq = _random_order(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        p = FinPoset([f"x{i}" for i in range(n)], leq)
+        perm = rng.permutation(n)
+        inv = np.argsort(perm)
+        # the image of leq under perm, and its closure with random pairs
+        # added: perm is monotone onto both, and reflects the order onto the
+        # second only when no pair was new
+        image = leq[np.ix_(inv, inv)]
+        extra = kernels.transitive_closure(image | np.triu(rng.rand(n, n) < 0.2, 1))
+        for cod_leq in (image, extra):
+            if (cod_leq & cod_leq.T).sum() > n:
+                continue  # the added pairs made a cycle
+            cod = FinPoset([f"y{i}" for i in range(n)], cod_leq)
+            want = np.array_equal(cod_leq[np.ix_(perm, perm)], leq)
+            assert mediator._is_plain_iso(MonoMap(p, cod, perm)) is want
+        if n >= 2:  # a monotone map that is not injective is no iso
+            q = FinPoset(["y"] + [f"z{i}" for i in range(n - 1)],
+                         np.eye(n, dtype=np.bool_) | (np.arange(n)[:, None] == 0))
+            assert not mediator._is_plain_iso(MonoMap(p, q, np.zeros(n, dtype=np.int32)))
