@@ -162,6 +162,16 @@ def monotone_ok(leq_dom, leq_cod, table):
     return not got.any()
 
 
+def monotone_rows(leq_dom, leq_cod, tables):
+    """Which rows of a (k, n) stack of tables are monotone, as k booleans:
+    the predicate of `monotone_ok` for every row at once, through one
+    k x n x n gather (for the small stacks of `mediator.adjunction_check`).
+    The caller checks the stack's width and range."""
+    k, n = tables.shape
+    got = leq_cod[tables[:, :, None], tables[:, None, :]]
+    return ~(leq_dom > got).reshape(k, n * n).any(axis=1)
+
+
 def count_monotone_bruteforce(leq_dom, leq_cod, strict_pair=None):
     """Brute-force oracle: count monotone tables by filtering the full
     |cod|**|dom| grid with vectorised checks.  Independent of the

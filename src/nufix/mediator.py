@@ -38,7 +38,6 @@ from .functors import (
 )
 from .posets import (
     DEFAULT_ELEMENT_CAP,
-    FinPoset,
     Iso,
     MonoMap,
     all_posets_upto,
@@ -52,7 +51,7 @@ from .posets import (
 def include(p):
     """Forget pointedness: the same order with no declared bottom."""
     p.require_pointed("include")
-    return FinPoset(p.elements, p.leq, None)
+    return p.with_bottom(None)
 
 
 def lift_left_adjoint(p):
@@ -74,35 +73,52 @@ def untranspose(g, p, q):
 
 def adjunction_check(p, q, cap=64):
     """Verify the hom-set bijection strict(lift(P), Q) ~ mono(P, include(Q))
-    by exhaustive enumeration of both sides and the explicit transposes."""
+    by exhaustive enumeration of both sides and the explicit transposes.
+
+    Each side's tables are checked as one stack, with the checks that
+    `MonoMap` makes on each of them: width and range, strictness, and
+    monotonicity of every table, its transpose and its untranspose.  Both
+    round trips must give the stack back, the transposes must be distinct,
+    and they must be exactly the plain side's tables.  Any failure gives
+    False.  `include(Q)` has Q's order, so the plain side uses `q.leq`."""
     q.require_pointed("adjunction_check")
     if len(p) > cap or len(q) > cap:
         raise SizeCapExceeded("adjunction_check is exhaustive; inputs are capped")
-    lp = lift(p)
-    inc = include(q)
-    forced = np.full(len(lp), -1, dtype=np.int32)
-    forced[lp.bottom_idx] = q.bottom_idx
-    limit = max(1, len(q)) ** max(1, len(lp)) + 1
-    strict_tables = kernels.enum_monotone_tables(lp.leq, q.leq, limit, forced)
-    mono_limit = max(1, len(inc)) ** max(1, len(p)) + 1
-    mono_tables = kernels.enum_monotone_tables(p.leq, inc.leq, mono_limit)
-    if len(strict_tables) != len(mono_tables):
+    lp = lift(p)  # P's i-th element at i + 1, the bottom at 0
+    n, m, b = len(p), len(q), q.bottom_idx
+    forced = np.full(n + 1, -1, dtype=np.int32)
+    forced[0] = b
+    strict = kernels.enum_monotone_tables(lp.leq, q.leq, m ** (n + 1) + 1, forced)
+    plain = kernels.enum_monotone_tables(p.leq, q.leq, m ** max(1, n) + 1)
+    if (strict.shape != (len(strict), n + 1) or plain.shape != (len(strict), n)
+            or not (_in_range(strict, m) and _in_range(plain, m))
+            or not (strict[:, 0] == b).all()):
         return False
-    seen = set()
-    for row in strict_tables:
-        f = MonoMap(lp, q, np.array(row, dtype=np.int32), strict=True)
-        g = transpose(f, p, q)
-        if untranspose(g, p, q) != f:
-            return False
-        seen.add(g.table.tobytes())
-    if len(seen) != len(strict_tables):
+    transposes = strict[:, 1:]
+    untransposes = _untranspose_rows(plain, b)
+    if not (kernels.monotone_rows(lp.leq, q.leq, strict).all()
+            and kernels.monotone_rows(p.leq, q.leq, transposes).all()
+            and kernels.monotone_rows(p.leq, q.leq, plain).all()
+            and kernels.monotone_rows(lp.leq, q.leq, untransposes).all()):
         return False
-    for row in mono_tables:
-        g = MonoMap(p, inc, np.array(row, dtype=np.int32))
-        f = untranspose(g, p, q)
-        if transpose(f, p, q) != g:
-            return False
-    return True
+    if not (np.array_equal(_untranspose_rows(transposes, b), strict)
+            and np.array_equal(untransposes[:, 1:], plain)):
+        return False
+    keys = {row.tobytes() for row in transposes}
+    return len(keys) == len(strict) and keys == {row.tobytes() for row in plain}
+
+
+def _in_range(tables, m):
+    return tables.size == 0 or (tables.min() >= 0 and tables.max() < m)
+
+
+def _untranspose_rows(tables, bottom):
+    """Each table P -> Q with Q's bottom prepended: its adjunct out of
+    lift(P), as `untranspose` builds it."""
+    out = np.empty((len(tables), tables.shape[1] + 1), dtype=np.int32)
+    out[:, 0] = bottom
+    out[:, 1:] = tables
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,16 @@ constructed ones (pairs, injections, tables, upsets, lifts), so that equal
 constructions produce identical posets, not merely isomorphic ones.
 
 Identity is the declared bottom, the order and the tags; the hash comes
-from the order and the bottom alone, and equality compares tags last.
-Constructed tags share their children, so building them is linear, but
-hashing one walks its whole history.  So the tag index behind `index`
-and `in` is built on the first lookup, where a repeated tag raises
+from the order and the bottom alone, and equality compares tags last, only
+when the orders agree.  Tags are a view built on demand: leaf posets
+(`validate_poset`, `discrete`, `chain`, `unit`, `all_posets_upto`, the
+report loader) carry a tuple, and the six constructors pass a builder that
+runs on the first read of `elements` and reads its operands' tags the same
+way, so a nested tag is built once and shares its children.  Nothing on
+the order side reads a tag: `len` is the order's size, and `include` and
+`with_declared_bottom` share their source's tags, built or not.  Hashing
+a deep tag walks its whole history, so the tag index behind `index` and
+`in` is built on the first lookup too, where a repeated tag raises
 `DuplicateElement` (`validate_poset` and `discrete` check at once).
 
 Each constructor lays its elements out by index, so maps between
@@ -54,6 +60,9 @@ no continuity side conditions appear anywhere.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import compress
+
 import numpy as np
 
 from . import kernels
@@ -76,14 +85,42 @@ CBOT = ("cbot",)
 LBOT = ("lbot",)
 
 
-class FinPoset:
-    """A finite partial order with an optional declared bottom."""
+class _Tags:
+    """Element tags that `build()` makes on the first call and then keeps.
 
-    __slots__ = ("elements", "leq", "bottom_idx", "rows", "_index", "_row_index",
+    Constructed posets chain these: a builder reads its operands' `_Tags`,
+    not the operands, so a nested tag is built once and shared, and no
+    order matrix stays alive for the sake of a tag nobody reads."""
+
+    __slots__ = ("build", "tags")
+
+    def __init__(self, build=None, tags=None):
+        self.build = build
+        self.tags = tags
+
+    def __call__(self):
+        if self.tags is None:
+            self.tags = tuple(self.build())
+            self.build = None
+        return self.tags
+
+
+class FinPoset:
+    """A finite partial order with an optional declared bottom.
+
+    `elements` is a sequence of tags, or a zero-argument builder of them
+    that runs on the first read of `elements` (module docstring)."""
+
+    __slots__ = ("_elements", "leq", "bottom_idx", "rows", "_index", "_row_index",
                  "_hash")
 
     def __init__(self, elements, leq, bottom_idx=None, rows=None):
-        self.elements = tuple(elements)
+        if isinstance(elements, _Tags):
+            self._elements = elements
+        elif callable(elements):
+            self._elements = _Tags(elements)
+        else:
+            self._elements = _Tags(tags=tuple(elements))
         leq = np.ascontiguousarray(leq, dtype=np.bool_)
         leq.flags.writeable = False
         self.leq = leq
@@ -96,23 +133,33 @@ class FinPoset:
         self._row_index = None
         self._hash = None
 
+    @property
+    def elements(self):
+        return self._elements()
+
+    def with_bottom(self, bottom_idx):
+        """The same tags (built or not) and order, declaring `bottom_idx`
+        (None for no bottom)."""
+        return FinPoset(self._elements, self.leq, bottom_idx)
+
     def __len__(self):
-        return len(self.elements)
+        return self.leq.shape[0]
 
     def __iter__(self):
         return iter(self.elements)
 
-    def _tags(self):
+    def _lookup(self):
         if self._index is None:
-            index = {e: i for i, e in enumerate(self.elements)}
-            if len(index) != len(self.elements):
+            elements = self.elements
+            index = {e: i for i, e in enumerate(elements)}
+            if len(index) != len(elements):
                 raise DuplicateElement("duplicate element tags")
             self._index = index
         return self._index
 
     def index(self, tag):
         try:
-            return self._tags()[tag]
+            return self._lookup()[tag]
         except KeyError:
             raise DomainMismatch(f"element {tag!r} not in poset") from None
 
@@ -127,7 +174,7 @@ class FinPoset:
             raise DomainMismatch("index row not in poset") from None
 
     def __contains__(self, tag):
-        return tag in self._tags()
+        return tag in self._lookup()
 
     @property
     def is_pointed(self):
@@ -151,7 +198,8 @@ class FinPoset:
             return NotImplemented
         return (self.bottom_idx == other.bottom_idx
                 and np.array_equal(self.leq, other.leq)
-                and self.elements == other.elements)
+                and (self._elements is other._elements
+                     or self.elements == other.elements))
 
     def __hash__(self):
         if self._hash is None:
@@ -284,23 +332,30 @@ def chain(n, prefix="c"):
 def product(p, q, cap=None):
     """Componentwise order on pairs; pointed when both factors are."""
     _check_cap(len(p) * len(q), cap, "product")
-    elements = [("pair", x, y) for x in p.elements for y in q.elements]
     leq = np.kron(p.leq, q.leq)
     bottom_idx = None
     if p.is_pointed and q.is_pointed:
         bottom_idx = p.bottom_idx * len(q) + q.bottom_idx
-    return FinPoset(elements, leq, bottom_idx)
+    return FinPoset(partial(_pair_tags, p._elements, q._elements), leq, bottom_idx)
+
+
+def _pair_tags(ps, qs):
+    qs = qs()
+    return [("pair", x, y) for x in ps() for y in qs]
 
 
 def separated_sum(p, q, cap=None):
     """Disjoint union with no cross-order and no identification."""
     _check_cap(len(p) + len(q), cap, "separated sum")
-    elements = [("inl", x) for x in p.elements] + [("inr", y) for y in q.elements]
     n, m = len(p), len(q)
     leq = np.zeros((n + m, n + m), dtype=np.bool_)
     leq[:n, :n] = p.leq
     leq[n:, n:] = q.leq
-    return FinPoset(elements, leq, None)
+    return FinPoset(partial(_sum_tags, p._elements, q._elements), leq, None)
+
+
+def _sum_tags(ps, qs):
+    return [("inl", x) for x in ps()] + [("inr", y) for y in qs()]
 
 
 def coalesced_sum(p, q, cap=None):
@@ -309,37 +364,48 @@ def coalesced_sum(p, q, cap=None):
     q.require_pointed("coalesced_sum")
     _check_cap(len(p) + len(q) - 1, cap, "coalesced sum")
     bp, bq = p.bottom_idx, q.bottom_idx
-    elements = ([CBOT] + [("inl", x) for x in p.elements[:bp] + p.elements[bp + 1:]]
-                + [("inr", y) for y in q.elements[:bq] + q.elements[bq + 1:]])
-    n, off = len(elements), len(p)
+    n, off = len(p) + len(q) - 1, len(p)
     leq = np.zeros((n, n), dtype=np.bool_)
     leq[0, :] = True
     _drop_index(p.leq, bp, leq[1:off, 1:off])
     _drop_index(q.leq, bq, leq[off:, off:])
-    return FinPoset(elements, leq, 0)
+    return FinPoset(partial(_coalesced_tags, p._elements, bp, q._elements, bq), leq, 0)
+
+
+def _coalesced_tags(ps, bp, qs, bq):
+    ps, qs = ps(), qs()
+    return ([CBOT] + [("inl", x) for x in ps[:bp] + ps[bp + 1:]]
+            + [("inr", y) for y in qs[:bq] + qs[bq + 1:]])
 
 
 def lift(p, cap=None):
     """Add one fresh bottom below everything; always pointed."""
     _check_cap(len(p) + 1, cap, "lift")
-    elements = [LBOT] + [("lup", x) for x in p.elements]
     n = len(p) + 1
     leq = np.zeros((n, n), dtype=np.bool_)
     leq[0, :] = True
     leq[1:, 1:] = p.leq
     np.fill_diagonal(leq, True)
-    return FinPoset(elements, leq, 0)
+    return FinPoset(partial(_lift_tags, p._elements), leq, 0)
+
+
+def _lift_tags(ps):
+    return [LBOT] + [("lup", x) for x in ps()]
 
 
 def _tables_to_poset(tables, cod):
     """Build the pointwise-ordered poset of assignment tables."""
-    elements = [("table", tuple(cod.elements[v] for v in row)) for row in tables]
     k, n = tables.shape  # compare rows of codomain down-sets (module docstring)
     leq = kernels.inclusion_order(cod.leq.T[tables].reshape(k, n * len(cod)))
     bottom_idx = None
     if cod.is_pointed:  # the constant bottom table is always enumerated
         bottom_idx = int(np.argmax((tables == cod.bottom_idx).all(axis=1)))
-    return FinPoset(elements, leq, bottom_idx, tables)
+    return FinPoset(partial(_table_tags, tables, cod._elements), leq, bottom_idx, tables)
+
+
+def _table_tags(tables, cods):
+    cods = cods()
+    return [("table", tuple([cods[v] for v in row])) for row in tables.tolist()]
 
 
 def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
@@ -387,13 +453,14 @@ _TWO = np.triu(np.ones((2, 2), dtype=np.bool_))  # an upset is a map into the 2-
 
 def _masks_to_poset(masks, ground):
     """Build the inclusion-ordered poset of full-ground membership masks."""
-    elements = [
-        ("upset", tuple(e for e, m in zip(ground.elements, row) if m))
-        for row in masks
-    ]
     leq = kernels.inclusion_order(masks)
     bottom_idx = int(np.argmax(~masks.any(axis=1)))  # the empty upset
-    return FinPoset(elements, leq, bottom_idx, masks)
+    return FinPoset(partial(_upset_tags, masks, ground._elements), leq, bottom_idx, masks)
+
+
+def _upset_tags(masks, grounds):
+    grounds = grounds()
+    return [("upset", tuple(compress(grounds, row))) for row in masks.tolist()]
 
 
 def upsets(p, cap=DEFAULT_ELEMENT_CAP):
@@ -453,7 +520,7 @@ def with_declared_bottom(p):
     """The same order with its least element declared, if one exists."""
     for i in range(len(p)):
         if p.leq[i, :].all():
-            return FinPoset(p.elements, p.leq, i)
+            return p.with_bottom(i)
     return None
 
 
@@ -664,7 +731,7 @@ def iso_check(p, q, cap=DEFAULT_ISO_CAP):
         raise SizeCapExceeded(f"iso_check cap {cap} exceeded")
     if len(p) != len(q):
         return None
-    if p.elements == q.elements and np.array_equal(p.leq, q.leq):
+    if np.array_equal(p.leq, q.leq) and p.elements == q.elements:
         return _iso_from_perm(p, q, np.arange(len(p), dtype=np.int32))
     perm = kernels.find_isomorphism(p.leq, q.leq)
     if perm is None:

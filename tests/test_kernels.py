@@ -406,6 +406,17 @@ def test_monotone_ok_matches_a_per_pair_loop():
     assert kernels.monotone_ok(empty, chain(3).leq, np.zeros(0, dtype=np.int32))
 
 
+def test_monotone_rows_marks_exactly_the_broken_rows():
+    for dom, cod, tables, broken in _random_table_cases(29, count=30):
+        stack = np.array(list(tables) + list(broken), dtype=np.int32).reshape(-1, len(dom))
+        want = [True] * len(tables) + [False] * len(broken)
+        assert kernels.monotone_rows(dom, cod, stack).tolist() == want
+    empty = np.zeros((0, 0), dtype=np.bool_)
+    assert kernels.monotone_rows(empty, chain(3).leq, np.zeros((2, 0), dtype=np.int32)).all()
+    assert kernels.monotone_rows(chain(2).leq, chain(3).leq,
+                                 np.zeros((0, 2), dtype=np.int32)).shape == (0,)
+
+
 def test_monotone_map_rejects_exactly_the_broken_tables():
     for dom, cod, tables, broken in _random_table_cases(19, count=30):
         p = FinPoset([f"x{i}" for i in range(len(dom))], dom)

@@ -1,12 +1,15 @@
 """Mediator checks: the inclusion and its left adjoint, the hom-set
 bijection, and the two-backend comparison on lazy families."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from nufix import kernels
 from nufix import mediator as M
 from nufix import posets as P
-from nufix.errors import InputError, NotCovariant, NotPointed
+from nufix.errors import DomainMismatch, InputError, NotCovariant, NotPointed
 
 ONE = P.unit()
 BOOL = P.boolean_lattice()
@@ -55,6 +58,118 @@ def test_adjunction_check_exhaustive_small():
     for p in shapes:
         for q in pointed:
             assert M.adjunction_check(p, q)
+
+
+def per_table_adjunction_check(p, q):
+    """The reference: every enumerated table goes through `MonoMap`,
+    `transpose` and `untranspose` one at a time.  A table that `MonoMap`
+    rejects gives False."""
+    lp, inc = P.lift(p), M.include(q)
+    forced = np.full(len(lp), -1, dtype=np.int32)
+    forced[lp.bottom_idx] = q.bottom_idx
+    strict_tables = kernels.enum_monotone_tables(lp.leq, q.leq, len(q) ** len(lp) + 1, forced)
+    mono_tables = kernels.enum_monotone_tables(p.leq, inc.leq, len(q) ** max(1, len(p)) + 1)
+    if len(strict_tables) != len(mono_tables):
+        return False
+    try:
+        seen = set()
+        for row in strict_tables:
+            f = P.MonoMap(lp, q, row, strict=True)
+            g = M.transpose(f, p, q)
+            if M.untranspose(g, p, q) != f:
+                return False
+            seen.add(g.table.tobytes())
+        if len(seen) != len(strict_tables):
+            return False
+        for row in mono_tables:
+            g = P.MonoMap(p, inc, row)
+            if M.transpose(M.untranspose(g, p, q), p, q) != g:
+                return False
+    except (DomainMismatch, NotPointed):
+        return False
+    return True
+
+
+def _small_pairs():
+    shapes = P.all_posets_upto(3)
+    pointed = [q for q in map(P.with_declared_bottom, shapes) if q is not None]
+    return [(p, q) for p in shapes for q in pointed]
+
+
+def test_adjunction_check_matches_the_per_table_reference():
+    pairs = _small_pairs()
+    assert len(pairs) == 36
+    for p, q in pairs:
+        assert M.adjunction_check(p, q) is per_table_adjunction_check(p, q) is True
+
+
+def _not_monotone(leq_dom, leq_cod, row):
+    return any(leq_dom[i, j] and not leq_cod[row[i], row[j]]
+               for i in range(len(row)) for j in range(len(row)))
+
+
+def _break_monotonicity(rows, leq_dom, leq_cod, forced):
+    """The last row with one free entry changed so that it is no longer
+    monotone, or None when no such change exists."""
+    for i in range(rows.shape[1]):
+        if forced is not None and forced[i] >= 0:
+            continue
+        for v in range(len(leq_cod)):
+            row = rows[-1].copy()
+            row[i] = v
+            if _not_monotone(leq_dom, leq_cod, row):
+                return np.vstack([rows[:-1], row])
+    return None
+
+
+def _set_last(rows, col, value):
+    out = rows.copy()
+    out[-1, col] = value
+    return out
+
+
+MUTATIONS = {
+    "drop": lambda rows, dom, cod, forced: rows[:-1],
+    "duplicate": lambda rows, dom, cod, forced: np.vstack([rows, rows[:1]]),
+    "repeat": lambda rows, dom, cod, forced: (
+        np.vstack([rows[:-1], rows[:1]]) if len(rows) > 1 else None),
+    "out-of-range": lambda rows, dom, cod, forced: (
+        _set_last(rows, -1, len(cod)) if rows.shape[1] else None),
+    "not-monotone": _break_monotonicity,
+    "not-strict": lambda rows, dom, cod, forced: (
+        _set_last(rows, 0, (forced[0] + 1) % len(cod))
+        if forced is not None and len(cod) > 1 else None),
+}
+
+
+@pytest.mark.parametrize("side", ["strict", "plain"])
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_adjunction_check_rejects_a_broken_enumeration(side, mutation, monkeypatch):
+    enumerate_tables = kernels.enum_monotone_tables
+    applied = []
+
+    def broken(leq_dom, leq_cod, limit, forced=None):
+        rows = enumerate_tables(leq_dom, leq_cod, limit, forced)
+        if (forced is not None) != (side == "strict"):
+            return rows
+        out = MUTATIONS[mutation](rows, leq_dom, leq_cod, forced)
+        applied.append(out is not None)
+        return rows if out is None else out
+
+    monkeypatch.setattr(kernels, "enum_monotone_tables", broken)
+    broke = 0
+    for p, q in _small_pairs():
+        applied.clear()
+        batch = M.adjunction_check(p, q)
+        if not applied[-1]:
+            continue
+        broke += 1
+        # the reference never compares the plain tables with each other, so
+        # it misses a plain table repeated in place of another
+        missed = (side, mutation) == ("plain", "repeat")
+        assert (batch, per_table_adjunction_check(p, q)) == (False, missed), (p, q)
+    # of the 36 pairs, 15 have a domain with a comparable pair to break
+    assert broke >= (0 if (side, mutation) == ("plain", "not-strict") else 15)
 
 
 def _lift_map(f):
@@ -135,3 +250,30 @@ def test_plain_iso_needs_a_monotone_inverse():
     swap = P.MonoMap(flat, flat, np.array([1, 0], dtype=np.int32))
     assert M._is_plain_iso(swap)
     assert M._is_plain_iso(P.identity(two))
+
+
+def test_adjunction_check_rejects_a_non_monotone_pair_on_both_sides(monkeypatch):
+    """One non-monotone table P -> Q added to the plain side and its strict
+    adjunct to the strict side: the counts, the strictness and the transposes
+    all still agree, so only the monotonicity checks can reject it."""
+    enumerate_tables = kernels.enum_monotone_tables
+
+    def with_extra(leq_dom, leq_cod, limit, forced=None):
+        rows = enumerate_tables(leq_dom, leq_cod, limit, forced)
+        inner = leq_dom if forced is None else leq_dom[1:, 1:]  # lift puts P at 1..n
+        bad = next((np.array(t, dtype=np.int32)
+                    for t in itertools.product(range(len(leq_cod)), repeat=len(inner))
+                    if _not_monotone(inner, leq_cod, t)), None)
+        if bad is None:
+            return rows
+        extra = bad if forced is None else np.concatenate([[forced[0]], bad])
+        return np.vstack([rows, extra[None, :].astype(np.int32)])
+
+    monkeypatch.setattr(kernels, "enum_monotone_tables", with_extra)
+    broke = 0
+    for p, q in _small_pairs():
+        if len(q) > 1 and p.leq.sum() > len(p):  # a comparable pair to break
+            broke += 1
+            assert not M.adjunction_check(p, q), (p, q)
+            assert not per_table_adjunction_check(p, q), (p, q)
+    assert broke == 15

@@ -3,6 +3,8 @@ iso search, Hasse output, interchange formats."""
 
 import itertools
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -521,3 +523,181 @@ def test_duplicate_tags_raise_by_the_first_lookup():
             lookup(P.FinPoset(("a", "a"), np.eye(2, dtype=bool)))
     with pytest.raises(DuplicateElement):
         P.discrete(["a", "a"])
+
+
+# --------------------------------------------------------------------------
+# tags built on demand
+
+CONSTRUCTORS = ("product", "separated_sum", "coalesced_sum", "lift", "fun_space",
+                "strict_fun_space", "upsets", "strict_upsets")
+TAG_BUILDERS = ("_pair_tags", "_sum_tags", "_coalesced_tags", "_lift_tags",
+                "_table_tags", "_upset_tags")
+
+
+def _eager_tags(build, ops, out, ref):
+    """The tags `build(*ops)` gave as `out` when the constructors built them
+    eagerly, from the operands' reference tags `ref(op)`."""
+    name = build.__name__
+    if name == "product":
+        return tuple(("pair", x, y) for x in ref(ops[0]) for y in ref(ops[1]))
+    if name == "separated_sum":
+        return tuple([("inl", x) for x in ref(ops[0])] + [("inr", y) for y in ref(ops[1])])
+    if name == "coalesced_sum":
+        (p, q), (ps, qs) = ops, (ref(ops[0]), ref(ops[1]))
+        bp, bq = p.bottom_idx, q.bottom_idx
+        return tuple([P.CBOT] + [("inl", x) for x in ps[:bp] + ps[bp + 1:]]
+                     + [("inr", y) for y in qs[:bq] + qs[bq + 1:]])
+    if name == "lift":
+        return tuple([P.LBOT] + [("lup", x) for x in ref(ops[0])])
+    if name in ("fun_space", "strict_fun_space"):
+        cod = ref(ops[1])
+        return tuple(("table", tuple(cod[v] for v in row)) for row in out.rows)
+    assert name in ("upsets", "strict_upsets")
+    ground = ref(ops[0])
+    return tuple(("upset", tuple(e for e, m in zip(ground, row) if m)) for row in out.rows)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every constructor call while the test runs, as (constructor, poset
+    operands, result), wherever `nufix` binds the constructor's name.  The
+    calls still build their tags on demand."""
+    calls = []
+    for name in CONSTRUCTORS:
+        original = getattr(P, name)
+
+        def recording(*args, _original=original, **kwargs):
+            out = _original(*args, **kwargs)
+            calls.append((_original, [a for a in args if isinstance(a, P.FinPoset)], out))
+            return out
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and (mod_name == "nufix" or mod_name.startswith("nufix.")):
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, recording)
+    return calls
+
+
+def _reference(calls):
+    """Eager reference tags of any poset: a constructed one's from its
+    operands' reference tags, any other (a leaf) its own.  Keyed by the
+    tags object, which `include` and `with_declared_bottom` share."""
+    made = {id(out._elements): (build, ops, out) for build, ops, out in calls}
+    memo = {}
+
+    def ref(p):
+        key = id(p._elements)
+        if key not in memo:
+            if key in made:
+                build, ops, out = made[key]
+                memo[key] = _eager_tags(build, ops, out, ref)
+            else:
+                memo[key] = p.elements
+        return memo[key]
+
+    return ref
+
+
+def _assert_view_agrees(p, tags):
+    """p's tags are `tags`, and every tag-level reading of p agrees with an
+    eagerly tagged twin."""
+    twin = P.FinPoset(tags, p.leq, p.bottom_idx, p.rows)
+    assert len(p) == len(twin) == len(tags) and hash(p) == hash(twin)
+    assert p == twin and twin == p
+    assert p.elements == tags and list(p) == list(tags)
+    assert all(p.index(t) == i for i, t in enumerate(tags)) and all(t in p for t in tags)
+    assert ("no", "such", "tag") not in p
+    assert p.bottom == twin.bottom and repr(p) == repr(twin)
+    if len(p) <= 300:  # the cover kernel is cubic
+        assert P.hasse(p) == P.hasse(twin)
+
+
+def test_every_constructor_matches_its_eager_tags(recorded):
+    rng = np.random.RandomState(11)
+    plain = [P.discrete([]), P.discrete(["d0", "d1"]), P.chain(3)]
+    plain += [_random_poset(rng, n, f"r{n}_") for n in (3, 4)]
+    top_first = P.validate_poset(["t", "a", "b"], [("b", "a"), ("a", "t")], "b")
+    pointed = [P.unit(), top_first, P.lift(P.discrete(["a", "b"])), P.lift(plain[-1])]
+    for p in plain + pointed:
+        P.lift(p)
+        P.upsets(p)
+        for q in plain + pointed:
+            P.product(p, q)
+            P.separated_sum(p, q)
+            P.fun_space(p, q)
+    for p in pointed:
+        P.strict_upsets(p)
+        for q in pointed:
+            P.coalesced_sum(p, q)
+            P.strict_fun_space(p, q)
+    assert {build.__name__ for build, _, _ in recorded} == set(CONSTRUCTORS)
+    ref = _reference(recorded)
+    for _, _, out in recorded:
+        _assert_view_agrees(out, ref(out))
+
+
+def test_nested_tags_match_the_eager_reference(recorded):
+    inst = F.instantiate(F.parse("U(Id)"), F.Backend.POINTED_STRICT, P.unit(), P.unit(), 4096)
+    uid = E.terminal_sequence(inst, inner_budget=6).stages
+    assert [len(s) for s in uid] == [1, 2, 3, 4, 5, 6, 7]
+    rep = E.solve_hob("Us(C * W * Id + C * (V -> Id) + Id)",
+                      constants={"C": two_chain()}, element_cap=1024)
+    hob = [s for row in rep.chain.rows for s in row.stages]
+    assert [len(s) for s in hob] == [1, 4, 1, 38, 1]
+    inner = P.fun_space(P.chain(2), P.lift(P.discrete(["a", "b"])))
+    outer = P.fun_space(P.discrete(["x", "y"]), inner)
+    ref = _reference(recorded)
+    for p in uid + hob + [inner, outer]:
+        _assert_view_agrees(p, ref(p))
+    assert uid[6].elements[1] == ("upset", (uid[5].elements[5],))
+    assert outer.elements[1] == ("table", (inner.elements[0], inner.elements[1]))
+    for _, _, out in recorded:
+        assert out.elements == ref(out)
+
+
+def test_exponential_constructors_build_no_tags_until_read(monkeypatch):
+    calls = Counter()
+    for name in TAG_BUILDERS:
+        def counting(*args, _name=name, _original=getattr(P, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(P, name, counting)
+    rng = np.random.RandomState(5)
+    made = [
+        P.fun_space(_random_poset(rng, 4, "a"), _random_poset(rng, 4, "b"), 4096),
+        P.fun_space(_random_poset(rng, 6, "a"), _random_poset(rng, 5, "b"), 4096),
+        P.strict_fun_space(P.lift(_random_poset(rng, 2, "a")),
+                           P.lift(_random_poset(rng, 2, "b")), 4096),
+        P.upsets(_random_poset(rng, 16, "u"), 4096),
+        P.strict_upsets(P.lift(_random_poset(rng, 11, "s")), 4096),
+    ]
+    assert all(len(p) > 1 for p in made)
+    for p in made:
+        len(p), hash(p), p.is_pointed, p.bottom_idx, p.locate(p.rows[:1])
+    assert made[0] == made[0] and not calls  # three lifts and five spaces, unbuilt
+    for p in made:
+        p.elements
+        p.elements
+    # each space once, and the lifts whose tags its tags contain: the strict
+    # tables' codomain and the strict upsets' ground, not the tables' domain
+    assert calls == {"_table_tags": 3, "_upset_tags": 2, "_lift_tags": 2}
+    # the identity fast path of iso_check reads tags only when the orders agree
+    calls.clear()
+    square = P.upsets(P.discrete(["a", "b"]))
+    chain4 = P.fun_space(P.discrete(["a"]), P.chain(4))
+    assert P.iso_check(square, chain4) is None and not calls
+    assert P.iso_check(chain4, P.upsets(P.chain(3))) is not None
+    assert calls == {"_table_tags": 1, "_upset_tags": 1}
+
+
+def test_include_and_declared_bottom_share_unbuilt_tags(monkeypatch):
+    built = []
+    monkeypatch.setattr(P, "_lift_tags", lambda ps: built.append(1) or [P.LBOT] + [
+        ("lup", x) for x in ps()])
+    lp = P.lift(P.chain(2))
+    views = [include(lp), P.with_declared_bottom(include(lp)), lp]
+    assert [v.bottom_idx for v in views] == [None, 0, 0] and not built
+    assert views[0].elements == views[1].elements == lp.elements and built == [1]
+    assert views[1] == lp and views[0] != lp
