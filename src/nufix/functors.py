@@ -395,6 +395,7 @@ class FunctorInstance:
         self._obj_memo = {}  # (node, state) -> object
         self._built = {}  # (constructor, operands) -> object
         self._ep_memo = {}
+        self._upset_free = not has_upset_nodes(expr)  # on_tables needs it
 
     def signature(self):
         return (self.expr, self.backend, self.v, self.w, self.sum_mode)
@@ -487,7 +488,7 @@ class FunctorInstance:
         batch axes, shape (..., |x|); the result has shape (..., |F(x)|).
         The tables are trusted: nothing is validated as a `MonoMap`.
         """
-        if has_upset_nodes(self.expr):
+        if not self._upset_free:
             raise NotCovariant("upset nodes act on ep-pairs only")
         self._check_state(x)
         self._check_state(y)
@@ -750,8 +751,7 @@ def rel_lift(inst, pairs, x, y, param_rel=None):
 
 class CoalgebraSpec:
     """A finite coalgebra: a carrier and a structure map into the
-    instance's value object over that carrier, given elementwise by tags
-    (or by F(carrier) indices through `from_table`).
+    instance's value object over that carrier, given elementwise by tags.
 
     Validation checks that every structure value is an element of
     F(carrier) and that the assignment is monotone (and bottom-strict in
@@ -763,21 +763,10 @@ class CoalgebraSpec:
         if set(structure) != set(carrier.elements):
             raise BackendMismatch("structure must assign exactly the carrier elements")
         fc = inst.on_object(carrier)
-        self._bind(inst, carrier, [fc.index(structure[e]) for e in carrier.elements])
-
-    @classmethod
-    def from_table(cls, inst, carrier, table):
-        """The coalgebra sending carrier element i to element table[i] of
-        F(carrier), validated as the tag form is."""
-        self = cls.__new__(cls)
-        self._bind(inst, carrier, table)
-        return self
-
-    def _bind(self, inst, carrier, table):
-        strict = inst.backend is Backend.POINTED_STRICT
+        table = [fc.index(structure[e]) for e in carrier.elements]
         self.inst = inst
         self.carrier = carrier
-        self._map = MonoMap(carrier, inst.on_object(carrier), table, strict)
+        self._map = MonoMap(carrier, fc, table, inst.backend is Backend.POINTED_STRICT)
 
     def as_map(self):
         return self._map

@@ -172,26 +172,35 @@ def monotone_rows(leq_dom, leq_cod, tables):
     return ~(leq_dom > got).reshape(k, n * n).any(axis=1)
 
 
-def count_monotone_bruteforce(leq_dom, leq_cod, strict_pair=None):
-    """Brute-force oracle: count monotone tables by filtering the full
-    |cod|**|dom| grid with vectorised checks.  Independent of the
-    backtracking enumerator; used by the law suites."""
-    n = leq_dom.shape[0]
+def count_monotone_stack(leq_doms, leq_cod, strict=None):
+    """Brute-force oracle: the number of monotone tables from each domain of
+    a (d, n, n) stack into one codomain, as d ints.
+
+    Every table t of the full |cod|**n grid is a candidate.  The codomain
+    order is gathered at every pair of grid positions once: t breaks the
+    pair (i, j) when cod[t[i], t[j]] fails.  The broken pairs of each table
+    and the required pairs (i <= j) of each domain are packed into bytes,
+    and t is monotone from a domain when no byte of the two meets, which
+    is one (d, |grid|) AND per byte.  `strict = (dom_bottoms, cod_bottom)`
+    keeps only the tables sending each domain's bottom to the codomain's.
+    A grid filter that shares no code with the backtracking enumerator;
+    used by the law suites."""
+    leq_doms = np.asarray(leq_doms, dtype=np.bool_)
+    d, n = leq_doms.shape[:2]
     m = leq_cod.shape[0]
     if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    grids = np.indices((m,) * n).reshape(n, -1)
-    keep = np.ones(grids.shape[1], dtype=np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if leq_dom[i, j]:
-                keep &= leq_cod[grids[i], grids[j]]
-    if strict_pair is not None:
-        bd, bc = strict_pair
-        keep &= grids[bd] == bc
-    return int(keep.sum())
+        return np.ones(d, dtype=np.int64)
+    grid = np.indices((m,) * n).reshape(n, -1)
+    broken = ~leq_cod[grid[:, None, :], grid[None, :, :]].reshape(n * n, -1)
+    broken = np.packbits(broken, axis=0, bitorder="little")
+    need = np.packbits(leq_doms.reshape(d, n * n), axis=1, bitorder="little")
+    keep = np.ones((d, grid.shape[1]), dtype=np.bool_)
+    for b in range(need.shape[1]):
+        keep &= (need[:, b, None] & broken[b]) == 0
+    if strict is not None:
+        dom_bottoms, cod_bottom = strict
+        keep &= grid[np.asarray(dom_bottoms, dtype=np.intp)] == cod_bottom
+    return keep.sum(axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,19 @@ implementation path with an independent oracle: backtracking enumerators
 against vectorised brute force, the ep action against hand-composed
 pairs, coinductive extensions against exhaustive morphism search.
 
+The brute-force monotone counts are tabulated first, one stacked grid
+filter (`kernels.count_monotone_stack`) per codomain and domain size, and
+the enumerators are then compared with the table pair by pair.  The
+shapes come from `all_posets_upto`, which dedupes by canonical form and
+so does not lean on the iso search.
+
 Coinductive uniqueness is checked per (instance, carrier): the coalgebras
-and the candidate morphisms are enumerated once, one batched square test
-counts each coalgebra's morphisms, and one batched unfolding computes
-every extension.  Each coalgebra is validated through
-`CoalgebraSpec.from_table` and its square re-verified through `compose`
-against F(d) from `on_map`; `coinductive_extension` and
+and the candidate morphisms are enumerated once, the coalgebra tables are
+validated as one stack with the checks `MonoMap` makes, one batched square
+test counts each coalgebra's morphisms, and one batched unfolding computes
+every extension.  Each distinct morphism d is built once as a map with
+F(d) from `on_map`, and the squares it serves are re-verified with one
+gather against `compose(d, structure)`; `coinductive_extension` and
 `coalgebra_morphisms` remain the one-coalgebra paths that the tests
 compare the batch against.
 """
@@ -287,6 +294,26 @@ def law_rel_lift_monotone(seed, samples=60):
 # suite 4: enumeration counts against brute-force oracles
 
 
+def _bruteforce_counts(doms, cods, strict=False):
+    """counts[i, j]: the brute-force number of monotone tables doms[i] ->
+    cods[j] (bottom to bottom when `strict`), one stacked count per
+    codomain and domain size."""
+    counts = np.zeros((len(doms), len(cods)), dtype=np.int64)
+    by_size = {}
+    for i, p in enumerate(doms):
+        by_size.setdefault(len(p), []).append(i)
+    stacks = [
+        (idx, np.array([doms[i].leq for i in idx], dtype=np.bool_).reshape(len(idx), n, n),
+         [doms[i].bottom_idx for i in idx])
+        for n, idx in by_size.items()
+    ]
+    for j, q in enumerate(cods):
+        for idx, stack, bottoms in stacks:
+            pair = (bottoms, q.bottom_idx) if strict else None
+            counts[idx, j] = kernels.count_monotone_stack(stack, q.leq, pair)
+    return counts
+
+
 def law_enumeration_counts(max_elems=5):
     shapes = all_posets_upto(max_elems)
     pointed = [p for p in map(with_declared_bottom, shapes) if p is not None]
@@ -306,12 +333,13 @@ def law_enumeration_counts(max_elems=5):
         if impl != oracle:
             return LawResult("enumeration-counts", False,
                              f"strict upset count {impl} != {oracle}")
+    plain = _bruteforce_counts(shapes, shapes)
     funs = 0
-    for p in shapes:
-        for q in shapes:
+    for i, p in enumerate(shapes):
+        for j, q in enumerate(shapes):
             limit = max(1, len(q)) ** max(1, len(p)) + 1
             impl = len(kernels.enum_monotone_tables(p.leq, q.leq, limit))
-            oracle = kernels.count_monotone_bruteforce(p.leq, q.leq)
+            oracle = int(plain[i, j])
             if impl != oracle:
                 return LawResult(
                     "enumeration-counts", False,
@@ -319,16 +347,15 @@ def law_enumeration_counts(max_elems=5):
                     repr((p.elements, q.elements)),
                 )
             funs += 1
+    strict = _bruteforce_counts(pointed, pointed, strict=True)
     sfuns = 0
-    for p in pointed:
-        for q in pointed:
+    for i, p in enumerate(pointed):
+        for j, q in enumerate(pointed):
             forced = np.full(len(p), -1, dtype=np.int32)
             forced[p.bottom_idx] = q.bottom_idx
             limit = max(1, len(q)) ** max(1, len(p)) + 1
             impl = len(kernels.enum_monotone_tables(p.leq, q.leq, limit, forced))
-            oracle = kernels.count_monotone_bruteforce(
-                p.leq, q.leq, (p.bottom_idx, q.bottom_idx)
-            )
+            oracle = int(strict[i, j])
             if impl != oracle:
                 return LawResult("enumeration-counts", False,
                                  f"strict monotone count {impl} != {oracle}")
@@ -368,13 +395,30 @@ def _carrier_uniqueness(inst, fin, carrier, tables):
     """Check the coalgebras with structure `tables` on `carrier` at once;
     the failure detail, or None.
 
-    Each coalgebra is validated through `CoalgebraSpec.from_table`.  One
-    batched square test finds its morphisms among all candidates; exactly
-    one must pass, and it must equal the row of the batched unfolding.
-    Each distinct morphism d is then built once as a map with F(d), and
-    every coalgebra's square is re-verified through `compose`.
+    The tables are validated as one stack with the checks that `MonoMap`
+    makes on each structure map carrier -> F(carrier): width, range,
+    monotonicity (`kernels.monotone_rows`) and, in the pointed backend,
+    that both ends are pointed and every table sends bottom to bottom.
+    One batched square test then finds each coalgebra's morphisms among
+    all candidates; exactly one must pass, and it must equal the row of the
+    batched unfolding.  Each distinct morphism d is built once as a
+    validated map with F(d) from `on_map`, structure . d through `compose`,
+    and the squares of all coalgebras that d serves are re-verified with
+    one gather: the stack of composites F(d) . h must be monotone and equal
+    structure . d.
     """
-    coalgs = [CoalgebraSpec.from_table(inst, carrier, row) for row in tables]
+    fc = inst.on_object(carrier)
+    size = f"{len(carrier)}-state"
+    strict = inst.backend is Backend.POINTED_STRICT
+    if tables.shape[1:] != (len(carrier),):
+        return f"coalgebra tables of the wrong width on a {size} carrier of {inst!r}"
+    if tables.size and (tables.min() < 0 or tables.max() >= len(fc)):
+        return f"coalgebra value outside F(carrier) on a {size} carrier of {inst!r}"
+    if not kernels.monotone_rows(carrier.leq, fc.leq, tables).all():
+        return f"non-monotone coalgebra on a {size} carrier of {inst!r}"
+    if strict and not (carrier.is_pointed and fc.is_pointed
+                       and (tables[:, carrier.bottom_idx] == fc.bottom_idx).all()):
+        return f"non-strict coalgebra on a {size} carrier of {inst!r}"
     candidates = _candidate_tables(fin, carrier)
     hits = _square_hits(fin, carrier, candidates, tables)
     exts = _coinductive_extensions(fin, carrier, tables)
@@ -382,17 +426,15 @@ def _carrier_uniqueness(inst, fin, carrier, tables):
     first = hits.argmax(axis=0)
     bad = np.flatnonzero((found != 1) | (candidates[first] != exts).any(axis=1))
     if bad.size:
-        return (f"{found[bad[0]]} morphisms for a {len(carrier)}-state "
-                f"coalgebra of {inst!r}")
-    squares = {}
+        return f"{found[bad[0]]} morphisms for a {size} coalgebra of {inst!r}"
     for i in np.unique(first):
         cand, fcand = _candidate_with_image(fin, carrier, candidates[i])
-        squares[i] = (compose(cand, fin.structure), fcand)
-    for j, coalg in enumerate(coalgs):
-        lhs, fcand = squares[first[j]]
-        if lhs != compose(coalg.as_map(), fcand):
+        lhs = compose(cand, fin.structure)
+        composites = fcand.table[tables[first == i]]
+        if not (kernels.monotone_rows(carrier.leq, fcand.cod.leq, composites).all()
+                and (composites == lhs.table).all()):
             return (f"batched square disagrees with on_map for a "
-                    f"{len(carrier)}-state coalgebra of {inst!r}")
+                    f"{size} coalgebra of {inst!r}")
     return None
 
 

@@ -61,7 +61,7 @@ no continuity side conditions appear anywhere.
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress
+from itertools import compress, permutations
 
 import numpy as np
 
@@ -80,6 +80,7 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 512
 DEFAULT_ISO_CAP = 512
+_SHAPE_CHUNK_BYTES = 1 << 23  # relabeled order matrices per chunk of `all_posets_upto`
 
 CBOT = ("cbot",)
 LBOT = ("lbot",)
@@ -485,35 +486,60 @@ def strict_upsets(p, cap=DEFAULT_ELEMENT_CAP):
 def all_posets_upto(n, prefix="e"):
     """All finite posets with at most n elements, one per iso class.
 
-    Enumerates reflexive upper-triangular transitive matrices (every poset
-    admits a linear extension, so this hits every iso class) and dedupes
-    with the iso search, run only against the representatives whose sorted
-    invariant labels match (the search rejects every other one anyway).
-    Feasible up to n = 5 or so.
+    The candidates of size k are the reflexive upper-triangular matrices,
+    in the order of their bit masks over the slots above the diagonal
+    (every poset admits a linear extension, so this hits every iso class).
+    A candidate is a poset when its boolean square adds nothing to it.  Its
+    canonical key is the least packed encoding of its order matrix over
+    all k! relabelings, so two candidates are isomorphic exactly when their
+    keys agree, and the first candidate of each key is kept.  Candidates go
+    through in chunks of at most 8 MB of relabeled matrices;
+    feasible up to n = 6.
     """
     out = [empty_poset()]
     for k in range(1, n + 1):
-        slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        reps, by_labels = [], {}
-        for mask in range(1 << len(slots)):
-            leq = np.eye(k, dtype=np.bool_)
-            for b, (i, j) in enumerate(slots):
-                if (mask >> b) & 1:
-                    leq[i, j] = True
-            closed = kernels.transitive_closure(leq)
-            if not np.array_equal(closed, leq):
-                continue
-            labels = tuple(sorted(kernels.invariant_labels(leq).tolist()))
-            same = by_labels.setdefault(labels, [])
-            if any(kernels.find_isomorphism(leq, r) is not None for r in same):
-                continue
-            same.append(leq)
-            reps.append(leq)
-        for leq in reps:
-            out.append(
-                FinPoset(tuple(f"{prefix}{i}" for i in range(k)), leq, None)
-            )
+        tags = tuple(f"{prefix}{i}" for i in range(k))
+        out.extend(FinPoset(tags, leq, None) for leq in _shapes_of_size(k))
     return out
+
+
+def _shapes_of_size(k):
+    """The first order matrix of each iso class among the k-element
+    candidates of `all_posets_upto`, in mask order."""
+    rows, cols = np.triu_indices(k, 1)
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    step = max(1, _SHAPE_CHUNK_BYTES // (len(perms) * k * k))
+    total = 1 << len(rows)
+    seen, reps = set(), []
+    for lo in range(0, total, step):
+        masks = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        cands = np.zeros((len(masks), k, k), dtype=np.bool_)
+        cands[:, np.arange(k), np.arange(k)] = True
+        cands[:, rows, cols] = (masks[:, None] >> np.arange(len(rows))) & 1
+        cands = cands[(cands @ cands == cands).all(axis=(1, 2))]
+        for leq, key in zip(cands, _canonical_keys(cands, perms)):
+            if key not in seen:
+                seen.add(key)
+                reps.append(leq.copy())
+    return reps
+
+
+def _canonical_keys(cands, perms):
+    """Per (k, k) order matrix of a stack, the least packed encoding of the
+    matrix over every relabeling in `perms`, as bytes.  The least row of
+    bytes is found a byte at a time: a relabeling stays alive while its
+    bytes so far equal the least ones (a dead one reads 255, which never
+    lowers a minimum)."""
+    c, k = cands.shape[:2]
+    relabeled = cands[:, perms[:, :, None], perms[:, None, :]]
+    packed = np.packbits(relabeled.reshape(c, len(perms), k * k), axis=2)
+    alive = np.ones(packed.shape[:2], dtype=np.bool_)
+    keys = np.empty((c, packed.shape[2]), dtype=np.uint8)
+    for b in range(packed.shape[2]):
+        byte = packed[:, :, b]
+        keys[:, b] = np.where(alive, byte, 255).min(axis=1)
+        alive &= byte == keys[:, b, None]
+    return [key.tobytes() for key in keys]
 
 
 def with_declared_bottom(p):

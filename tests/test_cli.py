@@ -295,6 +295,14 @@ def test_check_laws_fast(laws_run):
     assert obj["ok"] is True
 
 
+def test_check_laws_transcript_pins_the_oracle_suites(laws_run):
+    # what the brute-force and uniqueness suites cover at the default sizes
+    lines = laws_run[1].splitlines()
+    assert ("ok   enumeration-counts: posets<= 5: 88 upset counts, 7744 monotone counts, "
+            "625 strict counts all match brute force") in lines
+    assert "ok   coinductive-uniqueness: 963 coalgebras (<= 4 states): unique morphisms" in lines
+
+
 def test_check_laws_transcript_deterministic(laws_run, workdir, capsys):
     main(["check-laws", "--seed", "42", "--samples", "5"])
     assert capsys.readouterr().out == laws_run[1]

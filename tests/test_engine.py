@@ -263,6 +263,89 @@ def test_batched_uniqueness_law_fails_on_a_wrong_extension(monkeypatch):
     assert "1 morphisms for a" in result.detail
 
 
+def test_uniqueness_law_reverifies_the_batched_squares(monkeypatch):
+    # both batched paths agree on a wrong morphism for the last coalgebra of
+    # a carrier; only the re-verification through on_map and compose sees it
+    square_hits, unfold = L._square_hits, L._coinductive_extensions
+    wrong = []
+
+    def wrong_hits(final, s, tables, coalgebras):
+        hits = square_hits(final, s, tables, coalgebras)
+        if len(tables) > 1 and len(coalgebras):
+            i = (hits[:, -1].argmax() + 1) % len(tables)
+            hits[:, -1] = False
+            hits[i, -1] = True
+            wrong.append(tables[i])
+        return hits
+
+    def wrong_extensions(final, s, coalgebras):
+        rows = unfold(final, s, coalgebras)
+        if wrong:
+            rows[-1] = wrong.pop()
+        return rows
+
+    monkeypatch.setattr(L, "_square_hits", wrong_hits)
+    monkeypatch.setattr(L, "_coinductive_extensions", wrong_extensions)
+    result = L.law_coinductive_uniqueness(3)
+    assert not result.ok
+    assert result.detail.startswith("batched square disagrees with on_map"), result.detail
+
+
+def _not_monotone(leq_dom, leq_cod, row):
+    return any(leq_dom[i, j] and not leq_cod[row[i], row[j]]
+               for i in range(len(row)) for j in range(len(row)))
+
+
+def _break_monotonicity(rows, carrier, fc):
+    """The last row with one non-bottom entry changed so that it is no
+    longer monotone, or None when no such change exists."""
+    for i in range(len(carrier)):
+        if i == carrier.bottom_idx:
+            continue
+        for v in range(len(fc)):
+            row = rows[-1].copy()
+            row[i] = v
+            if _not_monotone(carrier.leq, fc.leq, row):
+                return np.vstack([rows[:-1], row])
+    return None
+
+
+def _set_last(rows, col, value):
+    out = rows.copy()
+    out[-1, col] = value
+    return out
+
+
+COALGEBRA_MUTATIONS = {
+    "not-monotone": (_break_monotonicity, "non-monotone coalgebra"),
+    "out-of-range": (lambda rows, s, fc: _set_last(rows, -1, len(fc)),
+                     "coalgebra value outside F(carrier)"),
+    "not-strict": (lambda rows, s, fc: (
+        _set_last(rows, s.bottom_idx, (fc.bottom_idx + 1) % len(fc)) if len(fc) > 1 else None),
+        "non-strict coalgebra"),
+    "wrong-width": (lambda rows, s, fc: rows[:, :-1], "coalgebra tables of the wrong width"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(COALGEBRA_MUTATIONS))
+def test_uniqueness_law_rejects_a_malformed_coalgebra_stack(mutation, monkeypatch):
+    tables = L._coalgebra_tables
+    mutate, reason = COALGEBRA_MUTATIONS[mutation]
+    applied = []
+
+    def broken(inst, carrier):
+        rows = tables(inst, carrier)
+        out = mutate(rows, carrier, inst.on_object(carrier)) if len(rows) else None
+        applied.append(out is not None)
+        return rows if out is None else out
+
+    monkeypatch.setattr(L, "_coalgebra_tables", broken)
+    result = L.law_coinductive_uniqueness(3)
+    assert any(applied)
+    assert not result.ok and result.name == "coinductive-uniqueness"
+    assert result.detail.startswith(reason), result.detail
+
+
 # --------------------------------------------------------------------------
 # nu on transformations
 

@@ -1,7 +1,6 @@
 """Functor DSL checks: syntax, variance, instantiation, the three actions,
 reindexing laws, relation lifting, coalgebra validation."""
 
-import itertools
 import random
 
 import numpy as np
@@ -17,7 +16,6 @@ from nufix.errors import (
     InstanceMismatch,
     NotCovariant,
     NotPointed,
-    NufixError,
     UnknownConstant,
     VarianceError,
 )
@@ -645,19 +643,3 @@ def test_coalgebra_spec_validates_membership_and_strictness():
             {flat.bottom: ("upset", (("lup", "s"),)), ("lup", "s"): stuck},
         )
 
-
-def test_coalgebra_spec_from_table_matches_the_tag_form():
-    inst = pointed("Us(Id)")
-    flat = P.lift(P.discrete(["s"]))
-    fc = inst.on_object(flat)
-    for table in itertools.product(range(len(fc)), repeat=len(flat)):
-        structure = {x: fc.elements[v] for x, v in zip(flat.elements, table)}
-        try:
-            want = F.CoalgebraSpec(inst, flat, structure).as_map()
-        except NufixError as exc:
-            with pytest.raises(type(exc)):
-                F.CoalgebraSpec.from_table(inst, flat, np.array(table))
-            continue
-        assert F.CoalgebraSpec.from_table(inst, flat, np.array(table)).as_map() == want
-    with pytest.raises(DomainMismatch):
-        F.CoalgebraSpec.from_table(inst, flat, np.array([0, len(fc)]))

@@ -1,16 +1,18 @@
 """Kernel-level checks: the closure matches a reachability search, the
 inclusion order matches pairwise subset tests, the enumerators emit exactly
 the brute-force rows in their documented order, the cardinality
-certificates agree with the brute-force counts, iso search agrees with
-permutation search, and the monotonicity test (with `MonoMap` and the
-plain-iso check that call it) agrees with a loop over every pair."""
+certificates agree with the brute-force counts, the stacked brute-force
+counter agrees with a per-pair reference (and the counting law reports the
+first pair it breaks on), iso search agrees with permutation search, and
+the monotonicity test (with `MonoMap` and the plain-iso check that call it)
+agrees with a loop over every pair."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from nufix import kernels, mediator
+from nufix import kernels, laws, mediator
 from nufix.errors import DomainMismatch
 from nufix.posets import (
     FinPoset,
@@ -119,6 +121,79 @@ def test_enumeration_edge_shapes():
         assert got.shape == shape and got.dtype == dtype
 
 
+def count_monotone_bruteforce(leq_dom, leq_cod, strict_pair=None):
+    """Reference for `kernels.count_monotone_stack`: one pair at a time,
+    filtering the full |cod|**|dom| grid pair of positions by pair."""
+    n = leq_dom.shape[0]
+    m = leq_cod.shape[0]
+    if n == 0:
+        return 1
+    if m == 0:
+        return 0
+    grids = np.indices((m,) * n).reshape(n, -1)
+    keep = np.ones(grids.shape[1], dtype=np.bool_)
+    for i in range(n):
+        for j in range(n):
+            if leq_dom[i, j]:
+                keep &= leq_cod[grids[i], grids[j]]
+    if strict_pair is not None:
+        bd, bc = strict_pair
+        keep &= grids[bd] == bc
+    return int(keep.sum())
+
+
+def test_count_monotone_stack_matches_the_per_pair_reference():
+    shapes = all_posets_upto(4)
+    pointed = [p for p in map(with_declared_bottom, shapes) if p is not None]
+    for doms, strict in ((shapes, False), (pointed, True)):
+        by_size = {}
+        for p in doms:
+            by_size.setdefault(len(p), []).append(p)
+        for q in doms:
+            for n, group in by_size.items():
+                stack = np.array([p.leq for p in group], dtype=np.bool_).reshape(len(group), n, n)
+                pair = ([p.bottom_idx for p in group], q.bottom_idx) if strict else None
+                got = kernels.count_monotone_stack(stack, q.leq, pair)
+                want = [count_monotone_bruteforce(
+                    p.leq, q.leq, (p.bottom_idx, q.bottom_idx) if strict else None)
+                    for p in group]
+                assert got.tolist() == want, (n, q.leq)
+    # an empty stack, and domains into the empty codomain
+    empty = np.zeros((0, 0), dtype=np.bool_)
+    assert kernels.count_monotone_stack(np.zeros((0, 2, 2), np.bool_), chain(2).leq).shape == (0,)
+    assert kernels.count_monotone_stack(np.ones((3, 2, 2), np.bool_), empty).tolist() == [0] * 3
+    assert kernels.count_monotone_stack(np.ones((2, 0, 0), np.bool_), empty).tolist() == [1] * 2
+
+
+LAW_FAILURES = {
+    ("plain", "drop"): ("monotone count 8 != 9", "(('e0', 'e1'), ('e0', 'e1', 'e2'))"),
+    ("plain", "repeat"): ("monotone count 10 != 9", "(('e0', 'e1'), ('e0', 'e1', 'e2'))"),
+    ("strict", "drop"): ("strict monotone count 2 != 3", None),
+    ("strict", "repeat"): ("strict monotone count 4 != 3", None),
+}
+
+
+@pytest.mark.parametrize("side, mutation", sorted(LAW_FAILURES))
+def test_enumeration_counts_law_reports_the_first_broken_pair(side, mutation, monkeypatch):
+    # every 2-element domain into a 3-element codomain loses or repeats a
+    # row; the law reports the first such pair of its walk
+    enumerate_tables = kernels.enum_monotone_tables
+
+    def broken(leq_dom, leq_cod, limit, forced=None):
+        rows = enumerate_tables(leq_dom, leq_cod, limit, forced)
+        if ((forced is not None) != (side == "strict")
+                or (len(leq_dom), len(leq_cod)) != (2, 3)):
+            return rows
+        return rows[:-1] if mutation == "drop" else np.vstack([rows, rows[:1]])
+
+    assert laws.law_enumeration_counts(3).ok
+    monkeypatch.setattr(kernels, "enum_monotone_tables", broken)
+    result = laws.law_enumeration_counts(3)
+    detail, counterexample = LAW_FAILURES[side, mutation]
+    assert (result.name, result.ok, result.detail, result.counterexample) == (
+        "enumeration-counts", False, detail, counterexample)
+
+
 def test_monotone_enumeration_matches_bruteforce():
     shapes = all_posets_upto(3)
     for p in shapes:
@@ -133,7 +208,7 @@ def test_monotone_enumeration_matches_bruteforce():
             for forced in cases:
                 full = _monotone_in_order(p.leq, q.leq, forced)
                 if forced is plain:
-                    assert len(full) == kernels.count_monotone_bruteforce(p.leq, q.leq)
+                    assert len(full) == count_monotone_bruteforce(p.leq, q.leq)
                 _check_prefixes(
                     lambda k: kernels.enum_monotone_tables(p.leq, q.leq, k, forced), full
                 )
@@ -312,25 +387,25 @@ def test_count_chain_maps_matches_bruteforce_counts():
 
     for p in shapes:
         for h in range(5):
-            exact = kernels.count_monotone_bruteforce(p.leq, chain(h).leq)
+            exact = count_monotone_bruteforce(p.leq, chain(h).leq)
             assert kernels.count_chain_maps(p.leq, h, huge) == exact
             assert kernels.count_chain_maps(p.leq, h, 3) == min(exact, 3)
     for p in pointed:
         for h in range(1, 5):  # strict maps send the bottom to the chain's first element
-            exact = kernels.count_monotone_bruteforce(p.leq, chain(h).leq, (p.bottom_idx, 0))
+            exact = count_monotone_bruteforce(p.leq, chain(h).leq, (p.bottom_idx, 0))
             assert kernels.count_chain_maps(without_bottom(p), h, huge) == exact
     # into a longest chain of q: a lower bound on all the maps into q
     for p in shapes:
         for q in shapes:
             h = len(kernels.levels(q.leq))
             assert kernels.count_chain_maps(p.leq, h, huge) <= (
-                kernels.count_monotone_bruteforce(p.leq, q.leq))
+                count_monotone_bruteforce(p.leq, q.leq))
     for p in pointed:
         for q in pointed:
             h = len(kernels.levels(q.leq))
             strict_pair = (p.bottom_idx, q.bottom_idx)
             assert kernels.count_chain_maps(without_bottom(p), h, huge) <= (
-                kernels.count_monotone_bruteforce(p.leq, q.leq, strict_pair))
+                count_monotone_bruteforce(p.leq, q.leq, strict_pair))
 
 
 def test_count_chain_maps_from_a_chain_matches_the_upset_count():
@@ -344,7 +419,7 @@ def test_count_chain_maps_from_a_chain_matches_the_upset_count():
                     general = kernels.count_upsets(grid, limit)
                     assert kernels.count_chain_maps(leq, h, limit) == general
                 if h ** n <= 4096:
-                    exact = kernels.count_monotone_bruteforce(leq, chain(h).leq)
+                    exact = count_monotone_bruteforce(leq, chain(h).leq)
                     assert kernels.count_chain_maps(leq, h, 1 << 20) == exact
 
 

@@ -243,7 +243,7 @@ def test_fun_space_counts_against_bruteforce_small():
     for p in shapes:
         for q in shapes:
             f = P.fun_space(p, q, cap=None)
-            assert len(f) == kernels.count_monotone_bruteforce(p.leq, q.leq)
+            assert len(f) == kernels.count_monotone_stack(p.leq[None], q.leq)[0]
 
 
 def test_discrete_and_caps():
@@ -487,12 +487,50 @@ def test_dot_output_mentions_every_element():
 
 
 def test_all_posets_upto_counts():
-    # unlabeled poset counts: 1, 2, 5, 16 for sizes 1..4 (plus the empty one)
-    shapes = P.all_posets_upto(4)
+    # unlabeled poset counts: 1, 2, 5, 16, 63 for sizes 1..5 (plus the empty one)
+    shapes = P.all_posets_upto(5)
     by_size = {}
     for p in shapes:
         by_size.setdefault(len(p), []).append(p)
-    assert [len(by_size.get(k, [])) for k in range(5)] == [1, 1, 2, 5, 16]
+    assert [len(by_size.get(k, [])) for k in range(6)] == [1, 1, 2, 5, 16, 63]
+    for group in by_size.values():
+        for a, b in itertools.combinations(group, 2):
+            assert kernels.find_isomorphism(a.leq, b.leq) is None
+
+
+def iso_search_shapes(n):
+    """Reference for `all_posets_upto`: the same candidates in mask order,
+    each kept unless the iso search maps it onto a representative kept
+    before it with the same sorted invariant labels."""
+    out = [np.zeros((0, 0), dtype=np.bool_)]
+    for k in range(1, n + 1):
+        slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        by_labels = {}
+        for mask in range(1 << len(slots)):
+            leq = np.eye(k, dtype=np.bool_)
+            for b, (i, j) in enumerate(slots):
+                if (mask >> b) & 1:
+                    leq[i, j] = True
+            if not np.array_equal(kernels.transitive_closure(leq), leq):
+                continue
+            labels = tuple(sorted(kernels.invariant_labels(leq).tolist()))
+            same = by_labels.setdefault(labels, [])
+            if any(kernels.find_isomorphism(leq, r) is not None for r in same):
+                continue
+            same.append(leq)
+            out.append(leq)
+    return out
+
+
+def test_all_posets_upto_matches_the_iso_search_dedupe():
+    want = iso_search_shapes(5)
+    for n in range(6):
+        shapes = P.all_posets_upto(n, prefix="x")
+        ref = [leq for leq in want if len(leq) <= n]
+        assert len(shapes) == len(ref)
+        for p, leq in zip(shapes, ref):
+            assert np.array_equal(p.leq, leq) and p.bottom_idx is None
+            assert p.elements == tuple(f"x{i}" for i in range(len(p)))
 
 
 # --------------------------------------------------------------------------
