@@ -1,11 +1,23 @@
-"""Hot kernels: closure, inclusion order, table/upset enumeration,
-cardinality certificates, iso search.
+"""Hot kernels: closure, inclusion and pointwise orders, table/upset
+enumeration, cardinality certificates, iso search.
+
+Two kernels build order matrices.  `inclusion_order` compares boolean rows
+as 64-bit words; it orders upsets by inclusion of their masks.
+`table_order` orders tables pointwise: per position it packs, for each
+codomain value v, the bitset of the rows whose value there lies above v,
+and ANDs the bitsets that a row's own values pick.  That is k x n x k/64
+word ANDs, where inclusion of the rows of codomain down-sets compares
+k x k x n|cod|/64 words after a k x n|cod| gather.  Upset masks keep
+`inclusion_order`: a mask is already a membership row, so there is no
+gather or |cod| factor to save, and the bitset form, one step per ground
+element, measured slower on them.
 
 The two enumerators backtrack over Python-int bitsets and emit their rows in
 a fixed order, so every result built from them is reproducible:
 
 * monotone tables come out in lexicographic order of their values read
-  along `linear_extension(dom)`;
+  along the domain's linear extension that sorts its elements stably by
+  how many elements lie below each (`_linear_extension`);
 * upsets come out in lexicographic order of their membership bits read
   along the fewest-elements-above-first order, excluded before included
   (so the empty set is first).
@@ -43,7 +55,7 @@ def _unpack(masks, n):
 
 
 # --------------------------------------------------------------------------
-# order matrices: closure and inclusion
+# order matrices: closure, inclusion and the pointwise order
 
 
 def transitive_closure(rel):
@@ -76,24 +88,64 @@ def inclusion_order(masks):
     return leq
 
 
+def table_order(tables, leq_cod):
+    """leq[i, j] = (tables[i] <= tables[j] pointwise) for a (k, n) stack of
+    codomain indices, under the codomain order `leq_cod`.
+
+    bits[v, p] packs, over the rows j, whether v <= tables[j, p], into
+    64-bit words; row i of the order is the AND over the positions p of
+    bits[tables[i, p], p], unpacked once at the end."""
+    k, n = tables.shape
+    if k == 0 or n == 0:  # no rows, or every row is the empty table
+        return np.ones((k, k), dtype=np.bool_)
+    m = leq_cod.shape[0]
+    bits = np.zeros((m, n, -(-k // 64) * 8), dtype=np.uint8)  # whole words
+    bits[:, :, : (k + 7) // 8] = np.packbits(
+        leq_cod[:, tables.T], axis=2, bitorder="little")
+    bits = bits.view(np.uint64)
+    acc = bits[tables[:, 0], 0]
+    for p in range(1, n):
+        acc &= bits[tables[:, p], p]
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=k,
+                         bitorder="little").view(np.bool_)
+
+
 # --------------------------------------------------------------------------
 # monotone table enumeration
 
 
-def _enum_monotone(leq_dom, leq_cod, order, forced, limit):
-    n = leq_dom.shape[0]
-    m = leq_cod.shape[0]
+def _linear_extension(rows):
+    """Element indices of an order matrix given as lists, sorted stably by
+    the number of elements below each, so x <= y puts x first."""
+    below = [sum(col) for col in zip(*rows)]
+    return sorted(range(len(rows)), key=below.__getitem__)
+
+
+def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
+    """Up to `limit` monotone tables dom -> cod, deterministic order.
+
+    `forced[i] >= 0` pins element i of the domain to that codomain index
+    (used for bottom-strictness).  Tables come out int32 of shape (k, n).
+    The setup runs on Python lists: a numpy call per position would cost
+    more than the search on most inputs, which have few rows.
+    """
+    dom = np.asarray(leq_dom, dtype=np.bool_).tolist()
+    n, m, limit = len(dom), len(leq_cod), int(limit)
     if n == 0:
         return np.zeros((min(limit, 1), 0), dtype=np.int32)
     if m == 0 or limit == 0:
         return np.zeros((0, n), dtype=np.int32)
     up = _row_bits(leq_cod)
-    below = leq_dom[order][:, order].T  # below[pos, q]: order[q] <= order[pos]
-    order = order.tolist()
+    order = _linear_extension(dom)
     # per position: the forced bit or all of cod, and the earlier positions
     # holding a dom predecessor, whose values bound this one from below
-    start = [1 << int(forced[e]) if forced[e] >= 0 else (1 << m) - 1 for e in order]
-    preds = [np.flatnonzero(below[pos, :pos]).tolist() for pos in range(n)]
+    full = (1 << m) - 1
+    if forced is None:
+        start = [full] * n
+    else:
+        forced = np.asarray(forced).tolist()
+        start = [full if forced[e] < 0 else 1 << forced[e] for e in order]
+    preds = [[q for q in range(pos) if dom[order[q]][e]] for pos, e in enumerate(order)]
     vals = [0] * n
     rest = [0] * n
     rest[0] = start[0]
@@ -122,29 +174,6 @@ def _enum_monotone(leq_dom, leq_cod, order, forced, limit):
     out = np.empty((count, n), dtype=np.int32)
     out[:, order] = np.array(flat, dtype=np.int32).reshape(count, n)
     return out
-
-
-def linear_extension(leq):
-    """Element indices ordered so that x <= y implies x comes first."""
-    below = leq.sum(axis=0)
-    return np.argsort(below, kind="stable").astype(np.int32)
-
-
-def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
-    """Up to `limit` monotone tables dom -> cod, deterministic order.
-
-    `forced[i] >= 0` pins element i of the domain to that codomain index
-    (used for bottom-strictness).  Tables come out int32 of shape (k, n).
-    """
-    leq_dom = np.asarray(leq_dom, dtype=np.bool_)
-    leq_cod = np.asarray(leq_cod, dtype=np.bool_)
-    n = leq_dom.shape[0]
-    if forced is None:
-        forced = np.full(n, -1, dtype=np.int32)
-    else:
-        forced = np.asarray(forced, dtype=np.int32)
-    order = linear_extension(leq_dom)
-    return _enum_monotone(leq_dom, leq_cod, order, forced, int(limit))
 
 
 def monotone_ok(leq_dom, leq_cod, table):

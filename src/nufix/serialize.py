@@ -22,10 +22,12 @@ corrupted report fails loudly rather than round-tripping: a pool poset goes
 through the builder behind `posets.validate_poset`, and a missing field, a
 field of the wrong JSON type, an index out of range or a report in another
 format raises InputError.  So does a claim that the verified objects
-contradict: a row status against the row's maps, a solution's `exact` and
-outer status against its rows, vertical ep-pairs, `z`, witness and final
-coalgebra, and a mediator report's stage comparisons and status against
-its two rows.
+contradict: a row status against the row's maps, a solution's budgets
+against its rows' lengths, statuses, stage sizes and carriers, its `exact`
+and outer status against its rows, vertical ep-pairs, `z`, witness and
+final coalgebra, and a mediator report's stage comparisons and status
+against its two rows.  Terminal reports record no budget, so their row
+lengths are not checked against one.
 """
 
 from __future__ import annotations
@@ -270,8 +272,8 @@ def load_solution_report(obj):
     rows = [_seq_from_json(row, posets) for row in _get(obj, "rows", list)]
     vertical = [_ep_from_json(e, posets) for e in _get(obj, "vertical_eps", list)]
     status = _status_from_json(_get(obj, "status"))
-    if len(params) != len(rows) + 1:
-        raise InputError("a solution report has one parameter more than rows")
+    budgets = _get(obj, "budgets", dict)
+    _check_budgets(budgets, status, params, rows)
     # solve_hob stops without the last row's vertical ep when none exists
     if len(vertical) != len(rows) - (status.reason == "vertical-ep-unavailable"):
         raise InputError("a solution report has one vertical ep per row")
@@ -300,7 +302,7 @@ def load_solution_report(obj):
     return {
         "expr": _get(obj, "expr", str),
         "backend": _get(obj, "backend", str),
-        "budgets": _get(obj, "budgets", dict),
+        "budgets": budgets,
         "status": status,
         "params": params,
         "rows": rows,
@@ -310,6 +312,47 @@ def load_solution_report(obj):
         "z": z,
         "exact": exact,
     }
+
+
+def _check_budgets(budgets, status, params, rows):
+    """The recorded budgets against the rows they bound.  Row n unfolds at
+    most `inner` steps: a `budget` truncation took all of them (inner + 1
+    stages), an `element-cap` one stopped before the last, and a row that
+    stabilized (at an ep below `inner`) is unfolded by the outer iteration
+    to at most inner + 1 stages.  No stage exceeds `element_cap`.  There are
+    at most `outer` rows, exactly `outer` for an `outer-budget` truncation
+    (the other reason is `vertical-ep-unavailable`), and parameter n + 1 is
+    row n's carrier: the stage it stabilized at, or its last."""
+    inner, outer, cap = (_get(budgets, key) for key in ("inner", "outer", "element_cap"))
+    for key, value in (("inner", inner), ("outer", outer), ("element_cap", cap)):
+        if type(value) is not int or value < 1:
+            raise InputError(f"budget {key!r} must be an int of at least 1, found {value!r}")
+    if len(params) != len(rows) + 1:
+        raise InputError("a solution report has one parameter more than rows")
+    if status.stabilized:
+        ok = len(rows) <= outer
+    elif status.reason == "outer-budget":
+        ok = len(rows) == outer
+    else:
+        ok = status.reason == "vertical-ep-unavailable" and len(rows) <= outer
+    if not ok:
+        raise InputError(f"{len(rows)} rows disagree with outer status "
+                         f"{status.describe()} at outer budget {outer}")
+    for n, (stages, _, row_status) in enumerate(rows):
+        if row_status.stabilized:  # at < len(stages) - 1, so at < inner too
+            ok = len(stages) <= inner + 1
+        elif row_status.reason == "budget":
+            ok = len(stages) == inner + 1
+        else:
+            ok = row_status.reason == "element-cap" and len(stages) <= inner
+        if not ok:
+            raise InputError(f"row {n}: {len(stages)} stages and status "
+                             f"{row_status.describe()} disagree with inner budget {inner}")
+        if max(len(s) for s in stages) > cap:
+            raise InputError(f"row {n} has a stage larger than element cap {cap}")
+        carrier = stages[row_status.at] if row_status.stabilized else stages[-1]
+        if params[n + 1] != carrier:
+            raise InputError(f"parameter {n + 1} is not row {n}'s carrier")
 
 
 def _check_solved(status, params, rows, vertical, z, witness, final):

@@ -1,5 +1,6 @@
 """Kernel-level checks: the closure matches a reachability search, the
-inclusion order matches pairwise subset tests, the enumerators emit exactly
+inclusion order matches pairwise subset tests, the pointwise table order
+matches inclusion of down-set rows, the enumerators emit exactly
 the brute-force rows in their documented order, the cardinality
 certificates agree with the brute-force counts, the stacked brute-force
 counter agrees with a per-pair reference (and the counting law reports the
@@ -19,6 +20,7 @@ from nufix.posets import (
     MonoMap,
     all_posets_upto,
     chain,
+    discrete,
     validate_poset,
     with_declared_bottom,
 )
@@ -74,6 +76,86 @@ def test_inclusion_order_matches_pairwise_subsets():
                 assert 0 < got.sum() - k < k * (k - 1)
 
 
+def linear_extension(leq):
+    """Reference for the enumerator's position order: element indices
+    sorted stably by their column sums, so x <= y puts x first."""
+    below = leq.sum(axis=0)
+    return np.argsort(below, kind="stable").astype(np.int32)
+
+
+def down_set_order(tables, leq_cod):
+    """Reference for `kernels.table_order`: t <= u pointwise iff the
+    codomain down-set of t[p] lies inside that of u[p] at every p, so the
+    order is the inclusion of the rows of down-sets."""
+    k, n = tables.shape
+    return kernels.inclusion_order(leq_cod.T[tables].reshape(k, n * len(leq_cod)))
+
+
+def _tables_with_comparables(rng, k, n, leq_cod):
+    """k random tables of width n into `leq_cod`; about half copy an earlier
+    table with some values raised, so that many pairs are comparable."""
+    tables = rng.randint(len(leq_cod), size=(k, n))
+    for i in range(1, k):
+        if rng.rand() < 0.5:
+            row = tables[rng.randint(i)].copy()
+            for p in np.flatnonzero(rng.rand(n) < 0.3):
+                row[p] = rng.choice(np.flatnonzero(leq_cod[row[p]]))
+            tables[i] = row
+    return tables.astype(np.int32)
+
+
+def test_table_order_matches_down_set_inclusion():
+    rng = np.random.RandomState(17)
+    bottomless = validate_poset(["a", "b", "c", "d", "e"],
+                                [("a", "c"), ("b", "c"), ("c", "d"), ("b", "e")])
+    cods = [chain(1), chain(4), bottomless, discrete("xyz")]
+    strict = incomparable = 0
+    for cod in cods:
+        for k in (0, 1, 63, 64, 65, 130):
+            for n in (1, 3, 7):
+                tables = _tables_with_comparables(rng, k, n, cod.leq)
+                got = kernels.table_order(tables, cod.leq)
+                assert got.dtype == np.bool_ and got.shape == (k, k)
+                assert np.array_equal(got, down_set_order(tables, cod.leq)), (len(cod), k, n)
+                strict += int((got & ~got.T).sum())
+                incomparable += int((~got & ~got.T).sum())
+    assert strict > 0 and incomparable > 0
+    # no positions: every table is the empty one; no codomain values
+    for m in (0, 1):
+        leq_cod = np.eye(m, dtype=np.bool_)
+        for k in (0, 1, 3):
+            tables = np.zeros((k, 0), dtype=np.int32)
+            assert np.array_equal(kernels.table_order(tables, leq_cod),
+                                  np.ones((k, k), dtype=np.bool_))
+            assert np.array_equal(down_set_order(tables, leq_cod), np.ones((k, k)))
+    empty = np.zeros((0, 4), dtype=np.int32)
+    assert kernels.table_order(empty, np.zeros((0, 0), dtype=np.bool_)).shape == (0, 0)
+
+
+def test_table_order_on_a_full_function_space():
+    # a 6 -> 5 space of about 2000 monotone tables, the shape of the
+    # benchmark's largest function spaces
+    rng = np.random.RandomState(33)
+    dom, cod = _random_order(rng, 6, 0.25), _random_order(rng, 5, 0.25)
+    tables = kernels.enum_monotone_tables(dom, cod, 5 ** 6 + 1)
+    assert 1500 <= len(tables) <= 2500
+    got = kernels.table_order(tables, cod)
+    assert np.array_equal(got, down_set_order(tables, cod))
+    assert 0 < got.sum() - len(tables) < len(tables) * (len(tables) - 1)
+
+
+def test_enumerator_positions_follow_the_linear_extension():
+    rng = np.random.RandomState(19)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(2, 13)
+        leq = _random_order(rng, n, rng.choice([0.0, 0.1, 0.3, 0.6]))
+        ties += len(set(leq.sum(axis=0).tolist())) < n  # equal column sums
+        assert kernels._linear_extension(leq.tolist()) == linear_extension(leq).tolist()
+    assert kernels._linear_extension([]) == []
+    assert ties > 250
+
+
 def _monotone_in_order(leq_dom, leq_cod, forced):
     """Every monotone table by brute force, sorted lexicographically along
     the linear extension of the domain."""
@@ -83,7 +165,7 @@ def _monotone_in_order(leq_dom, leq_cod, forced):
         if all(leq_cod[t[i], t[j]] for i in range(n) for j in range(n) if leq_dom[i, j])
         and all(f < 0 or t[i] == f for i, f in enumerate(forced))
     ]
-    order = kernels.linear_extension(leq_dom).tolist()
+    order = linear_extension(leq_dom).tolist()
     return sorted(tables, key=lambda t: [t[e] for e in order])
 
 
@@ -324,7 +406,7 @@ def _longest_chain_below(leq):
     """Elements on the longest chain ending at each element, minus one, by
     relaxing along a linear extension."""
     depth = [0] * len(leq)
-    for j in kernels.linear_extension(leq).tolist():
+    for j in linear_extension(leq).tolist():
         for i in np.flatnonzero(leq[:, j]).tolist():
             if i != j:
                 depth[j] = max(depth[j], depth[i] + 1)

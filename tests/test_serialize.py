@@ -26,10 +26,10 @@ def det_report():
     return E.solve_hob("(V -!> Id) + W")
 
 
-def atom_report():
+def atom_report(inner_budget=4, outer_budget=3):
     a = P.lift(P.discrete(["a"]))
     return E.solve_hob("(V -!> Id) + W + A", constants={"A": a},
-                       inner_budget=4, outer_budget=3)
+                       inner_budget=inner_budget, outer_budget=outer_budget)
 
 
 def test_solution_report_roundtrip_solved():
@@ -68,6 +68,99 @@ def test_solution_report_with_wrong_counts_is_rejected(key, keep):
     assert (len(obj["params"]), len(obj["rows"]), len(obj["vertical_eps"])) == (4, 3, 2)
     obj[key] = obj[key][:keep]
     with pytest.raises(InputError):
+        S.load_solution_report(obj)
+
+
+def _report_json(rep):
+    return json.loads(S.dumps(S.solution_report_json(rep)))
+
+
+def _drop_last_stage(obj, n):
+    row = obj["rows"][n]
+    for key in ("stages", "sizes", "eps"):
+        row[key] = row[key][:-1]
+
+
+BUDGET_TAMPERS = {
+    "inner 4 -> 7": (lambda o: o["budgets"].update(inner=7), "inner budget 7"),
+    "outer 3 -> 2": (lambda o: o["budgets"].update(outer=2), "outer budget 2"),
+    "cap 512 -> 9": (lambda o: o["budgets"].update(element_cap=9), "element cap 9"),
+    "budget row short": (lambda o: _drop_last_stage(o, 1), "inner budget 4"),
+    "wrong carrier": (lambda o: o["params"].__setitem__(1, o["params"][2]), "carrier"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(BUDGET_TAMPERS))
+def test_solution_report_budgets_must_bound_the_rows(tamper):
+    obj = _report_json(atom_report())
+    assert obj["budgets"] == {"inner": 4, "outer": 3, "element_cap": 512}
+    assert [(r["status"]["state"], r["status"]["reason"], r["sizes"]) for r in obj["rows"]] == [
+        ("stabilized", None, [1, 2, 2, 2, 2]),
+        ("truncated", "budget", [1, 3, 5, 7, 9]),
+        ("truncated", "element-cap", [1, 10]),
+    ]
+    S.load_solution_report(obj)
+    change, message = BUDGET_TAMPERS[tamper]
+    change(obj)
+    with pytest.raises(InputError, match=message):
+        S.load_solution_report(obj)
+
+
+def test_element_cap_rows_stop_before_the_inner_budget():
+    obj = _report_json(E.solve_hob("U(Id)", inner_budget=6, element_cap=4))
+    assert {(r["status"]["reason"], len(r["stages"])) for r in obj["rows"]} == {
+        ("element-cap", 4)}
+    S.load_solution_report(obj)
+    obj["budgets"]["inner"] = 3
+    with pytest.raises(InputError, match=r"row 0: 4 stages .* inner budget 3"):
+        S.load_solution_report(obj)
+
+
+def test_stabilized_rows_stay_within_the_inner_budget():
+    obj = _report_json(E.solve_hob("Bool"))  # row 0 stabilized at 1 with 3 stages
+    assert obj["rows"][0]["status"]["at"] == 1 and len(obj["rows"][0]["stages"]) == 3
+    with pytest.raises(InputError, match="inner budget 1"):
+        S.load_solution_report(_replaced(obj, ("budgets", "inner"), 1))
+    # one more unfolding past the fixed point fits inner 3, not inner 2
+    row = obj["rows"][0]
+    for key in ("stages", "sizes", "eps"):
+        row[key].append(row[key][-1])
+    S.load_solution_report(_replaced(obj, ("budgets", "inner"), 3))
+    with pytest.raises(InputError, match=r"row 0: 4 stages .* inner budget 2"):
+        S.load_solution_report(_replaced(obj, ("budgets", "inner"), 2))
+
+
+@pytest.mark.parametrize("path", [("rows", 2, "status", "reason"), ("status", "reason")])
+def test_rows_and_solutions_truncate_for_a_known_reason(path):
+    obj = _report_json(atom_report())
+    with pytest.raises(InputError, match=r"truncated\(banana\)"):
+        S.load_solution_report(_replaced(obj, path, "banana"))
+
+
+def test_outer_budget_status_needs_every_row():
+    obj = _report_json(atom_report(outer_budget=2))
+    assert obj["status"]["reason"] == "outer-budget" and len(obj["rows"]) == 2
+    S.load_solution_report(obj)
+    obj["budgets"]["outer"] = 3
+    with pytest.raises(InputError, match="outer budget 3"):
+        S.load_solution_report(obj)
+
+
+def test_a_larger_outer_budget_than_used_is_a_real_report():
+    # the iteration stops at row 2 for want of a vertical ep whatever the
+    # outer budget, so outer 3 -> 9 gives the report that outer 9 writes
+    obj = _report_json(atom_report())
+    obj["budgets"]["outer"] = 9
+    assert obj == _report_json(atom_report(outer_budget=9))
+    S.load_solution_report(obj)
+
+
+@pytest.mark.parametrize("key", ["inner", "outer", "element_cap"])
+@pytest.mark.parametrize("value", [0, -1, True, 4.0, "4", None])
+def test_budgets_must_be_positive_ints(key, value):
+    obj = copy.deepcopy(REPORTS["truncated-solution"])
+    obj["budgets"][key] = value
+    with pytest.raises(InputError, match=f"budget {key!r}"):
         S.load_solution_report(obj)
 
 
