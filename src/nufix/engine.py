@@ -40,6 +40,7 @@ from .posets import (
     bottom_ep,
     compose,
     identity,
+    identity_ep,
     unit,
 )
 
@@ -313,10 +314,8 @@ def nu_on_transformation(reindex, seq_f, seq_g):
     seq_f.ensure_depth(need)
     seq_g.ensure_depth(need)
     one_f, one_g = seq_f.stages[0], seq_g.stages[0]
-    v = EpPair(
-        MonoMap(one_f, one_g, np.zeros(1, dtype=np.int32), strict=True),
-        MonoMap(one_g, one_f, np.zeros(1, dtype=np.int32), strict=True),
-    )
+    zero = np.zeros(1, dtype=np.int32)
+    v = EpPair.from_tables(one_f, one_g, zero, zero, (True, True))
     for k in range(need):
         comp = reindex.component(seq_f.stages[k])
         nxt = comp.then(reindex.dst.on_ep(v))
@@ -330,15 +329,16 @@ def nu_on_transformation(reindex, seq_f, seq_g):
 
 
 def _iso_chain(seq, lo, hi):
-    """The composite stabilization iso stages[lo] -> stages[hi]."""
-    iso = Iso(identity(seq.stages[lo]), identity(seq.stages[lo]))
+    """The composite stabilization iso stages[lo] -> stages[hi].  The
+    composite of the connecting pairs is an iso exactly when each of them
+    is: an embedding is injective, so the sizes never fall and are all
+    equal exactly when the first and last are."""
+    ep = identity_ep(seq.stages[lo])
     for k in range(lo, hi):
-        step = seq.eps[k].as_iso()
-        if step is None:
-            raise DepthMismatch("non-iso connecting pair past the carrier")
-        iso = Iso(
-            compose(iso.forward, step.forward), compose(step.backward, iso.backward)
-        )
+        ep = ep.then(seq.eps[k])
+    iso = ep.as_iso()
+    if iso is None:
+        raise DepthMismatch("non-iso connecting pair past the carrier")
     return iso
 
 

@@ -366,8 +366,8 @@ class FunctorInstance:
 
     Objects and ep actions are memoized per instance, so one instance per
     parameter pair builds each F(X), each constructed poset and each
-    F(e, p) once.  A memoized ep-pair was verified through `MonoMap` and
-    `EpPair` when it was built.
+    F(e, p) once.  A memoized ep-pair was verified as a Galois insertion
+    on its two tables (`EpPair.from_tables`) when it was built.
     """
 
     def __init__(self, expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
@@ -528,9 +528,8 @@ def functor_ep(expr, src, dst, state_ep, param_ep):
     pe, pp = (None, None) if param_ep is None else (param_ep.e.table, param_ep.p.table)
     src_obj = src.on_object(x)
     dst_obj = dst.on_object(y)
-    e = MonoMap.auto_strict(src_obj, dst_obj, _act(expr, src, dst, x, y, se, sp, pe, pp))
-    p = MonoMap.auto_strict(dst_obj, src_obj, _act(expr, dst, src, y, x, sp, se, pp, pe))
-    return EpPair(e, p)
+    return EpPair.from_tables(src_obj, dst_obj, _act(expr, src, dst, x, y, se, sp, pe, pp),
+                              _act(expr, dst, src, y, x, sp, se, pp, pe))
 
 
 def _act(node, a, b, xa, xb, f, g, pf, pg):

@@ -563,9 +563,7 @@ class MonoMap:
     def __init__(self, dom, cod, table, strict=False):
         self.dom = dom
         self.cod = cod
-        table = np.ascontiguousarray(table, dtype=np.int32)
-        table.flags.writeable = False
-        self.table = table
+        self.table = table = _frozen_table(table)
         if table.shape != (len(dom),):
             raise DomainMismatch("table length does not match domain size")
         if len(dom) and (table.min() < 0 or table.max() >= len(cod)):
@@ -580,15 +578,16 @@ class MonoMap:
         self.strict = bool(strict)
 
     @classmethod
+    def _checked(cls, dom, cod, table, strict):
+        """A map whose frozen int32 table the caller has already checked."""
+        f = cls.__new__(cls)
+        f.dom, f.cod, f.table, f.strict = dom, cod, table, bool(strict)
+        return f
+
+    @classmethod
     def auto_strict(cls, dom, cod, table):
         """Set the strict flag whenever it is meaningful and holds."""
-        strict = (
-            dom.is_pointed
-            and cod.is_pointed
-            and len(dom) > 0
-            and int(table[dom.bottom_idx]) == cod.bottom_idx
-        )
-        return cls(dom, cod, table, strict)
+        return cls(dom, cod, table, _auto_strict(dom, cod, table))
 
     def __call__(self, tag):
         return self.cod.elements[self.table[self.dom.index(tag)]]
@@ -620,6 +619,23 @@ class MonoMap:
         return len(set(self.table.tolist())) == len(self.cod)
 
 
+def _frozen_table(table):
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def _auto_strict(dom, cod, table):
+    """The strict flag of `MonoMap.auto_strict`: both ends pointed and the
+    table sends the domain's bottom to the codomain's."""
+    return (
+        dom.is_pointed
+        and cod.is_pointed
+        and len(dom) > 0
+        and int(table[dom.bottom_idx]) == cod.bottom_idx
+    )
+
+
 def identity(p):
     """Identity map; strict whenever the poset is pointed."""
     return MonoMap(p, p, np.arange(len(p), dtype=np.int32), strict=p.is_pointed)
@@ -636,8 +652,30 @@ def compose(f, g):
 class EpPair:
     """An embedding-projection pair e: X -> Y, p: Y -> X.
 
-    Laws (p . e = id and e . p <= id) are re-verified pointwise at
-    construction, so any ep-pair held by the engine is a checked one.
+    An ep-pair is exactly a Galois insertion: an adjunction e -| p with
+    p . e = id (Smyth & Plotkin, "The category-theoretic solution of
+    recursive domain equations", SIAM J. Comput. 11(4), 1982; Abramsky &
+    Jung, *Domain Theory*, 1994, section 3.1).  So the laws are verified
+    at construction as one gather, p . e against the identity, and one
+    comparison of two |X| x |Y| order slices:
+
+        e(x) <= y   iff   x <= p(y)      for every x in X, y in Y.
+
+    Given p . e = id, this is the same as e and p monotone and
+    e . p <= id.  Taking y = e(x) gives x <= p(e(x)), and taking x = p(y)
+    gives e(p(y)) <= y.  e is monotone since x <= x' = p(e(x')), and p
+    likewise since e(p(y)) <= y <= y'.  The converse follows from
+    monotonicity.  The check costs O(|X| |Y|), where checking each map's
+    monotonicity costs O(|X|^2 + |Y|^2).
+
+    `from_tables` builds a pair from its two index tables, checking their
+    shape and range, the strict flags and the comparison; its maps are not
+    validated again.  `EpPair(e, p)` takes two `MonoMap`s and checks the
+    laws through the same comparison.  When a check fails, the itemized
+    checks run in their old order (each map as `MonoMap` validates it,
+    then p . e = id, then e . p <= id), so a rejected pair raises the
+    exception that names its first fault.  Any ep-pair held by the engine
+    is a checked one.
     """
 
     __slots__ = ("e", "p")
@@ -645,17 +683,28 @@ class EpPair:
     def __init__(self, e, p):
         if e.dom != p.cod or e.cod != p.dom:
             raise DomainMismatch("ep pair endpoints do not match")
-        if not np.array_equal(
-            p.table[e.table] if len(e.dom) else np.zeros(0, dtype=np.int32),
-            np.arange(len(e.dom), dtype=np.int32),
-        ):
-            raise EpLawViolation("p . e is not the identity")
-        y = np.arange(len(e.cod), dtype=np.int32)
-        ep = e.table[p.table] if len(e.cod) else y
-        if len(e.cod) and not e.cod.leq[ep, y].all():
-            raise EpLawViolation("e . p is not below the identity")
+        if not _galois_insertion(e.dom, e.cod, e.table, p.table):
+            _ep_laws(e, p)
         self.e = e
         self.p = p
+
+    @classmethod
+    def from_tables(cls, x, y, e, p, strict=None):
+        """The ep-pair with embedding table `e` (X -> Y) and projection
+        table `p` (Y -> X).  `strict` is the pair of strict flags (for e,
+        for p), or None to set each as `MonoMap.auto_strict` does."""
+        te, tp = _frozen_table(e), _frozen_table(p)
+        if _galois_insertion(x, y, te, tp):
+            se, sp = ((_auto_strict(x, y, te), _auto_strict(y, x, tp))
+                      if strict is None else strict)
+            if _keeps_bottom(x, y, te, se) and _keeps_bottom(y, x, tp, sp):
+                pair = cls.__new__(cls)
+                pair.e = MonoMap._checked(x, y, te, se)
+                pair.p = MonoMap._checked(y, x, tp, sp)
+                return pair
+        if strict is None:
+            return cls(MonoMap.auto_strict(x, y, e), MonoMap.auto_strict(y, x, p))
+        return cls(MonoMap(x, y, e, strict[0]), MonoMap(y, x, p, strict[1]))
 
     @property
     def dom(self):
@@ -666,26 +715,70 @@ class EpPair:
         return self.e.cod
 
     def as_iso(self):
-        """The pair as an Iso when the embedding is onto, else None."""
-        if len(self.dom) != len(self.cod):
+        """The pair as an Iso when the embedding is onto, else None.  The
+        pair has verified p . e = id, so only e . p = id is checked here."""
+        if len(self.dom) != len(self.cod) or not _is_identity(self.e.table.take(self.p.table)):
             return None
-        if len(self.dom) and not np.array_equal(
-            self.e.table[self.p.table], np.arange(len(self.cod), dtype=np.int32)
-        ):
-            return None
-        return Iso(self.e, self.p)
+        iso = Iso.__new__(Iso)
+        iso.forward, iso.backward = self.e, self.p
+        return iso
 
     def then(self, other):
-        """Composite ep-pair: embeddings forward, projections backward."""
-        return EpPair(compose(self.e, other.e), compose(other.p, self.p))
+        """Composite ep-pair: embeddings forward, projections backward.  The
+        strict flags are those `compose` gives each composite map."""
+        if self.cod != other.dom:
+            raise DomainMismatch("compose: codomain of first map must match domain of second")
+        return EpPair.from_tables(
+            self.dom, other.cod,
+            other.e.table.take(self.e.table), self.p.table.take(other.p.table),
+            (self.e.strict and other.e.strict, other.p.strict and self.p.strict))
 
     def __repr__(self):
         return f"EpPair({len(self.dom)} -> {len(self.cod)})"
 
 
+def _keeps_bottom(dom, cod, table, strict):
+    """Does the in-range `table` meet its strict flag, as `MonoMap` checks it?"""
+    return not strict or (dom.is_pointed and cod.is_pointed
+                          and table[dom.bottom_idx] == cod.bottom_idx)
+
+
+def _galois_insertion(x, y, e, p):
+    """Are the int32 tables e: X -> Y and p: Y -> X a Galois insertion:
+    of the right lengths and in range, with p . e = id and e(a) <= b iff
+    a <= p(b)?  The two order gathers check the range: viewed as unsigned,
+    a negative index is out of range too.  A gather that takes nothing
+    checks no index, so an empty end is settled by the sizes alone."""
+    if e.shape != (len(x),) or p.shape != (len(y),):
+        return False
+    if not (len(x) and len(y)):
+        return len(x) == len(y)
+    try:
+        below = y.leq.take(e.view(np.uint32), axis=0)  # e(a) <= b
+        above = x.leq.take(p.view(np.uint32), axis=1)  # a <= p(b)
+    except IndexError:
+        return False
+    return _is_identity(p.take(e)) and below.tobytes() == above.tobytes()
+
+
+def _is_identity(table):
+    """Is the int32 `table` 0, 1, 2, ...?"""
+    return table.tobytes() == np.arange(len(table), dtype=np.int32).tobytes()
+
+
+def _ep_laws(e, p):
+    """The two ep laws of monotone maps e and p, one gather each, raising
+    `EpLawViolation` at the first that fails."""
+    if not _is_identity(p.table.take(e.table)):
+        raise EpLawViolation("p . e is not the identity")
+    y = np.arange(len(e.cod))
+    if not e.cod.leq[e.table.take(p.table), y].all():
+        raise EpLawViolation("e . p is not below the identity")
+
+
 def identity_ep(p):
-    i = identity(p)
-    return EpPair(i, i)
+    table = np.arange(len(p), dtype=np.int32)
+    return EpPair.from_tables(p, p, table, table, (p.is_pointed, p.is_pointed))
 
 
 def bottom_ep(one, q):
@@ -693,9 +786,9 @@ def bottom_ep(one, q):
     q.require_pointed("bottom_ep")
     if len(one) != 1:
         raise DomainMismatch("bottom_ep expects a singleton domain")
-    e = MonoMap(one, q, np.array([q.bottom_idx], dtype=np.int32), strict=one.is_pointed)
-    p = MonoMap(q, one, np.zeros(len(q), dtype=np.int32), strict=one.is_pointed)
-    return EpPair(e, p)
+    return EpPair.from_tables(one, q, np.array([q.bottom_idx], dtype=np.int32),
+                              np.zeros(len(q), dtype=np.int32),
+                              (one.is_pointed, one.is_pointed))
 
 
 def ep_check(e, p):

@@ -150,11 +150,17 @@ def _map_json(m, pool):
     }
 
 
-def _map_from_json(obj, posets):
+def _map_fields(obj, posets):
+    """The domain, codomain, table and strict flag of a map's JSON object,
+    the table's indices checked against the codomain."""
     dom = _pooled(posets, _get(obj, "dom"))
     cod = _pooled(posets, _get(obj, "cod"))
     table = _indices(_get(obj, "table", list), len(cod), "a map table")
-    return MonoMap(dom, cod, table, strict=_get(obj, "strict", bool))
+    return dom, cod, table, _get(obj, "strict", bool)
+
+
+def _map_from_json(obj, posets):
+    return MonoMap(*_map_fields(obj, posets))
 
 
 def _ep_json(ep, pool):
@@ -162,8 +168,13 @@ def _ep_json(ep, pool):
 
 
 def _ep_from_json(obj, posets):
-    return EpPair(_map_from_json(_get(obj, "e"), posets),
-                  _map_from_json(_get(obj, "p"), posets))
+    """The ep-pair of a JSON object, verified with its recorded strict
+    flags by `EpPair.from_tables` when the maps' endpoints agree."""
+    x, y, e, se = _map_fields(_get(obj, "e"), posets)
+    y2, x2, p, sp = _map_fields(_get(obj, "p"), posets)
+    if x2 != x or y2 != y:
+        return EpPair(MonoMap(x, y, e, se), MonoMap(y2, x2, p, sp))
+    return EpPair.from_tables(x, y, e, p, (se, sp))
 
 
 def _iso_json(iso, pool):

@@ -394,6 +394,157 @@ def test_bottom_ep_and_as_iso():
 
 
 # --------------------------------------------------------------------------
+# ep-pairs from tables against the itemized validation
+
+STRICT_MODES = [None, (False, False), (True, True), (True, False), (False, True)]
+
+
+def _itemized_map(dom, cod, table, strict):
+    """`MonoMap`'s checks one at a time: length, range, monotonicity, then
+    strictness.  `strict` None sets the flag as `MonoMap.auto_strict` does,
+    reading the table before any check.  Returns the table and the flag."""
+    if strict is None:
+        strict = (dom.is_pointed and cod.is_pointed and len(dom) > 0
+                  and int(table[dom.bottom_idx]) == cod.bottom_idx)
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    if table.shape != (len(dom),):
+        raise DomainMismatch("table length does not match domain size")
+    if len(dom) and (table.min() < 0 or table.max() >= len(cod)):
+        raise DomainMismatch("table value outside codomain")
+    if any(not cod.leq[table[i], table[j]] for i, j in zip(*np.nonzero(dom.leq))):
+        raise DomainMismatch("assignment is not monotone")
+    if strict:
+        if not (dom.is_pointed and cod.is_pointed):
+            raise NotPointed("strict map requires a pointed poset")
+        if table[dom.bottom_idx] != cod.bottom_idx:
+            raise NotPointed("map does not preserve bottom")
+    return table, bool(strict)
+
+
+def _itemized_ep(x, y, e, p, strict):
+    """The reference for `EpPair.from_tables`: each map checked as above,
+    then the two ep laws, one gather each: p . e = id, then e . p <= id."""
+    se, sp = (None, None) if strict is None else strict
+    e, se = _itemized_map(x, y, e, se)
+    p, sp = _itemized_map(y, x, p, sp)
+    if not np.array_equal(p[e], np.arange(len(x))):
+        raise EpLawViolation("p . e is not the identity")
+    if not y.leq[e[p], np.arange(len(y))].all():
+        raise EpLawViolation("e . p is not below the identity")
+    return "ok", e.tolist(), p.tolist(), se, sp
+
+
+def _outcome(build):
+    """What `build` gives: an accepted pair's tables and strict flags, or
+    the class and message of what it raised."""
+    try:
+        ep = build()
+    except Exception as exc:  # the class is part of the outcome
+        return type(exc), str(exc)
+    if not isinstance(ep, P.EpPair):
+        return ep
+    return "ok", ep.e.table.tolist(), ep.p.table.tolist(), ep.e.strict, ep.p.strict
+
+
+def _assert_from_tables_agrees(x, y, e, p, strict):
+    """`EpPair.from_tables` (and `EpPair` on two valid maps) accepts exactly
+    what the itemized reference accepts, with its flags, and otherwise raises
+    its exception.  Returns the reference's outcome."""
+    want = _outcome(lambda: _itemized_ep(x, y, e, p, strict))
+    got = _outcome(lambda: P.EpPair.from_tables(x, y, e, p, strict))
+    assert got == want, (x, y, e, p, strict)
+    if want[0] == "ok" or want[0] is EpLawViolation:  # both maps are valid
+        se, sp = (None, None) if strict is None else strict
+        _, se = _itemized_map(x, y, e, se)
+        _, sp = _itemized_map(y, x, p, sp)
+        pair = _outcome(lambda: P.EpPair(P.MonoMap(x, y, e, se), P.MonoMap(y, x, p, sp)))
+        assert pair == want
+    return want[0]
+
+
+def _posets_with_and_without_bottom(n):
+    out = []
+    for q in P.all_posets_upto(n):
+        out.append(q)
+        pointed = P.with_declared_bottom(q)
+        if pointed is not None:
+            out.append(pointed)
+    return out
+
+
+def _all_tables(n, m):
+    """Every table from n elements into m, as the rows of an int32 array."""
+    return np.array(list(itertools.product(range(m), repeat=n)), dtype=np.int32).reshape(m ** n, n)
+
+
+def test_from_tables_matches_itemized_checks_on_every_small_table_pair():
+    """Every table pair between posets of at most 3 elements: monotone
+    tables with p . e = id under every strict mode, any other pair under
+    one, in turn."""
+    objects = _posets_with_and_without_bottom(3)
+    seen, k = Counter(), 0
+    for x, y in itertools.product(objects, repeat=2):
+        es, ps = _all_tables(len(x), len(y)), _all_tables(len(y), len(x))
+        mono_p = [kernels.monotone_ok(y.leq, x.leq, p) for p in ps]
+        for e in es:
+            me = kernels.monotone_ok(x.leq, y.leq, e)
+            for p, mp in zip(ps, mono_p):
+                near = me and mp and np.array_equal(p[e], np.arange(len(x)))
+                for strict in STRICT_MODES if near else [STRICT_MODES[k % 5]]:
+                    seen[_assert_from_tables_agrees(x, y, e, p, strict)] += 1
+                k += 1
+    assert {"ok", DomainMismatch, NotPointed, EpLawViolation} <= set(seen)
+    assert seen["ok"] > 100, seen
+
+
+def _ep_tables(rng):
+    """The two posets and the tables of a random valid ep-pair."""
+    from nufix.laws import random_ep_chain
+
+    ep = random_ep_chain(rng, 6)[rng.randrange(2)]
+    return ep.dom, ep.cod, ep.e.table.copy(), ep.p.table.copy()
+
+
+def test_from_tables_matches_itemized_checks_on_random_tables():
+    import random
+
+    rng, nrng = random.Random(18), np.random.RandomState(18)
+    seen = Counter()
+    for k in range(600):
+        if k % 2:
+            x, y, e, p = _ep_tables(rng)
+            for t in rng.sample([e, p], rng.randrange(3)):  # perturb 0 to 2 entries
+                t[rng.randrange(len(t))] = rng.randrange(len(x if t is p else y))
+        else:
+            x, y = (_random_poset(nrng, rng.randint(1, 6), tag) for tag in "xy")
+            x, y = (P.with_declared_bottom(q) or q if rng.random() < 0.5 else q for q in (x, y))
+            e = nrng.randint(0, len(y), len(x)).astype(np.int32)
+            p = nrng.randint(0, len(x), len(y)).astype(np.int32)
+        seen[_assert_from_tables_agrees(x, y, e, p, STRICT_MODES[k % 5])] += 1
+    assert {"ok", DomainMismatch, EpLawViolation} <= set(seen)
+
+
+def test_from_tables_matches_itemized_checks_out_of_range_and_misshapen():
+    c2, c3, empty = P.chain(2), P.chain(3), P.empty_poset()
+    e, p = np.array([0, 2], dtype=np.int32), np.array([0, 0, 1], dtype=np.int32)
+    cases = [(c2, c3, e, p), (empty, empty, e[:0], e[:0]), (empty, c2, e[:0], e[:0]),
+             (empty, c2, e[:0], e), (c2, empty, e, e[:0]), (c2, empty, e[:0], e[:0])]
+    for i in range(2):
+        for bad in (-1, 3):
+            cases.append((c2, c3, np.where(np.arange(2) == i, bad, e), p))
+    for i in range(3):
+        for bad in (-1, 2):
+            cases.append((c2, c3, e, np.where(np.arange(3) == i, bad, p)))
+    for cut in (e[:1], np.append(e, 2)):
+        cases += [(c2, c3, cut, p), (c3, c2, p, cut)]
+    cases += [(c2, c3, e, p[:2]), (c2, c3, e, np.append(p, 1)), (c2, c3, e[:0], p)]
+    seen = Counter(_assert_from_tables_agrees(*case, strict)
+                   for case in cases for strict in STRICT_MODES)
+    assert seen["ok"] == 5 + 2  # the valid pair under every flag, the empty one unflagged
+    assert {DomainMismatch, NotPointed, IndexError} <= set(seen)
+
+
+# --------------------------------------------------------------------------
 # iso_check
 
 

@@ -5,16 +5,19 @@ import copy
 import json
 import re
 
+import numpy as np
 import pytest
 
 from nufix import cli
 from nufix import engine as E
+from nufix import kernels
 from nufix import mediator as M
 from nufix import posets as P
 from nufix import serialize as S
 from nufix.errors import (
     BottomNotLeast,
     CycleDetected,
+    DomainMismatch,
     EpLawViolation,
     InputError,
     NufixError,
@@ -50,15 +53,32 @@ def test_solution_report_roundtrip_truncated():
 
 
 def test_tampered_ep_table_is_rejected():
-    rep = atom_report()
-    obj = S.solution_report_json(rep)
-    bad = copy.deepcopy(obj)
-    # corrupt a vertical ep: swap the projection outputs
-    table = bad["vertical_eps"][1]["p"]["table"]
-    if len(set(table)) > 1:
-        table[0], table[-1] = table[-1], table[0]
-        with pytest.raises((EpLawViolation, InputError, Exception)):
-            S.load_solution_report(bad)
+    obj = _report_json(atom_report())
+    # corrupt a vertical ep: swap the first and last projection outputs
+    table = obj["vertical_eps"][1]["p"]["table"]
+    assert len(set(table)) > 1
+    table[0], table[-1] = table[-1], table[0]
+    with pytest.raises(DomainMismatch, match="assignment is not monotone"):
+        S.load_solution_report(obj)
+
+
+def test_tampered_ep_that_stays_monotone_breaks_the_ep_law():
+    obj = _report_json(atom_report())
+    ep = obj["vertical_eps"][1]
+    x = P.poset_from_json(obj["posets"][ep["e"]["dom"]])
+    y = P.poset_from_json(obj["posets"][ep["e"]["cod"]])
+    e, p = ep["e"]["table"], ep["p"]["table"]
+    # send one more element to the top of x: an element of y other than the
+    # bottom whose only strict upper bound is e(top), so p stays monotone
+    # and strict and p . e = id still holds, but e(p(k)) = e(top) is not below k
+    top = e[-1]
+    k = next(k for k in range(len(y)) if k not in (y.bottom_idx, top)
+             and set(np.flatnonzero(y.leq[k]).tolist()) <= {k, top})
+    p[k] = len(x) - 1
+    assert kernels.monotone_ok(y.leq, x.leq, np.array(p))
+    assert kernels.monotone_ok(x.leq, y.leq, np.array(e))
+    with pytest.raises(EpLawViolation, match="e . p is not below the identity"):
+        S.load_solution_report(obj)
 
 
 @pytest.mark.parametrize("key, keep", [("params", 1), ("vertical_eps", 0)])
