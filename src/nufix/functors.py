@@ -144,18 +144,19 @@ class StrictUpset:
     inner: object
 
 
+def _operands(node):
+    """A node's operand nodes, in order."""
+    if isinstance(node, (Sum, Prod)):
+        return node.left, node.right
+    if isinstance(node, (Fun, StrictFun)):
+        return node.dom, node.cod
+    return (node.inner,) if isinstance(node, (LiftF, Upset, StrictUpset)) else ()
+
+
 def subexprs(expr):
     yield expr
-    if isinstance(expr, (Sum, Prod)):
-        yield from subexprs(expr.left)
-        yield from subexprs(expr.right)
-    elif isinstance(expr, LiftF):
-        yield from subexprs(expr.inner)
-    elif isinstance(expr, (Fun, StrictFun)):
-        yield from subexprs(expr.dom)
-        yield from subexprs(expr.cod)
-    elif isinstance(expr, (Upset, StrictUpset)):
-        yield from subexprs(expr.inner)
+    for operand in _operands(expr):
+        yield from subexprs(operand)
 
 
 def validate_variance(expr, in_dom=False):
@@ -450,13 +451,15 @@ class FunctorInstance:
             args = (self._obj(node.inner, p),)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        # different stages can give equal operands (every strict table space
-        # out of a one-point V is the same singleton): build each once
-        key = (build, *args)
+        # stages can give operands of one order (every strict table space out
+        # of a one-point V is a singleton): build each once, and record it over
+        # this node's operands, which give its tags and which the actions walk
+        key = (build, *map(_Order, args))
         out = self._built.get(key)
         if out is None:
             out = self._built[key] = build(*args, self.element_cap)
-        return out
+            return out
+        return posets._over(out, args)
 
     # -- ep action ----------------------------------------------------
 
@@ -492,12 +495,11 @@ class FunctorInstance:
             raise NotCovariant("upset nodes act on ep-pairs only")
         self._check_state(x)
         self._check_state(y)
-        self._obj(self.expr, x)  # F(x) and F(y) must exist under the cap
-        self._obj(self.expr, y)
+        fx, fy = self._obj(self.expr, x), self._obj(self.expr, y)  # both under the cap
         tables = np.asarray(tables)
         if tables.shape[-1:] != (len(x),):
             raise DomainMismatch("table length does not match domain size")
-        return _act(self.expr, self, self, x, y, tables, None, None, None)
+        return _act(self.expr, fx, fy, tables, None, None, None)
 
 
 def instantiate(expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
@@ -526,59 +528,46 @@ def functor_ep(expr, src, dst, state_ep, param_ep):
     x, y = state_ep.dom, state_ep.cod
     se, sp = state_ep.e.table, state_ep.p.table
     pe, pp = (None, None) if param_ep is None else (param_ep.e.table, param_ep.p.table)
-    src_obj = src.on_object(x)
-    dst_obj = dst.on_object(y)
-    return EpPair.from_tables(src_obj, dst_obj, _act(expr, src, dst, x, y, se, sp, pe, pp),
-                              _act(expr, dst, src, y, x, sp, se, pp, pe))
+    fx, fy = src.on_object(x), dst.on_object(y)
+    return EpPair.from_tables(fx, fy, _act(expr, fx, fy, se, sp, pe, pp),
+                              _act(expr, fy, fx, sp, se, pp, pe))
 
 
-def _act(node, a, b, xa, xb, f, g, pf, pg):
-    """Index tables F_a(xa) -> F_b(xb) of the action on state maps.
+def _act(node, fa, fb, f, g, pf, pg):
+    """Index tables fa -> fb of the action on state maps, fa and fb being
+    the node's objects at the two states, whose recorded children the walk
+    follows in step with the expression.
 
-    `f` holds state-map tables xa -> xb with any leading batch axes,
-    shape (..., |xa|); the result has shape (..., |F_a(xa)|), one table per
-    state map.  `g` is the opposite table, or None for plain maps.  `pf` and
-    `pg` are the parameter maps' tables a -> b and b -> a, or None for the
-    identity.  Every table follows the index layouts of the `posets`
-    constructors; nodes with index rows (arrows, upsets) are mapped
-    row-wise and looked up in the destination object.  Upset nodes act on
-    ep-pairs only, which never stack, so they take a single table.
+    `f` holds state-map tables with any leading batch axes, shape
+    (..., |state|); the result has shape (..., |fa|).  `g` is the opposite
+    table, or None for plain maps.  `pf` and `pg` are the parameter maps'
+    tables a -> b and b -> a, or None for the identity.  Arrows and upsets
+    are mapped row-wise and looked up in fb; upsets act on ep-pairs only,
+    which never stack, so they take a single table.
     """
-    args = (a, b, xa, xb, f, g, pf, pg)
     batch = f.shape[:-1]
     if isinstance(node, ConstP):
-        return _const(np.arange(len(node.poset), dtype=np.int32), batch)
+        return _const(np.arange(len(fa), dtype=np.int32), batch)
     if isinstance(node, IdF):
         return f
     if isinstance(node, ParamW):
-        return _const(np.arange(len(a.w), dtype=np.int32) if pf is None else pf, batch)
-    if isinstance(node, Sum) and a.sum_mode == "coalesced":
-        return np.concatenate([
-            np.zeros(batch + (1,), dtype=np.int32),
-            _summand(node.left, 1, *args),
-            _summand(node.right, len(b._obj(node.left, xb)), *args),
-        ], axis=-1)
-    if isinstance(node, (Sum, Prod)):
-        lt, rt = _act(node.left, *args), _act(node.right, *args)
-        if isinstance(node, Prod):
-            pairs = lt[..., :, None] * len(b._obj(node.right, xb)) + rt[..., None, :]
-            return pairs.reshape(batch + (lt.shape[-1] * rt.shape[-1],))
-        return np.concatenate([lt, rt + len(b._obj(node.left, xb))], axis=-1)
-    if isinstance(node, LiftF):
-        inner = _act(node.inner, *args)
-        return np.concatenate([np.zeros(batch + (1,), dtype=np.int32), inner + 1], axis=-1)
+        return _const(np.arange(len(fa), dtype=np.int32) if pf is None else pf, batch)
+    if isinstance(node, (Sum, Prod, LiftF)):
+        parts = _operands(node)
+        return posets._map_parts(
+            fa, fb, lambda k, ca, cb: _act(parts[k], ca, cb, f, g, pf, pg), batch)
     if isinstance(node, (Fun, StrictFun)):
-        rows = _act(node.cod, *args)[..., a._obj(node, xa).rows]
+        rows = _act(node.cod, fa.children[1], fb.children[1], f, g, pf, pg)[..., fa.rows]
         if isinstance(node.dom, ParamV) and pg is not None:
             # contravariant parameter slot: precompose with the opposite map
             rows = rows[..., pg]
         k, (r, d) = math.prod(batch), rows.shape[-2:]
-        return b._obj(node, xb).locate(rows.reshape(k * r, d)).reshape(batch + (r,))
+        return fb.locate(rows.reshape(k * r, d)).reshape(batch + (r,))
     if isinstance(node, (Upset, StrictUpset)):
         if g is None:
             raise NotCovariant("upset nodes act on ep-pairs only")
-        back = _act(node.inner, b, a, xb, xa, g, f, pg, pf)
-        return b._obj(node, xb).locate(a._obj(node, xa).rows[:, back])
+        back = _act(node.inner, fb.children[0], fa.children[0], g, f, pg, pf)
+        return fb.locate(fa.rows[:, back])
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -587,20 +576,21 @@ def _const(table, batch):
     return np.broadcast_to(table, batch + table.shape) if batch else table
 
 
-def _summand(node, off, a, b, xa, xb, f, g, pf, pg):
-    """A coalesced summand's tables with both bottoms dropped, placed at `off`.
+class _Order:
+    """A `_built` key's operand: equal to any poset of its order and bottom,
+    all that a construction's order and index arrays depend on."""
 
-    Only the summand's other elements occur in the sum, so a one-point
-    summand is not mapped at all: under a non-strict plain map its image
-    need not exist.
-    """
-    a_side, b_side = a._obj(node, xa), b._obj(node, xb)
-    if len(a_side) == 1:
-        return np.zeros(f.shape[:-1] + (0,), dtype=np.int32)
-    t, cut = _act(node, a, b, xa, xb, f, g, pf, pg), a_side.bottom_idx
-    t = np.concatenate([t[..., :cut], t[..., cut + 1:]], axis=-1)
-    bot = b_side.bottom_idx
-    return np.where(t == bot, 0, off + t - (t > bot))
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def __hash__(self):
+        return hash(self.p)
+
+    def __eq__(self, other):
+        p, q = self.p, other.p
+        return p is q or (p.bottom_idx == q.bottom_idx and np.array_equal(p.leq, q.leq))
 
 
 class Reindex:
@@ -659,72 +649,45 @@ def lifted_related(inst, rel, x, y, param_rel=None):
     `param_rel`, a set of tag pairs, replaces equality at parameter
     positions (quotient-parameterised lifting).
     """
-    inst.on_object(x)  # F(x) and F(y) must exist under the cap
-    inst.on_object(y)
+    fx, fy = inst.on_object(x), inst.on_object(y)  # both must exist under the cap
     rel = np.asarray(rel, dtype=np.bool_)
     if rel.shape[-2:] != (len(x), len(y)):
         raise DomainMismatch("relation matrix does not match the carriers")
     pv, pw = (None if param_rel is None else _pair_matrix(p, p, param_rel)
               for p in (inst.v, inst.w))
-    return _lift(inst.expr, inst, rel, x, y, pv, pw)
+    return _lift(inst.expr, fx, fy, rel, pv, pw)
 
 
-def _lift(node, inst, rel, x, y, pv, pw):
-    """Related-value matrices F(x) x F(y), on the `posets` index layouts.
-
-    Sums and `Lift` are block diagonals, products Kronecker products;
-    arrows AND their codomain's lifting over matched domain slots, and
-    upsets take the Egli-Milner lifting through boolean matrix products
-    with the membership masks.
+def _lift(node, fx, fy, rel, pv, pw):
+    """Related-value matrices fx x fy, walking the recorded children of the
+    node's objects fx and fy in step with the expression.  Arrows AND their
+    codomain's lifting over matched domain slots, and upsets take the
+    Egli-Milner lifting through boolean products with the membership masks.
     """
-    args = (inst, rel, x, y, pv, pw)
     batch = rel.shape[:-2]
     if isinstance(node, ConstP):
-        return _const(np.eye(len(node.poset), dtype=np.bool_), batch)
+        return _const(np.eye(len(fx), dtype=np.bool_), batch)
     if isinstance(node, IdF):
         return rel
     if isinstance(node, ParamW):
-        return _const(np.eye(len(inst.w), dtype=np.bool_) if pw is None else pw, batch)
-    if isinstance(node, Prod):
-        lt, rt = _lift(node.left, *args), _lift(node.right, *args)
-        (a, b), (c, d) = lt.shape[-2:], rt.shape[-2:]
-        kron = lt[..., :, None, :, None] & rt[..., None, :, None, :]
-        return kron.reshape(batch + (a * c, b * d))
-    if isinstance(node, Sum):
-        blocks = [_lift(node.left, *args), _lift(node.right, *args)]
-        if inst.sum_mode == "coalesced":  # summand bottoms give way to the shared one
-            blocks = [np.ones(batch + (1, 1), dtype=np.bool_)] + [
-                np.delete(np.delete(t, inst._obj(n, x).bottom_idx, axis=-2),
-                          inst._obj(n, y).bottom_idx, axis=-1)
-                for t, n in zip(blocks, (node.left, node.right))
-            ]
-        return _block_diag(blocks, batch)
-    if isinstance(node, LiftF):
-        return _block_diag([np.ones(batch + (1, 1), dtype=np.bool_),
-                            _lift(node.inner, *args)], batch)
+        return _const(np.eye(len(fx), dtype=np.bool_) if pw is None else pw, batch)
+    if isinstance(node, (Sum, Prod, LiftF)):
+        return posets._relate_parts(fx, fy, [_lift(n, cx, cy, rel, pv, pw) for n, cx, cy
+                                             in zip(_operands(node), fx.children, fy.children)])
     if isinstance(node, (Fun, StrictFun)):
-        rx, ry = inst._obj(node, x).rows, inst._obj(node, y).rows
+        rx, ry = fx.rows, fy.rows
         ps = qs = np.arange(rx.shape[1])
         if isinstance(node.dom, ParamV) and pv is not None:
             ps, qs = np.nonzero(pv)
-        cod = _lift(node.cod, *args)
+        cod = _lift(node.cod, fx.children[1], fy.children[1], rel, pv, pw)
         return cod[..., rx[:, None, ps], ry[None, :, qs]].all(axis=-1)
     if isinstance(node, (Upset, StrictUpset)):
-        mx, my = inst._obj(node, x).rows, inst._obj(node, y).rows
-        inner = _lift(node.inner, *args)
+        mx, my = fx.rows, fy.rows
+        inner = _lift(node.inner, fx.children[0], fy.children[0], rel, pv, pw)
         fwd = ~(mx @ ~(inner @ my.T))  # each x-side member has a partner on the y side
         bwd = ~(~(mx @ inner) @ my.T)  # and each y-side member one on the x side
         return fwd & bwd
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _block_diag(blocks, batch):
-    """Batched matrices with `blocks` down the diagonal, False elsewhere."""
-    ends = np.cumsum([t.shape[-2:] for t in blocks], axis=0).tolist()
-    out = np.zeros(batch + tuple(ends[-1]), dtype=np.bool_)
-    for t, (i, j) in zip(blocks, ends):
-        out[..., i - t.shape[-2] : i, j - t.shape[-1] : j] = t
-    return out
 
 
 def _pair_matrix(x, y, pairs):

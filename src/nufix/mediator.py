@@ -40,6 +40,7 @@ from .posets import (
     DEFAULT_ELEMENT_CAP,
     Iso,
     MonoMap,
+    _injection,
     all_posets_upto,
     iso_check,
     lift,
@@ -61,14 +62,16 @@ def lift_left_adjoint(p):
 
 def transpose(f, p, q):
     """Strict map lift(P) -> Q to its adjunct P -> include(Q)."""
-    if f.dom != lift(p):  # lift puts P's i-th element at i + 1
+    lp = lift(p)
+    if f.dom != lp:
         raise DomainMismatch("transpose expects a map out of lift(P)")
-    return MonoMap(p, include(q), f.table[1:])
+    return MonoMap(p, include(q), f.table[_injection(lp)])
 
 
 def untranspose(g, p, q):
     """Monotone map P -> include(Q) to its strict adjunct lift(P) -> Q."""
-    return MonoMap(lift(p), q, np.concatenate([[q.bottom_idx], g.table]), strict=True)
+    lp = lift(p)
+    return MonoMap(lp, q, _untranspose_rows(lp, g.table[None], q.bottom_idx)[0], strict=True)
 
 
 def adjunction_check(p, q, cap=64):
@@ -84,25 +87,25 @@ def adjunction_check(p, q, cap=64):
     q.require_pointed("adjunction_check")
     if len(p) > cap or len(q) > cap:
         raise SizeCapExceeded("adjunction_check is exhaustive; inputs are capped")
-    lp = lift(p)  # P's i-th element at i + 1, the bottom at 0
+    lp = lift(p)
     n, m, b = len(p), len(q), q.bottom_idx
     forced = np.full(n + 1, -1, dtype=np.int32)
-    forced[0] = b
+    forced[lp.bottom_idx] = b
     strict = kernels.enum_monotone_tables(lp.leq, q.leq, m ** (n + 1) + 1, forced)
     plain = kernels.enum_monotone_tables(p.leq, q.leq, m ** max(1, n) + 1)
     if (strict.shape != (len(strict), n + 1) or plain.shape != (len(strict), n)
             or not (_in_range(strict, m) and _in_range(plain, m))
-            or not (strict[:, 0] == b).all()):
+            or not (strict[:, lp.bottom_idx] == b).all()):
         return False
-    transposes = strict[:, 1:]
-    untransposes = _untranspose_rows(plain, b)
+    transposes = strict[:, _injection(lp)]
+    untransposes = _untranspose_rows(lp, plain, b)
     if not (kernels.monotone_rows(lp.leq, q.leq, strict).all()
             and kernels.monotone_rows(p.leq, q.leq, transposes).all()
             and kernels.monotone_rows(p.leq, q.leq, plain).all()
             and kernels.monotone_rows(lp.leq, q.leq, untransposes).all()):
         return False
-    if not (np.array_equal(_untranspose_rows(transposes, b), strict)
-            and np.array_equal(untransposes[:, 1:], plain)):
+    if not (np.array_equal(_untranspose_rows(lp, transposes, b), strict)
+            and np.array_equal(untransposes[:, _injection(lp)], plain)):
         return False
     keys = {row.tobytes() for row in transposes}
     return len(keys) == len(strict) and keys == {row.tobytes() for row in plain}
@@ -112,12 +115,11 @@ def _in_range(tables, m):
     return tables.size == 0 or (tables.min() >= 0 and tables.max() < m)
 
 
-def _untranspose_rows(tables, bottom):
-    """Each table P -> Q with Q's bottom prepended: its adjunct out of
-    lift(P), as `untranspose` builds it."""
-    out = np.empty((len(tables), tables.shape[1] + 1), dtype=np.int32)
-    out[:, 0] = bottom
-    out[:, 1:] = tables
+def _untranspose_rows(lp, tables, bottom):
+    """Each table P -> Q sent to its strict adjunct out of lift(P) = `lp`."""
+    out = np.empty((len(tables), len(lp)), dtype=np.int32)
+    out[:, lp.bottom_idx] = bottom
+    out[:, _injection(lp)] = tables
     return out
 
 

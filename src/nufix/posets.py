@@ -10,21 +10,18 @@ Element tags are strings for user-supplied posets and nested tuples for
 constructed ones (pairs, injections, tables, upsets, lifts), so that equal
 constructions produce identical posets, not merely isomorphic ones.
 
-Identity is the declared bottom, the order and the tags; the hash comes
-from the order and the bottom alone, and equality compares tags last, only
-when the orders agree.  Tags are a view built on demand: leaf posets
-(`validate_poset`, `discrete`, `chain`, `unit`, `all_posets_upto`, the
-report loader) carry a tuple, and the six constructors pass a builder that
-runs on the first read of `elements` and reads its operands' tags the same
-way, so a nested tag is built once and shares its children.  Nothing on
-the order side reads a tag: `len` is the order's size, and `include` and
-`with_declared_bottom` share their source's tags, built or not.  Hashing
-a deep tag walks its whole history, so the tag index behind `index` and
-`in` is built on the first lookup too, where a repeated tag raises
-`DuplicateElement` (`validate_poset` and `discrete` check at once).
-
-Each constructor lays its elements out by index, so maps between
-constructed posets can be computed on indices alone:
+Each poset holds one `_Record` of how it was built.  A leaf's holds its
+tags; a constructor's holds its kind, its operand posets and its index
+arrays, and only this module reads them (`_map_parts` and `_relate_parts`
+assemble the functor actions of products, sums and lifts).  Tags are a view
+of the record (`_tags`), built from the children's tags on the first read
+of `elements` and kept on the record, which `include` and
+`with_declared_bottom` share.  Nothing on the order side reads a tag, and
+the tag index behind `index` and `in` is built on the first lookup, where a
+repeated tag raises `DuplicateElement`.  Identity is the declared bottom,
+the order and the tags; the hash comes from the order and the bottom, and
+equality compares records before tags, so that equal constructions never
+build their tag trees.  The layouts:
 
 - `product(p, q)`: the pair of p's i-th and q's j-th element is at
   `i * len(q) + j`.
@@ -38,13 +35,11 @@ constructed posets can be computed on indices alone:
   membership mask over all of the ground poset's elements (the bottom
   column is false for strict upsets).
 
-`rows` is None for every other poset.  `locate` maps index rows back to
-element indices.  Each order comes from one kernel call: tables from
-`kernels.table_order`, which ANDs per-position bitsets of the rows above
-each codomain value (t <= u pointwise iff t[p] <= u[p] at every p), and
-upsets from `kernels.inclusion_order` on their masks: a mask already is a
-membership row, so the bitset form has no gather to save there, and it
-measured slower.
+Sums and lifts record these as one injection per child (a coalesced
+summand's bottom goes to 0); `rows` is None for other posets, and `locate`
+maps index rows back to element indices.  Tables are ordered by
+`kernels.table_order` (per-position bitsets of the rows above each
+codomain value), upsets by `kernels.inclusion_order` on their masks.
 
 These four constructors check their cap before they enumerate whenever
 the naive bound (2^n upsets, |q|^|p| tables) exceeds it, with one
@@ -62,7 +57,6 @@ no continuity side conditions appear anywhere.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import compress, permutations
 
 import numpy as np
@@ -88,62 +82,45 @@ CBOT = ("cbot",)
 LBOT = ("lbot",)
 
 
-class _Tags:
-    """Element tags that `build()` makes on the first call and then keeps.
+class _Record:
+    """How a poset was built, and its tags once read: a leaf (kind None) and
+    its tags, or a "product", "sum", "coalesced", "lift", "tables" or
+    "upsets" over its operand posets, with its index rows or injections."""
 
-    Constructed posets chain these: a builder reads its operands' `_Tags`,
-    not the operands, so a nested tag is built once and shared, and no
-    order matrix stays alive for the sake of a tag nobody reads."""
+    __slots__ = ("kind", "children", "rows", "inj", "tags")
 
-    __slots__ = ("build", "tags")
-
-    def __init__(self, build=None, tags=None):
-        self.build = build
-        self.tags = tags
-
-    def __call__(self):
-        if self.tags is None:
-            self.tags = tuple(self.build())
-            self.build = None
-        return self.tags
+    def __init__(self, kind, children=(), rows=None, inj=None, tags=None):
+        if rows is not None:
+            rows = np.ascontiguousarray(rows)
+            rows.flags.writeable = False
+        self.kind, self.children, self.rows, self.inj, self.tags = kind, children, rows, inj, tags
 
 
 class FinPoset:
-    """A finite partial order with an optional declared bottom.
+    """A finite partial order with an optional declared bottom; `elements`
+    is a sequence of tags, or a constructor's `_Record` (module docstring)."""
 
-    `elements` is a sequence of tags, or a zero-argument builder of them
-    that runs on the first read of `elements` (module docstring)."""
-
-    __slots__ = ("_elements", "leq", "bottom_idx", "rows", "_index", "_row_index",
+    __slots__ = ("_record", "rows", "children", "leq", "bottom_idx", "_index", "_row_index",
                  "_hash")
 
     def __init__(self, elements, leq, bottom_idx=None, rows=None):
-        if isinstance(elements, _Tags):
-            self._elements = elements
-        elif callable(elements):
-            self._elements = _Tags(elements)
-        else:
-            self._elements = _Tags(tags=tuple(elements))
+        if not isinstance(elements, _Record):
+            elements = _Record(None, rows=rows, tags=tuple(elements))
+        # the record's index rows and operand posets, read on every action
+        self._record, self.rows, self.children = elements, elements.rows, elements.children
         leq = np.ascontiguousarray(leq, dtype=np.bool_)
         leq.flags.writeable = False
         self.leq = leq
         self.bottom_idx = bottom_idx
-        if rows is not None:
-            rows = np.ascontiguousarray(rows)
-            rows.flags.writeable = False
-        self.rows = rows
-        self._index = None
-        self._row_index = None
-        self._hash = None
+        self._index = self._row_index = self._hash = None
 
     @property
     def elements(self):
-        return self._elements()
+        return _tags(self)
 
     def with_bottom(self, bottom_idx):
-        """The same tags (built or not) and order, declaring `bottom_idx`
-        (None for no bottom)."""
-        return FinPoset(self._elements, self.leq, bottom_idx)
+        """The same record and order, declaring `bottom_idx` (or None)."""
+        return FinPoset(self._record, self.leq, bottom_idx)
 
     def __len__(self):
         return self.leq.shape[0]
@@ -199,10 +176,9 @@ class FinPoset:
             return True
         if not isinstance(other, FinPoset):
             return NotImplemented
-        return (self.bottom_idx == other.bottom_idx
-                and np.array_equal(self.leq, other.leq)
-                and (self._elements is other._elements
-                     or self.elements == other.elements))
+        return _same_construction(self, other) or (
+            self.bottom_idx == other.bottom_idx and np.array_equal(self.leq, other.leq)
+            and self.elements == other.elements)
 
     def __hash__(self):
         if self._hash is None:
@@ -212,6 +188,108 @@ class FinPoset:
     def __repr__(self):
         point = f", bottom={pretty_tag(self.bottom)}" if self.is_pointed else ""
         return f"FinPoset({len(self)} elements{point})"
+
+
+def _tags(p):
+    """p's element tags: the view of its record, built from the children's
+    tags on the first read and kept on the record."""
+    rec = p._record
+    if rec.tags is None:
+        kind, kids = rec.kind, rec.children
+        if kind == "product":
+            qs = _tags(kids[1])
+            tags = [("pair", x, y) for x in _tags(kids[0]) for y in qs]
+        elif kind == "tables":
+            cod = _tags(kids[1])
+            tags = [("table", tuple([cod[v] for v in row])) for row in rec.rows.tolist()]
+        elif kind == "upsets":
+            ground = _tags(kids[0])
+            tags = [("upset", tuple(compress(ground, row))) for row in rec.rows.tolist()]
+        elif kind == "lift":
+            tags = [LBOT] + [("lup", x) for x in _tags(kids[0])]
+        else:  # a sum: each summand's tags at its injection
+            tags = [CBOT] * len(p)
+            for head, kid, inj in zip(("inl", "inr"), kids, rec.inj):
+                for i, x in zip(inj.tolist(), _tags(kid)):
+                    tags[i] = (head, x)
+            if kind == "coalesced":
+                tags[0] = CBOT  # where both summands' bottoms went
+        rec.tags = tuple(tags)
+    return rec.tags
+
+
+def _same_construction(p, q):
+    """Are p and q one construction (so equal): one bottom, and one record,
+    two leaves of one order with equal tags, or one kind with equal rows
+    over children that are one construction each?  Then q takes p's record
+    and tags, and the next comparison of the two is immediate."""
+    r, s = p._record, q._record
+    if p.bottom_idx != q.bottom_idx or r.kind != s.kind:
+        return False
+    if r is s or r.kind is None:
+        return r is s or (np.array_equal(p.leq, q.leq) and r.tags == s.tags)
+    if not ((r.rows is s.rows or np.array_equal(r.rows, s.rows))
+            and all(map(_same_construction, r.children, s.children))):
+        return False
+    r.tags, q._record = r.tags or s.tags, r
+    return True
+
+
+def _over(p, children):
+    """p recorded over `children`, which have the orders and bottoms of its
+    own operands: p when they are the same constructions, else a poset with
+    p's order and index arrays whose tags come from `children`."""
+    rec = p._record
+    if all(map(_same_construction, rec.children, children)):
+        return p
+    return FinPoset(_Record(rec.kind, tuple(children), rec.rows, rec.inj), p.leq, p.bottom_idx)
+
+
+def _injection(p):
+    """The index in lift(P) = p of each of P's elements."""
+    return p._record.inj[0]
+
+
+def _map_parts(fa, fb, act, batch):
+    """Index tables fa -> fb (leading axes `batch`) of a product, sum or lift
+    whose k-th children map by `act(k, child of fa, child of fb)`.  A
+    one-point coalesced summand meets the sum only in its bottom and is not
+    mapped: under a non-strict plain map its image need not exist."""
+    kind, ka, kb = fa._record.kind, fa.children, fb.children
+    if kind == "product":
+        lt, rt = act(0, ka[0], kb[0]), act(1, ka[1], kb[1])
+        return (lt[..., :, None] * len(kb[1]) + rt[..., None, :]).reshape(batch + (len(fa),))
+    out = np.empty(batch + (len(fa),), dtype=np.int32)
+    for k, (ca, cb, ia, ib) in enumerate(zip(ka, kb, fa._record.inj, fb._record.inj)):
+        if kind != "coalesced" and len(ca):  # one block, moved by its offset: half the cost
+            out[..., ia[0]:ia[-1] + 1] = act(k, ca, cb) + ib[0]
+        elif kind == "coalesced" and len(ca) > 1:
+            out[..., ia] = ib[act(k, ca, cb)]
+    if kind != "sum":
+        out[..., 0] = 0  # the new or shared bottom
+    return out
+
+
+def _relate_parts(fx, fy, rels):
+    """Related-value matrices fx x fy of a product, sum or lift whose k-th
+    children are related by `rels[k]` (any leading batch axes): Kronecker
+    products for pairs; sums and lifts relate within each child, and their
+    new or shared bottoms only to each other."""
+    kind, batch = fx._record.kind, rels[0].shape[:-2]
+    if kind == "product":
+        lt, rt = rels
+        return (lt[..., :, None, :, None] & rt[..., None, :, None, :]).reshape(
+            batch + (len(fx), len(fy)))
+    out = np.zeros(batch + (len(fx), len(fy)), dtype=np.bool_)
+    for t, ix, iy in zip(rels, fx._record.inj, fy._record.inj):
+        if kind == "coalesced":
+            out[..., ix[:, None], iy] = t
+        elif t.size:  # one block of a sum or lift: slices cost a tenth of the above
+            out[..., ix[0]:ix[-1] + 1, iy[0]:iy[-1] + 1] = t
+    if kind != "sum":
+        out[..., 0, :] = out[..., :, 0] = False
+        out[..., 0, 0] = True
+    return out
 
 
 def _row_keys(rows):
@@ -339,12 +417,7 @@ def product(p, q, cap=None):
     bottom_idx = None
     if p.is_pointed and q.is_pointed:
         bottom_idx = p.bottom_idx * len(q) + q.bottom_idx
-    return FinPoset(partial(_pair_tags, p._elements, q._elements), leq, bottom_idx)
-
-
-def _pair_tags(ps, qs):
-    qs = qs()
-    return [("pair", x, y) for x in ps() for y in qs]
+    return FinPoset(_Record("product", (p, q)), leq, bottom_idx)
 
 
 def separated_sum(p, q, cap=None):
@@ -354,11 +427,8 @@ def separated_sum(p, q, cap=None):
     leq = np.zeros((n + m, n + m), dtype=np.bool_)
     leq[:n, :n] = p.leq
     leq[n:, n:] = q.leq
-    return FinPoset(partial(_sum_tags, p._elements, q._elements), leq, None)
-
-
-def _sum_tags(ps, qs):
-    return [("inl", x) for x in ps()] + [("inr", y) for y in qs()]
+    inj = (np.arange(n, dtype=np.int32), np.arange(n, n + m, dtype=np.int32))
+    return FinPoset(_Record("sum", (p, q), inj=inj), leq, None)
 
 
 def coalesced_sum(p, q, cap=None):
@@ -372,13 +442,11 @@ def coalesced_sum(p, q, cap=None):
     leq[0, :] = True
     _drop_index(p.leq, bp, leq[1:off, 1:off])
     _drop_index(q.leq, bq, leq[off:, off:])
-    return FinPoset(partial(_coalesced_tags, p._elements, bp, q._elements, bq), leq, 0)
-
-
-def _coalesced_tags(ps, bp, qs, bq):
-    ps, qs = ps(), qs()
-    return ([CBOT] + [("inl", x) for x in ps[:bp] + ps[bp + 1:]]
-            + [("inr", y) for y in qs[:bq] + qs[bq + 1:]])
+    inj = (np.arange(len(p), dtype=np.int32), np.arange(off - 1, n, dtype=np.int32))
+    for i, b in zip(inj, (bp, bq)):  # past the summand's bottom, which goes to 0
+        i[:b] += 1
+        i[b] = 0
+    return FinPoset(_Record("coalesced", (p, q), inj=inj), leq, 0)
 
 
 def lift(p, cap=None):
@@ -389,25 +457,16 @@ def lift(p, cap=None):
     leq[0, :] = True
     leq[1:, 1:] = p.leq
     np.fill_diagonal(leq, True)
-    return FinPoset(partial(_lift_tags, p._elements), leq, 0)
+    return FinPoset(_Record("lift", (p,), inj=(np.arange(1, n, dtype=np.int32),)), leq, 0)
 
 
-def _lift_tags(ps):
-    return [LBOT] + [("lup", x) for x in ps()]
-
-
-def _tables_to_poset(tables, cod):
+def _tables_to_poset(tables, dom, cod):
     """Build the pointwise-ordered poset of assignment tables."""
     leq = kernels.table_order(tables, cod.leq)
     bottom_idx = None
     if cod.is_pointed:  # the constant bottom table is always enumerated
         bottom_idx = int(np.argmax((tables == cod.bottom_idx).all(axis=1)))
-    return FinPoset(partial(_table_tags, tables, cod._elements), leq, bottom_idx, tables)
-
-
-def _table_tags(tables, cods):
-    cods = cods()
-    return [("table", tuple([cods[v] for v in row])) for row in tables.tolist()]
+    return FinPoset(_Record("tables", (dom, cod), tables), leq, bottom_idx)
 
 
 def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
@@ -435,7 +494,7 @@ def fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     tables = _rows_within_cap(
         lambda limit: kernels.enum_monotone_tables(p.leq, q.leq, limit),
         len(q) ** len(p), cap, "function space", p.leq, q.leq)
-    return _tables_to_poset(tables, q)
+    return _tables_to_poset(tables, p, q)
 
 
 def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
@@ -447,7 +506,7 @@ def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     tables = _rows_within_cap(
         lambda limit: kernels.enum_monotone_tables(p.leq, q.leq, limit, forced),
         len(q) ** len(p), cap, "strict function space", p.leq, q.leq, p.bottom_idx)
-    return _tables_to_poset(tables, q)
+    return _tables_to_poset(tables, p, q)
 
 
 _TWO = np.triu(np.ones((2, 2), dtype=np.bool_))  # an upset is a map into the 2-chain
@@ -457,12 +516,7 @@ def _masks_to_poset(masks, ground):
     """Build the inclusion-ordered poset of full-ground membership masks."""
     leq = kernels.inclusion_order(masks)
     bottom_idx = int(np.argmax(~masks.any(axis=1)))  # the empty upset
-    return FinPoset(partial(_upset_tags, masks, ground._elements), leq, bottom_idx, masks)
-
-
-def _upset_tags(masks, grounds):
-    grounds = grounds()
-    return [("upset", tuple(compress(grounds, row))) for row in masks.tolist()]
+    return FinPoset(_Record("upsets", (ground,), masks), leq, bottom_idx)
 
 
 def upsets(p, cap=DEFAULT_ELEMENT_CAP):
@@ -587,6 +641,7 @@ class MonoMap:
     @classmethod
     def auto_strict(cls, dom, cod, table):
         """Set the strict flag whenever it is meaningful and holds."""
+        table = _frozen_table(table)
         return cls(dom, cod, table, _auto_strict(dom, cod, table))
 
     def __call__(self, tag):
@@ -608,9 +663,7 @@ class MonoMap:
         return f"MonoMap({len(self.dom)} -> {len(self.cod)}{', strict' if self.strict else ''})"
 
     def is_identity(self):
-        return self.dom == self.cod and np.array_equal(
-            self.table, np.arange(len(self.dom), dtype=np.int32)
-        )
+        return self.dom == self.cod and _is_identity(self.table)
 
     def is_injective(self):
         return len(set(self.table.tolist())) == len(self.dom)
@@ -626,14 +679,11 @@ def _frozen_table(table):
 
 
 def _auto_strict(dom, cod, table):
-    """The strict flag of `MonoMap.auto_strict`: both ends pointed and the
-    table sends the domain's bottom to the codomain's."""
-    return (
-        dom.is_pointed
-        and cod.is_pointed
-        and len(dom) > 0
-        and int(table[dom.bottom_idx]) == cod.bottom_idx
-    )
+    """The strict flag of `MonoMap.auto_strict`: both ends pointed, and the
+    int32 table, one entry per domain element (another shape is left for
+    `MonoMap` to reject), sends the domain's bottom to the codomain's."""
+    return (dom.is_pointed and cod.is_pointed and table.shape == (len(dom),)
+            and int(table[dom.bottom_idx]) == cod.bottom_idx)
 
 
 def identity(p):
@@ -808,17 +858,9 @@ class Iso:
     def __init__(self, forward, backward):
         if forward.dom != backward.cod or forward.cod != backward.dom:
             raise DomainMismatch("iso endpoints do not match")
-        n = len(forward.dom)
-        if not np.array_equal(
-            backward.table[forward.table] if n else np.zeros(0, dtype=np.int32),
-            np.arange(n, dtype=np.int32),
-        ):
+        if not _is_identity(backward.table.take(forward.table)):
             raise EpLawViolation("backward . forward is not the identity")
-        m = len(forward.cod)
-        if not np.array_equal(
-            forward.table[backward.table] if m else np.zeros(0, dtype=np.int32),
-            np.arange(m, dtype=np.int32),
-        ):
+        if not _is_identity(forward.table.take(backward.table)):
             raise EpLawViolation("forward . backward is not the identity")
         self.forward = forward
         self.backward = backward
@@ -927,15 +969,6 @@ def pretty_tag(tag):
     if head == "cls":
         return "[" + ",".join(pretty_tag(t) for t in tag[1]) + "]"
     return repr(tag)
-
-
-def poset_to_json(p):
-    """JSON form: elements, a generating leq (the covers), optional bottom."""
-    return {
-        "elements": [tag_to_json(e) for e in p.elements],
-        "leq": [[tag_to_json(a), tag_to_json(b)] for a, b in hasse(p)],
-        "bottom": tag_to_json(p.bottom) if p.is_pointed else None,
-    }
 
 
 def _poset_to_index_json(p):

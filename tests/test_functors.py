@@ -340,11 +340,25 @@ def test_on_tables_stacks_the_one_row_action(text, backend, v):
         out = inst.on_tables(x, y, tables[:k])
         assert out.shape == (k, size)
         for row, image in zip(tables[:k], out):
-            one = F._act(inst.expr, inst, inst, x, y, row, None, None, None)
+            one = F._act(inst.expr, inst.on_object(x), inst.on_object(y), row,
+                         None, None, None)
             assert np.array_equal(image, one)
             assert np.array_equal(image, inst.on_map(P.MonoMap(x, y, row, strict)).table)
     two_axes = inst.on_tables(x, y, tables[:4].reshape(2, 2, len(x)))
     assert np.array_equal(two_axes.reshape(4, size), inst.on_tables(x, y, tables[:4]))
+
+
+def test_actions_walk_the_operands_of_each_state():
+    # the sum over the one-table space out of E is enumerated once for both
+    # states, but each state's sum records that state's own operands
+    inst = F.instantiate(F.parse("(E -> Lift(Id)) + W", {"E": EMPTY}), F.Backend.PLAIN,
+                         BOOL, BOOL)
+    small, big = P.chain(2), C3
+    fs, fb = inst.on_object(small), inst.on_object(big)
+    assert fs.leq is fb.leq and fs.children[0].children[1] == P.lift(small)
+    assert inst.on_map(P.MonoMap(small, big, [0, 2])).table.tolist() == [0, 1, 2]
+    related = F.lifted_related(inst, np.eye(2, 3, dtype=bool), small, big)
+    assert np.array_equal(related, np.eye(3, dtype=bool))
 
 
 def test_on_tables_checks_like_on_map():

@@ -402,13 +402,13 @@ STRICT_MODES = [None, (False, False), (True, True), (True, False), (False, True)
 def _itemized_map(dom, cod, table, strict):
     """`MonoMap`'s checks one at a time: length, range, monotonicity, then
     strictness.  `strict` None sets the flag as `MonoMap.auto_strict` does,
-    reading the table before any check.  Returns the table and the flag."""
-    if strict is None:
-        strict = (dom.is_pointed and cod.is_pointed and len(dom) > 0
-                  and int(table[dom.bottom_idx]) == cod.bottom_idx)
+    once the length is checked.  Returns the table and the flag."""
     table = np.ascontiguousarray(table, dtype=np.int32)
     if table.shape != (len(dom),):
         raise DomainMismatch("table length does not match domain size")
+    if strict is None:
+        strict = (dom.is_pointed and cod.is_pointed and len(dom) > 0
+                  and int(table[dom.bottom_idx]) == cod.bottom_idx)
     if len(dom) and (table.min() < 0 or table.max() >= len(cod)):
         raise DomainMismatch("table value outside codomain")
     if any(not cod.leq[table[i], table[j]] for i, j in zip(*np.nonzero(dom.leq))):
@@ -541,7 +541,15 @@ def test_from_tables_matches_itemized_checks_out_of_range_and_misshapen():
     seen = Counter(_assert_from_tables_agrees(*case, strict)
                    for case in cases for strict in STRICT_MODES)
     assert seen["ok"] == 5 + 2  # the valid pair under every flag, the empty one unflagged
-    assert {DomainMismatch, NotPointed, IndexError} <= set(seen)
+    assert {DomainMismatch, NotPointed} <= set(seen) and IndexError not in seen
+
+
+def test_short_tables_raise_domain_mismatch():
+    c2, c3, none = P.chain(2), P.chain(3), np.zeros(0, np.int32)
+    with pytest.raises(DomainMismatch, match="table length"):
+        P.MonoMap.auto_strict(c2, c3, none)
+    with pytest.raises(DomainMismatch, match="table length"):
+        P.EpPair.from_tables(c2, c3, none, np.zeros(3, np.int32))
 
 
 # --------------------------------------------------------------------------
@@ -625,7 +633,8 @@ def test_hasse_examples():
 
 def test_poset_json_roundtrip():
     c = P.coalesced_sum(two_chain(), P.boolean_lattice())
-    obj = P.poset_to_json(c)
+    obj = {"elements": [["cbot"], ["inl", "a"], ["inr", "top"]],
+           "leq": [[["cbot"], ["inl", "a"]], [["cbot"], ["inr", "top"]]], "bottom": ["cbot"]}
     back = P.poset_from_json(json.loads(json.dumps(obj)))
     assert back == c
 
@@ -696,8 +705,12 @@ def uid_stage(k):
 def test_equal_constructions_are_equal_with_equal_hashes():
     a, b = uid_stage(4), uid_stage(4)
     assert a is not b and a == b and hash(a) == hash(b)
-    back = P.poset_from_json(json.loads(json.dumps(P.poset_to_json(a))))
-    assert back.is_pointed and back == a and hash(back) == hash(a)
+    empty, one, two = ["upset", []], ["upset", [["upset", ["*"]]]], \
+        ["upset", [["upset", []], ["upset", ["*"]]]]
+    back = P.poset_from_json({"elements": [empty, one, two],
+                              "leq": [[empty, one], [one, two]], "bottom": empty})
+    stage = uid_stage(2)
+    assert back.is_pointed and back == stage and hash(back) == hash(stage)
 
 
 def test_same_order_with_other_tags_or_bottom_differs():
@@ -719,14 +732,14 @@ def test_duplicate_tags_raise_by_the_first_lookup():
 
 CONSTRUCTORS = ("product", "separated_sum", "coalesced_sum", "lift", "fun_space",
                 "strict_fun_space", "upsets", "strict_upsets")
-TAG_BUILDERS = ("_pair_tags", "_sum_tags", "_coalesced_tags", "_lift_tags",
-                "_table_tags", "_upset_tags")
+KIND_BUILDS = {"product": "product", "sum": "separated_sum", "coalesced": "coalesced_sum",
+               "lift": "lift", "tables": "fun_space", "upsets": "upsets"}
 
 
 def _eager_tags(build, ops, out, ref):
     """The tags `build(*ops)` gave as `out` when the constructors built them
     eagerly, from the operands' reference tags `ref(op)`."""
-    name = build.__name__
+    name = getattr(build, "__name__", build)
     if name == "product":
         return tuple(("pair", x, y) for x in ref(ops[0]) for y in ref(ops[1]))
     if name == "separated_sum":
@@ -770,17 +783,20 @@ def recorded(monkeypatch):
 
 def _reference(calls):
     """Eager reference tags of any poset: a constructed one's from its
-    operands' reference tags, any other (a leaf) its own.  Keyed by the
-    tags object, which `include` and `with_declared_bottom` share."""
-    made = {id(out._elements): (build, ops, out) for build, ops, out in calls}
+    operands' reference tags, a memo hit recorded over other operands
+    (`posets._over`) from those, and a leaf's its own.  Keyed by the record,
+    which `include` and `with_declared_bottom` share."""
+    made = {id(out._record): (build, ops, out) for build, ops, out in calls}
     memo = {}
 
     def ref(p):
-        key = id(p._elements)
+        key = id(p._record)
         if key not in memo:
             if key in made:
                 build, ops, out = made[key]
                 memo[key] = _eager_tags(build, ops, out, ref)
+            elif p._record.kind is not None:
+                memo[key] = _eager_tags(KIND_BUILDS[p._record.kind], p.children, p, ref)
             else:
                 memo[key] = p.elements
         return memo[key]
@@ -845,14 +861,21 @@ def test_nested_tags_match_the_eager_reference(recorded):
         assert out.elements == ref(out)
 
 
-def test_exponential_constructors_build_no_tags_until_read(monkeypatch):
-    calls = Counter()
-    for name in TAG_BUILDERS:
-        def counting(*args, _name=name, _original=getattr(P, name)):
-            calls[_name] += 1
-            return _original(*args)
+def count_tag_builds(monkeypatch):
+    """A Counter of the tag trees the view builds from now on, by kind."""
+    built, view = Counter(), P._tags
 
-        monkeypatch.setattr(P, name, counting)
+    def counting(p):
+        if p._record.tags is None:
+            built[p._record.kind] += 1
+        return view(p)
+
+    monkeypatch.setattr(P, "_tags", counting)
+    return built
+
+
+def test_exponential_constructors_build_no_tags_until_read(monkeypatch):
+    calls = count_tag_builds(monkeypatch)
     rng = np.random.RandomState(5)
     made = [
         P.fun_space(_random_poset(rng, 4, "a"), _random_poset(rng, 4, "b"), 4096),
@@ -871,22 +894,38 @@ def test_exponential_constructors_build_no_tags_until_read(monkeypatch):
         p.elements
     # each space once, and the lifts whose tags its tags contain: the strict
     # tables' codomain and the strict upsets' ground, not the tables' domain
-    assert calls == {"_table_tags": 3, "_upset_tags": 2, "_lift_tags": 2}
+    assert calls == {"tables": 3, "upsets": 2, "lift": 2}
     # the identity fast path of iso_check reads tags only when the orders agree
     calls.clear()
     square = P.upsets(P.discrete(["a", "b"]))
     chain4 = P.fun_space(P.discrete(["a"]), P.chain(4))
     assert P.iso_check(square, chain4) is None and not calls
     assert P.iso_check(chain4, P.upsets(P.chain(3))) is not None
-    assert calls == {"_table_tags": 1, "_upset_tags": 1}
+    assert calls == {"tables": 1, "upsets": 1}
 
 
 def test_include_and_declared_bottom_share_unbuilt_tags(monkeypatch):
-    built = []
-    monkeypatch.setattr(P, "_lift_tags", lambda ps: built.append(1) or [P.LBOT] + [
-        ("lup", x) for x in ps()])
+    built = count_tag_builds(monkeypatch)
     lp = P.lift(P.chain(2))
     views = [include(lp), P.with_declared_bottom(include(lp)), lp]
     assert [v.bottom_idx for v in views] == [None, 0, 0] and not built
-    assert views[0].elements == views[1].elements == lp.elements and built == [1]
+    assert views[0].elements == views[1].elements == lp.elements and built == {"lift": 1}
     assert views[1] == lp and views[0] != lp
+
+
+def test_equal_operands_hit_the_memos_without_building_tags(monkeypatch):
+    built = count_tag_builds(monkeypatch)
+    a, b = uid_stage(4), uid_stage(4)
+    assert a is not b and a == b and not built
+    sums = []
+    real = F.coalesced_sum
+    monkeypatch.setattr(F, "coalesced_sum", lambda p, q, cap: sums.append(1) or real(p, q, cap))
+    inst = F.instantiate(F.parse("(V -!> Id) + W"), F.Backend.POINTED_STRICT,
+                         P.unit(), P.boolean_lattice())
+    x, twin = P.upsets(P.lift(P.chain(2))), P.upsets(P.lift(P.chain(2)))
+    fx = inst.on_object(x)
+    assert twin is not x and inst.on_object(twin) is fx
+    # the strict tables out of the one-point V are a singleton at every
+    # state, so the sum is enumerated once, and no tag tree is read to see it
+    assert [len(inst.on_object(P.chain(k))) for k in (1, 2, 3)] == [2, 2, 2]
+    assert sums == [1] and not built
