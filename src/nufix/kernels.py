@@ -12,8 +12,8 @@ k x k x n|cod|/64 words after a k x n|cod| gather.  Upset masks keep
 gather or |cod| factor to save, and the bitset form, one step per ground
 element, measured slower on them.
 
-The two enumerators backtrack over Python-int bitsets and emit their rows in
-a fixed order, so every result built from them is reproducible:
+Tables are enumerated by backtracking, upsets by a memoised split on the
+top element; both emit rows in a fixed order, so results are reproducible:
 
 * monotone tables come out in lexicographic order of their values read
   along the domain's linear extension that sorts its elements stably by
@@ -27,7 +27,7 @@ count without enumerating: `levels` groups a poset into antichains by
 longest chain, and `count_upsets` counts upsets exactly up to a limit.
 `count_chain_maps` counts the monotone maps into a chain the same way; a
 codomain's longest chain makes that a lower bound on its tables.  The
-brute-force counters are independent oracles for the law suites.
+stacked brute-force counters are independent oracles for the law suites.
 """
 
 from __future__ import annotations
@@ -232,55 +232,66 @@ def count_monotone_stack(leq_doms, leq_cod, strict=None):
     return keep.sum(axis=1)
 
 
+def count_upsets_stack(leqs):
+    """Brute-force oracle: the upset counts of a (d, n, n) stack of posets.
+    An upset is where a monotone map into the 2-chain is 1, so this filters
+    all 2**n maps there; no code shared with `enum_upsets`/`count_upsets`."""
+    return count_monotone_stack(leqs, np.triu(np.ones((2, 2), dtype=np.bool_)))
+
+
 # --------------------------------------------------------------------------
 # upset enumeration
 
 
-def _enum_upsets(leq, order, limit):
-    n = leq.shape[0]
-    if n == 0:
-        return np.zeros((min(limit, 1), 0), dtype=np.bool_)
-    if limit == 0:
-        return np.zeros((0, n), dtype=np.bool_)
-    order = order.tolist()
-    bit = [1 << e for e in order]
-    # strictly-above sets; they come earlier in the order, so they are
-    # decided by the time their lower element is
-    rows = _row_bits(leq)
-    above = [rows[e] & ~(1 << e) for e in order]
-    inc = [0] * (n + 1)  # inclusion mask before deciding each position
-    step = [0] * n  # 0: exclude next, 1: include next, 2: both tried
-    masks = []
-    pos = 0
-    while pos >= 0:
-        if pos == n:
-            masks.append(inc[n])
-            if len(masks) >= limit:
-                break
-            pos -= 1
-            continue
-        s = step[pos]
-        if s == 0:
-            step[pos] = 1
-            inc[pos + 1] = inc[pos]
-        elif s == 1 and not above[pos] & ~inc[pos]:
-            step[pos] = 2
-            inc[pos + 1] = inc[pos] | bit[pos]
-        else:
-            pos -= 1
-            continue
-        pos += 1
-        if pos < n:
-            step[pos] = 0
-    return _unpack(masks, n)
+_MEMO_MASKS = 1 << 16  # upset masks memoised before used lists are dropped
 
 
 def enum_upsets(leq, limit):
-    """Up to `limit` up-closed subsets as boolean masks, empty set first."""
+    """Up to `limit` up-closed subsets as boolean masks, empty set first.
+
+    Bit b stands for element perm[b], the fewest-above-first order reversed,
+    so the documented order is ascending masks.  The top bit x of a
+    sub-ground s is maximal in it: U(s) = U(s - down(x)), then x | U(s - x),
+    skipped once the first part fills `limit`; a chain on top of s peels
+    off in one step.  Lists are memoised per sub-ground, cut at `limit`, on
+    an explicit stack; past `_MEMO_MASKS` masks, each finished sub-ground
+    drops its parts' lists, which are rebuilt if asked for again.
+    """
     leq = np.asarray(leq, dtype=np.bool_)
-    above = (leq.sum(axis=1) - 1).astype(np.int64)
-    order = np.argsort(above, kind="stable").astype(np.int32)
-    return _enum_upsets(leq, order, int(limit))
+    n, limit = leq.shape[0], int(limit)
+    if n == 0 or limit == 0:
+        return np.zeros((min(limit, int(n == 0)), n), dtype=np.bool_)
+    perm = np.argsort(leq.sum(axis=1), kind="stable")[::-1]
+    down = _row_bits(leq.T.take(perm, 0).take(perm, 1))
+    ground = (1 << n) - 1
+    memo, kept, stack = {0: [0]}, 0, [ground]
+    while stack:
+        s = stack[-1]  # U(s) is lo, then top | U(hi)
+        lo, top, low, hi = [], 0, None, s
+        while hi and len(lo) < limit and not hi & ~down[hi.bit_length() - 1]:
+            lo.append(top)  # a chain on top: its top segments
+            top |= 1 << hi.bit_length() - 1
+            hi &= ~top
+        if not lo:  # a split on the top bit x
+            x = s.bit_length() - 1
+            top, low, hi = 1 << x, s & ~down[x], s ^ (1 << x)
+            lo = memo.get(low)
+            if lo is None:
+                stack.append(low)
+                continue
+        if len(lo) < limit:
+            tail = memo.get(hi)
+            if tail is None:
+                stack.append(hi)
+                continue
+            lo = lo + [top | m for m in tail[: limit - len(lo)]]
+        memo[s], kept = lo, kept + len(lo)
+        if kept > _MEMO_MASKS:
+            kept -= sum(len(memo.pop(part, ())) for part in (low, hi) if part)
+        stack.pop()
+    out = np.empty((len(memo[ground]), n), dtype=np.bool_)
+    out[:, perm] = _unpack(memo[ground], n)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -405,19 +416,6 @@ def count_chain_maps(leq_dom, h, limit):
         return min(math.comb(n + h - 1, n), int(limit))
     steps = np.triu(np.ones((h - 1, h - 1), dtype=np.bool_))
     return count_upsets(np.kron(leq_dom, steps), limit)
-
-
-def count_upsets_bruteforce(leq):
-    """Brute-force oracle: filter all 2**n subsets for up-closure."""
-    n = leq.shape[0]
-    count = 0
-    strict = leq.copy()
-    np.fill_diagonal(strict, False)
-    for mask in range(1 << n):
-        members = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.bool_)
-        if not (members[:, None] & strict & ~members[None, :]).any():
-            count += 1
-    return count
 
 
 # --------------------------------------------------------------------------

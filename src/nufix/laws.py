@@ -294,19 +294,22 @@ def law_rel_lift_monotone(seed, samples=60):
 # suite 4: enumeration counts against brute-force oracles
 
 
+def _stacks(leqs):
+    """The order matrices grouped by size: (indices, (k, n, n) stack) each."""
+    by_size = {}
+    for i, leq in enumerate(leqs):
+        by_size.setdefault(len(leq), []).append(i)
+    return [(idx, np.array([leqs[i] for i in idx], dtype=np.bool_).reshape(len(idx), n, n))
+            for n, idx in by_size.items()]
+
+
 def _bruteforce_counts(doms, cods, strict=False):
     """counts[i, j]: the brute-force number of monotone tables doms[i] ->
     cods[j] (bottom to bottom when `strict`), one stacked count per
     codomain and domain size."""
     counts = np.zeros((len(doms), len(cods)), dtype=np.int64)
-    by_size = {}
-    for i, p in enumerate(doms):
-        by_size.setdefault(len(p), []).append(i)
-    stacks = [
-        (idx, np.array([doms[i].leq for i in idx], dtype=np.bool_).reshape(len(idx), n, n),
-         [doms[i].bottom_idx for i in idx])
-        for n, idx in by_size.items()
-    ]
+    stacks = [(idx, stack, [doms[i].bottom_idx for i in idx])
+              for idx, stack in _stacks([p.leq for p in doms])]
     for j, q in enumerate(cods):
         for idx, stack, bottoms in stacks:
             pair = (bottoms, q.bottom_idx) if strict else None
@@ -314,22 +317,28 @@ def _bruteforce_counts(doms, cods, strict=False):
     return counts
 
 
+def _bruteforce_upsets(leqs):
+    """The brute-force number of upsets of each order matrix, one stacked
+    count per size."""
+    counts = np.zeros(len(leqs), dtype=np.int64)
+    for idx, stack in _stacks(leqs):
+        counts[idx] = kernels.count_upsets_stack(stack)
+    return counts.tolist()
+
+
 def law_enumeration_counts(max_elems=5):
     shapes = all_posets_upto(max_elems)
     pointed = [p for p in map(with_declared_bottom, shapes) if p is not None]
     ups = 0
-    for p in shapes:
+    for p, oracle in zip(shapes, _bruteforce_upsets([p.leq for p in shapes])):
         impl = len(kernels.enum_upsets(p.leq, (1 << len(p)) + 1))
-        oracle = kernels.count_upsets_bruteforce(p.leq)
         if impl != oracle:
             return LawResult("enumeration-counts", False,
                              f"upset count {impl} != {oracle}", repr(p.elements))
         ups += 1
-    for p in pointed:
-        keep = [i for i in range(len(p)) if i != p.bottom_idx]
-        sub = p.leq[np.ix_(keep, keep)]
-        impl = len(kernels.enum_upsets(sub, (1 << len(keep)) + 1))
-        oracle = kernels.count_upsets_bruteforce(sub)
+    subs = [np.delete(np.delete(p.leq, p.bottom_idx, 0), p.bottom_idx, 1) for p in pointed]
+    for sub, oracle in zip(subs, _bruteforce_upsets(subs)):
+        impl = len(kernels.enum_upsets(sub, (1 << len(sub)) + 1))
         if impl != oracle:
             return LawResult("enumeration-counts", False,
                              f"strict upset count {impl} != {oracle}")

@@ -1,14 +1,16 @@
 """Kernel-level checks: the closure matches a reachability search, the
 inclusion order matches pairwise subset tests, the pointwise table order
 matches inclusion of down-set rows, the enumerators emit exactly
-the brute-force rows in their documented order, the cardinality
-certificates agree with the brute-force counts, the stacked brute-force
-counter agrees with a per-pair reference (and the counting law reports the
-first pair it breaks on), iso search agrees with permutation search, and
-the monotonicity test (with `MonoMap` and the plain-iso check that call it)
-agrees with a loop over every pair."""
+the brute-force rows in their documented order (and the upset enumerator
+the rows of the backtracking enumerator it replaced, within bounded work),
+the cardinality certificates agree with the brute-force counts, the
+stacked brute-force counters agree with per-pair and per-poset references
+(and the counting law reports the first pair it breaks on), iso search
+agrees with permutation search, and the monotonicity test (with `MonoMap`
+and the plain-iso check that call it) agrees with a loop over every pair."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,9 +23,12 @@ from nufix.posets import (
     all_posets_upto,
     chain,
     discrete,
+    lift,
     validate_poset,
     with_declared_bottom,
 )
+
+from generators import random_order
 
 
 def _reachability(rel):
@@ -136,7 +141,7 @@ def test_table_order_on_a_full_function_space():
     # a 6 -> 5 space of about 2000 monotone tables, the shape of the
     # benchmark's largest function spaces
     rng = np.random.RandomState(33)
-    dom, cod = _random_order(rng, 6, 0.25), _random_order(rng, 5, 0.25)
+    dom, cod = random_order(rng, 6, 0.25), random_order(rng, 5, 0.25)
     tables = kernels.enum_monotone_tables(dom, cod, 5 ** 6 + 1)
     assert 1500 <= len(tables) <= 2500
     got = kernels.table_order(tables, cod)
@@ -149,7 +154,7 @@ def test_enumerator_positions_follow_the_linear_extension():
     ties = 0
     for _ in range(300):
         n = rng.randint(2, 13)
-        leq = _random_order(rng, n, rng.choice([0.0, 0.1, 0.3, 0.6]))
+        leq = random_order(rng, n, rng.choice([0.0, 0.1, 0.3, 0.6]))
         ties += len(set(leq.sum(axis=0).tolist())) < n  # equal column sums
         assert kernels._linear_extension(leq.tolist()) == linear_extension(leq).tolist()
     assert kernels._linear_extension([]) == []
@@ -276,6 +281,31 @@ def test_enumeration_counts_law_reports_the_first_broken_pair(side, mutation, mo
         "enumeration-counts", False, detail, counterexample)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_enumeration_counts_law_reports_a_broken_upset_count(strict, monkeypatch):
+    # the law counts the upsets of every shape, then of every pointed shape
+    # less its bottom; one call of either walk loses its last row
+    shapes = all_posets_upto(3)
+    broken_call = len(shapes) + 3 if strict else 4
+    enumerate_upsets, calls = kernels.enum_upsets, []
+
+    def broken(leq, limit):
+        calls.append(leq)
+        rows = enumerate_upsets(leq, limit)
+        return rows[:-1] if len(calls) == broken_call else rows
+
+    monkeypatch.setattr(kernels, "enum_upsets", broken)
+    result = laws.law_enumeration_counts(3)
+    want = count_upsets_bruteforce(calls[broken_call - 1])
+    assert (result.ok, len(calls)) == (False, broken_call)
+    if strict:
+        assert (result.detail, result.counterexample) == (
+            f"strict upset count {want - 1} != {want}", None)
+    else:
+        assert (result.detail, result.counterexample) == (
+            f"upset count {want - 1} != {want}", repr(shapes[broken_call - 1].elements))
+
+
 def test_monotone_enumeration_matches_bruteforce():
     shapes = all_posets_upto(3)
     for p in shapes:
@@ -299,8 +329,100 @@ def test_monotone_enumeration_matches_bruteforce():
 def test_upset_enumeration_matches_bruteforce():
     for p in all_posets_upto(4):
         full = _upsets_in_order(p.leq)
-        assert len(full) == kernels.count_upsets_bruteforce(p.leq)
+        assert len(full) == count_upsets_bruteforce(p.leq)
         _check_prefixes(lambda k: kernels.enum_upsets(p.leq, k), full)
+
+
+def backtrack_upsets(leq, limit):
+    """Order reference for `kernels.enum_upsets`: the backtracking
+    enumerator it replaced.  It decides the elements one at a time along the
+    fewest-above-first order, excluded before included, and includes an
+    element only when every element above it is in."""
+    n, limit = leq.shape[0], int(limit)
+    if n == 0:
+        return np.zeros((min(limit, 1), 0), dtype=np.bool_)
+    if limit == 0:
+        return np.zeros((0, n), dtype=np.bool_)
+    order = np.argsort(leq.sum(axis=1), kind="stable").tolist()
+    bit = [1 << e for e in order]
+    above = [sum(1 << j for j in range(n) if leq[e, j] and j != e) for e in order]
+    inc = [0] * (n + 1)  # inclusion mask before deciding each position
+    step = [0] * n  # 0: exclude next, 1: include next, 2: both tried
+    masks = []
+    pos = 0
+    while pos >= 0:
+        if pos == n:
+            masks.append(inc[n])
+            if len(masks) >= limit:
+                break
+            pos -= 1
+            continue
+        s = step[pos]
+        if s == 0:
+            step[pos] = 1
+            inc[pos + 1] = inc[pos]
+        elif s == 1 and not above[pos] & ~inc[pos]:
+            step[pos] = 2
+            inc[pos + 1] = inc[pos] | bit[pos]
+        else:
+            pos -= 1
+            continue
+        pos += 1
+        if pos < n:
+            step[pos] = 0
+    return np.array([[(m >> i) & 1 for i in range(n)] for m in masks],
+                    dtype=np.bool_).reshape(len(masks), n)
+
+
+def test_upset_enumeration_matches_the_backtracking_reference():
+    # plain grounds, and strict ones (a lift, relabelled, less its bottom,
+    # as `strict_upsets` enumerates them), at limits cutting anywhere
+    rng = np.random.RandomState(20)
+    checked = 0
+    for k in range(150):
+        leq = random_order(rng, rng.randint(0, 21), rng.uniform(0.05, 0.6))
+        full = kernels.count_upsets(leq, 4097)
+        if full > 4096:
+            continue  # keeps the reference fast; wide grounds are tested below
+        lifted = lift(FinPoset([f"x{i}" for i in range(len(leq))], leq))
+        perm = rng.permutation(len(lifted))
+        bottom = int(np.flatnonzero(perm == lifted.bottom_idx)[0])
+        strict = np.delete(np.delete(lifted.leq[np.ix_(perm, perm)], bottom, 0), bottom, 1)
+        for ground in (leq, strict):
+            for limit in (1, 7, full // 2, full, full + 1):
+                got, want = kernels.enum_upsets(ground, limit), backtrack_upsets(ground, limit)
+                assert got.dtype == np.bool_ and got.shape == want.shape
+                assert np.array_equal(got, want), (k, limit)
+                checked += 1
+    assert checked > 1000
+
+
+def test_upset_enumeration_rebuilds_the_lists_it_drops(monkeypatch):
+    # past the memo budget each finished sub-ground drops its parts' lists;
+    # with a budget of 8 masks nearly every list is dropped, and rebuilt
+    # when another sub-ground asks for it
+    monkeypatch.setattr(kernels, "_MEMO_MASKS", 8)
+    rng = np.random.RandomState(21)
+    for k in range(40):
+        leq = random_order(rng, rng.randint(0, 16), rng.uniform(0.05, 0.6))
+        for limit in (7, 4097):
+            assert np.array_equal(kernels.enum_upsets(leq, limit), backtrack_upsets(leq, limit)), k
+
+
+def test_upset_enumeration_is_bounded_by_the_limit():
+    # work stops with the first `limit` upsets: a wide or sparse ground at
+    # limit 10 takes milliseconds, and a long chain needs no recursion
+    rng = np.random.RandomState(4)
+    for leq in (np.eye(60, dtype=np.bool_), random_order(rng, 200, 0.01)):
+        t0 = time.process_time()
+        got = kernels.enum_upsets(leq, 10)
+        assert time.process_time() - t0 < 0.05
+        assert np.array_equal(got, backtrack_upsets(leq, 10))
+    n = 3000
+    got = kernels.enum_upsets(np.triu(np.ones((n, n), dtype=np.bool_)), n + 2)
+    # the upsets of a chain are its top segments, shortest first
+    assert got.shape == (n + 1, n)
+    assert np.array_equal(got, np.arange(n)[None, :] >= np.arange(n, -1, -1)[:, None])
 
 
 def test_enumeration_respects_limit():
@@ -395,13 +517,6 @@ def test_invariant_labels_match_loop_reference():
         assert got.dtype == np.int64 and got.tolist() == _loop_labels(leq)
 
 
-def _random_order(rng, n, density):
-    """A random partial order on n elements, shuffled out of index order."""
-    rel = np.triu(rng.rand(n, n) < density, 1)
-    perm = rng.permutation(n)
-    return kernels.transitive_closure(rel)[np.ix_(perm, perm)]
-
-
 def _longest_chain_below(leq):
     """Elements on the longest chain ending at each element, minus one, by
     relaxing along a linear extension."""
@@ -416,7 +531,7 @@ def _longest_chain_below(leq):
 def test_levels_group_by_longest_chain_below():
     rng = np.random.RandomState(5)
     cases = [np.zeros((0, 0), dtype=np.bool_), chain(6).leq, np.eye(5, dtype=np.bool_)]
-    cases += [_random_order(rng, rng.randint(1, 30), rng.uniform(0.02, 0.4))
+    cases += [random_order(rng, rng.randint(1, 30), rng.uniform(0.02, 0.4))
               for _ in range(40)]
     for leq in cases:
         groups = kernels.levels(leq)
@@ -427,9 +542,33 @@ def test_levels_group_by_longest_chain_below():
             assert np.array_equal(leq[np.ix_(group, group)], np.eye(len(group), dtype=np.bool_))
 
 
+def count_upsets_bruteforce(leq):
+    """Reference for `kernels.count_upsets_stack`: one poset at a time,
+    filtering all 2**n subsets for up-closure."""
+    n = leq.shape[0]
+    count = 0
+    strict = leq.copy()
+    np.fill_diagonal(strict, False)
+    for mask in range(1 << n):
+        members = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.bool_)
+        if not (members[:, None] & strict & ~members[None, :]).any():
+            count += 1
+    return count
+
+
+def test_count_upsets_stack_matches_the_per_poset_reference():
+    by_size = {}
+    for p in all_posets_upto(5):
+        by_size.setdefault(len(p), []).append(p.leq)
+    for n, leqs in by_size.items():
+        got = kernels.count_upsets_stack(np.array(leqs, dtype=np.bool_).reshape(len(leqs), n, n))
+        assert got.tolist() == [count_upsets_bruteforce(leq) for leq in leqs], n
+    assert kernels.count_upsets_stack(np.zeros((0, 3, 3), np.bool_)).shape == (0,)
+
+
 def test_count_upsets_matches_bruteforce_on_small_posets():
     for p in all_posets_upto(5):
-        want = kernels.count_upsets_bruteforce(p.leq)
+        want = count_upsets_bruteforce(p.leq)
         for limit in (0, 1, 2, want - 1, want, want + 1, 10**6):
             assert kernels.count_upsets(p.leq, limit) == min(want, limit)
 
@@ -438,7 +577,7 @@ def test_count_upsets_matches_capped_enumeration():
     rng = np.random.RandomState(9)
     for _ in range(120):
         n = rng.randint(0, 41)
-        leq = _random_order(rng, n, rng.choice([0.02, 0.05, 0.1, 0.2, 0.4]))
+        leq = random_order(rng, n, rng.choice([0.02, 0.05, 0.1, 0.2, 0.4]))
         for limit in (1, 5, 100, 700, 4001):
             assert kernels.count_upsets(leq, limit) == len(kernels.enum_upsets(leq, limit))
 
@@ -539,8 +678,8 @@ def _random_table_cases(seed, count=80):
     rng = np.random.RandomState(seed)
     for _ in range(count):
         n, m = rng.randint(0, 41), rng.randint(1, 41)
-        dom = _random_order(rng, n, rng.choice([0.02, 0.1, 0.3]))
-        cod = _random_order(rng, m, rng.choice([0.02, 0.1, 0.3]))
+        dom = random_order(rng, n, rng.choice([0.02, 0.1, 0.3]))
+        cod = random_order(rng, m, rng.choice([0.02, 0.1, 0.3]))
         cod[:, rng.choice(np.flatnonzero(cod.sum(axis=1) == 1))] = True
         tables = kernels.enum_monotone_tables(dom, cod, 8)
         broken = [b for b in (_break_one_pair(rng, dom, cod, t) for t in tables)
@@ -589,7 +728,7 @@ def test_is_plain_iso_matches_the_order_reflecting_bijections():
     rng = np.random.RandomState(23)
     for _ in range(60):
         n = rng.randint(0, 12)
-        leq = _random_order(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        leq = random_order(rng, n, rng.choice([0.1, 0.3, 0.6]))
         p = FinPoset([f"x{i}" for i in range(n)], leq)
         perm = rng.permutation(n)
         inv = np.argsort(perm)

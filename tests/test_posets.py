@@ -25,6 +25,8 @@ from nufix.errors import (
 )
 from nufix.mediator import include
 
+from generators import random_poset
+
 
 def two_chain():
     return P.validate_poset(["bot", "a"], [("bot", "a")], "bot")
@@ -195,11 +197,6 @@ def test_upsets_agree_with_bool_valued_maps():
             assert len(sf) == len(su)
 
 
-def _random_poset(rng, n, prefix):
-    rel = np.triu(rng.rand(n, n) < 0.3, 1)
-    return P.FinPoset([f"{prefix}{i}" for i in range(n)], kernels.transitive_closure(rel))
-
-
 def _assert_pointwise_order(f, cod):
     t = f.rows
     want = [[all(cod.leq[a, b] for a, b in zip(ti, tj)) for tj in t] for ti in t]
@@ -216,7 +213,7 @@ def test_table_and_upset_orders_match_their_definitions():
     rng = np.random.RandomState(3)
     empty = P.discrete([])
     small = [empty, P.discrete(["d0", "d1"]), P.chain(3)]
-    small += [_random_poset(rng, 3, f"r{i}_") for i in range(4)]
+    small += [random_poset(rng, 3, f"r{i}_") for i in range(4)]
     for p in small:
         for q in small:
             _assert_pointwise_order(P.fun_space(p, q, cap=None), q)
@@ -226,7 +223,7 @@ def test_table_and_upset_orders_match_their_definitions():
     wide = P.fun_space(P.discrete(["x", "y", "z"]), P.chain(5), cap=None)
     assert len(wide) == 125
     _assert_pointwise_order(wide, P.chain(5))
-    grounds = small + [_random_poset(rng, 6, f"u{i}_") for i in range(6)]
+    grounds = small + [random_poset(rng, 6, f"u{i}_") for i in range(6)]
     grounds.append(P.discrete([f"g{i}" for i in range(7)]))
     for p in grounds:
         _assert_inclusion_order(P.upsets(p, cap=None))
@@ -275,13 +272,13 @@ def _raises_exactly_past_cap(build, full):
 def test_certificates_raise_only_past_the_cap():
     rng = np.random.RandomState(17)
     for k in range(40):
-        p = _random_poset(rng, rng.randint(0, 13), f"p{k}_")
+        p = random_poset(rng, rng.randint(0, 13), f"p{k}_")
         _raises_exactly_past_cap(lambda cap: P.upsets(p, cap), P.upsets(p, cap=None))
         lp = P.lift(p)
         _raises_exactly_past_cap(lambda cap: P.strict_upsets(lp, cap),
                                  P.strict_upsets(lp, cap=None))
     for k in range(40):
-        p, q = _random_poset(rng, rng.randint(0, 6), "a"), _random_poset(rng, rng.randint(0, 5), "b")
+        p, q = random_poset(rng, rng.randint(0, 6), "a"), random_poset(rng, rng.randint(0, 5), "b")
         _raises_exactly_past_cap(lambda cap: P.fun_space(p, q, cap), P.fun_space(p, q, cap=None))
         lp, lq = P.lift(p), P.lift(q)
         _raises_exactly_past_cap(lambda cap: P.strict_fun_space(lp, lq, cap),
@@ -516,7 +513,7 @@ def test_from_tables_matches_itemized_checks_on_random_tables():
             for t in rng.sample([e, p], rng.randrange(3)):  # perturb 0 to 2 entries
                 t[rng.randrange(len(t))] = rng.randrange(len(x if t is p else y))
         else:
-            x, y = (_random_poset(nrng, rng.randint(1, 6), tag) for tag in "xy")
+            x, y = (random_poset(nrng, rng.randint(1, 6), tag) for tag in "xy")
             x, y = (P.with_declared_bottom(q) or q if rng.random() < 0.5 else q for q in (x, y))
             e = nrng.randint(0, len(y), len(x)).astype(np.int32)
             p = nrng.randint(0, len(x), len(y)).astype(np.int32)
@@ -821,7 +818,7 @@ def _assert_view_agrees(p, tags):
 def test_every_constructor_matches_its_eager_tags(recorded):
     rng = np.random.RandomState(11)
     plain = [P.discrete([]), P.discrete(["d0", "d1"]), P.chain(3)]
-    plain += [_random_poset(rng, n, f"r{n}_") for n in (3, 4)]
+    plain += [random_poset(rng, n, f"r{n}_") for n in (3, 4)]
     top_first = P.validate_poset(["t", "a", "b"], [("b", "a"), ("a", "t")], "b")
     pointed = [P.unit(), top_first, P.lift(P.discrete(["a", "b"])), P.lift(plain[-1])]
     for p in plain + pointed:
@@ -878,12 +875,12 @@ def test_exponential_constructors_build_no_tags_until_read(monkeypatch):
     calls = count_tag_builds(monkeypatch)
     rng = np.random.RandomState(5)
     made = [
-        P.fun_space(_random_poset(rng, 4, "a"), _random_poset(rng, 4, "b"), 4096),
-        P.fun_space(_random_poset(rng, 6, "a"), _random_poset(rng, 5, "b"), 4096),
-        P.strict_fun_space(P.lift(_random_poset(rng, 2, "a")),
-                           P.lift(_random_poset(rng, 2, "b")), 4096),
-        P.upsets(_random_poset(rng, 16, "u"), 4096),
-        P.strict_upsets(P.lift(_random_poset(rng, 11, "s")), 4096),
+        P.fun_space(random_poset(rng, 4, "a"), random_poset(rng, 4, "b"), 4096),
+        P.fun_space(random_poset(rng, 6, "a"), random_poset(rng, 5, "b"), 4096),
+        P.strict_fun_space(P.lift(random_poset(rng, 2, "a")),
+                           P.lift(random_poset(rng, 2, "b")), 4096),
+        P.upsets(random_poset(rng, 16, "u"), 4096),
+        P.strict_upsets(P.lift(random_poset(rng, 11, "s")), 4096),
     ]
     assert all(len(p) > 1 for p in made)
     for p in made:
