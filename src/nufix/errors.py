@@ -81,5 +81,9 @@ class InstanceMismatch(NufixError):
     pass
 
 
+class SearchBudgetExceeded(NufixError):
+    """A search ran out of its work budget before it could decide."""
+
+
 class InputError(NufixError):
     """Malformed file or CLI input."""

@@ -28,6 +28,18 @@ longest chain, and `count_upsets` counts upsets exactly up to a limit.
 `count_chain_maps` counts the monotone maps into a chain the same way; a
 codomain's longest chain makes that a lower bound on its tables.  The
 stacked brute-force counters are independent oracles for the law suites.
+
+`find_isomorphism` runs a cascade, cheapest first: the number of
+comparable pairs, the sorted (elements below, elements above) pairs, then
+`invariant_labels` of both orders in one pass.  Most non-isomorphic pairs
+stop at the first step.  The search behind them backtracks in a fixed
+order over fixed candidate lists, so the first witness found is always
+the same.  An individualization-refinement cut only drops branches that
+have no completion.  It makes regular orders, whose labels cannot tell
+elements apart, decide in milliseconds; twin candidates (the same
+elements above and below) are tried once and not refined.  Past
+`ISO_STEP_BUDGET` steps of work the search raises
+`errors.SearchBudgetExceeded`; it never returns an unproved None.
 """
 
 from __future__ import annotations
@@ -36,6 +48,8 @@ import math
 
 import numpy as np
 
+from .errors import SearchBudgetExceeded
+
 
 def _row_bits(mat):
     """One bitset per row of a boolean matrix: bit i of row r is mat[r, i]."""
@@ -43,15 +57,37 @@ def _row_bits(mat):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+_BIT_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
+
+
+def _column_bits(leq, perm):
+    """One bitset per column of a boolean matrix, rows and columns both
+    taken in `perm` order: bit b of entry c is leq[perm[b], perm[c]].
+
+    The rows are gathered whole, and a product with the bit weights packs
+    each run of 8 into one byte per column, so every pass reads rows in
+    memory order; a transposed copy strides across them (38 ms against
+    13 ms at 3000 elements)."""
+    n = len(perm)
+    rows = np.zeros((-(-n // 8), 8, n), dtype=np.uint8)
+    leq.take(perm, axis=0, out=rows.view(np.bool_).reshape(-1, n)[:n])
+    packed = (_BIT_WEIGHTS @ rows).T.take(perm, axis=0)
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, n * width, width)]
+
+
 def _unpack(masks, n):
-    """Bitsets over n elements as a (len(masks), n) boolean array."""
-    width = (n + 7) // 8
-    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width),
-        axis=1, bitorder="little",
-    )
-    return bits[:, :n].astype(np.bool_)
+    """Bitsets over n elements as a (len(masks), n) boolean array.  Up to 64
+    elements numpy converts the ints as words, at half the cost of a byte
+    string per mask."""
+    if n <= 64:
+        raw = np.array(masks, dtype="<u8").view(np.uint8).reshape(len(masks), 8)
+    else:
+        width = (n + 7) // 8
+        raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n].view(np.bool_)
 
 
 # --------------------------------------------------------------------------
@@ -252,45 +288,58 @@ def enum_upsets(leq, limit):
     Bit b stands for element perm[b], the fewest-above-first order reversed,
     so the documented order is ascending masks.  The top bit x of a
     sub-ground s is maximal in it: U(s) = U(s - down(x)), then x | U(s - x),
-    skipped once the first part fills `limit`; a chain on top of s peels
-    off in one step.  Lists are memoised per sub-ground, cut at `limit`, on
-    an explicit stack; past `_MEMO_MASKS` masks, each finished sub-ground
-    drops its parts' lists, which are rebuilt if asked for again.
+    skipped once the first part fills what s must give; a chain on top of s
+    peels off in one step.  Frames on an explicit stack carry what their
+    parent still needs, and each list is cut there, so the lists that
+    pending frames wait on hold at most `limit` masks together.  Lists are
+    memoised per sub-ground, whole ones in `memo`; one that filled its need
+    may be cut short, so it goes to `cut`, serves needs up to its length
+    and is rebuilt for more.  Past `_MEMO_MASKS` masks, each finished
+    sub-ground drops its parts' lists.
     """
     leq = np.asarray(leq, dtype=np.bool_)
     n, limit = leq.shape[0], int(limit)
     if n == 0 or limit == 0:
         return np.zeros((min(limit, int(n == 0)), n), dtype=np.bool_)
     perm = np.argsort(leq.sum(axis=1), kind="stable")[::-1]
-    down = _row_bits(leq.T.take(perm, 0).take(perm, 1))
+    down = _column_bits(leq, perm)
     ground = (1 << n) - 1
-    memo, kept, stack = {0: [0]}, 0, [ground]
+    memo, cut, kept, stack = {0: [0]}, {}, 0, [(ground, limit)]
     while stack:
-        s = stack[-1]  # U(s) is lo, then top | U(hi)
+        s, need = stack[-1]  # U(s) is lo, then top | U(hi)
         lo, top, low, hi = [], 0, None, s
-        while hi and len(lo) < limit and not hi & ~down[hi.bit_length() - 1]:
+        while hi and len(lo) < need and not hi & ~down[x := hi.bit_length() - 1]:
             lo.append(top)  # a chain on top: its top segments
-            top |= 1 << hi.bit_length() - 1
+            top |= 1 << x
             hi &= ~top
-        if not lo:  # a split on the top bit x
-            x = s.bit_length() - 1
+        if not lo:  # a split on the top bit x of s
             top, low, hi = 1 << x, s & ~down[x], s ^ (1 << x)
             lo = memo.get(low)
             if lo is None:
-                stack.append(low)
-                continue
-        if len(lo) < limit:
+                lo = cut.get(low)
+                if lo is None or len(lo) < need:
+                    stack.append((low, need))
+                    continue
+        if len(lo) < need:
             tail = memo.get(hi)
             if tail is None:
-                stack.append(hi)
-                continue
-            lo = lo + [top | m for m in tail[: limit - len(lo)]]
-        memo[s], kept = lo, kept + len(lo)
+                tail = cut.get(hi)
+                if tail is None or len(tail) + len(lo) < need:
+                    stack.append((hi, need - len(lo)))
+                    continue
+            lo = lo + [top | m for m in tail[: need - len(lo)]]
+        if len(lo) < need:
+            memo[s] = lo
+        else:
+            cut[s] = lo
+        kept += len(lo)
         if kept > _MEMO_MASKS:
-            kept -= sum(len(memo.pop(part, ())) for part in (low, hi) if part)
+            kept -= sum(len(memo.pop(part, ())) + len(cut.pop(part, ()))
+                        for part in (low, hi) if part)
         stack.pop()
-    out = np.empty((len(memo[ground]), n), dtype=np.bool_)
-    out[:, perm] = _unpack(memo[ground], n)
+    masks = memo[ground] if ground in memo else cut[ground]
+    out = np.empty((len(masks), n), dtype=np.bool_)
+    out[:, perm] = _unpack(masks, n)
     return out
 
 
@@ -422,27 +471,163 @@ def count_chain_maps(leq_dom, h, limit):
 # isomorphism search
 
 
-def _iso_backtrack(leq_a, leq_b, order, cands):
+ISO_STEP_BUDGET = 20_000_000  # steps of `_iso_search`, about 4 s; see its docstring
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MASK = np.uint64((1 << 63) - 1)
+_FRESH = 1 << 63  # individualized colours, above every mixed label
+
+
+def _mix(x):
+    return ((x ^ (x >> np.uint64(31))) * _MIX) & _MASK
+
+
+def _strict_pairs(leq):
+    """The strictly related pairs x < y of an order matrix, or of a
+    (d, n, n) stack of them, as index arrays into the sums that
+    `_refine_round` builds: the dn up-sums (element k of order s is
+    s * n + k), then the dn down-sums.  Each y is added into x's up-sum
+    and each x into y's down-sum."""
+    d, n = math.prod(leq.shape[:-2]), leq.shape[-1]  # d = 1 for one matrix
+    side, x, y = np.nonzero(leq.reshape(d, n, n) & ~np.eye(n, dtype=np.bool_))
+    x, y = side * n + x, side * n + y
+    return np.concatenate([x, y + d * n]), np.concatenate([y, x])
+
+
+def _refine_round(pairs, labels):
+    """Each label mixed with the sums of the mixed labels strictly above and
+    below it, over the orders' `_strict_pairs`, so a round costs the number
+    of related pairs.  The uint64 sums wrap modulo 2^64, so cut to 63 bits
+    they are those of a loop that masks after every addition.  `labels` is
+    (n,), or (d, n) for a stack of d orders."""
+    into, source = pairs
+    sums = np.zeros(2 * labels.size, dtype=np.uint64)
+    np.add.at(sums, into, _mix(labels).reshape(-1)[source])
+    up, down = _mix(sums & _MASK).reshape(2, *labels.shape)
+    return _mix(labels ^ up ^ _mix(down))
+
+
+def _labels(pairs, below, above):
+    labels = (below.astype(np.uint64) << np.uint64(20)) ^ above.astype(np.uint64)
+    for _ in range(3):
+        labels = _refine_round(pairs, labels)
+    return labels.astype(np.int64)
+
+
+def invariant_labels(leq):
+    """Structure-only integer labels (degree + neighbourhood refinement).
+
+    Iso-invariant by construction: equal posets get equal label multisets,
+    and corresponding nodes of isomorphic posets get equal labels.  Used to
+    prune the backtracking search; soundness never depends on them.  Three
+    rounds of `_refine_round` start from (elements below, elements above).
+    A (d, n, n) stack of orders gets a (d, n) stack of labels in one pass,
+    each row the labels of its order alone.
+    """
+    leq = np.asarray(leq, dtype=np.bool_)
+    return _labels(_strict_pairs(leq), leq.sum(axis=-2), leq.sum(axis=-1))
+
+
+def _refine(pairs, colours):
+    """Refine a (2, n) stack of colourings of two orders, given by their
+    `_strict_pairs`, to a fixpoint; returns it, or None as soon as the
+    sides' colour histograms differ, with the number of rounds run.
+
+    Both sides go through the same rounds, so an isomorphism that respects
+    the input colours respects every round's; differing histograms prove
+    there is none.  A round that splits no class ends the refinement."""
+    classes, rounds = None, 0
+    while True:
+        hist = np.sort(colours, axis=1)
+        if not np.array_equal(hist[0], hist[1]):
+            return None, rounds
+        now = 1 + np.count_nonzero(hist[0, 1:] != hist[0, :-1])
+        if now == classes:
+            return colours, rounds
+        classes, rounds = now, rounds + 1
+        colours = _refine_round(pairs, colours)
+
+
+def _twin_classes(leq):
+    """Class ids of the elements of an order, equal exactly for twins:
+    elements with the same strict up-set and down-set."""
+    strict = leq & ~np.eye(len(leq), dtype=np.bool_)
+    keys = np.packbits(np.hstack([strict, strict.T]), axis=1)
+    ids = {}
+    return [ids.setdefault(key.tobytes(), len(ids)) for key in keys]
+
+
+def _iso_search(leq_a, leq_b, order, cands, related, labels, budget):
     """Depth-first search along `order`, trying each element's candidates
-    in list order; returns the first consistent bijection or None."""
+    in list order; returns the first consistent bijection or None.
+
+    Individualization-refinement (McKay & Piperno, J. Symbolic Comput. 60,
+    2014) cuts dead branches.  `refined` holds colourings on the current
+    path, first the labels.  A candidate must have its element's colour
+    in the latest one.  Where two or more unused candidates have that
+    colour, the node is a split: the pairs mapped since then and the new
+    pair each get a fresh colour on both sides, and `_refine` cuts the
+    branch or records the refined colouring.  Where those candidates are
+    all twins in b, swapping two of them is an automorphism of b that fixes
+    every mapped element, so they all extend or none does: the node tries
+    the first one alone and does not refine.  The cuts only drop branches
+    with no completion, so the first witness is the plain backtracker's.
+
+    The budget counts steps: each candidate looked at costs one, one
+    checked against the pos elements mapped before it pos more, and a
+    refinement round about as much as checking against 200 + p/24, for p
+    related pairs in the two orders (a step is about 0.2 us on a 2-CPU
+    machine).  Past `budget` steps the search raises SearchBudgetExceeded,
+    so it never returns an unproved None.
+    """
     n = len(order)
     a = leq_a.tolist()
     b = leq_b.tolist()
     mapped = [-1] * n
     used = [False] * n
     choice = [-1] * n
+    kind = [None] * n  # "plain", "split" or "twins", set on entering a position
+    twins = None  # b's twin classes, computed at the first node with a choice
+    refined = [(-1, labels, *labels.tolist())]  # (position, colours, as lists)
+    steps, round_steps = 0, 200 + len(related[0]) // 48
     pos = 0
     while pos < n:
         i = order[pos]
         mine = cands[i]
+        while refined[-1][0] >= pos:
+            refined.pop()
+        last, colours, ca, cb = refined[-1]
         t = choice[pos] + 1
+        if t == 0:
+            live = [j for j in mine if not used[j] and cb[j] == ca[i]]
+            kind[pos] = "plain"
+            if len(live) > 1:
+                if twins is None:
+                    twins = _twin_classes(leq_b)
+                kind[pos] = "twins" if len({twins[j] for j in live}) == 1 else "split"
+        elif kind[pos] == "twins":
+            t = len(mine)  # the twin tried had no completion, so none has
         while t < len(mine):
             j = mine[t]
-            if not used[j] and all(
-                a[i][i2] == b[j][mapped[i2]] and a[i2][i] == b[mapped[i2]][j]
-                for i2 in order[:pos]
-            ):
-                break
+            steps += 1
+            if not used[j] and cb[j] == ca[i]:
+                steps += pos
+                if steps > budget:
+                    raise SearchBudgetExceeded(
+                        f"iso search gave up after {budget} steps")
+                if all(a[i][i2] == b[j][mapped[i2]] and a[i2][i] == b[mapped[i2]][j]
+                       for i2 in order[:pos]):
+                    if kind[pos] != "split":
+                        break
+                    fresh = colours.copy()
+                    for q in range(last + 1, pos):
+                        fresh[0, order[q]] = fresh[1, mapped[order[q]]] = _FRESH + q
+                    fresh[0, i] = fresh[1, j] = _FRESH + pos
+                    fresh, rounds = _refine(related, fresh)
+                    steps += rounds * round_steps
+                    if fresh is not None:
+                        refined.append((pos, fresh, *fresh.tolist()))
+                        break
             t += 1
         if t == len(mine):
             choice[pos] = -1
@@ -460,40 +645,16 @@ def _iso_backtrack(leq_a, leq_b, order, cands):
     return np.array(mapped, dtype=np.int32)
 
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_MASK = np.uint64((1 << 63) - 1)
-
-
-def _mix(x):
-    return ((x ^ (x >> np.uint64(31))) * _MIX) & _MASK
-
-
-def invariant_labels(leq):
-    """Structure-only integer labels (degree + neighbourhood refinement).
-
-    Iso-invariant by construction: equal posets get equal label multisets,
-    and corresponding nodes of isomorphic posets get equal labels.  Used to
-    prune the backtracking search; soundness never depends on them.  Each
-    round sums the mixed labels above and below every node with a uint64
-    matrix-vector product; it wraps modulo 2^64, so the sums cut to 63 bits
-    are those of a loop that masks after every addition.
-    """
-    off = np.array(leq, dtype=np.uint64)
-    np.fill_diagonal(off, 0)
-    below, above = leq.sum(axis=0).astype(np.uint64), leq.sum(axis=1).astype(np.uint64)
-    labels = (below << np.uint64(20)) ^ above
-    for _ in range(3):
-        mixed = _mix(labels)
-        up, down = (off @ mixed) & _MASK, (off.T @ mixed) & _MASK
-        labels = _mix(labels ^ _mix(up) ^ _mix(_mix(down)))
-    return labels.astype(np.int64)
-
-
 def find_isomorphism(leq_a, leq_b):
     """Order-isomorphism a -> b as an index permutation, or None.
 
-    Complete (pruning uses iso-invariant labels only) and sound (the final
-    mapping is fully re-verified).
+    The cheapest invariants decide first: the number of comparable pairs,
+    then the sorted (elements below, elements above) pairs, then the
+    sorted `invariant_labels`, computed for both orders in one pass.
+    Candidates are the elements with equal labels, and `_iso_search` runs
+    with the refinement cut under `ISO_STEP_BUDGET` steps.  Complete (every
+    cut is an iso-invariant) and sound (the final mapping is fully
+    re-verified).
     """
     leq_a = np.asarray(leq_a, dtype=np.bool_)
     leq_b = np.asarray(leq_b, dtype=np.bool_)
@@ -504,21 +665,25 @@ def find_isomorphism(leq_a, leq_b):
         return np.zeros(0, dtype=np.int32)
     if np.array_equal(leq_a, leq_b):
         return np.arange(n, dtype=np.int32)
-    la = invariant_labels(leq_a)
-    lb = invariant_labels(leq_b)
-    if sorted(la.tolist()) != sorted(lb.tolist()):
+    if np.count_nonzero(leq_a) != np.count_nonzero(leq_b):
+        return None
+    stack = np.stack([leq_a, leq_b])
+    below, above = stack.sum(axis=1), stack.sum(axis=2)
+    degrees = np.sort(below * (n + 1) + above, axis=1)
+    if not np.array_equal(degrees[0], degrees[1]):
+        return None
+    related = _strict_pairs(stack)
+    labels = _labels(related, below, above)
+    la, lb = labels.tolist()
+    if sorted(la) != sorted(lb):
         return None
     buckets = {}
     for j in range(n):
-        buckets.setdefault(int(lb[j]), []).append(j)
-    cands = []
-    for i in range(n):
-        c = buckets.get(int(la[i]), [])
-        if not c:
-            return None
-        cands.append(c)
+        buckets.setdefault(lb[j], []).append(j)
+    cands = [buckets[la[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    perm = _iso_backtrack(leq_a, leq_b, order, cands)
+    perm = _iso_search(leq_a, leq_b, order, cands, related, labels.view(np.uint64),
+                       ISO_STEP_BUDGET)
     if perm is None:
         return None
     if not np.array_equal(leq_b[perm][:, perm], leq_a):  # pragma: no cover

@@ -887,7 +887,14 @@ def iso_check(p, q, cap=DEFAULT_ISO_CAP):
     """Witness order-isomorphism between p and q, or None.
 
     Sound (the witness is verified) and complete for posets up to `cap`
-    elements; larger inputs raise SizeCapExceeded.
+    elements; larger inputs raise SizeCapExceeded.  `kernels.find_isomorphism`
+    decides: the number of comparable pairs, the sorted (below, above)
+    degrees and the sorted neighbourhood labels reject most pairs at once;
+    the backtracking search behind them prunes with an individualization-
+    refinement cut, so regular orders such as the incidence orders of C_2n
+    and 2.C_n decide in milliseconds.  A search that runs out of its step
+    budget (`kernels.ISO_STEP_BUDGET`, about four seconds of work) raises
+    SearchBudgetExceeded, never an unproved None.
     """
     if cap is not None and max(len(p), len(q)) > cap:
         raise SizeCapExceeded(f"iso_check cap {cap} exceeded")

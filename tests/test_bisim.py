@@ -19,6 +19,8 @@ from nufix.errors import (
     ValueSetMismatch,
 )
 
+from generators import random_lts
+
 VALUES = ["p", "q"]
 
 
@@ -255,14 +257,6 @@ def _approxes(values):
     return (None, B.Equivalence.identity(values), B.Equivalence.total(values))
 
 
-def _random_lts(rng, states, values):
-    return mk(states, {
-        x: (B.INPUT, {p: rng.choice(states) for p in values}) if rng.random() < 0.6
-        else (B.OUTPUT, rng.choice(values))
-        for x in states
-    }, values)
-
-
 def _system_pairs():
     """Pairs of distinct systems, the second listing the values in another
     order; then systems with no values at all and with no states at all."""
@@ -273,8 +267,8 @@ def _system_pairs():
         for b2 in rng.sample(behaviours2, 3):
             yield mk(["x", "y", "z"], behaviour), mk(["u", "v"], b2, ["q", "p"])
     for _ in range(12):
-        yield (_random_lts(rng, ["x", "y", "z"], ["p", "q", "r"]),
-               _random_lts(rng, ["u", "v", "w"], ["r", "p", "q"]))
+        yield (random_lts(rng, ["x", "y", "z"], ["p", "q", "r"]),
+               random_lts(rng, ["u", "v", "w"], ["r", "p", "q"]))
     loops = {"x": (B.INPUT, {}), "y": (B.INPUT, {})}
     yield mk(["x", "y"], loops, []), mk(["u"], {"u": (B.INPUT, {})}, [])
     empty = mk([], {}, VALUES)

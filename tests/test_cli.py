@@ -277,6 +277,24 @@ def test_mediator_command_and_render(workdir):
     assert (workdir / "dots" / "stage_0_1.dot").exists()
 
 
+def test_iso_search_budget_exits_one(workdir, monkeypatch, capsys):
+    # the mediator's stage pairs decide before the search; route one through
+    # the 16-element pair C_8 / 2.C_4 that the search must explore
+    from generators import cycle_incidence
+
+    from nufix import kernels
+    from nufix import mediator as M
+
+    one, two = (P.FinPoset([str(i) for i in range(16)], cycle_incidence(lengths))
+                for lengths in ([8], [4, 4]))
+    monkeypatch.setattr(kernels, "ISO_STEP_BUDGET", 1)
+    monkeypatch.setattr(M, "iso_check", lambda p, q: P.iso_check(one, two))
+    f = write(workdir / "lazy.expr", "Lift((V -> Id) + W)")
+    assert main(["mediator", "-f", f, "--inner-budget", "2"]) == 1
+    obj = json.loads(capsys.readouterr().err)
+    assert obj["error"] == "SearchBudgetExceeded"
+
+
 @pytest.fixture(scope="module")
 def laws_run(tmp_path_factory):
     """One `check-laws` run shared by the module: exit code, transcript and

@@ -6,17 +6,19 @@ the rows of the backtracking enumerator it replaced, within bounded work),
 the cardinality certificates agree with the brute-force counts, the
 stacked brute-force counters agree with per-pair and per-poset references
 (and the counting law reports the first pair it breaks on), iso search
-agrees with permutation search, and the monotonicity test (with `MonoMap`
-and the plain-iso check that call it) agrees with a loop over every pair."""
+agrees with permutation search and gives the kept backtracker's witnesses,
+and the monotonicity test (with `MonoMap` and the plain-iso check that
+call it) agrees with a loop over every pair."""
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nufix import kernels, laws, mediator
-from nufix.errors import DomainMismatch
+from nufix.errors import DomainMismatch, NufixError, SearchBudgetExceeded
 from nufix.posets import (
     FinPoset,
     MonoMap,
@@ -28,7 +30,8 @@ from nufix.posets import (
     with_declared_bottom,
 )
 
-from generators import random_order
+from generators import cycle_incidence, random_order, relabelled, with_twins
+from generators import find_isomorphism as reference_isomorphism
 
 
 def _reachability(rel):
@@ -425,6 +428,32 @@ def test_upset_enumeration_is_bounded_by_the_limit():
     assert np.array_equal(got, np.arange(n)[None, :] >= np.arange(n, -1, -1)[:, None])
 
 
+def test_upset_enumeration_keeps_few_masks_on_a_deep_narrow_ground():
+    # a 2 x 200 grid: each frame's list is cut at what its parent still
+    # needs, so the lists waiting on the stack hold about `limit` masks in
+    # all; a kernel that cut each list at `limit` peaked at 4.2 MB
+    k, limit = 200, 500
+    grid = np.kron(np.triu(np.ones((2, 2), dtype=np.bool_)),
+                   np.triu(np.ones((k, k), dtype=np.bool_)))
+    tracemalloc.start()
+    try:
+        got = kernels.enum_upsets(grid, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert np.array_equal(got, kernels.enum_upsets(grid, 4 * limit)[:limit])
+
+
+def test_column_bits_match_the_transposed_rows():
+    rng = np.random.RandomState(24)
+    for n in (1, 9, 63, 64, 65, 100, 130):
+        leq = random_order(rng, n, 0.1)
+        perm = rng.permutation(n)
+        want = kernels._row_bits(leq.T[np.ix_(perm, perm)])
+        assert kernels._column_bits(leq, perm) == want
+
+
 def test_enumeration_respects_limit():
     five = chain(5)
     tables = kernels.enum_monotone_tables(five.leq, five.leq, 7)
@@ -515,6 +544,177 @@ def test_invariant_labels_match_loop_reference():
     for leq in cases:
         got = kernels.invariant_labels(leq)
         assert got.dtype == np.int64 and got.tolist() == _loop_labels(leq)
+
+
+def test_invariant_labels_of_a_stack_are_each_orders_labels():
+    rng = np.random.RandomState(12)
+    for n in (0, 1, 5, 17, 40):
+        stack = np.stack([random_order(rng, n, 0.2) for _ in range(3)])
+        got = kernels.invariant_labels(stack)
+        assert got.shape == (3, n)
+        for leq, row in zip(stack, got):
+            assert row.tolist() == kernels.invariant_labels(leq).tolist()
+
+
+def _iso_cases(rng, count):
+    """Seeded pairs of orders on up to 12 elements: 70% an order and a
+    relabelling of it, 30% two orders drawn independently."""
+    for _ in range(count):
+        n, density = rng.randint(1, 13), rng.choice([0.1, 0.2, 0.35, 0.6])
+        a = random_order(rng, n, density)
+        yield a, relabelled(rng, a) if rng.rand() < 0.7 else random_order(rng, n, density)
+
+
+def test_find_isomorphism_gives_the_kept_backtrackers_witness():
+    rng = np.random.RandomState(21)
+    shapes = all_posets_upto(4)
+    cases = list(_iso_cases(rng, 400))
+    cases += [(p.leq, q.leq) for p in shapes for q in shapes if len(p) == len(q)]
+    found = 0
+    for a, b in cases:
+        got, want = kernels.find_isomorphism(a, b), reference_isomorphism(a, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got, want)
+            found += 1
+    assert found > 280
+
+
+def test_find_isomorphism_tells_every_shape_of_five_apart():
+    rng = np.random.RandomState(22)
+    by_size = {}
+    for p in all_posets_upto(5):
+        by_size.setdefault(len(p), []).append(p.leq)
+    for group in by_size.values():
+        for a, b in itertools.combinations(group, 2):
+            assert kernels.find_isomorphism(a, b) is None
+        for a in group:
+            b = relabelled(rng, a)
+            got = kernels.find_isomorphism(a, b)
+            assert got is not None and np.array_equal(b[np.ix_(got, got)], a)
+
+
+def test_find_isomorphism_decides_cycle_incidence_pairs_quickly():
+    # C_2n against 2.C_n: refinement alone cannot tell them apart, and the
+    # plain backtracker took 0.6 s at 16 elements and over a minute at 20
+    rng = np.random.RandomState(23)
+    for m in range(12, 61, 4):
+        one, two = cycle_incidence([m // 2]), cycle_incidence([m // 4, m // 4])
+        start = time.perf_counter()
+        assert kernels.find_isomorphism(one, two) is None
+        assert time.perf_counter() - start < 0.5
+        for leq in (one, two):
+            copy = relabelled(rng, leq)
+            got = kernels.find_isomorphism(leq, copy)
+            assert got is not None and np.array_equal(copy[np.ix_(got, got)], leq)
+
+
+def test_find_isomorphism_tries_one_of_twin_candidates():
+    # twins are tried once and never refined, and the witness stays the
+    # kept backtracker's; at 512 elements, relabelled copies heavy in twins
+    # (8 stars of 63 points below a top) or in automorphisms (256 disjoint
+    # 2-chains) are found in a fraction of a second
+    rng = np.random.RandomState(25)
+    found = 0
+    for _ in range(150):
+        n, copies = rng.randint(1, 9), rng.randint(1, 8)
+        a = with_twins(rng, random_order(rng, n, 0.3), copies)
+        b = (relabelled(rng, a) if rng.rand() < 0.7
+             else with_twins(rng, random_order(rng, n, 0.3), copies))
+        got, want = kernels.find_isomorphism(a, b), reference_isomorphism(a, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got, want)
+            found += 1
+    assert found > 100
+    star = np.eye(64, dtype=np.bool_)
+    star[:63, 63] = True
+    two_chain = np.triu(np.ones((2, 2), dtype=np.bool_))
+    for leq in (np.kron(np.eye(8, dtype=np.bool_), star),
+                np.kron(np.eye(256, dtype=np.bool_), two_chain)):
+        copy = relabelled(rng, leq)
+        start = time.perf_counter()
+        got = kernels.find_isomorphism(leq, copy)
+        assert time.perf_counter() - start < 0.5
+        assert got is not None and np.array_equal(copy[np.ix_(got, got)], leq)
+
+
+def test_twin_candidates_are_tried_once(monkeypatch):
+    # a 3-point star beside C_8 against the same star beside 2.C_4: the
+    # points are twins, so the search refutes the incidence orders under
+    # the first point's first image only (about 5700 steps, where trying
+    # each twin again took about 40000)
+    star = np.eye(4, dtype=np.bool_)
+    star[:3, 3] = True
+    one = np.block([[star, np.zeros((4, 16), dtype=np.bool_)],
+                    [np.zeros((16, 4), dtype=np.bool_), cycle_incidence([8])]])
+    two = np.block([[star, np.zeros((4, 16), dtype=np.bool_)],
+                    [np.zeros((16, 4), dtype=np.bool_), cycle_incidence([4, 4])]])
+    monkeypatch.setattr(kernels, "ISO_STEP_BUDGET", 10_000)
+    assert kernels.find_isomorphism(one, two) is None
+
+
+def test_twin_classes_are_equal_rows_and_columns():
+    rng = np.random.RandomState(27)
+    for n in (1, 5, 12):
+        leq = with_twins(rng, random_order(rng, n, 0.3), 6)
+        ids = kernels._twin_classes(leq)
+        strict = leq & ~np.eye(len(leq), dtype=np.bool_)
+        for x, y in itertools.combinations(range(len(leq)), 2):
+            same = (np.array_equal(strict[x], strict[y])
+                    and np.array_equal(strict[:, x], strict[:, y]))
+            assert (ids[x] == ids[y]) == same
+
+
+def _dense_refine(leq, colours):
+    """`kernels._refine` by whole-matrix rounds: uint64 matrix-vector
+    products over the strict orders in the (2, n, n) stack `leq`."""
+    off = (leq & ~np.eye(leq.shape[-1], dtype=np.bool_)).astype(np.uint64)
+    mask = np.uint64((1 << 63) - 1)
+    classes, rounds = None, 0
+    while True:
+        hist = np.sort(colours, axis=1)
+        if not np.array_equal(hist[0], hist[1]):
+            return None, rounds
+        now = len(np.unique(hist[0]))
+        if now == classes:
+            return colours, rounds
+        classes, rounds = now, rounds + 1
+        mixed = kernels._mix(colours)[..., None]
+        up = (off @ mixed)[..., 0] & mask
+        down = (off.swapaxes(1, 2) @ mixed)[..., 0] & mask
+        colours = kernels._mix(colours ^ kernels._mix(up) ^ kernels._mix(kernels._mix(down)))
+
+
+def test_refinement_over_related_pairs_matches_whole_matrix_rounds():
+    rng = np.random.RandomState(26)
+    for n in (1, 6, 20, 45):
+        for _ in range(5):
+            a = random_order(rng, n, rng.choice([0.05, 0.2, 0.5]))
+            b = relabelled(rng, a) if rng.rand() < 0.7 else random_order(rng, n, 0.2)
+            stack = np.stack([a, b])
+            colours = kernels.invariant_labels(stack).view(np.uint64)
+            colours[0, 0] = colours[1, rng.randint(n)] = 1 << 63
+            got, rounds = kernels._refine(kernels._strict_pairs(stack), colours)
+            want, want_rounds = _dense_refine(stack, colours)
+            assert rounds == want_rounds
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+
+def test_find_isomorphism_raises_past_its_step_budget(monkeypatch):
+    # C_8 against 2.C_4 checks each of the 8 points for the first point at
+    # one step each, and refutes them in 28 refinement rounds in all; a
+    # round costs 200 + p/24 steps for the p = 2 x 16 related pairs
+    one, two = cycle_incidence([8]), cycle_incidence([4, 4])
+    need = 8 + 28 * (200 + 32 // 24)
+    for budget in (1, need - 1):
+        monkeypatch.setattr(kernels, "ISO_STEP_BUDGET", budget)
+        with pytest.raises(SearchBudgetExceeded):
+            kernels.find_isomorphism(one, two)
+    monkeypatch.setattr(kernels, "ISO_STEP_BUDGET", need)
+    assert kernels.find_isomorphism(one, two) is None
+    assert issubclass(SearchBudgetExceeded, NufixError)
 
 
 def _longest_chain_below(leq):
