@@ -8,15 +8,20 @@ one.  Three equivalence notions live here:
 * the game up to a value equivalence (`dimmed_bisim`), and
 * coalgebraic bisimulation by structural relation lifting (`coalg_bisim`).
 
-Relations are boolean matrices over state indices, with any leading batch
-axes; tags appear only in `Relation` results, JSON and the order in which
-violations are reported.  The two engines share only the greatest-fixpoint
-loop, which drops every failing pair per round.  The game reads only the
-systems' index tables; the lifting side lifts the relation through the
-functor and compares structure values by index.  So their coincidence on
-quotient instances is a genuine cross-check, not a tautology;
-`lemma1_check` runs it exhaustively at desk scale, playing the game on and
-lifting every candidate relation in one batched call each.
+`value_bisim` and `dimmed_bisim` refine the disjoint union of the two
+systems into blocks over their index rows (`LtsSpec.rows`), after Paige &
+Tarjan's partition refinement, and expand pairs only for the `Relation`
+they return.  The matching game stays as the checker and the oracle
+(`is_game_bisim`, `quotient`, `lemma1_check`, `laws.law_bisim_refinement`):
+there relations are boolean matrices over state indices, with any leading
+batch axes, and tags appear only in `Relation` results, JSON and the order
+in which violations are reported.  The game and the lifting engine share
+only the greatest-fixpoint loop, which drops every failing pair per round.
+The game reads only the systems' index rows; the lifting side lifts the
+relation through the functor and compares structure values by index.  So
+their coincidence on quotient instances is a genuine cross-check, not a
+tautology; `lemma1_check` runs it exhaustively at desk scale, playing the
+game on and lifting every candidate relation in one batched call each.
 """
 
 from __future__ import annotations
@@ -69,10 +74,17 @@ class Relation:
 
     @property
     def is_equivalence(self):
+        """Reflexive, and each pair's two ends related to the same set:
+        that gives symmetry (b ~ b, so a ~ b) and transitivity."""
         if set(self.left) != set(self.right):
             return False
-        carrier = tuple(dict.fromkeys(self.left))
-        return bool(_equivalence_flags(_matrix(carrier, carrier, self.pairs)))
+        image = {x: set() for x in self.left}
+        for a, b in self.pairs:
+            image[a].add(b)
+        ids = {}
+        cls = {x: ids.setdefault(frozenset(ys), len(ids)) for x, ys in image.items()}
+        return (all(x in ys for x, ys in image.items())
+                and all(cls[a] == cls[b] for a, b in self.pairs))
 
     def sorted_pairs(self):
         return sorted(self.pairs, key=_pair_sort_key)
@@ -200,7 +212,12 @@ OUTPUT = "output"
 
 class LtsSpec:
     """A value-passing system: states either input (total table over the
-    value set) or output a value."""
+    value set) or output a value.
+
+    `rows` holds, for each state in `states` order, the tuple of its
+    successors' state indices in `values` order (an input state) or the
+    index of its output value (an output state); the games read only these.
+    """
 
     def __init__(self, values, states, behaviour):
         self.values = tuple(values)
@@ -212,22 +229,27 @@ class LtsSpec:
         if set(behaviour) != set(self.states):
             raise InputError("behaviour must cover exactly the states")
         self.behaviour = {}
-        vset = set(self.values)
-        sset = set(self.states)
-        for x, spec in behaviour.items():
-            kind, payload = spec
+        rows = []
+        value = {p: i for i, p in enumerate(self.values)}
+        state = {x: i for i, x in enumerate(self.states)}
+        for x in self.states:
+            kind, payload = behaviour[x]
             if kind == INPUT:
-                if set(payload) != vset:
+                if payload.keys() != value.keys():
                     raise InputError(f"input table of {x!r} must be total over the values")
-                if any(t not in sset for t in payload.values()):
-                    raise InputError(f"input table of {x!r} leaves the state set")
+                try:
+                    rows.append(tuple([state[payload[p]] for p in self.values]))
+                except KeyError:
+                    raise InputError(f"input table of {x!r} leaves the state set") from None
                 self.behaviour[x] = (INPUT, dict(payload))
             elif kind == OUTPUT:
-                if payload not in vset:
+                if payload not in value:
                     raise InputError(f"output of {x!r} is not a value")
                 self.behaviour[x] = (OUTPUT, payload)
+                rows.append(value[payload])
             else:
                 raise InputError(f"unknown behaviour kind {kind!r}")
+        self.rows = tuple(rows)
 
     def kind(self, x):
         return self.behaviour[x][0]
@@ -297,23 +319,19 @@ def lts_to_coalgebra(lts, inst=None):
 
 
 # --------------------------------------------------------------------------
-# game engines (independent of relation lifting)
+# the matching game and its refinement (independent of relation lifting)
 
 
-def _tables(lts):
-    """The system's input flags, successor table (states x values, in
-    `lts.values` order) and output value indices (-1 at input states)."""
-    state = {x: i for i, x in enumerate(lts.states)}
-    value = {p: i for i, p in enumerate(lts.values)}
-    succ = np.zeros((len(lts.states), len(lts.values)), dtype=np.intp)
-    out = np.full(len(lts.states), -1, dtype=np.intp)
-    for i, x in enumerate(lts.states):
-        kind, payload = lts.behaviour[x]
-        if kind == INPUT:
-            succ[i] = [state[payload[p]] for p in lts.values]
-        else:
-            out[i] = value[payload]
-    return out < 0, succ, out
+def _arrays(lts):
+    """`lts.rows` as arrays: input flags, the successor table (states x
+    values, zero at output states) and output value indices (-1 at input
+    states)."""
+    out = np.array([-1 if type(row) is tuple else row for row in lts.rows], dtype=np.intp)
+    succ = np.zeros((len(out), len(lts.values)), dtype=np.intp)
+    inputs = out < 0
+    if inputs.any():
+        succ[inputs] = [row for row in lts.rows if type(row) is tuple]
+    return inputs, succ, out
 
 
 def _game(lts1, lts2, related_values):
@@ -321,8 +339,8 @@ def _game(lts1, lts2, related_values):
     pairs failing the shape and the output clause, and the round predicate
     `failing(R)` that adds the input pairs whose matched successors R (with
     any leading batch axes) leaves unrelated."""
-    in1, succ1, out1 = tables = _tables(lts1)
-    in2, succ2, out2 = tables if lts2 is lts1 else _tables(lts2)
+    in1, succ1, out1 = arrays = _arrays(lts1)
+    in2, succ2, out2 = arrays if lts2 is lts1 else _arrays(lts2)
     # value pairs matched by identity, padded with an all-true row and
     # column that index -1 (an input state's output) reads
     match = np.ones((len(lts1.values) + 1, len(lts2.values) + 1), dtype=np.bool_)
@@ -349,11 +367,152 @@ def _greatest_relation(left, right, failing):
     return _relation(left, right, rel)
 
 
+def _refine(rows, ties):
+    """Coarsest partition of states that the matching game cannot split:
+    each state's block id, or -1 for a dead state, one that is related to
+    nothing, not even itself.
+
+    A row is an output state's value class, or the tuple of an input
+    state's successors, one per value class.  Output states start in one
+    block per class and are never looked at again.  An input state's
+    signature is the tuple of its successors' blocks; it is dead
+    when a successor is dead or when a pair in `ties[x]` (successors on
+    values of one class) lies in two blocks.  A worklist refinement: when a
+    block splits, its largest part keeps the id, and only the predecessors
+    of the states that moved are looked at again.  So a state moves
+    O(log n) times, and a split costs the parts that move, not the block.
+    """
+    preds = [[] for _ in rows]
+    first = {}  # the input states, and the output states by class
+    for x, row in enumerate(rows):
+        if type(row) is tuple:
+            first.setdefault(None, []).append(x)
+            for y in row:
+                preds[y].append(x)
+        else:
+            first.setdefault(row, []).append(x)
+    for x, pairs in ties.items():
+        for y, z in pairs:
+            preds[y].append(x)
+            preds[z].append(x)
+    block = [0] * len(rows)
+    members = []  # block id -> its states
+    for xs in first.values():
+        for x in xs:
+            block[x] = len(members)
+        members.append(set(xs))
+    # block id -> the signature of its states when it last split; a state not
+    # looked at still has it, since none of its successors has moved since
+    sig_of = [None] * len(members)
+    dirty = first.get(None, ())
+    while dirty:
+        looked = {}
+        for x in dirty:
+            if block[x] >= 0:
+                looked.setdefault(block[x], []).append(x)
+        splits = []  # every signature is taken before any state moves
+        for b, xs in looked.items():
+            parts = {}
+            for x in xs:
+                sig = tuple([block[y] for y in rows[x]])
+                if -1 in sig or x in ties and any(block[y] != block[z] for y, z in ties[x]):
+                    sig = None
+                parts.setdefault(sig, []).append(x)
+            rest = len(members[b]) - len(xs)
+            if len(parts) > 1 or sig is None or rest and sig != sig_of[b]:
+                splits.append((b, parts, rest))
+            elif not rest:  # every state of b has the one new signature
+                sig_of[b] = sig
+        moved = []
+        for b, parts, rest in splits:
+            old = sig_of[b]
+            sizes = {sig: len(xs) for sig, xs in parts.items()}
+            if rest:  # the states not looked at form a part with the old signature
+                sizes[old] = sizes.get(old, 0) + rest
+            keep = max((sig for sig in sizes if sig is not None), key=sizes.get, default=None)
+            mine = members[b]
+            for sig, xs in parts.items():
+                if sig is not None and (sig == keep or rest and sig == old):
+                    continue
+                mine.difference_update(xs)
+                moved += xs
+                if sig is None:
+                    new = -1
+                else:
+                    new = len(members)
+                    members.append(set(xs))
+                    sig_of.append(sig)
+                for x in xs:
+                    block[x] = new
+            if rest and keep != old:  # the old part moves out and the keeper takes b
+                kept = parts[keep]
+                mine.difference_update(kept)
+                new = len(members)
+                members.append(mine)
+                sig_of.append(old)
+                for x in mine:
+                    block[x] = new
+                moved += mine
+                members[b] = set(kept)
+            sig_of[b] = keep
+        dirty = {x for y in moved for x in preds[y]}
+    return block
+
+
+def _class_rows(lts, classes, offset):
+    """`lts`'s rows over value `classes`, its states numbered from `offset`:
+    an output state's class, or an input state's successors at the first
+    value of each class; and, for each input state whose successors on one
+    class differ, those pairs of successors."""
+    value = {p: i for i, p in enumerate(lts.values)}
+    heads = [value[c[0]] for c in classes]
+    tails = [(value[c[0]], value[p]) for c in classes for p in c[1:]]
+    if not offset and heads == list(range(len(heads))) and not tails:
+        return lts.rows, {}  # one value per class, in the system's order
+    out = [0] * len(value)
+    for i, c in enumerate(classes):
+        for p in c:
+            out[value[p]] = i
+    rows, ties = [], {}
+    for x, row in enumerate(lts.rows, offset):
+        if type(row) is int:
+            rows.append(out[row])
+            continue
+        rows.append(tuple([row[k] + offset for k in heads]))
+        pairs = [(row[h] + offset, row[k] + offset) for h, k in tails if row[h] != row[k]]
+        if pairs:
+            ties[x] = pairs
+    return tuple(rows), ties
+
+
+def _greatest_bisim(lts1, lts2, classes):
+    """Greatest bisimulation between two systems over the same values,
+    matching values within each of `classes`, by refining the disjoint
+    union of the systems (one copy when they are the same system); pairs
+    are expanded only for the `Relation`."""
+    n1 = len(lts1.states)
+    rows, ties = _class_rows(lts1, classes, 0)
+    if lts2 is not lts1:
+        rows2, ties2 = _class_rows(lts2, classes, n1)
+        rows, ties = rows + rows2, {**ties, **ties2}
+    sides = {}
+    for i, b in enumerate(_refine(rows, ties)):
+        if b >= 0:
+            sides.setdefault(b, ([], []))[i >= n1].append(i)
+    if lts2 is lts1:
+        left = right = lts1.states
+        pairs = ((left[i], left[j]) for xs, _ in sides.values() for i in xs for j in xs)
+    else:
+        left, right = lts1.states, lts2.states
+        pairs = ((left[i], right[j - n1]) for xs, ys in sides.values() for i in xs for j in ys)
+    return Relation(left, right, frozenset(pairs))
+
+
 def value_bisim(lts1, lts2):
     """Greatest plain value-passing bisimulation between two systems."""
     if set(lts1.values) != set(lts2.values):
         raise ValueSetMismatch("the two systems exchange different value sets")
-    return _greatest_relation(lts1.states, lts2.states, _game(lts1, lts2, operator.eq)[2])
+    return _greatest_bisim(lts1, lts2, [(p,) for p in lts1.values])
 
 
 def dimmed_bisim(lts1, lts2, approx):
@@ -362,7 +521,7 @@ def dimmed_bisim(lts1, lts2, approx):
         raise ValueSetMismatch("the two systems exchange different value sets")
     if set(approx.carrier()) != set(lts1.values):
         raise NotEquivalence("approx must partition the value set")
-    return _greatest_relation(lts1.states, lts2.states, _game(lts1, lts2, approx.related)[2])
+    return _greatest_bisim(lts1, lts2, approx.blocks)
 
 
 def is_game_bisim(lts1, lts2, pairs, approx=None):

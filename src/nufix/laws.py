@@ -4,7 +4,8 @@ Each suite returns a LawResult with a deterministic transcript line; the
 whole run is reproducible from the seed.  The suites pair every
 implementation path with an independent oracle: backtracking enumerators
 against vectorised brute force, the ep action against hand-composed
-pairs, coinductive extensions against exhaustive morphism search.
+pairs, coinductive extensions against exhaustive morphism search, the
+bisimulation refinement against the matching game's fixpoint.
 
 The brute-force monotone counts are tabulated first, one stacked grid
 filter (`kernels.count_monotone_stack`) per codomain and domain size, and
@@ -25,13 +26,24 @@ compare the batch against.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .bisim import lts_instance
+from .bisim import (
+    INPUT,
+    OUTPUT,
+    Equivalence,
+    LtsSpec,
+    _game,
+    _greatest_relation,
+    dimmed_bisim,
+    lts_instance,
+    value_bisim,
+)
 from .engine import (
     _candidate_tables,
     _candidate_with_image,
@@ -508,6 +520,49 @@ def law_limit_colimit():
 
 
 # --------------------------------------------------------------------------
+# suite 7: bisimulation refinement against the matching game
+
+
+def _random_lts(rng, prefix, values, max_states):
+    """A random value-passing system: each state inputs (to a random state
+    per value) with probability 0.6, and otherwise outputs a random value."""
+    states = [f"{prefix}{i}" for i in range(rng.randint(0, max_states))]
+    return LtsSpec(values, states, {
+        x: (INPUT, {p: rng.choice(states) for p in values}) if rng.random() < 0.6
+        else (OUTPUT, rng.choice(values))
+        for x in states
+    })
+
+
+def law_bisim_refinement(seed, samples=100, max_states=12):
+    """`value_bisim` and `dimmed_bisim` against the greatest fixpoint of the
+    matching game on random system pairs, the second listing the values in
+    another order or being the first system, under random value classes."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        values = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+        lts1 = _random_lts(rng, "x", values, max_states)
+        lts2 = (lts1 if rng.random() < 0.25 else
+                _random_lts(rng, "y", rng.sample(values, len(values)), max_states))
+        classes = {}
+        for p in values:
+            classes.setdefault(rng.randrange(len(values)), []).append(p)
+        approx = Equivalence.from_blocks(list(classes.values()))
+        plain = (value_bisim(lts1, lts2), operator.eq, "plain")
+        dimmed = (dimmed_bisim(lts1, lts2, approx), approx.related,
+                  f"dimmed by {approx.to_json()}")
+        for refined, related, kind in (plain, dimmed):
+            failing = _game(lts1, lts2, related)[2]
+            if refined.pairs != _greatest_relation(lts1.states, lts2.states, failing).pairs:
+                return LawResult("bisim-refinement", False,
+                                 f"{kind} refinement differs from the game",
+                                 repr((lts1.to_json(), lts2.to_json())))
+    return LawResult("bisim-refinement", True,
+                     f"{samples} system pairs (<= {max_states} states), plain and "
+                     f"dimmed: refinement equals the game's fixpoint")
+
+
+# --------------------------------------------------------------------------
 # runner
 
 
@@ -520,6 +575,7 @@ def run_all(seed=42, samples=100, count_max=5, ext_states=4):
         results.append(law_enumeration_counts(count_max))
         results.append(law_coinductive_uniqueness(ext_states))
         results.append(law_limit_colimit())
+        results.append(law_bisim_refinement(seed + 2, samples))
     except NufixError as exc:  # a crash is a failed law, not a crash
         results.append(LawResult("suite-error", False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -155,5 +155,5 @@ def test_criterion_08_property_suites():
     results = L.run_all(seed=42, samples=100, count_max=5, ext_states=4)
     for r in results:
         assert r.ok, r.line()
-    assert len(results) == 6
+    assert len(results) == 7
     print("PASS criterion 8: " + "; ".join(r.line() for r in results))

@@ -314,13 +314,72 @@ def test_game_matches_the_reference_game_across_systems():
                 assert B.is_game_bisim(lts1, lts2, pairs, approx) == expected
 
 
-def test_game_builds_the_tables_of_a_system_once(monkeypatch):
-    built = []
-    tables = B._tables
-    monkeypatch.setattr(B, "_tables", lambda lts: built.append(lts) or tables(lts))
-    a, b = output_lts(["p1", "p2"]), output_lts(["p1", "p2"])
-    assert B.value_bisim(a, a).pairs == B.value_bisim(a, b).pairs
-    assert built == [a, a, b]
+def test_rows_are_built_once_at_construction():
+    rng = random.Random(6)
+    lts = random_lts(rng, ["x", "y", "z", "w"], ["r", "p", "q"])
+    rows = lts.rows
+    for x, row in zip(lts.states, rows):
+        kind, payload = lts.behaviour[x]
+        if kind == B.INPUT:
+            assert row == tuple(lts.states.index(payload[p]) for p in lts.values)
+        else:
+            assert row == lts.values.index(payload)
+    approx = B.Equivalence.total(lts.values)
+    B.value_bisim(lts, lts)
+    B.dimmed_bisim(lts, random_lts(rng, ["u", "v"], ["q", "r", "p"]), approx)
+    B.is_game_bisim(lts, lts, {(x, x) for x in lts.states}, approx)
+    assert lts.rows is rows
+
+
+def _random_partition(rng, values):
+    blocks = {}
+    for p in values:
+        blocks.setdefault(rng.randrange(len(values)), []).append(p)
+    return B.Equivalence.from_blocks(list(blocks.values()))
+
+
+def _refinement_cases():
+    """Seeded system pairs of at most 12 states each: the second system lists
+    the values in another order, or is the first one; then systems with no
+    states and with no values."""
+    rng = random.Random(12)
+    for _ in range(60):
+        values = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+        other = rng.sample(values, len(values))
+        lts1 = random_lts(rng, [f"x{i}" for i in range(rng.randint(1, 12))], values)
+        lts2 = (lts1 if rng.random() < 0.25 else
+                random_lts(rng, [f"y{i}" for i in range(rng.randint(1, 12))], other))
+        yield lts1, lts2, _random_partition(rng, values)
+    empty = mk([], {}, VALUES)
+    loops = mk(["x", "y"], {"x": (B.INPUT, {}), "y": (B.INPUT, {})}, [])
+    for lts1, lts2 in ((empty, empty), (empty, output_lts(VALUES)), (loops, loops),
+                       (loops, mk(["u"], {"u": (B.INPUT, {})}, []))):
+        yield lts1, lts2, _random_partition(rng, lts1.values) if lts1.values else None
+
+
+def test_refinement_matches_the_reference_game():
+    for lts1, lts2, approx in _refinement_cases():
+        expected = _ref_greatest(lts1, lts2)
+        assert B.value_bisim(lts1, lts2).pairs == expected
+        approxes = [B.Equivalence.identity(lts1.values), B.Equivalence.total(lts1.values)]
+        for approx in approxes + ([approx] if approx else []):
+            expected = _ref_greatest(lts1, lts2, approx)
+            assert B.dimmed_bisim(lts1, lts2, approx).pairs == expected, (approx, lts1.to_json())
+
+
+def _line(n, values=VALUES):
+    """n states, each inputting any value into the next, the last outputting."""
+    states = [f"s{i}" for i in range(n)]
+    behaviour = {x: (B.INPUT, {p: y for p in values}) for x, y in zip(states, states[1:])}
+    behaviour[states[-1]] = (B.OUTPUT, values[0])
+    return mk(states, behaviour, values)
+
+
+def test_value_bisim_of_a_long_line_is_the_identity():
+    # each state is a different distance from the output: a cubic game's
+    # rounds remove one diagonal per round and cannot finish here
+    line = _line(3000)
+    assert B.value_bisim(line, line).pairs == frozenset((x, x) for x in line.states)
 
 
 def test_is_game_bisim_rejects_pairs_outside_the_states():
