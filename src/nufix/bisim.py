@@ -42,7 +42,7 @@ from .errors import (
     ValueSetMismatch,
 )
 from .functors import Backend, CoalgebraSpec, _pair_matrix, instantiate, lifted_related, parse
-from .posets import discrete, tag_from_json, tag_sort_key, tag_to_json
+from .posets import discrete, tag_from_json, tag_pairs_from_json, tag_sort_key, tag_to_json
 
 VALUE_FAMILY = "(V -> Id) + W"
 _LEMMA1_SIZE_CAP = (3, 2)  # (states, values): lemma1_check lifts 2^(states^2) relations
@@ -125,9 +125,7 @@ def _equivalence_flags(m):
 
 
 def relation_from_json(obj, left, right):
-    if not isinstance(obj, list):
-        raise InputError("relation JSON must be a list of pairs")
-    pairs = frozenset((tag_from_json(a), tag_from_json(b)) for a, b in obj)
+    pairs = frozenset(tag_pairs_from_json(obj, "relation JSON"))
     return Relation(tuple(left), tuple(right), pairs)
 
 
@@ -197,8 +195,8 @@ class Equivalence:
 
 
 def equivalence_from_json(obj):
-    if not isinstance(obj, list):
-        raise InputError("equivalence JSON must be a list of blocks")
+    if not isinstance(obj, list) or not all(isinstance(block, list) for block in obj):
+        raise InputError("equivalence JSON must be a list of blocks, each a list")
     return Equivalence.from_blocks([[tag_from_json(x) for x in block] for block in obj])
 
 
@@ -284,17 +282,22 @@ class LtsSpec:
 def lts_from_json(obj):
     if not isinstance(obj, dict) or not {"values", "states", "behaviour"} <= set(obj):
         raise InputError("lts JSON needs values, states, behaviour")
-    values = [str(v) for v in obj["values"]]
-    states = [str(s) for s in obj["states"]]
+    values, states, specs = obj["values"], obj["states"], obj["behaviour"]
+    if not (isinstance(values, list) and isinstance(states, list) and isinstance(specs, dict)):
+        raise InputError("lts JSON needs lists of values and states and a behaviour object")
     behaviour = {}
-    for x, spec in obj["behaviour"].items():
-        if "input" in spec:
-            behaviour[x] = (INPUT, {str(p): str(t) for p, t in spec["input"].items()})
-        elif "output" in spec:
-            behaviour[x] = (OUTPUT, str(spec["output"]))
+    for x, spec in specs.items():
+        kinds = [k for k in (INPUT, OUTPUT) if k in spec] if isinstance(spec, dict) else []
+        if len(kinds) != 1:
+            raise InputError(f"state {x!r} needs one 'input' or 'output' entry")
+        payload = spec[kinds[0]]
+        if kinds == [OUTPUT]:
+            behaviour[x] = (OUTPUT, str(payload))
+        elif isinstance(payload, dict):
+            behaviour[x] = (INPUT, {str(p): str(t) for p, t in payload.items()})
         else:
-            raise InputError(f"state {x!r} needs an 'input' or 'output' entry")
-    return LtsSpec(values, states, behaviour)
+            raise InputError(f"input table of {x!r} must be an object")
+    return LtsSpec([str(v) for v in values], [str(s) for s in states], behaviour)
 
 
 def lts_instance(values):

@@ -100,7 +100,8 @@ class TerminalSequence:
 
 
 def terminal_sequence(inst, inner_budget=DEFAULT_INNER_BUDGET):
-    """Unfold the final sequence of a pointed-backend instance.
+    """Unfold the final sequence of an instance in a pointed backend
+    (pointed-strict or lazy).
 
     Stops with Stabilized(n) as soon as the n-th connecting ep-pair is an
     isomorphism; otherwise Truncated with the budget or element-cap reason.
@@ -234,11 +235,11 @@ def coalgebra_morphisms(coalg, final):
 
 
 def _candidate_tables(final, s):
-    """Every monotone table s -> carrier, bottom-strict in the pointed
+    """Every monotone table s -> carrier, bottom-strict in a pointed
     backend: the candidate morphisms out of any coalgebra on s."""
     z = final.carrier
     forced = None
-    if final.inst.backend is Backend.POINTED_STRICT:
+    if final.inst.backend.pointed:
         forced = np.full(len(s), -1, dtype=np.int32)
         forced[s.bottom_idx] = z.bottom_idx
     return kernels.enum_monotone_tables(
@@ -249,8 +250,7 @@ def _candidate_tables(final, s):
 def _candidate_with_image(final, s, table):
     """A candidate d as a validated map, and F(d) through `on_map`."""
     inst = final.inst
-    cand = MonoMap(s, final.carrier, table,
-                   strict=inst.backend is Backend.POINTED_STRICT)
+    cand = MonoMap(s, final.carrier, table, strict=inst.backend.pointed)
     if final.depth == 0:  # F(X_0) is a singleton
         fs = inst.on_object(s)
         return cand, MonoMap(fs, inst.on_object(final.carrier),
@@ -403,8 +403,7 @@ def _instances_agree(inst, vep, seq):
     an iso at the carrier.  `vep` runs Z_n -> Z_{n+1}, so the family goes
     from row n's instance `inst` to a fresh one at Z_{n+1}.  The caller has
     already checked `vep` itself pointwise through `as_iso`."""
-    nxt = instantiate(inst.expr, inst.backend, vep.cod, vep.cod, inst.element_cap,
-                      inst.sum_mode)
+    nxt = instantiate(inst.expr, inst.backend, vep.cod, vep.cod, inst.element_cap)
     return Reindex(inst, nxt, vep).component(seq.carrier()).as_iso() is not None
 
 
@@ -423,7 +422,6 @@ class OuterChain:
 @dataclass
 class SolutionReport:
     expr_text: str
-    backend: Backend
     inner_budget: int
     outer_budget: int
     element_cap: int
@@ -438,11 +436,11 @@ class SolutionReport:
         return self.chain.status.stabilized
 
 
-def solve_hob(expr, constants=None, backend=Backend.POINTED_STRICT,
-              inner_budget=DEFAULT_INNER_BUDGET,
+def solve_hob(expr, constants=None, inner_budget=DEFAULT_INNER_BUDGET,
               outer_budget=DEFAULT_OUTER_BUDGET,
               element_cap=DEFAULT_ELEMENT_CAP):
-    """Search for a parameter poset Z with Z ~ |nu F(Z, Z)|.
+    """Search for a parameter poset Z with Z ~ |nu F(Z, Z)|, F read in the
+    pointed-strict backend.
 
     Z_0 = 1; each row computes the final carrier of F(Z_n, Z_n), which
     becomes Z_{n+1}; vertical ep-pairs link the parameters, the base one
@@ -453,15 +451,13 @@ def solve_hob(expr, constants=None, backend=Backend.POINTED_STRICT,
     """
     if isinstance(expr, str):
         expr = parse(expr, constants)
-    if backend is not Backend.POINTED_STRICT:
-        raise InstanceMismatch("the outer iteration runs in the pointed backend")
     params = [unit()]
     rows = []
     veps = []
     status = SeqStatus("truncated", reason="outer-budget")
     solved_at = None
     for n in range(outer_budget):
-        inst = instantiate(expr, backend, params[n], params[n], element_cap)
+        inst = instantiate(expr, Backend.POINTED_STRICT, params[n], params[n], element_cap)
         seq = terminal_sequence(inst, inner_budget)
         rows.append(seq)
         params.append(seq.carrier())
@@ -490,6 +486,6 @@ def solve_hob(expr, constants=None, backend=Backend.POINTED_STRICT,
             raise EpLawViolation("witness endpoints do not match")  # pragma: no cover
     exact = all(r.status.stabilized for r in rows)
     return SolutionReport(
-        pretty(expr), backend, inner_budget, outer_budget, element_cap,
+        pretty(expr), inner_budget, outer_budget, element_cap,
         chain, z, final, witness, exact,
     )

@@ -16,7 +16,7 @@ Concrete syntax::
 
 '*' binds tighter than '+', arrows require parentheses, and 'Bool' names
 the two-point lattice.  '+' means the coalesced sum in the pointed-strict
-backend and the separated sum in the plain backend.
+backend and the separated sum in the lazy and plain backends.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     BackendMismatch,
     DomainMismatch,
     ExprSyntaxError,
+    InputError,
     InstanceMismatch,
     NotCovariant,
     NotPointed,
@@ -349,12 +350,21 @@ def _pretty(expr, level):
 
 
 class Backend(enum.Enum):
+    """How an instance reads an expression, and what it admits: POINTED_STRICT
+    (pointed posets, strict maps, coalesced sums; the outer iteration), LAZY
+    (the same with separated sums, admitting only lazy families: an outermost
+    Lift over a body with no upset and no strict nodes; the mediator's
+    pointed side) and PLAIN (any posets, monotone maps, separated sums, no
+    strict nodes)."""
+
     POINTED_STRICT = "pointed-strict"
+    LAZY = "lazy"
     PLAIN = "plain"
 
-
-def _default_sum_mode(backend):
-    return "coalesced" if backend is Backend.POINTED_STRICT else "separated"
+    @property
+    def pointed(self):
+        """Objects are pointed and maps (coalgebras among them) strict."""
+        return self is not Backend.PLAIN
 
 
 class FunctorInstance:
@@ -371,35 +381,39 @@ class FunctorInstance:
     on its two tables (`EpPair.from_tables`) when it was built.
     """
 
-    def __init__(self, expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
-                 sum_mode=None):
+    def __init__(self, expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP):
         validate_variance(expr)
         self.expr = expr
         self.backend = backend
         self.v = v
         self.w = w
         self.element_cap = element_cap
-        self.sum_mode = sum_mode or _default_sum_mode(backend)
-        if backend is Backend.POINTED_STRICT:
-            v.require_pointed("pointed-strict backend parameter V")
-            w.require_pointed("pointed-strict backend parameter W")
+        if backend is Backend.LAZY:
+            if not isinstance(expr, LiftF):
+                raise InputError("lazy families carry an outermost Lift")
+            if has_upset_nodes(expr):
+                raise NotCovariant("upset nodes have no plain-map action")
+            if has_strict_nodes(expr):
+                raise InputError("lazy families use the plain-object grammar (no strict nodes)")
+        if backend.pointed:
+            v.require_pointed(f"{backend.value} backend parameter V")
+            w.require_pointed(f"{backend.value} backend parameter W")
             for node in subexprs(expr):
                 if isinstance(node, ConstP) and not node.poset.is_pointed:
                     raise NotPointed(
                         f"constant {node.name!r} must be pointed in this backend"
                     )
-        else:
-            if has_strict_nodes(expr):
-                raise BackendMismatch(
-                    "strict arrows and strict upsets need the pointed backend"
-                )
+        elif has_strict_nodes(expr):
+            raise BackendMismatch(
+                "strict arrows and strict upsets need a pointed backend"
+            )
         self._obj_memo = {}  # (node, state) -> object
         self._built = {}  # (constructor, operands) -> object
         self._ep_memo = {}
         self._upset_free = not has_upset_nodes(expr)  # on_tables needs it
 
     def signature(self):
-        return (self.expr, self.backend, self.v, self.w, self.sum_mode)
+        return (self.expr, self.backend, self.v, self.w)
 
     def same_instance(self, other):
         return self.signature() == other.signature()
@@ -410,7 +424,7 @@ class FunctorInstance:
     # -- object action ------------------------------------------------
 
     def _check_state(self, p):
-        if self.backend is Backend.POINTED_STRICT and not p.is_pointed:
+        if self.backend.pointed and not p.is_pointed:
             raise BackendMismatch("state object must be pointed in this backend")
 
     def on_object(self, p):
@@ -436,7 +450,7 @@ class FunctorInstance:
         if isinstance(node, ParamV):
             raise VarianceError("'V' has no direct object action")
         if isinstance(node, Sum):
-            build = coalesced_sum if self.sum_mode == "coalesced" else separated_sum
+            build = coalesced_sum if self.backend is Backend.POINTED_STRICT else separated_sum
             args = (self._obj(node.left, p), self._obj(node.right, p))
         elif isinstance(node, Prod):
             build, args = product, (self._obj(node.left, p), self._obj(node.right, p))
@@ -502,12 +516,11 @@ class FunctorInstance:
         return _act(self.expr, fx, fy, tables, None, None, None)
 
 
-def instantiate(expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP,
-                sum_mode=None):
+def instantiate(expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP):
     """Instantiate an expression (text or AST) at parameter posets V, W."""
     if isinstance(expr, str):
         expr = parse(expr)
-    return FunctorInstance(expr, backend, v, w, element_cap, sum_mode)
+    return FunctorInstance(expr, backend, v, w, element_cap)
 
 
 # --------------------------------------------------------------------------
@@ -608,8 +621,7 @@ class Reindex:
             raise InstanceMismatch(
                 "reindexing instances must sit at the parameter ep's endpoints"
             )
-        if (src.expr, src.backend, src.element_cap, src.sum_mode) != (
-                dst.expr, dst.backend, dst.element_cap, dst.sum_mode):
+        if (src.expr, src.backend, src.element_cap) != (dst.expr, dst.backend, dst.element_cap):
             raise InstanceMismatch("reindexing instances differ beyond their parameters")
         self.expr = src.expr
         self.ep_param = ep_param
@@ -627,12 +639,11 @@ class Reindex:
         return hit
 
 
-def reindex_ep(expr, backend, ep_param, element_cap=posets.DEFAULT_ELEMENT_CAP,
-               sum_mode=None):
+def reindex_ep(expr, backend, ep_param, element_cap=posets.DEFAULT_ELEMENT_CAP):
     """The reindexing family along `ep_param`, on two fresh instances."""
     if isinstance(expr, str):
         expr = parse(expr)
-    src, dst = (FunctorInstance(expr, backend, z, z, element_cap, sum_mode)
+    src, dst = (FunctorInstance(expr, backend, z, z, element_cap)
                 for z in (ep_param.dom, ep_param.cod))
     return Reindex(src, dst, ep_param)
 
@@ -717,7 +728,7 @@ class CoalgebraSpec:
 
     Validation checks that every structure value is an element of
     F(carrier) and that the assignment is monotone (and bottom-strict in
-    the pointed backend, where coalgebras are strict maps).
+    a pointed backend, where coalgebras are strict maps).
     """
 
     def __init__(self, inst, carrier, structure):
@@ -728,7 +739,7 @@ class CoalgebraSpec:
         table = [fc.index(structure[e]) for e in carrier.elements]
         self.inst = inst
         self.carrier = carrier
-        self._map = MonoMap(carrier, fc, table, inst.backend is Backend.POINTED_STRICT)
+        self._map = MonoMap(carrier, fc, table, inst.backend.pointed)
 
     def as_map(self):
         return self._map

@@ -418,7 +418,7 @@ def _carrier_uniqueness(inst, fin, carrier, tables):
 
     The tables are validated as one stack with the checks that `MonoMap`
     makes on each structure map carrier -> F(carrier): width, range,
-    monotonicity (`kernels.monotone_rows`) and, in the pointed backend,
+    monotonicity (`kernels.monotone_rows`) and, in a pointed backend,
     that both ends are pointed and every table sends bottom to bottom.
     One batched square test then finds each coalgebra's morphisms among
     all candidates; exactly one must pass, and it must equal the row of the
@@ -430,7 +430,7 @@ def _carrier_uniqueness(inst, fin, carrier, tables):
     """
     fc = inst.on_object(carrier)
     size = f"{len(carrier)}-state"
-    strict = inst.backend is Backend.POINTED_STRICT
+    strict = inst.backend.pointed
     if tables.shape[1:] != (len(carrier),):
         return f"coalgebra tables of the wrong width on a {size} carrier of {inst!r}"
     if tables.size and (tables.min() < 0 or tables.max() >= len(fc)):
@@ -523,10 +523,10 @@ def law_limit_colimit():
 # suite 7: bisimulation refinement against the matching game
 
 
-def _random_lts(rng, prefix, values, max_states):
-    """A random value-passing system: each state inputs (to a random state
-    per value) with probability 0.6, and otherwise outputs a random value."""
-    states = [f"{prefix}{i}" for i in range(rng.randint(0, max_states))]
+def random_lts(rng, states, values):
+    """A random value-passing system over `states`, drawn from a
+    `random.Random`: each state inputs (to a random state per value) with
+    probability 0.6, and otherwise outputs a random value."""
     return LtsSpec(values, states, {
         x: (INPUT, {p: rng.choice(states) for p in values}) if rng.random() < 0.6
         else (OUTPUT, rng.choice(values))
@@ -539,11 +539,14 @@ def law_bisim_refinement(seed, samples=100, max_states=12):
     matching game on random system pairs, the second listing the values in
     another order or being the first system, under random value classes."""
     rng = random.Random(seed)
+
+    def system(prefix, values):
+        return random_lts(rng, [f"{prefix}{i}" for i in range(rng.randint(0, max_states))], values)
+
     for _ in range(samples):
         values = ["p", "q", "r", "s"][:rng.randint(1, 4)]
-        lts1 = _random_lts(rng, "x", values, max_states)
-        lts2 = (lts1 if rng.random() < 0.25 else
-                _random_lts(rng, "y", rng.sample(values, len(values)), max_states))
+        lts1 = system("x", values)
+        lts2 = lts1 if rng.random() < 0.25 else system("y", rng.sample(values, len(values)))
         classes = {}
         for p in values:
             classes.setdefault(rng.randrange(len(values)), []).append(p)

@@ -1,14 +1,15 @@
 """The inclusion of pointed strict structures into the plain world, its
 left adjoint (freely adding a bottom), and the stagewise comparison of the
-two final sequences for lazy-shaped families.
+two final sequences for lazy families.
 
-A lazy family is an upset-free expression under an outermost Lift whose
-sums are separated: the same formula is an endofunctor both on pointed
-posets with strict maps and on plain posets.  `solve_lifted` runs the
-ep-chain sequence on the pointed side and the plain projection-only
-sequence on the other, then checks stage by stage that the inclusion
-carries one onto the other; that is the finite observable content of
-"final invariants lift along the inclusion".
+A lazy family is an upset-free expression with no strict nodes under an
+outermost Lift, read with separated sums: the same formula is an
+endofunctor both on pointed posets with strict maps (`Backend.LAZY`, which
+admits only such expressions) and on plain posets (`Backend.PLAIN`).
+`solve_lifted` runs the ep-chain sequence on the lazy side and the plain
+projection-only sequence on the other, then checks stage by stage that the
+inclusion carries one onto the other; that is the finite observable
+content of "final invariants lift along the inclusion".
 """
 
 from __future__ import annotations
@@ -19,23 +20,8 @@ import numpy as np
 
 from . import kernels
 from .engine import DEFAULT_INNER_BUDGET, SeqStatus, terminal_sequence
-from .errors import (
-    DomainMismatch,
-    ElementCapExceeded,
-    InputError,
-    NotCovariant,
-    NotPointed,
-    SizeCapExceeded,
-)
-from .functors import (
-    Backend,
-    FunctorInstance,
-    LiftF,
-    has_strict_nodes,
-    has_upset_nodes,
-    parse,
-    pretty,
-)
+from .errors import DomainMismatch, ElementCapExceeded, SizeCapExceeded
+from .functors import Backend, FunctorInstance, parse, pretty
 from .posets import (
     DEFAULT_ELEMENT_CAP,
     Iso,
@@ -124,7 +110,7 @@ def _untranspose_rows(lp, tables, bottom):
 
 
 # --------------------------------------------------------------------------
-# the two-backend sequence comparison
+# the lazy and plain sequence comparison
 
 
 @dataclass
@@ -201,29 +187,16 @@ def solve_lifted(expr, v, w, constants=None, inner_budget=DEFAULT_INNER_BUDGET,
     """Run the lazy-shaped family on both sides of the inclusion and
     compare the final sequences stagewise.
 
-    The expression must be an outermost Lift over an upset-free body (the
-    lazy shape); its sums are separated on both sides.  Each computed
-    stage yields a verified iso between the included pointed stage and
-    the plain stage, plus agreement of the connecting projections.
+    The lazy backend admits the expression, with pointed parameters, or
+    raises; its sums are separated on both sides.  Each computed stage
+    yields a verified iso between the included pointed stage and the plain
+    stage, plus agreement of the connecting projections.
     """
     if isinstance(expr, str):
         expr = parse(expr, constants)
-    if not isinstance(expr, LiftF):
-        raise InputError("lazy families carry an outermost Lift")
-    if has_upset_nodes(expr):
-        raise NotCovariant("upset nodes have no plain-map action")
-    if has_strict_nodes(expr):
-        raise InputError("lazy families use the plain-object grammar (no strict nodes)")
-    if not (v.is_pointed and w.is_pointed):
-        raise NotPointed("solve_lifted expects pointed parameters")
-
-    inst_h = FunctorInstance(
-        expr, Backend.POINTED_STRICT, v, w, element_cap, sum_mode="separated"
-    )
+    inst_h = FunctorInstance(expr, Backend.LAZY, v, w, element_cap)
     seq_h = terminal_sequence(inst_h, inner_budget)
-    inst_g = FunctorInstance(
-        expr, Backend.PLAIN, include(v), include(w), element_cap
-    )
+    inst_g = FunctorInstance(expr, Backend.PLAIN, include(v), include(w), element_cap)
     seq_g = plain_terminal_sequence(inst_g, inner_budget)
 
     comparisons = []

@@ -355,9 +355,7 @@ def _poset_from_index_pairs(elements, pairs, bottom_idx=None):
     n = len(elements)
     if len(set(elements)) != n:
         raise DuplicateElement("duplicate element identifiers")
-    if not isinstance(pairs, (list, tuple)) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
-    ):
+    if not _is_pair_list(pairs):
         raise InputError("order pairs must be pairs of element indices")
     ij = _indices([k for pair in pairs for k in pair], n, "order pairs").reshape(-1, 2)
     rel = np.zeros((n, n), dtype=np.bool_)
@@ -947,6 +945,18 @@ def tag_from_json(obj):
     raise InputError(f"bad element tag in JSON: {obj!r}")
 
 
+def _is_pair_list(obj):
+    return isinstance(obj, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in obj)
+
+
+def tag_pairs_from_json(obj, what):
+    """The tag pairs of a JSON list of two-member lists, else InputError."""
+    if not _is_pair_list(obj):
+        raise InputError(f"{what} must be a list of pairs")
+    return [(tag_from_json(a), tag_from_json(b)) for a, b in obj]
+
+
 def tag_sort_key(tag):
     """A total order on element tags (strings before tuples, recursive)."""
     if isinstance(tag, str):
@@ -995,9 +1005,7 @@ def poset_from_json(obj):
     elements = [tag_from_json(e) for e in obj["elements"]]
     if "covers" in obj:
         return _poset_from_index_pairs(elements, obj["covers"], obj.get("bottom"))
-    pairs = [
-        (tag_from_json(a), tag_from_json(b)) for a, b in obj.get("leq", [])
-    ]
+    pairs = tag_pairs_from_json(obj.get("leq", []), "'leq'")
     bottom = obj.get("bottom")
     bottom = tag_from_json(bottom) if bottom is not None else None
     return validate_poset(elements, pairs, bottom)

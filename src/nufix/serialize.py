@@ -21,13 +21,14 @@ the same validating constructors used by the engine, so a tampered or
 corrupted report fails loudly rather than round-tripping: a pool poset goes
 through the builder behind `posets.validate_poset`, and a missing field, a
 field of the wrong JSON type, an index out of range or a report in another
-format raises InputError.  So does a claim that the verified objects
-contradict: a row status against the row's maps, a solution's budgets
-against its rows' lengths, statuses, stage sizes and carriers, its `exact`
-and outer status against its rows, vertical ep-pairs, `z`, witness and
-final coalgebra, and a mediator report's stage comparisons and status
-against its two rows.  Terminal reports record no budget, so their row
-lengths are not checked against one.
+format raises InputError.  So does a solution report of a backend other
+than pointed-strict, and a claim that the verified objects contradict: a
+row status against the row's maps, a solution's budgets against its rows'
+lengths, statuses, stage sizes and carriers, its `exact` and outer status
+against its rows, vertical ep-pairs, `z`, witness and final coalgebra, and
+a mediator report's stage comparisons and status against its two rows.
+Terminal reports record no budget, so their row lengths are not checked
+against one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from .engine import SeqStatus
 from .errors import InputError
+from .functors import Backend
 from .mediator import _is_plain_iso, include
 from .posets import (
     EpPair,
@@ -243,7 +245,7 @@ def solution_report_json(rep):
         "kind": "solution-report",
         "format": FORMAT,
         "expr": rep.expr_text,
-        "backend": rep.backend.value,
+        "backend": Backend.POINTED_STRICT.value,
         "budgets": {
             "inner": rep.inner_budget,
             "outer": rep.outer_budget,
@@ -278,6 +280,8 @@ def solution_report_json(rep):
 def load_solution_report(obj):
     """Reconstruct and re-verify a solution report from its JSON form."""
     _checked(obj, "solution-report")
+    if _get(obj, "backend") != Backend.POINTED_STRICT.value:
+        raise InputError("the outer iteration runs in the pointed-strict backend")
     posets = _pool_from_json(obj)
     params = [_pooled(posets, i) for i in _get(obj, "params", list)]
     rows = [_seq_from_json(row, posets) for row in _get(obj, "rows", list)]
@@ -312,7 +316,7 @@ def load_solution_report(obj):
     _check_solved(status, params, rows, vertical, z, witness, final)
     return {
         "expr": _get(obj, "expr", str),
-        "backend": _get(obj, "backend", str),
+        "backend": obj["backend"],
         "budgets": budgets,
         "status": status,
         "params": params,

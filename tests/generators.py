@@ -6,7 +6,8 @@ checks."""
 
 import numpy as np
 
-from nufix import bisim, kernels
+from nufix import kernels
+from nufix.laws import random_lts  # noqa: F401  (the one random-system generator)
 from nufix.posets import FinPoset
 
 
@@ -59,17 +60,6 @@ def cycle_incidence(lengths):
             leq[start + k, line] = leq[start + (k + 1) % length, line] = True
         start += length
     return leq
-
-
-def random_lts(rng, states, values):
-    """A random value-passing system over `states`, drawn from a
-    `random.Random`: each state inputs (to a random state per value) with
-    probability 0.6, and otherwise outputs a random value."""
-    return bisim.LtsSpec(values, states, {
-        x: (bisim.INPUT, {p: rng.choice(states) for p in values}) if rng.random() < 0.6
-        else (bisim.OUTPUT, rng.choice(values))
-        for x in states
-    })
 
 
 # --------------------------------------------------------------------------

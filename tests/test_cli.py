@@ -225,6 +225,42 @@ def test_dimmed_and_relation_check(workdir):
     assert obj["check"]["violation"]["clause"] == "output-match"
 
 
+LTS = {"values": ["p", "q"], "states": ["x", "y"],
+       "behaviour": {"x": {"input": {"p": "y", "q": "x"}}, "y": {"output": "p"}}}
+OUT = {"output": "p"}
+MALFORMED = {  # id: (file flag, its JSON), in place of the one good file of that flag
+    "state-entry-5": ("--lts", {**LTS, "behaviour": {"x": 5, "y": OUT}}),
+    "input-5": ("--lts", {**LTS, "behaviour": {"x": {"input": 5}, "y": OUT}}),
+    "behaviour-list": ("--lts", {**LTS, "behaviour": [["x", OUT], ["y", OUT]]}),
+    "values-5": ("--lts", {**LTS, "values": 5}),
+    "input-and-output": ("--lts", {**LTS, "behaviour": {
+        "x": {**LTS["behaviour"]["x"], **OUT}, "y": OUT}}),
+    "pair-of-one": ("--relation", [["x"]]),
+    "pair-of-three": ("--relation", [["x", "y", "x"]]),
+    "pair-5": ("--relation", [5]),
+    "block-string": ("--approx", ["pq"]),
+    "block-5": ("--approx", [5]),
+    "leq-pair-of-one": ("--constants", {"A": {"elements": ["a"], "leq": [["a"]]}}),
+    "leq-5": ("--constants", {"A": {"elements": ["a"], "leq": 5}}),
+}
+
+
+@pytest.mark.parametrize("flag,content", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_json_input_exits_one_with_an_error_object(workdir, capsys, flag, content):
+    if flag == "--constants":
+        argv, files = ["terminal", "-f", write(workdir / "w.expr", "W")], {flag: content}
+    else:  # the good files alone run `dimmed` without an input error
+        argv = ["dimmed"]
+        files = {"--lts": LTS, "--approx": [["p", "q"]], "--relation": [["x", "x"]],
+                 flag: content}
+    for k, (name, obj) in enumerate(files.items()):
+        argv += [name, write_json(workdir / f"in{k}.json", obj)]
+    assert main(argv + ["--out", str(workdir / "rep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InputError"
+
+
 def test_lemma1_command_exhaustive(workdir):
     lts = write_json(
         workdir / "tiny.json",

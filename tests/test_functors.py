@@ -13,6 +13,7 @@ from nufix.errors import (
     BackendMismatch,
     DomainMismatch,
     ExprSyntaxError,
+    InputError,
     InstanceMismatch,
     NotCovariant,
     NotPointed,
@@ -129,15 +130,32 @@ def test_pointed_backend_objects_are_pointed():
             assert inst.on_object(ep1.dom).is_pointed
 
 
-def test_plain_backend_rejects_strict_nodes():
-    with pytest.raises(BackendMismatch):
-        F.instantiate("(V -!> Id) + W", F.Backend.PLAIN, ONE, ONE)
+# each expression has one property a backend may refuse, the rest lazy
+ADMITS_CASES = {  # kind: (text, V, constant A); then the outcome per backend
+    "no outer Lift": ("(V -> Id) + W", BOOL, BOOL),
+    "upset node": ("Lift(U(Id) + W)", BOOL, BOOL),
+    "strict node": ("Lift((V -!> Id) + W)", BOOL, BOOL),
+    "unpointed parameter": ("Lift((V -> Id) + W)", P.discrete(["a"]), BOOL),
+    "unpointed constant": ("Lift(A * Id + W)", BOOL, P.discrete(["a"])),
+}
+ADMITS = {
+    F.Backend.POINTED_STRICT: [None, None, None, NotPointed, NotPointed],
+    F.Backend.LAZY: [InputError, NotCovariant, InputError, NotPointed, NotPointed],
+    F.Backend.PLAIN: [None, None, BackendMismatch, None, None],
+}
 
 
-def test_pointed_backend_rejects_unpointed_constant():
-    d = P.discrete(["a"])
-    with pytest.raises(NotPointed):
-        F.instantiate(F.parse("A + W", {"A": d}), F.Backend.POINTED_STRICT, ONE, ONE)
+@pytest.mark.parametrize("backend,kind,error", [
+    (b, kind, error) for b, errors in ADMITS.items() for kind, error in zip(ADMITS_CASES, errors)
+], ids=lambda x: x.value if isinstance(x, F.Backend) else None)
+def test_backend_admits_at_construction(backend, kind, error):
+    text, v, a = ADMITS_CASES[kind]
+    build = lambda: F.FunctorInstance(F.parse(text, {"A": a}), backend, v, BOOL)  # noqa: E731
+    if error is None:
+        assert build().on_object(BOOL) is not None
+    else:
+        with pytest.raises(error):
+            build()
 
 
 def test_sum_mode_per_backend():
@@ -145,6 +163,9 @@ def test_sum_mode_per_backend():
     inst_q = F.instantiate("Id + W", F.Backend.PLAIN, BOOL, BOOL)
     assert len(inst_p.on_object(BOOL)) == 3  # coalesced
     assert len(inst_q.on_object(BOOL)) == 4  # separated
+    inst_l = F.instantiate("Lift(Id + W)", F.Backend.LAZY, BOOL, BOOL)
+    assert len(inst_l.on_object(BOOL)) == 5  # a lift of the separated sum
+    assert len(pointed("Lift(Id + W)", BOOL, BOOL).on_object(BOOL)) == 4  # of the coalesced
 
 
 # --------------------------------------------------------------------------
@@ -427,11 +448,10 @@ def test_reindex_natural_on_state_eps():
 
 def test_reindex_rejects_mismatched_instances():
     det, wide = F.parse("(V -!> Id) + W"), F.parse("(V -!> Id) + W + W")
-    lazy = F.parse("(V -> Id) + W")
-    pointed_backend, plain = F.Backend.POINTED_STRICT, F.Backend.PLAIN
+    lazy = F.parse("Lift((V -> Id) + W)")
 
-    def inst(z, expr=det, backend=pointed_backend, cap=512, mode=None, w=None):
-        return F.FunctorInstance(expr, backend, z, z if w is None else w, cap, mode)
+    def inst(z, expr=det, backend=F.Backend.POINTED_STRICT, cap=512, w=None):
+        return F.FunctorInstance(expr, backend, z, z if w is None else w, cap)
 
     ep = P.bottom_ep(ONE, BOOL)
     reindex = F.Reindex(inst(ONE), inst(BOOL), ep)
@@ -443,9 +463,7 @@ def test_reindex_rejects_mismatched_instances():
         (inst(ONE), inst(BOOL, w=C3)),  # dst's W is not the ep's codomain
         (inst(ONE), inst(BOOL, expr=wide)),
         (inst(ONE), inst(BOOL, cap=1024)),
-        (inst(ONE), inst(BOOL, mode="separated")),
-        (inst(ONE, expr=lazy, mode="coalesced"),
-         inst(BOOL, expr=lazy, backend=plain, mode="coalesced")),
+        (inst(ONE, expr=lazy), inst(BOOL, expr=lazy, backend=F.Backend.LAZY)),
     ]
     for src, dst in bad:
         with pytest.raises(InstanceMismatch):
@@ -568,7 +586,7 @@ def _lift_by_tags(inst, node, pairs, v1, v2, param_rel):
     if isinstance(node, F.ParamW):
         return (v1, v2) in param_rel if param_rel is not None else v1 == v2
     if isinstance(node, F.Sum):
-        if inst.sum_mode == "coalesced" and (v1 == P.CBOT or v2 == P.CBOT):
+        if inst.backend is F.Backend.POINTED_STRICT and (v1 == P.CBOT or v2 == P.CBOT):
             return v1 == v2
         if v1[0] != v2[0]:
             return False

@@ -157,6 +157,14 @@ def test_rows_and_solutions_truncate_for_a_known_reason(path):
         S.load_solution_report(_replaced(obj, path, "banana"))
 
 
+@pytest.mark.parametrize("backend", ["no-such-backend", "lazy", "plain", None])
+def test_a_solution_report_is_pointed_strict(backend):
+    obj = _report_json(det_report())
+    assert S.load_solution_report(obj)["backend"] == "pointed-strict"
+    with pytest.raises(InputError, match="pointed-strict"):
+        S.load_solution_report(_replaced(obj, ("backend",), backend))
+
+
 def test_outer_budget_status_needs_every_row():
     obj = _report_json(atom_report(outer_budget=2))
     assert obj["status"]["reason"] == "outer-budget" and len(obj["rows"]) == 2
