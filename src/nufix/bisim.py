@@ -148,7 +148,9 @@ class Equivalence:
 
     @classmethod
     def from_blocks(cls, blocks):
-        blocks = (tuple(sorted(b, key=tag_sort_key)) for b in blocks)
+        blocks = [tuple(sorted(b, key=tag_sort_key)) for b in blocks]
+        if not all(blocks):  # before the sort below reads each block's first member
+            raise NotEquivalence("empty block")
         return cls(tuple(sorted(blocks, key=lambda b: tag_sort_key(b[0]))))
 
     @classmethod
@@ -285,6 +287,8 @@ def lts_from_json(obj):
     values, states, specs = obj["values"], obj["states"], obj["behaviour"]
     if not (isinstance(values, list) and isinstance(states, list) and isinstance(specs, dict)):
         raise InputError("lts JSON needs lists of values and states and a behaviour object")
+    if not all(isinstance(t, str) for t in values + states):
+        raise InputError("values and states must be JSON strings")
     behaviour = {}
     for x, spec in specs.items():
         kinds = [k for k in (INPUT, OUTPUT) if k in spec] if isinstance(spec, dict) else []
@@ -292,12 +296,15 @@ def lts_from_json(obj):
             raise InputError(f"state {x!r} needs one 'input' or 'output' entry")
         payload = spec[kinds[0]]
         if kinds == [OUTPUT]:
-            behaviour[x] = (OUTPUT, str(payload))
+            entries = [payload]
         elif isinstance(payload, dict):
-            behaviour[x] = (INPUT, {str(p): str(t) for p, t in payload.items()})
+            entries = payload.values()
         else:
             raise InputError(f"input table of {x!r} must be an object")
-    return LtsSpec([str(v) for v in values], [str(s) for s in states], behaviour)
+        if not all(isinstance(t, str) for t in entries):
+            raise InputError(f"the {kinds[0]} entries of {x!r} must be JSON strings")
+        behaviour[x] = (kinds[0], payload)
+    return LtsSpec(values, states, behaviour)
 
 
 def lts_instance(values):

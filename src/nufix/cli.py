@@ -127,15 +127,14 @@ def cmd_terminal(args):
     return EXIT_OK if seq.status.stabilized else EXIT_TRUNCATED
 
 
-def _load_ltss(args):
-    specs = [bisim_mod.lts_from_json(_read_json(path)) for path in args.lts]
-    if not specs:
+def _load_ltss(args, most=2):
+    """The systems of the --lts files, the one file read as both sides."""
+    if not args.lts:
         raise InputError("at least one --lts file is required")
-    if len(specs) == 1:
-        return specs[0], specs[0]
-    if len(specs) > 2:
-        raise InputError("at most two --lts files are supported")
-    return specs[0], specs[1]
+    if len(args.lts) > most:
+        raise InputError(f"{args.command} takes at most {most} --lts files")
+    specs = [bisim_mod.lts_from_json(_read_json(path)) for path in args.lts]
+    return specs[0], specs[-1]
 
 
 def _relation_check(lts1, lts2, relation_path, approx):
@@ -178,7 +177,7 @@ def cmd_bisim(args):
 
 
 def cmd_quotient(args):
-    lts1, lts2 = _load_ltss(args)
+    lts1, _ = _load_ltss(args, most=1)
     approx = bisim_mod.equivalence_from_json(_read_json(args.approx))
     rel = bisim_mod.relation_from_json(
         _read_json(args.relation), lts1.states, lts1.states
@@ -204,7 +203,7 @@ def cmd_quotient(args):
 
 
 def cmd_lemma1(args):
-    lts1, _ = _load_ltss(args)
+    lts1, _ = _load_ltss(args, most=1)
     approx = bisim_mod.equivalence_from_json(_read_json(args.approx))
     if args.exhaustive:
         ok, counterexample = bisim_mod.lemma1_check(lts1, approx)

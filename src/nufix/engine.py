@@ -185,26 +185,13 @@ def coinductive_extension(coalg, final):
     """
     _require_final_for(coalg, final)
     inst = final.inst
-    seq = final.seq
     h = coalg.as_map()
     s = coalg.carrier
-    d = MonoMap(
-        s, seq.stages[0], np.zeros(len(s), dtype=np.int32), strict=s.is_pointed
-    )
+    d = MonoMap(s, final.seq.stages[0], np.zeros(len(s), dtype=np.int32), strict=s.is_pointed)
     for _ in range(final.depth):
         d = compose(h, inst.on_map(d))
-    if final.depth == 0:
-        # F(d) is the unique map into the singleton F(X_0)
-        fd = MonoMap(
-            inst.on_object(s),
-            seq.stages[1],
-            np.zeros(len(inst.on_object(s)), dtype=np.int32),
-            strict=s.is_pointed and inst.on_object(s).is_pointed,
-        )
-    else:
-        fd = inst.on_map(d)
     lhs = compose(d, final.structure)
-    rhs = compose(h, fd)
+    rhs = compose(h, _image(final, d))
     if lhs != rhs:  # pragma: no cover - construction guarantees the square
         raise EpLawViolation("coinductive extension is not a coalgebra morphism")
     return d
@@ -248,14 +235,19 @@ def _candidate_tables(final, s):
 
 
 def _candidate_with_image(final, s, table):
-    """A candidate d as a validated map, and F(d) through `on_map`."""
+    """A candidate d as a validated map, and F(d)."""
+    cand = MonoMap(s, final.carrier, table, strict=final.inst.backend.pointed)
+    return cand, _image(final, cand)
+
+
+def _image(final, d):
+    """F(d) for a map d into the final carrier: through `on_map`, or at
+    depth 0 the one map into the singleton F(X_0)."""
     inst = final.inst
-    cand = MonoMap(s, final.carrier, table, strict=inst.backend.pointed)
-    if final.depth == 0:  # F(X_0) is a singleton
-        fs = inst.on_object(s)
-        return cand, MonoMap(fs, inst.on_object(final.carrier),
-                             np.zeros(len(fs), dtype=np.int32))
-    return cand, inst.on_map(cand)
+    if final.depth == 0:
+        fs = inst.on_object(d.dom)
+        return MonoMap.auto_strict(fs, inst.on_object(d.cod), np.zeros(len(fs), dtype=np.int32))
+    return inst.on_map(d)
 
 
 def _square_hits(final, s, tables, coalgebras):

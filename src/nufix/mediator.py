@@ -34,6 +34,8 @@ from .posets import (
     with_declared_bottom,
 )
 
+ADJUNCTION_CAP = 64  # the largest P and Q that the exhaustive adjunction_check takes
+
 
 def include(p):
     """Forget pointedness: the same order with no declared bottom."""
@@ -60,7 +62,7 @@ def untranspose(g, p, q):
     return MonoMap(lp, q, _untranspose_rows(lp, g.table[None], q.bottom_idx)[0], strict=True)
 
 
-def adjunction_check(p, q, cap=64):
+def adjunction_check(p, q):
     """Verify the hom-set bijection strict(lift(P), Q) ~ mono(P, include(Q))
     by exhaustive enumeration of both sides and the explicit transposes.
 
@@ -71,7 +73,7 @@ def adjunction_check(p, q, cap=64):
     and they must be exactly the plain side's tables.  Any failure gives
     False.  `include(Q)` has Q's order, so the plain side uses `q.leq`."""
     q.require_pointed("adjunction_check")
-    if len(p) > cap or len(q) > cap:
+    if len(p) > ADJUNCTION_CAP or len(q) > ADJUNCTION_CAP:
         raise SizeCapExceeded("adjunction_check is exhaustive; inputs are capped")
     lp = lift(p)
     n, m, b = len(p), len(q), q.bottom_idx
@@ -202,9 +204,8 @@ def solve_lifted(expr, v, w, constants=None, inner_budget=DEFAULT_INNER_BUDGET,
     comparisons = []
     depth = min(len(seq_h.stages), len(seq_g.stages))
     for k in range(depth):
-        sh = include(seq_h.stages[k]) if seq_h.stages[k].is_pointed else seq_h.stages[k]
         sg = seq_g.stages[k]
-        iso = iso_check(sh, sg)
+        iso = iso_check(include(seq_h.stages[k]), sg)
         agree = True
         if k > 0:
             agree = np.array_equal(seq_h.eps[k - 1].p.table, seq_g.projs[k - 1].table)

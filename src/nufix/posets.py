@@ -881,25 +881,26 @@ class Iso:
         return f"Iso({len(self.dom)} ~ {len(self.cod)})"
 
 
-def iso_check(p, q, cap=DEFAULT_ISO_CAP):
+def iso_check(p, q):
     """Witness order-isomorphism between p and q, or None.
 
-    Sound (the witness is verified) and complete for posets up to `cap`
-    elements; larger inputs raise SizeCapExceeded.  `kernels.find_isomorphism`
-    decides: the number of comparable pairs, the sorted (below, above)
-    degrees and the sorted neighbourhood labels reject most pairs at once;
-    the backtracking search behind them prunes with an individualization-
-    refinement cut, so regular orders such as the incidence orders of C_2n
-    and 2.C_n decide in milliseconds.  A search that runs out of its step
-    budget (`kernels.ISO_STEP_BUDGET`, about four seconds of work) raises
-    SearchBudgetExceeded, never an unproved None.
+    Sound (the witness is verified) and complete; reads orders, never tags.
+    Equal orders give the identity at any size; only a search is capped,
+    and above DEFAULT_ISO_CAP elements raises SizeCapExceeded.  There
+    `kernels.find_isomorphism` decides: the number of comparable pairs, the
+    sorted (below, above) degrees and the sorted neighbourhood labels reject
+    most pairs at once; the backtracking search behind them prunes with an
+    individualization-refinement cut, so regular orders such as the
+    incidence orders of C_2n and 2.C_n decide in milliseconds.  A search
+    that runs out of its step budget (`kernels.ISO_STEP_BUDGET`, about four
+    seconds of work) raises SearchBudgetExceeded, never an unproved None.
     """
-    if cap is not None and max(len(p), len(q)) > cap:
-        raise SizeCapExceeded(f"iso_check cap {cap} exceeded")
     if len(p) != len(q):
         return None
-    if np.array_equal(p.leq, q.leq) and p.elements == q.elements:
+    if np.array_equal(p.leq, q.leq):
         return _iso_from_perm(p, q, np.arange(len(p), dtype=np.int32))
+    if len(p) > DEFAULT_ISO_CAP:
+        raise SizeCapExceeded(f"iso_check cap {DEFAULT_ISO_CAP} exceeded")
     perm = kernels.find_isomorphism(p.leq, q.leq)
     if perm is None:
         return None

@@ -152,7 +152,7 @@ def test_criterion_07_identity_bisimulation():
 
 
 def test_criterion_08_property_suites():
-    results = L.run_all(seed=42, samples=100, count_max=5, ext_states=4)
+    results = L.run_all(seed=42, samples=100)
     for r in results:
         assert r.ok, r.line()
     assert len(results) == 7

@@ -13,6 +13,7 @@ from nufix import functors as F
 from nufix import posets as P
 from nufix.errors import (
     InputError,
+    InstanceMismatch,
     NotABisimulation,
     NotEquivalence,
     SizeCapExceeded,
@@ -469,6 +470,12 @@ def test_coalg_bisim_contains_identity_on_self():
     c = B.lts_to_coalgebra(lts)
     rel = B.coalg_bisim(c, c)
     assert {(s, s) for s in lts.states} <= rel.pairs
+
+
+def test_coalg_bisim_needs_one_instance():
+    one, two = (B.lts_to_coalgebra(output_lts(values)) for values in (["p"], ["p", "q"]))
+    with pytest.raises(InstanceMismatch):
+        B.coalg_bisim(one, two)
 
 
 def test_coalg_bisim_equals_value_bisim_exhaustive():

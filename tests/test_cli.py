@@ -235,9 +235,27 @@ MALFORMED = {  # id: (file flag, its JSON), in place of the one good file of tha
     "values-5": ("--lts", {**LTS, "values": 5}),
     "input-and-output": ("--lts", {**LTS, "behaviour": {
         "x": {**LTS["behaviour"]["x"], **OUT}, "y": OUT}}),
+    "state-list": ("--lts", {**LTS, "states": ["x", ["y"]], "behaviour": {
+        "x": {"input": {"p": "['y']", "q": "x"}}, "['y']": OUT}}),
+    "state-5": ("--lts", {**LTS, "states": ["x", 5], "behaviour": {
+        "x": {"input": {"p": "5", "q": "x"}}, "5": OUT}}),
+    "value-1": ("--lts", {**LTS, "values": [1, "q"], "behaviour": {
+        "x": {"input": {"1": "y", "q": "x"}}, "y": {"output": 1}}}),
+    "successor-5": ("--lts", {**LTS, "states": ["x", "5"], "behaviour": {
+        "x": {"input": {"p": 5, "q": "x"}}, "5": OUT}}),
+    "output-1": ("--lts", {**LTS, "behaviour": {"x": LTS["behaviour"]["x"], "y": {"output": 1}}}),
+    "duplicate-states": ("--lts", {**LTS, "states": ["x", "y", "x"]}),
+    "duplicate-values": ("--lts", {**LTS, "values": ["p", "q", "p"]}),
+    "behaviour-uncovered": ("--lts", {**LTS, "states": ["x", "y", "z"]}),
+    "input-partial": ("--lts", {**LTS, "behaviour": {"x": {"input": {"p": "y"}}, "y": OUT}}),
+    "successor-outside": ("--lts", {**LTS, "behaviour": {
+        "x": {"input": {"p": "z", "q": "x"}}, "y": OUT}}),
+    "output-not-a-value": ("--lts", {**LTS, "behaviour": {
+        "x": LTS["behaviour"]["x"], "y": {"output": "r"}}}),
     "pair-of-one": ("--relation", [["x"]]),
     "pair-of-three": ("--relation", [["x", "y", "x"]]),
     "pair-5": ("--relation", [5]),
+    "pair-outside": ("--relation", [["x", "z"]]),
     "block-string": ("--approx", ["pq"]),
     "block-5": ("--approx", [5]),
     "leq-pair-of-one": ("--constants", {"A": {"elements": ["a"], "leq": [["a"]]}}),
@@ -259,6 +277,61 @@ def test_malformed_json_input_exits_one_with_an_error_object(workdir, capsys, fl
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("command,approx", [
+    ("dimmed", [["p", "q"], []]),
+    ("quotient", [[]]),
+    ("dimmed", [["p"]]),  # does not cover the values
+], ids=["dimmed-empty-block", "quotient-empty-block", "dimmed-uncovered"])
+def test_an_approx_that_is_no_partition_exits_one(workdir, capsys, command, approx):
+    argv = [command, "--lts", write_json(workdir / "lts.json", LTS),
+            "--approx", write_json(workdir / "approx.json", approx)]
+    if command == "quotient":
+        argv += ["--relation", write_json(workdir / "rel.json", [["x", "x"], ["y", "y"]])]
+    assert main(argv + ["--out", str(workdir / "rep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "NotEquivalence"
+
+
+@pytest.mark.parametrize("command", ["quotient", "lemma1"])
+def test_one_system_commands_refuse_a_second_lts(workdir, capsys, command):
+    lts = write_json(workdir / "lts.json", LTS)
+    argv = [command, "--lts", lts, "--approx", write_json(workdir / "approx.json", [["p"], ["q"]])]
+    if command == "quotient":
+        argv += ["--relation", write_json(workdir / "rel.json", [["x", "x"], ["y", "y"]])]
+    argv += ["--out", str(workdir / "rep.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--lts", lts]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InputError"
+
+
+def stage_sizes(rep):
+    if rep["kind"] == "terminal-report":
+        return rep["row"]["sizes"]
+    return [c["size_pointed"] for c in rep["stage_comparisons"]]
+
+
+@pytest.mark.parametrize("command,expr,sizes", [
+    ("terminal", "W", [1, 3, 3]),
+    ("mediator", "Lift((V -> Id) + W)", [1, 5, 15, 63]),  # 1 + 1 + |W|, then |V| = 2
+])
+def test_parameters_name_constants(workdir, capsys, command, expr, sizes):
+    consts = write_json(workdir / "consts.json", {
+        "A": {"elements": ["b", "a"], "leq": [["b", "a"]], "bottom": "b"},
+        "B": {"elements": ["b", "a", "c"], "leq": [["b", "a"], ["b", "c"]], "bottom": "b"},
+    })
+    argv = [command, "-f", write(workdir / "in.expr", expr), "--constants", consts,
+            "--inner-budget", "3", "--out", str(workdir / "rep.json")]
+    assert main(argv + ["--v", "A", "--w", "B"]) == 0
+    assert stage_sizes(json.loads((workdir / "rep.json").read_text())) == sizes
+    for flag in ("--v", "--w"):
+        assert main(argv + [flag, "Z"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "message": f"{flag} names unknown constant 'Z'"}
 
 
 def test_lemma1_command_exhaustive(workdir):

@@ -9,7 +9,13 @@ import pytest
 from nufix import kernels
 from nufix import mediator as M
 from nufix import posets as P
-from nufix.errors import DomainMismatch, InputError, NotCovariant, NotPointed
+from nufix.errors import (
+    DomainMismatch,
+    InputError,
+    NotCovariant,
+    NotPointed,
+    SizeCapExceeded,
+)
 
 ONE = P.unit()
 BOOL = P.boolean_lattice()
@@ -232,6 +238,26 @@ def test_lazy_shape_rejections():
         M.solve_lifted("Lift((V -!> Id) + W)", ONE, ONE)
     with pytest.raises(NotPointed):
         M.solve_lifted("Lift(W)", P.discrete(["a"]), ONE)
+
+
+def test_deep_stages_are_compared_without_reading_tags():
+    # each stage's tags nest the stage below, 255 deep at the last stage
+    rep = M.solve_lifted("Lift((V -> Id) + W)", ONE, ONE, inner_budget=255,
+                         element_cap=4096)
+    assert rep.status == "agree" and len(rep.stages) == 256
+
+
+def test_stages_above_the_iso_cap_agree_when_their_orders_do():
+    rep = M.solve_lifted("Lift(Id + Id + W)", ONE, ONE, inner_budget=8, element_cap=4096)
+    assert rep.status == "agree"
+    assert rep.stages[-1].size_pointed == 766 > P.DEFAULT_ISO_CAP
+
+
+def test_adjunction_check_is_capped():
+    with pytest.raises(SizeCapExceeded):
+        M.adjunction_check(P.chain(M.ADJUNCTION_CAP + 1), BOOL)
+    with pytest.raises(SizeCapExceeded):
+        M.adjunction_check(ONE, P.chain(M.ADJUNCTION_CAP + 1))
 
 
 def test_stage_isos_are_reverifiable():
