@@ -45,7 +45,7 @@ def _read_json(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -58,21 +58,31 @@ def _load_constants(path):
     return {name: poset_from_json(p) for name, p in obj.items()}
 
 
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(obj, out_path):
     text = serialize.dumps(obj)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        _write_text(out_path, text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_dots(report_obj, out_path, out_dir=None):
     directory = out_dir or (os.path.dirname(os.path.abspath(out_path)) if out_path else ".")
-    os.makedirs(directory, exist_ok=True)
-    for name, dot in sorted(serialize.dot_bundle(report_obj).items()):
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            fh.write(dot)
+    bundle = serialize.dot_bundle(report_obj)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, dot in sorted(bundle.items()):
+            _write_text(os.path.join(directory, name), dot)
+    except OSError as exc:
+        raise InputError(f"cannot write the DOT bundle to {directory}: {exc}") from exc
 
 
 def _param(constants, name, what):
@@ -84,7 +94,7 @@ def _param(constants, name, what):
 
 
 def _check_budgets(args):
-    for attr in ("inner_budget", "outer_budget", "element_cap"):
+    for attr in ("inner_budget", "outer_budget", "element_cap", "samples"):
         if getattr(args, attr, None) is not None and getattr(args, attr) < 1:
             raise InputError(f"--{attr.replace('_', '-')} must be at least 1")
 
@@ -252,6 +262,7 @@ def cmd_mediator(args):
 
 
 def cmd_check_laws(args):
+    _check_budgets(args)
     results = laws_mod.run_all(seed=args.seed, samples=args.samples)
     lines = [r.line() for r in results]
     for line in lines:

@@ -225,13 +225,8 @@ def _candidate_tables(final, s):
     """Every monotone table s -> carrier, bottom-strict in a pointed
     backend: the candidate morphisms out of any coalgebra on s."""
     z = final.carrier
-    forced = None
-    if final.inst.backend.pointed:
-        forced = np.full(len(s), -1, dtype=np.int32)
-        forced[s.bottom_idx] = z.bottom_idx
-    return kernels.enum_monotone_tables(
-        s.leq, z.leq, (len(z) ** max(len(s), 1)) + 1, forced
-    )
+    strict = (s.bottom_idx, z.bottom_idx) if final.inst.backend.pointed else None
+    return kernels.enum_monotone_tables(s.leq, z.leq, (len(z) ** max(len(s), 1)) + 1, strict)
 
 
 def _candidate_with_image(final, s, table):
@@ -436,7 +431,7 @@ def solve_hob(expr, constants=None, inner_budget=DEFAULT_INNER_BUDGET,
 
     Z_0 = 1; each row computes the final carrier of F(Z_n, Z_n), which
     becomes Z_{n+1}; vertical ep-pairs link the parameters, the base one
-    being the forced pair out of 1.  Solved(n) when row n is exact and the
+    being the unique pair out of 1.  Solved(n) when row n is exact and the
     n-th vertical pair is an iso; the witness (final carrier of the
     F(Z,Z)-instance against Z itself) is stored and re-verified.  All
     failures surface as truncated reports carrying the full trace.

@@ -17,6 +17,11 @@ Concrete syntax::
 '*' binds tighter than '+', arrows require parentheses, and 'Bool' names
 the two-point lattice.  '+' means the coalesced sum in the pointed-strict
 backend and the separated sum in the lazy and plain backends.
+
+Strictness is a field, not a node kind: `Fun(dom, cod, strict)` is '->'
+or, strict, '-!>' (bottom-strict tables), and `Upset(inner, strict)` is
+'U' or, strict, 'Us' (only the upsets that miss the bottom).  Strict
+nodes need a pointed backend.
 """
 
 from __future__ import annotations
@@ -127,31 +132,22 @@ class LiftF:
 class Fun:
     dom: object  # ConstP | ParamV
     cod: object
-
-
-@_node
-class StrictFun:
-    dom: object
-    cod: object
+    strict: bool = False  # '-!>': bottom-strict tables only
 
 
 @_node
 class Upset:
     inner: object
-
-
-@_node
-class StrictUpset:
-    inner: object
+    strict: bool = False  # 'Us': only the upsets that miss the bottom
 
 
 def _operands(node):
     """A node's operand nodes, in order."""
     if isinstance(node, (Sum, Prod)):
         return node.left, node.right
-    if isinstance(node, (Fun, StrictFun)):
+    if isinstance(node, Fun):
         return node.dom, node.cod
-    return (node.inner,) if isinstance(node, (LiftF, Upset, StrictUpset)) else ()
+    return (node.inner,) if isinstance(node, (LiftF, Upset)) else ()
 
 
 def subexprs(expr):
@@ -175,19 +171,19 @@ def validate_variance(expr, in_dom=False):
         validate_variance(expr.right)
     elif isinstance(expr, LiftF):
         validate_variance(expr.inner)
-    elif isinstance(expr, (Fun, StrictFun)):
+    elif isinstance(expr, Fun):
         validate_variance(expr.dom, in_dom=True)
         validate_variance(expr.cod)
-    elif isinstance(expr, (Upset, StrictUpset)):
+    elif isinstance(expr, Upset):
         validate_variance(expr.inner)
 
 
 def has_upset_nodes(expr):
-    return any(isinstance(e, (Upset, StrictUpset)) for e in subexprs(expr))
+    return any(isinstance(e, Upset) for e in subexprs(expr))
 
 
 def has_strict_nodes(expr):
-    return any(isinstance(e, (StrictFun, StrictUpset)) for e in subexprs(expr))
+    return any(isinstance(e, (Fun, Upset)) and e.strict for e in subexprs(expr))
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +253,7 @@ class _Parser:
             self.take("(")
             inner = self.parse_expr()
             self.take(")")
-            return {"U": Upset, "Us": StrictUpset, "Lift": LiftF}[tok](inner)
+            return LiftF(inner) if tok == "Lift" else Upset(inner, tok == "Us")
         if tok == "(":
             self.take()
             node = self.parse_paren()
@@ -290,7 +286,7 @@ class _Parser:
             else:
                 dom = self.const(dom_tok)
             cod = self.parse_expr()
-            return Fun(dom, cod) if arrow == "->" else StrictFun(dom, cod)
+            return Fun(dom, cod, arrow == "-!>")
         return self.parse_expr()
 
 
@@ -336,11 +332,9 @@ def _pretty(expr, level):
     if isinstance(expr, LiftF):
         return f"Lift({_pretty(expr.inner, 0)})"
     if isinstance(expr, Upset):
-        return f"U({_pretty(expr.inner, 0)})"
-    if isinstance(expr, StrictUpset):
-        return f"Us({_pretty(expr.inner, 0)})"
-    if isinstance(expr, (Fun, StrictFun)):
-        arrow = "->" if isinstance(expr, Fun) else "-!>"
+        return f"{'Us' if expr.strict else 'U'}({_pretty(expr.inner, 0)})"
+    if isinstance(expr, Fun):
+        arrow = "-!>" if expr.strict else "->"
         return f"({_pretty(expr.dom, 0)} {arrow} {_pretty(expr.cod, 0)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -456,12 +450,12 @@ class FunctorInstance:
             build, args = product, (self._obj(node.left, p), self._obj(node.right, p))
         elif isinstance(node, LiftF):
             build, args = lift, (self._obj(node.inner, p),)
-        elif isinstance(node, (Fun, StrictFun)):
-            build = fun_space if isinstance(node, Fun) else strict_fun_space
+        elif isinstance(node, Fun):
+            build = strict_fun_space if node.strict else fun_space
             dom = self.v if isinstance(node.dom, ParamV) else node.dom.poset
             args = (dom, self._obj(node.cod, p))
-        elif isinstance(node, (Upset, StrictUpset)):
-            build = upsets if isinstance(node, Upset) else strict_upsets
+        elif isinstance(node, Upset):
+            build = strict_upsets if node.strict else upsets
             args = (self._obj(node.inner, p),)
         else:
             raise TypeError(f"not an expression node: {node!r}")
@@ -569,14 +563,14 @@ def _act(node, fa, fb, f, g, pf, pg):
         parts = _operands(node)
         return posets._map_parts(
             fa, fb, lambda k, ca, cb: _act(parts[k], ca, cb, f, g, pf, pg), batch)
-    if isinstance(node, (Fun, StrictFun)):
+    if isinstance(node, Fun):
         rows = _act(node.cod, fa.children[1], fb.children[1], f, g, pf, pg)[..., fa.rows]
         if isinstance(node.dom, ParamV) and pg is not None:
             # contravariant parameter slot: precompose with the opposite map
             rows = rows[..., pg]
         k, (r, d) = math.prod(batch), rows.shape[-2:]
         return fb.locate(rows.reshape(k * r, d)).reshape(batch + (r,))
-    if isinstance(node, (Upset, StrictUpset)):
+    if isinstance(node, Upset):
         if g is None:
             raise NotCovariant("upset nodes act on ep-pairs only")
         back = _act(node.inner, fb.children[0], fa.children[0], g, f, pg, pf)
@@ -685,14 +679,14 @@ def _lift(node, fx, fy, rel, pv, pw):
     if isinstance(node, (Sum, Prod, LiftF)):
         return posets._relate_parts(fx, fy, [_lift(n, cx, cy, rel, pv, pw) for n, cx, cy
                                              in zip(_operands(node), fx.children, fy.children)])
-    if isinstance(node, (Fun, StrictFun)):
+    if isinstance(node, Fun):
         rx, ry = fx.rows, fy.rows
         ps = qs = np.arange(rx.shape[1])
         if isinstance(node.dom, ParamV) and pv is not None:
             ps, qs = np.nonzero(pv)
         cod = _lift(node.cod, fx.children[1], fy.children[1], rel, pv, pw)
         return cod[..., rx[:, None, ps], ry[None, :, qs]].all(axis=-1)
-    if isinstance(node, (Upset, StrictUpset)):
+    if isinstance(node, Upset):
         mx, my = fx.rows, fy.rows
         inner = _lift(node.inner, fx.children[0], fy.children[0], rel, pv, pw)
         fwd = ~(mx @ ~(inner @ my.T))  # each x-side member has a partner on the y side

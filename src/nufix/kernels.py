@@ -157,13 +157,14 @@ def _linear_extension(rows):
     return sorted(range(len(rows)), key=below.__getitem__)
 
 
-def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
+def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     """Up to `limit` monotone tables dom -> cod, deterministic order.
 
-    `forced[i] >= 0` pins element i of the domain to that codomain index
-    (used for bottom-strictness).  Tables come out int32 of shape (k, n).
-    The setup runs on Python lists: a numpy call per position would cost
-    more than the search on most inputs, which have few rows.
+    `strict = (dom_bottom, cod_bottom)` keeps only the tables sending the
+    domain's bottom to the codomain's, the strict maps of pointed posets.
+    Tables come out int32 of shape (k, n).  The setup runs on Python
+    lists: a numpy call per position would cost more than the search on
+    most inputs, which have few rows.
     """
     dom = np.asarray(leq_dom, dtype=np.bool_).tolist()
     n, m, limit = len(dom), len(leq_cod), int(limit)
@@ -173,14 +174,13 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, forced=None):
         return np.zeros((0, n), dtype=np.int32)
     up = _row_bits(leq_cod)
     order = _linear_extension(dom)
-    # per position: the forced bit or all of cod, and the earlier positions
-    # holding a dom predecessor, whose values bound this one from below
-    full = (1 << m) - 1
-    if forced is None:
-        start = [full] * n
-    else:
-        forced = np.asarray(forced).tolist()
-        start = [full if forced[e] < 0 else 1 << forced[e] for e in order]
+    # per position: all of cod (the codomain's bottom alone at a strict
+    # domain bottom), and the earlier positions holding a dom predecessor,
+    # whose values bound this one from below
+    start = [(1 << m) - 1] * n
+    if strict is not None:
+        dom_bottom, cod_bottom = map(int, strict)
+        start[order.index(dom_bottom)] = 1 << cod_bottom
     preds = [[q for q in range(pos) if dom[order[q]][e]] for pos, e in enumerate(order)]
     vals = [0] * n
     rest = [0] * n

@@ -360,10 +360,9 @@ def law_enumeration_counts(max_elems=5):
     sfuns = 0
     for i, p in enumerate(pointed):
         for j, q in enumerate(pointed):
-            forced = np.full(len(p), -1, dtype=np.int32)
-            forced[p.bottom_idx] = q.bottom_idx
             limit = max(1, len(q)) ** max(1, len(p)) + 1
-            impl = len(kernels.enum_monotone_tables(p.leq, q.leq, limit, forced))
+            impl = len(kernels.enum_monotone_tables(
+                p.leq, q.leq, limit, (p.bottom_idx, q.bottom_idx)))
             oracle = int(strict[i, j])
             if impl != oracle:
                 return LawResult("enumeration-counts", False,
@@ -394,10 +393,9 @@ def _stabilizing_instances():
 def _coalgebra_tables(inst, carrier):
     """Every strict structure table carrier -> F(carrier)."""
     fc = inst.on_object(carrier)
-    forced = np.full(len(carrier), -1, dtype=np.int32)
-    forced[carrier.bottom_idx] = fc.bottom_idx
     limit = max(1, len(fc)) ** max(1, len(carrier)) + 1
-    return kernels.enum_monotone_tables(carrier.leq, fc.leq, limit, forced)
+    return kernels.enum_monotone_tables(
+        carrier.leq, fc.leq, limit, (carrier.bottom_idx, fc.bottom_idx))
 
 
 def _carrier_uniqueness(inst, fin, carrier, tables):

@@ -77,9 +77,7 @@ def adjunction_check(p, q):
         raise SizeCapExceeded("adjunction_check is exhaustive; inputs are capped")
     lp = lift(p)
     n, m, b = len(p), len(q), q.bottom_idx
-    forced = np.full(n + 1, -1, dtype=np.int32)
-    forced[lp.bottom_idx] = b
-    strict = kernels.enum_monotone_tables(lp.leq, q.leq, m ** (n + 1) + 1, forced)
+    strict = kernels.enum_monotone_tables(lp.leq, q.leq, m ** (n + 1) + 1, (lp.bottom_idx, b))
     plain = kernels.enum_monotone_tables(p.leq, q.leq, m ** max(1, n) + 1)
     if (strict.shape != (len(strict), n + 1) or plain.shape != (len(strict), n)
             or not (_in_range(strict, m) and _in_range(plain, m))

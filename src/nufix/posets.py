@@ -499,10 +499,9 @@ def strict_fun_space(p, q, cap=DEFAULT_ELEMENT_CAP):
     """Monotone bottom-strict tables p -> q, pointwise order."""
     p.require_pointed("strict_fun_space")
     q.require_pointed("strict_fun_space")
-    forced = np.full(len(p), -1, dtype=np.int32)
-    forced[p.bottom_idx] = q.bottom_idx
     tables = _rows_within_cap(
-        lambda limit: kernels.enum_monotone_tables(p.leq, q.leq, limit, forced),
+        lambda limit: kernels.enum_monotone_tables(
+            p.leq, q.leq, limit, (p.bottom_idx, q.bottom_idx)),
         len(q) ** len(p), cap, "strict function space", p.leq, q.leq, p.bottom_idx)
     return _tables_to_poset(tables, p, q)
 
@@ -677,11 +676,10 @@ def _frozen_table(table):
 
 
 def _auto_strict(dom, cod, table):
-    """The strict flag of `MonoMap.auto_strict`: both ends pointed, and the
-    int32 table, one entry per domain element (another shape is left for
-    `MonoMap` to reject), sends the domain's bottom to the codomain's."""
-    return (dom.is_pointed and cod.is_pointed and table.shape == (len(dom),)
-            and int(table[dom.bottom_idx]) == cod.bottom_idx)
+    """The strict flag of `MonoMap.auto_strict`: the int32 table has one
+    entry per domain element (another shape is left for `MonoMap` to
+    reject) and keeps the bottom."""
+    return table.shape == (len(dom),) and _keeps_bottom(dom, cod, table, True)
 
 
 def identity(p):
@@ -830,7 +828,7 @@ def identity_ep(p):
 
 
 def bottom_ep(one, q):
-    """The forced ep-pair from the one-point poset: bottom map and bang."""
+    """The unique ep-pair from the one-point poset: bottom map and bang."""
     q.require_pointed("bottom_ep")
     if len(one) != 1:
         raise DomainMismatch("bottom_ep expects a singleton domain")
@@ -925,9 +923,13 @@ def hasse(p):
 
 
 def _covers(p):
-    """Index pairs (i, j) of the covers i < j, in row-major order."""
+    """Index pairs (i, j) of the covers i < j, in row-major order.  The
+    pairs with an element strictly between come from a float32 product,
+    which runs through BLAS where a boolean one does not; its terms are 0
+    or 1, so a positive entry is exactly a path of two steps."""
     lt = p.leq & ~np.eye(len(p), dtype=np.bool_)
-    return np.argwhere(lt & ~(lt @ lt)).tolist()
+    f = lt.astype(np.float32)
+    return np.argwhere(lt & ~((f @ f) > 0)).tolist()
 
 
 def tag_to_json(tag):

@@ -28,7 +28,13 @@ def write(path, text):
     return str(path)
 
 
+class RawText(str):
+    """A file's text as it stands, for `write_json` to write unencoded."""
+
+
 def write_json(path, obj):
+    if isinstance(obj, RawText):
+        return write(path, obj)
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
@@ -260,6 +266,7 @@ MALFORMED = {  # id: (file flag, its JSON), in place of the one good file of tha
     "block-5": ("--approx", [5]),
     "leq-pair-of-one": ("--constants", {"A": {"elements": ["a"], "leq": [["a"]]}}),
     "leq-5": ("--constants", {"A": {"elements": ["a"], "leq": 5}}),
+    "nested-too-deeply": ("--constants", RawText("[" * 100_000)),  # past the decoder's limit
 }
 
 
@@ -277,6 +284,34 @@ def test_malformed_json_input_exits_one_with_an_error_object(workdir, capsys, fl
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "InputError"
+
+
+def _error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return json.loads(err)
+
+
+def test_an_output_that_cannot_be_written_exits_one(workdir, capsys):
+    f = write(workdir / "w.expr", "W")
+    missing = workdir / "no-such-dir" / "x.json"
+    assert main(["terminal", "-f", f, "--out", str(missing)]) == 1
+    assert _error_line(capsys)["error"] == "InputError"
+    report = str(workdir / "rep.json")
+    assert main(["terminal", "-f", f, "--out", report]) == 0
+    blocker = write(workdir / "a-file", "")
+    assert main(["render", "--report", report, "--out-dir", blocker]) == 1
+    obj = _error_line(capsys)
+    assert obj["error"] == "InputError" and "DOT bundle" in obj["message"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_laws_refuses_fewer_than_one_sample(capsys, samples):
+    assert main(["check-laws", "--samples", samples]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "InputError",
+                                   "message": "--samples must be at least 1"}
 
 
 @pytest.mark.parametrize("command,approx", [

@@ -190,11 +190,8 @@ def test_morphisms_from_another_instance_raise(search):
 
 def _maps(inst, s, z, cod_bottom):
     """All monotone tables s -> z, bottom-strict in the pointed backend."""
-    forced = None
-    if inst.backend is F.Backend.POINTED_STRICT:
-        forced = np.full(len(s), -1, dtype=np.int32)
-        forced[s.bottom_idx] = cod_bottom
-    return K.enum_monotone_tables(s.leq, z.leq, len(z) ** len(s) + 1, forced)
+    strict = (s.bottom_idx, cod_bottom) if inst.backend is F.Backend.POINTED_STRICT else None
+    return K.enum_monotone_tables(s.leq, z.leq, len(z) ** len(s) + 1, strict)
 
 
 def _morphisms_one_by_one(coalg, final):

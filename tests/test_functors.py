@@ -50,13 +50,13 @@ def pointed(expr, v=ONE, w=ONE, constants=None, cap=6000):
 
 def test_parse_deterministic_family():
     ast = F.parse("(V -!> Id) + W")
-    assert ast == F.Sum(F.StrictFun(F.ParamV(), F.IdF()), F.ParamW())
+    assert ast == F.Sum(F.Fun(F.ParamV(), F.IdF(), strict=True), F.ParamW())
 
 
 def test_parse_ho_ccs_family():
     c = P.lift(P.discrete(["c"]))
     ast = F.parse("Us(C * W * Id + C * (V -> Id) + Id)", {"C": c})
-    assert isinstance(ast, F.StrictUpset)
+    assert isinstance(ast, F.Upset) and ast.strict
     body = ast.inner
     assert isinstance(body, F.Sum) and isinstance(body.left, F.Sum)
     assert body.right == F.IdF()
@@ -156,6 +156,14 @@ def test_backend_admits_at_construction(backend, kind, error):
     else:
         with pytest.raises(error):
             build()
+
+
+@pytest.mark.parametrize("text", ["Us(Id)", "(V -!> Id)", "Lift(U(Id) * (Bool -!> Id))"])
+def test_strict_flags_need_a_pointed_backend(text):
+    assert F.has_strict_nodes(F.parse(text))
+    assert not F.has_strict_nodes(F.parse(text.replace("Us", "U").replace("-!>", "->")))
+    with pytest.raises(BackendMismatch):
+        F.instantiate(text, F.Backend.PLAIN, BOOL, BOOL)
 
 
 def test_sum_mode_per_backend():
@@ -351,10 +359,8 @@ def test_on_tables_stacks_the_one_row_action(text, backend, v):
     inst = F.instantiate(F.parse(text, {"E": EMPTY}), backend, v, BOOL)
     strict = backend is F.Backend.POINTED_STRICT
     x, y = (FLAT, C3) if strict else (P.discrete(["a", "b"]), C3)
-    forced = np.full(len(x), -1, dtype=np.int32)
-    if strict:
-        forced[x.bottom_idx] = y.bottom_idx
-    tables = K.enum_monotone_tables(x.leq, y.leq, 100, forced)
+    tables = K.enum_monotone_tables(
+        x.leq, y.leq, 100, (x.bottom_idx, y.bottom_idx) if strict else None)
     assert len(tables) >= 4
     size = len(inst.on_object(x))
     for k in (0, 1, len(tables)):
@@ -597,7 +603,7 @@ def _lift_by_tags(inst, node, pairs, v1, v2, param_rel):
         if v1 == P.LBOT or v2 == P.LBOT:
             return v1 == v2
         return rec(node.inner, v1[1], v2[1])
-    if isinstance(node, (F.Fun, F.StrictFun)):
+    if isinstance(node, F.Fun):
         t1, t2 = v1[1], v2[1]
         if isinstance(node.dom, F.ParamV) and param_rel is not None:
             idx = inst.v.index

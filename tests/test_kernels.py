@@ -164,14 +164,15 @@ def test_enumerator_positions_follow_the_linear_extension():
     assert ties > 250
 
 
-def _monotone_in_order(leq_dom, leq_cod, forced):
+def _monotone_in_order(leq_dom, leq_cod, strict):
     """Every monotone table by brute force, sorted lexicographically along
-    the linear extension of the domain."""
+    the linear extension of the domain; with `strict = (dom_bottom,
+    cod_bottom)`, only those sending the one bottom to the other."""
     n, m = len(leq_dom), len(leq_cod)
     tables = [
         t for t in itertools.product(range(m), repeat=n)
         if all(leq_cod[t[i], t[j]] for i in range(n) for j in range(n) if leq_dom[i, j])
-        and all(f < 0 or t[i] == f for i, f in enumerate(forced))
+        and (strict is None or t[strict[0]] == strict[1])
     ]
     order = linear_extension(leq_dom).tolist()
     return sorted(tables, key=lambda t: [t[e] for e in order])
@@ -269,9 +270,9 @@ def test_enumeration_counts_law_reports_the_first_broken_pair(side, mutation, mo
     # row; the law reports the first such pair of its walk
     enumerate_tables = kernels.enum_monotone_tables
 
-    def broken(leq_dom, leq_cod, limit, forced=None):
-        rows = enumerate_tables(leq_dom, leq_cod, limit, forced)
-        if ((forced is not None) != (side == "strict")
+    def broken(leq_dom, leq_cod, limit, strict=None):
+        rows = enumerate_tables(leq_dom, leq_cod, limit, strict)
+        if ((strict is not None) != (side == "strict")
                 or (len(leq_dom), len(leq_cod)) != (2, 3)):
             return rows
         return rows[:-1] if mutation == "drop" else np.vstack([rows, rows[:1]])
@@ -313,20 +314,33 @@ def test_monotone_enumeration_matches_bruteforce():
     shapes = all_posets_upto(3)
     for p in shapes:
         for q in shapes:
-            plain = np.full(len(p), -1, dtype=np.int32)
-            cases = [plain]
+            cases = [None]
             pb, qb = with_declared_bottom(p), with_declared_bottom(q)
             if pb is not None and qb is not None:
-                strict = plain.copy()
-                strict[pb.bottom_idx] = qb.bottom_idx
-                cases.append(strict)
-            for forced in cases:
-                full = _monotone_in_order(p.leq, q.leq, forced)
-                if forced is plain:
+                cases.append((pb.bottom_idx, qb.bottom_idx))
+            for strict in cases:
+                full = _monotone_in_order(p.leq, q.leq, strict)
+                if strict is None:
                     assert len(full) == count_monotone_bruteforce(p.leq, q.leq)
                 _check_prefixes(
-                    lambda k: kernels.enum_monotone_tables(p.leq, q.leq, k, forced), full
+                    lambda k: kernels.enum_monotone_tables(p.leq, q.leq, k, strict), full
                 )
+
+
+def test_strict_enumeration_pins_a_bottom_at_any_index():
+    # relabelled copies move each bottom off index 0, where the shapes of
+    # `all_posets_upto` keep it
+    rng = np.random.RandomState(5)
+    pointed = [p.leq for p in map(with_declared_bottom, all_posets_upto(3)) if p is not None]
+    moved = 0
+    for dom in pointed:
+        for cod in pointed:
+            dom_r, cod_r = relabelled(rng, dom), relabelled(rng, cod)
+            strict = tuple(int(np.flatnonzero(leq.all(axis=1))[0]) for leq in (dom_r, cod_r))
+            moved += strict != (0, 0)
+            _check_prefixes(lambda k: kernels.enum_monotone_tables(dom_r, cod_r, k, strict),
+                            _monotone_in_order(dom_r, cod_r, strict))
+    assert moved > len(pointed) ** 2 // 2
 
 
 def test_upset_enumeration_matches_bruteforce():

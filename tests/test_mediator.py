@@ -71,9 +71,8 @@ def per_table_adjunction_check(p, q):
     `transpose` and `untranspose` one at a time.  A table that `MonoMap`
     rejects gives False."""
     lp, inc = P.lift(p), M.include(q)
-    forced = np.full(len(lp), -1, dtype=np.int32)
-    forced[lp.bottom_idx] = q.bottom_idx
-    strict_tables = kernels.enum_monotone_tables(lp.leq, q.leq, len(q) ** len(lp) + 1, forced)
+    strict_tables = kernels.enum_monotone_tables(lp.leq, q.leq, len(q) ** len(lp) + 1,
+                                                 (lp.bottom_idx, q.bottom_idx))
     mono_tables = kernels.enum_monotone_tables(p.leq, inc.leq, len(q) ** max(1, len(p)) + 1)
     if len(strict_tables) != len(mono_tables):
         return False
@@ -114,11 +113,11 @@ def _not_monotone(leq_dom, leq_cod, row):
                for i in range(len(row)) for j in range(len(row)))
 
 
-def _break_monotonicity(rows, leq_dom, leq_cod, forced):
+def _break_monotonicity(rows, leq_dom, leq_cod, strict):
     """The last row with one free entry changed so that it is no longer
     monotone, or None when no such change exists."""
     for i in range(rows.shape[1]):
-        if forced is not None and forced[i] >= 0:
+        if strict is not None and i == strict[0]:
             continue
         for v in range(len(leq_cod)):
             row = rows[-1].copy()
@@ -135,16 +134,16 @@ def _set_last(rows, col, value):
 
 
 MUTATIONS = {
-    "drop": lambda rows, dom, cod, forced: rows[:-1],
-    "duplicate": lambda rows, dom, cod, forced: np.vstack([rows, rows[:1]]),
-    "repeat": lambda rows, dom, cod, forced: (
+    "drop": lambda rows, dom, cod, strict: rows[:-1],
+    "duplicate": lambda rows, dom, cod, strict: np.vstack([rows, rows[:1]]),
+    "repeat": lambda rows, dom, cod, strict: (
         np.vstack([rows[:-1], rows[:1]]) if len(rows) > 1 else None),
-    "out-of-range": lambda rows, dom, cod, forced: (
+    "out-of-range": lambda rows, dom, cod, strict: (
         _set_last(rows, -1, len(cod)) if rows.shape[1] else None),
     "not-monotone": _break_monotonicity,
-    "not-strict": lambda rows, dom, cod, forced: (
-        _set_last(rows, 0, (forced[0] + 1) % len(cod))
-        if forced is not None and len(cod) > 1 else None),
+    "not-strict": lambda rows, dom, cod, strict: (
+        _set_last(rows, strict[0], (strict[1] + 1) % len(cod))
+        if strict is not None and len(cod) > 1 else None),
 }
 
 
@@ -154,11 +153,11 @@ def test_adjunction_check_rejects_a_broken_enumeration(side, mutation, monkeypat
     enumerate_tables = kernels.enum_monotone_tables
     applied = []
 
-    def broken(leq_dom, leq_cod, limit, forced=None):
-        rows = enumerate_tables(leq_dom, leq_cod, limit, forced)
-        if (forced is not None) != (side == "strict"):
+    def broken(leq_dom, leq_cod, limit, strict=None):
+        rows = enumerate_tables(leq_dom, leq_cod, limit, strict)
+        if (strict is not None) != (side == "strict"):
             return rows
-        out = MUTATIONS[mutation](rows, leq_dom, leq_cod, forced)
+        out = MUTATIONS[mutation](rows, leq_dom, leq_cod, strict)
         applied.append(out is not None)
         return rows if out is None else out
 
@@ -284,15 +283,15 @@ def test_adjunction_check_rejects_a_non_monotone_pair_on_both_sides(monkeypatch)
     all still agree, so only the monotonicity checks can reject it."""
     enumerate_tables = kernels.enum_monotone_tables
 
-    def with_extra(leq_dom, leq_cod, limit, forced=None):
-        rows = enumerate_tables(leq_dom, leq_cod, limit, forced)
-        inner = leq_dom if forced is None else leq_dom[1:, 1:]  # lift puts P at 1..n
+    def with_extra(leq_dom, leq_cod, limit, strict=None):
+        rows = enumerate_tables(leq_dom, leq_cod, limit, strict)
+        inner = leq_dom if strict is None else leq_dom[1:, 1:]  # lift puts P at 1..n
         bad = next((np.array(t, dtype=np.int32)
                     for t in itertools.product(range(len(leq_cod)), repeat=len(inner))
                     if _not_monotone(inner, leq_cod, t)), None)
         if bad is None:
             return rows
-        extra = bad if forced is None else np.concatenate([[forced[0]], bad])
+        extra = bad if strict is None else np.concatenate([[strict[1]], bad])
         return np.vstack([rows, extra[None, :].astype(np.int32)])
 
     monkeypatch.setattr(kernels, "enum_monotone_tables", with_extra)

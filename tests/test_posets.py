@@ -25,7 +25,7 @@ from nufix.errors import (
 )
 from nufix.mediator import include
 
-from generators import random_poset
+from generators import random_order, random_poset
 
 
 def two_chain():
@@ -630,6 +630,16 @@ def test_hasse_examples():
     assert P.hasse(P.discrete(["a", "b"])) == []
     b = P.boolean_lattice()
     assert len(P.hasse(P.product(b, b))) == 4
+
+
+def test_covers_match_the_boolean_product():
+    rng = np.random.RandomState(11)
+    for n in (0, 1, 63, 64, 65, 201):
+        for density in (0.0, 0.05, 0.3):
+            leq = random_order(rng, n, density)
+            lt = leq & ~np.eye(n, dtype=np.bool_)
+            want = np.argwhere(lt & ~(lt @ lt)).tolist()
+            assert P._covers(P.FinPoset([f"x{i}" for i in range(n)], leq)) == want
 
 
 def test_poset_json_roundtrip():
