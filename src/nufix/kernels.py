@@ -29,17 +29,19 @@ longest chain, and `count_upsets` counts upsets exactly up to a limit.
 codomain's longest chain makes that a lower bound on its tables.  The
 stacked brute-force counters are independent oracles for the law suites.
 
-`find_isomorphism` runs a cascade, cheapest first: the number of
-comparable pairs, the sorted (elements below, elements above) pairs, then
-`invariant_labels` of both orders in one pass.  Most non-isomorphic pairs
-stop at the first step.  The search behind them backtracks in a fixed
-order over fixed candidate lists, so the first witness found is always
-the same.  An individualization-refinement cut only drops branches that
-have no completion.  It makes regular orders, whose labels cannot tell
-elements apart, decide in milliseconds; twin candidates (the same
-elements above and below) are tried once and not refined.  Past
-`ISO_STEP_BUDGET` steps of work the search raises
-`errors.SearchBudgetExceeded`; it never returns an unproved None.
+`find_isomorphism`, behind the public `posets.iso_check`, runs a cascade,
+cheapest first: the number of comparable pairs, the sorted (elements
+below, elements above) pairs, then the neighbourhood labels (`_labels`) of
+both orders in one pass.  Most non-isomorphic pairs stop at the first
+step.  The search behind them backtracks in a fixed order over fixed
+candidate lists, so the first witness found is always the same.  An
+individualization-refinement cut only drops branches that have no
+completion.  It makes regular orders, whose labels cannot tell elements
+apart, decide in milliseconds; twin candidates (the same elements above
+and below) are tried once and not refined.  Past `ISO_STEP_BUDGET` steps
+of work the search raises `errors.SearchBudgetExceeded`; it never returns
+an unproved None.  No result path runs the search: the mediator decides
+its stages by their orders alone.
 """
 
 from __future__ import annotations
@@ -508,24 +510,12 @@ def _refine_round(pairs, labels):
 
 
 def _labels(pairs, below, above):
+    """Iso-invariant labels of an order, or of a (d, n, n) stack, from its
+    `_strict_pairs` and (below, above) counts by three `_refine_round`s."""
     labels = (below.astype(np.uint64) << np.uint64(20)) ^ above.astype(np.uint64)
     for _ in range(3):
         labels = _refine_round(pairs, labels)
     return labels.astype(np.int64)
-
-
-def invariant_labels(leq):
-    """Structure-only integer labels (degree + neighbourhood refinement).
-
-    Iso-invariant by construction: equal posets get equal label multisets,
-    and corresponding nodes of isomorphic posets get equal labels.  Used to
-    prune the backtracking search; soundness never depends on them.  Three
-    rounds of `_refine_round` start from (elements below, elements above).
-    A (d, n, n) stack of orders gets a (d, n) stack of labels in one pass,
-    each row the labels of its order alone.
-    """
-    leq = np.asarray(leq, dtype=np.bool_)
-    return _labels(_strict_pairs(leq), leq.sum(axis=-2), leq.sum(axis=-1))
 
 
 def _refine(pairs, colours):
@@ -650,7 +640,7 @@ def find_isomorphism(leq_a, leq_b):
 
     The cheapest invariants decide first: the number of comparable pairs,
     then the sorted (elements below, elements above) pairs, then the
-    sorted `invariant_labels`, computed for both orders in one pass.
+    sorted `_labels`, computed for both orders in one pass.
     Candidates are the elements with equal labels, and `_iso_search` runs
     with the refinement cut under `ISO_STEP_BUDGET` steps.  Complete (every
     cut is an iso-invariant) and sound (the final mapping is fully

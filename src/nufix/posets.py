@@ -892,6 +892,7 @@ def iso_check(p, q):
     incidence orders of C_2n and 2.C_n decide in milliseconds.  A search
     that runs out of its step budget (`kernels.ISO_STEP_BUDGET`, about four
     seconds of work) raises SearchBudgetExceeded, never an unproved None.
+    No result path calls it: `mediator.compare_stages` compares orders.
     """
     if len(p) != len(q):
         return None

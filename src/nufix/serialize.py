@@ -26,9 +26,9 @@ than pointed-strict, and a claim that the verified objects contradict: a
 row status against the row's maps, a solution's budgets against its rows'
 lengths, statuses, stage sizes and carriers, its `exact` and outer status
 against its rows, vertical ep-pairs, `z`, witness and final coalgebra, and
-a mediator report's stage comparisons and status against its two rows.
-Terminal reports record no budget, so their row lengths are not checked
-against one.
+a mediator report's stage comparisons and status against the ones
+`mediator.compare_stages` derives from its two rows.  Terminal reports
+record no budget, so their row lengths are not checked against one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .engine import SeqStatus
 from .errors import InputError
 from .functors import Backend
-from .mediator import _is_plain_iso, include
+from .mediator import _is_plain_iso, compare_stages
 from .posets import (
     EpPair,
     Iso,
@@ -460,31 +460,27 @@ def load_mediator_report(obj):
     pointed_stages, pointed_eps, _ = _seq_from_json(_get(obj, "pointed"), posets)
     plain_stages, plain_projs, _ = _seq_from_json(_get(obj, "plain"), posets,
                                                   links="projs")
-    comparisons = _get(obj, "stage_comparisons", list)
-    if len(comparisons) != min(len(pointed_stages), len(plain_stages)):
+    derived = compare_stages(pointed_stages, pointed_eps, plain_stages, plain_projs)
+    recorded = _get(obj, "stage_comparisons", list)
+    if len(recorded) != len(derived):
         raise InputError("the stage comparisons disagree with the stages both rows reach")
-    isos, agreeing = [], []
-    for k, c in enumerate(comparisons):
-        # solve_lifted's comparison of stage k, re-derived from the rows
-        agree = k == 0 or np.array_equal(pointed_eps[k - 1].p.table, plain_projs[k - 1].table)
+    for c, d in zip(recorded, derived):
         claims = [_get(c, key) for key in ("index", "size_pointed", "size_plain",
                                            "projections_agree")]
         iso = _get(c, "iso")
         if iso is not None:
             iso = _iso_from_json(iso, posets)
-            isos.append(iso)
-        if claims != [k, len(pointed_stages[k]), len(plain_stages[k]), agree] or (
-            iso is not None
-            and (iso.dom != include(pointed_stages[k]) or iso.cod != plain_stages[k])
-        ):
-            raise InputError(f"stage comparison {k} disagrees with the rows")
-        agreeing.append(iso is not None and agree)
+        if (claims != [d.index, d.size_pointed, d.size_plain, d.projections_agree]
+                or (iso is None) != (d.iso is None)
+                or iso and (iso.forward, iso.backward) != (d.iso.forward, d.iso.backward)):
+            raise InputError(f"stage comparison {d.index} disagrees with the rows")
     sweep = [
         (_get(a, "p_size"), _get(a, "q_size"), _get(a, "ok", bool))
         for a in _get(obj, "adjunction_sweep", list)
     ]
     status = _get(obj, "status", str)
-    if status != ("agree" if all(agreeing) and all(ok for *_, ok in sweep) else "disagree"):
+    if status != ("agree" if all(d.ok for d in derived) and all(ok for *_, ok in sweep)
+                  else "disagree"):
         raise InputError(f"mediator status {status!r} disagrees with its comparisons")
     return {
         "expr_pointed": _get(obj, "expr_pointed", str),
@@ -495,7 +491,7 @@ def load_mediator_report(obj):
         "pointed_eps": pointed_eps,
         "plain_stages": plain_stages,
         "plain_projs": plain_projs,
-        "stage_isos": isos,
+        "stage_isos": [d.iso for d in derived if d.iso is not None],
     }
 
 

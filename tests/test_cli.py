@@ -73,6 +73,8 @@ def test_reports_are_pinned(workdir):
          "19ffdc1678add475d2b7581f7ed978b2a6dee40f7cc4809fd408ab36156cdd83"),
         ("Us(Id)", ["terminal"], 0,
          "dfeb9399111da4df856caa74c2af132fe10ca6cb52b18e1bada4f9e95cab77a9"),
+        ("Lift((V -> Id) + W)", ["mediator", "--inner-budget", "6"], 0,
+         "f4aa042bb9413f8e0c961be9bd18a0de32518f2014001402e6a302d2bb83c2e3"),
     ]
     for k, (expr, argv, code, digest) in enumerate(cases):
         f = write(workdir / f"in{k}.expr", expr + "\n")
@@ -419,24 +421,6 @@ def test_mediator_command_and_render(workdir):
     # render from the saved report into a separate directory
     assert main(["render", "--report", out, "--out-dir", str(workdir / "dots")]) == 0
     assert (workdir / "dots" / "stage_0_1.dot").exists()
-
-
-def test_iso_search_budget_exits_one(workdir, monkeypatch, capsys):
-    # the mediator's stage pairs decide before the search; route one through
-    # the 16-element pair C_8 / 2.C_4 that the search must explore
-    from generators import cycle_incidence
-
-    from nufix import kernels
-    from nufix import mediator as M
-
-    one, two = (P.FinPoset([str(i) for i in range(16)], cycle_incidence(lengths))
-                for lengths in ([8], [4, 4]))
-    monkeypatch.setattr(kernels, "ISO_STEP_BUDGET", 1)
-    monkeypatch.setattr(M, "iso_check", lambda p, q: P.iso_check(one, two))
-    f = write(workdir / "lazy.expr", "Lift((V -> Id) + W)")
-    assert main(["mediator", "-f", f, "--inner-budget", "2"]) == 1
-    obj = json.loads(capsys.readouterr().err)
-    assert obj["error"] == "SearchBudgetExceeded"
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 bijection, and the two-backend comparison on lazy families."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from nufix import kernels
 from nufix import mediator as M
 from nufix import posets as P
+from nufix import serialize as S
 from nufix.errors import (
     DomainMismatch,
     InputError,
@@ -250,6 +252,50 @@ def test_stages_above_the_iso_cap_agree_when_their_orders_do():
     rep = M.solve_lifted("Lift(Id + Id + W)", ONE, ONE, inner_budget=8, element_cap=4096)
     assert rep.status == "agree"
     assert rep.stages[-1].size_pointed == 766 > P.DEFAULT_ISO_CAP
+
+
+@pytest.mark.parametrize("expr, budget", [("Lift((V -> Id) + W)", 6), ("Lift(Id + Id + W)", 8)])
+def test_stages_are_decided_without_the_iso_search(expr, budget, monkeypatch):
+    def search(leq_a, leq_b):
+        raise AssertionError("the mediator ran the iso search")
+
+    monkeypatch.setattr(kernels, "find_isomorphism", search)
+    rep = M.solve_lifted(expr, ONE, ONE, inner_budget=budget, element_cap=4096)
+    assert rep.status == "agree"
+    for c in rep.stages:
+        identity = np.arange(c.size_plain)
+        assert np.array_equal(c.iso.forward.table, identity)
+        assert np.array_equal(c.iso.backward.table, identity)
+
+
+def _relabelled_at(k, sequence):
+    """A double of `plain_terminal_sequence` whose stage k is relabelled by
+    reversing its indices, with the projections into and out of it
+    permuted to match: the same sequence up to an iso that is not the
+    identity."""
+
+    def relabelled(inst, inner_budget):
+        seq = sequence(inst, inner_budget)
+        old, below, above = seq.stages[k], seq.projs[k - 1], seq.projs[k]
+        perm = np.arange(len(old))[::-1]
+        inv = np.argsort(perm)
+        new = P.FinPoset([old.elements[i] for i in perm], old.leq[np.ix_(perm, perm)])
+        assert not np.array_equal(new.leq, old.leq)
+        seq.stages[k] = new
+        seq.projs[k - 1] = P.MonoMap(new, below.cod, below.table[perm])
+        seq.projs[k] = P.MonoMap(above.dom, new, inv[above.table])
+        return seq
+
+    return relabelled
+
+
+def test_a_relabelled_plain_stage_disagrees(monkeypatch):
+    monkeypatch.setattr(M, "plain_terminal_sequence", _relabelled_at(2, M.plain_terminal_sequence))
+    rep = M.solve_lifted("Lift((V -> Id) + W)", ONE, ONE, inner_budget=4)
+    assert [c.iso is None for c in rep.stages] == [False, False, True, False, False]
+    assert rep.status == "disagree"
+    loaded = S.load_mediator_report(json.loads(S.dumps(S.mediator_report_json(rep))))
+    assert loaded["status"] == "disagree" and len(loaded["stage_isos"]) == 4
 
 
 def test_adjunction_check_is_capped():

@@ -21,11 +21,12 @@ from nufix.errors import (
     ElementCapExceeded,
     EpLawViolation,
     NotPointed,
+    SearchBudgetExceeded,
     SizeCapExceeded,
 )
 from nufix.mediator import include
 
-from generators import random_order, random_poset
+from generators import cycle_incidence, random_order, random_poset
 
 
 def two_chain():
@@ -612,6 +613,18 @@ def test_iso_check_size_cap():
     assert got is not None and np.array_equal(got.forward.table, np.arange(n))
 
 
+def test_iso_check_raises_past_the_search_budget(monkeypatch):
+    # C_8 and 2.C_4 share their degrees and labels, so only the search
+    # tells them apart
+    one, two = (P.FinPoset([str(i) for i in range(16)], cycle_incidence(lengths))
+                for lengths in ([8], [4, 4]))
+    monkeypatch.setattr(kernels, "ISO_STEP_BUDGET", 1)
+    with pytest.raises(SearchBudgetExceeded):
+        P.iso_check(one, two)
+    monkeypatch.undo()
+    assert P.iso_check(one, two) is None
+
+
 def test_iso_validates_witness():
     b = P.boolean_lattice()
     with pytest.raises(EpLawViolation):
@@ -684,7 +697,8 @@ def iso_search_shapes(n):
                     leq[i, j] = True
             if not np.array_equal(kernels.transitive_closure(leq), leq):
                 continue
-            labels = tuple(sorted(kernels.invariant_labels(leq).tolist()))
+            labels = kernels._labels(kernels._strict_pairs(leq), leq.sum(-2), leq.sum(-1))
+            labels = tuple(sorted(labels.tolist()))
             same = by_labels.setdefault(labels, [])
             if any(kernels.find_isomorphism(leq, r) is not None for r in same):
                 continue

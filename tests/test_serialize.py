@@ -603,8 +603,21 @@ def test_mediator_claims_must_agree_with_the_rows(path, value):
         S.load_report(_replaced(MEDIATOR, path, value))
 
 
-def test_mediator_disagreement_without_an_iso_loads():
-    # a missing iso cannot be refuted without the search, so it may stand
+def test_mediator_disagreement_without_an_iso_is_rejected():
+    # the stage's orders are equal, so the identity refutes a missing iso
     obj = _replaced(MEDIATOR, ("stage_comparisons", 1, "iso"), None)
     obj["status"] = "disagree"
-    assert len(S.load_report(obj)["stage_isos"]) == len(MEDIATOR["stage_comparisons"]) - 1
+    with pytest.raises(InputError, match="stage comparison 1 disagrees"):
+        S.load_report(obj)
+
+
+def test_mediator_stage_witness_must_be_the_identity():
+    # [0, 2, 1] is an automorphism of stage 1, so it is an iso with the
+    # right endpoints, but it is not the witness the loader derives
+    obj = copy.deepcopy(MEDIATOR)
+    iso = obj["stage_comparisons"][1]["iso"]
+    assert iso["forward"]["table"] == iso["backward"]["table"] == [0, 1, 2]
+    iso["forward"]["table"] = iso["backward"]["table"] = [0, 2, 1]
+    S._iso_from_json(iso, S._pool_from_json(obj))  # a verified iso
+    with pytest.raises(InputError, match="stage comparison 1 disagrees"):
+        S.load_report(obj)
