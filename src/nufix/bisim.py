@@ -10,12 +10,12 @@ one.  Three equivalence notions live here:
 
 `value_bisim` and `dimmed_bisim` refine the disjoint union of the two
 systems into blocks over their index rows (`LtsSpec.rows`), after Paige &
-Tarjan's partition refinement, and expand pairs only for the `Relation`
-they return.  The matching game stays as the checker and the oracle
-(`is_game_bisim`, `quotient`, `lemma1_check`, `laws.law_bisim_refinement`):
-there relations are boolean matrices over state indices, with any leading
-batch axes, and tags appear only in `Relation` results, JSON and the order
-in which violations are reported.  The game and the lifting engine share
+Tarjan's partition refinement, and relate the states of one live block.
+The matching game stays as the checker and the oracle (`is_game_bisim`,
+`quotient`, `lemma1_check`, `laws.law_bisim_refinement`).  Every engine
+computes a boolean matrix over state indices (the game and the lifting
+with any leading batch axes); a `Relation` holds that matrix, and its tag
+pairs and JSON are views of it.  The game and the lifting engine share
 only the greatest-fixpoint loop, which drops every failing pair per round.
 The game reads only the systems' index rows; the lifting side lifts the
 relation through the functor and compares structure values by index.  So
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,87 +47,92 @@ from .posets import discrete, tag_from_json, tag_pairs_from_json, tag_sort_key, 
 
 VALUE_FAMILY = "(V -> Id) + W"
 _LEMMA1_SIZE_CAP = (3, 2)  # (states, values): lemma1_check lifts 2^(states^2) relations
+_EQUIVALENCE_ROWS = 1024  # the equivalence test's row chunk: 20 MB of temporaries at 10^4
 
 
 # --------------------------------------------------------------------------
 # relations and equivalences
 
 
-@dataclass(frozen=True)
 class Relation:
-    """A finite set of pairs between two carriers."""
+    """A relation between two carriers, held as the boolean |left| x |right|
+    matrix over their indices; the tag pairs are a view of it."""
 
-    left: tuple
-    right: tuple
-    pairs: frozenset
+    def __init__(self, left, right, pairs):
+        self.left, self.right = tuple(left), tuple(right)
+        self.matrix = _pair_matrix(self.left, self.right, pairs)
 
-    def __post_init__(self):
-        left, right = set(self.left), set(self.right)
-        for a, b in self.pairs:
-            if a not in left or b not in right:
-                raise InputError(f"pair ({a!r}, {b!r}) outside the carriers")
+    @classmethod
+    def _of(cls, left, right, m):
+        """The relation of a boolean |left| x |right| matrix, not copied."""
+        rel = cls.__new__(cls)
+        rel.left, rel.right, rel.matrix = left, right, m
+        return rel
+
+    @cached_property
+    def pairs(self):
+        i, j = np.nonzero(self.matrix)
+        return frozenset(zip(map(self.left.__getitem__, i.tolist()),
+                             map(self.right.__getitem__, j.tolist())))
 
     def __contains__(self, pair):
-        return pair in self.pairs
+        a, b = pair
+        return (a in self.left and b in self.right
+                and self.matrix[self.left.index(a), self.right.index(b)])
 
     def __len__(self):
-        return len(self.pairs)
+        return int(np.count_nonzero(self.matrix))
 
     @property
     def is_equivalence(self):
-        """Reflexive, and each pair's two ends related to the same set:
-        that gives symmetry (b ~ b, so a ~ b) and transitivity."""
-        if set(self.left) != set(self.right):
-            return False
-        image = {x: set() for x in self.left}
-        for a, b in self.pairs:
-            image[a].add(b)
-        ids = {}
-        cls = {x: ids.setdefault(frozenset(ys), len(ids)) for x, ys in image.items()}
-        return (all(x in ys for x, ys in image.items())
-                and all(cls[a] == cls[b] for a, b in self.pairs))
+        """Both carriers list the same tags, and the matrix is an equivalence."""
+        m = self.matrix
+        if self.right != self.left:
+            if set(self.right) != set(self.left):
+                return False
+            column = {y: j for j, y in enumerate(self.right)}  # the same tags in another order
+            m = m[:, [column[x] for x in self.left]]
+        return bool(_equivalence_flags(m))
+
+    def _sorted_indices(self):
+        """The related pairs' row and column indices, in their tags' order."""
+        i, j = np.nonzero(self.matrix)
+        if len(i):  # ranking sorts the carriers, which an empty relation does not need
+            rank_left = _ranks(self.left)
+            rank_right = rank_left if self.right == self.left else _ranks(self.right)
+            order = np.lexsort((rank_right[j], rank_left[i]))
+            i, j = i[order], j[order]
+        return i.tolist(), j.tolist()
 
     def sorted_pairs(self):
-        return sorted(self.pairs, key=_pair_sort_key)
+        left, right = self.left, self.right
+        return [(left[i], right[j]) for i, j in zip(*self._sorted_indices())]
 
     def to_json(self):
         return [[tag_to_json(a), tag_to_json(b)] for a, b in self.sorted_pairs()]
 
 
-def _pair_sort_key(pair):
-    return tag_sort_key(pair[0]), tag_sort_key(pair[1])
-
-
-def _matrix(left, right, pairs):
-    """The boolean |left| x |right| matrix of a set of tag pairs."""
-    li = {x: i for i, x in enumerate(left)}
-    ri = {y: j for j, y in enumerate(right)}
-    m = np.zeros((len(left), len(right)), dtype=np.bool_)
-    for a, b in pairs:
-        if a not in li or b not in ri:
-            raise InputError(f"pair ({a!r}, {b!r}) outside the carriers")
-        m[li[a], ri[b]] = True
-    return m
-
-
-def _relation(left, right, m):
-    """The `Relation` of a boolean |left| x |right| matrix."""
-    pairs = frozenset((left[i], right[j]) for i, j in np.argwhere(m).tolist())
-    return Relation(left, right, pairs)
+def _ranks(carrier):
+    """Each tag's position in `tag_sort_key` order of the carrier."""
+    return np.argsort(sorted(range(len(carrier)), key=lambda i: tag_sort_key(carrier[i])))
 
 
 def _equivalence_flags(m):
     """Which square relation matrices (any leading batch axes) are
-    equivalences: reflexive, symmetric, and with R @ R inside R."""
-    cells = (-2, -1)
-    reflexive = np.diagonal(m, axis1=-2, axis2=-1).all(axis=-1)
-    symmetric = (m == np.swapaxes(m, -2, -1)).all(axis=cells)
-    return reflexive & symmetric & ~((m @ m) & ~m).any(axis=cells)
+    equivalences, compared in row chunks: an equivalence is the kernel of
+    `rep`, each element's first related index, and every kernel is one."""
+    flags = np.ones(m.shape[:-2], dtype=np.bool_)
+    if not m.shape[-1]:
+        return flags
+    rep = m.argmax(-1)
+    for lo in range(0, m.shape[-2], _EQUIVALENCE_ROWS):
+        kernel = rep[..., lo:lo + _EQUIVALENCE_ROWS, None] == rep[..., None, :]
+        flags &= (m[..., lo:lo + _EQUIVALENCE_ROWS, :] == kernel).all(axis=(-2, -1))
+    return flags
 
 
 def relation_from_json(obj, left, right):
-    pairs = frozenset(tag_pairs_from_json(obj, "relation JSON"))
-    return Relation(tuple(left), tuple(right), pairs)
+    return Relation(left, right, tag_pairs_from_json(obj, "relation JSON"))
 
 
 @dataclass(frozen=True)
@@ -164,11 +170,13 @@ class Equivalence:
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
-        carrier = tuple(carrier)
-        rel = Relation(carrier, carrier, frozenset(pairs))
+        rel = Relation(carrier, carrier, pairs)
         if not rel.is_equivalence:
             raise NotEquivalence("pair set is not an equivalence relation")
-        return cls.from_blocks({tuple(y for y in carrier if (x, y) in rel) for x in carrier})
+        blocks = {}  # an equivalence's classes share their first related index
+        for x, first in zip(rel.left, rel.matrix.argmax(-1).tolist() if rel.left else ()):
+            blocks.setdefault(first, []).append(x)
+        return cls.from_blocks(list(blocks.values()))
 
     def carrier(self):
         return tuple(x for block in self.blocks for x in block)
@@ -182,9 +190,7 @@ class Equivalence:
         return self._block_of.get(b) is self.class_of(a)
 
     def as_pairs(self):
-        return frozenset(
-            (a, b) for block in self.blocks for a in block for b in block
-        )
+        return frozenset((a, b) for block in self.blocks for a in block for b in block)
 
     def class_tag(self, x):
         return ("cls", self.class_of(x))
@@ -259,12 +265,6 @@ class LtsSpec:
         if kind != INPUT:
             raise InputError(f"{x!r} is not an input state")
         return payload[p]
-
-    def out(self, x):
-        kind, payload = self.behaviour[x]
-        if kind != OUTPUT:
-            raise InputError(f"{x!r} is not an output state")
-        return payload
 
     def to_json(self):
         beh = {}
@@ -374,7 +374,7 @@ def _greatest_relation(left, right, failing):
     rel = np.ones((len(left), len(right)), dtype=np.bool_)
     while (drop := rel & failing(rel)).any():
         rel &= ~drop
-    return _relation(left, right, rel)
+    return Relation._of(left, right, rel)
 
 
 def _refine(rows, ties):
@@ -498,24 +498,18 @@ def _class_rows(lts, classes, offset):
 def _greatest_bisim(lts1, lts2, classes):
     """Greatest bisimulation between two systems over the same values,
     matching values within each of `classes`, by refining the disjoint
-    union of the systems (one copy when they are the same system); pairs
-    are expanded only for the `Relation`."""
+    union of the systems (one copy when they are the same system): two
+    states are related when they end in one live block."""
     n1 = len(lts1.states)
     rows, ties = _class_rows(lts1, classes, 0)
     if lts2 is not lts1:
         rows2, ties2 = _class_rows(lts2, classes, n1)
         rows, ties = rows + rows2, {**ties, **ties2}
-    sides = {}
-    for i, b in enumerate(_refine(rows, ties)):
-        if b >= 0:
-            sides.setdefault(b, ([], []))[i >= n1].append(i)
-    if lts2 is lts1:
-        left = right = lts1.states
-        pairs = ((left[i], left[j]) for xs, _ in sides.values() for i in xs for j in xs)
-    else:
-        left, right = lts1.states, lts2.states
-        pairs = ((left[i], right[j - n1]) for xs, ys in sides.values() for i in xs for j in ys)
-    return Relation(left, right, frozenset(pairs))
+    block = _refine(rows, ties)
+    b1 = np.array(block[:n1], dtype=np.intp)
+    b2 = np.array([b if b >= 0 else -2 for b in (block[n1:] if lts2 is not lts1 else block)],
+                  dtype=np.intp)  # so a dead state's -1 meets nothing: it is related to nothing
+    return Relation._of(lts1.states, lts2.states, b1[:, None] == b2)
 
 
 def value_bisim(lts1, lts2):
@@ -529,20 +523,25 @@ def dimmed_bisim(lts1, lts2, approx):
     """Greatest bisimulation matching values only up to `approx`."""
     if set(lts1.values) != set(lts2.values):
         raise ValueSetMismatch("the two systems exchange different value sets")
-    if set(approx.carrier()) != set(lts1.values):
-        raise NotEquivalence("approx must partition the value set")
+    _check_partition(approx, lts1)
     return _greatest_bisim(lts1, lts2, approx.blocks)
+
+
+def _check_partition(approx, lts):
+    if set(approx.carrier()) != set(lts.values):
+        raise NotEquivalence("approx must partition the value set")
 
 
 def is_game_bisim(lts1, lts2, pairs, approx=None):
     """Is the given pair set a (dimmed) bisimulation?  Returns the first
     violation in tag order as ((x, y), clause) or None."""
     shape, output, failing = _game(lts1, lts2, operator.eq if approx is None else approx.related)
-    rel = _matrix(lts1.states, lts2.states, pairs)
-    bad = np.argwhere(rel & failing(rel)).tolist()
-    if not bad:
+    rel = _pair_matrix(lts1.states, lts2.states, pairs)
+    bad = rel & failing(rel)
+    if not bad.any():
         return None
-    i, j = min(bad, key=lambda ij: _pair_sort_key((lts1.states[ij[0]], lts2.states[ij[1]])))
+    rows, cols = Relation._of(lts1.states, lts2.states, bad)._sorted_indices()
+    i, j = rows[0], cols[0]
     clause = ("shape-match" if shape[i, j] else
               "output-match" if output[i, j] else "input-match")
     return (lts1.states[i], lts2.states[j]), clause
@@ -560,6 +559,7 @@ def quotient(lts, relation, approx):
     indexed table (or output class) computed from any representative,
     and representative independence is re-verified.
     """
+    _check_partition(approx, lts)
     if isinstance(relation, Equivalence):
         state_eq = relation
     else:
@@ -568,8 +568,7 @@ def quotient(lts, relation, approx):
         state_eq = Equivalence.from_pairs(lts.states, relation.pairs)
     if is_game_bisim(lts, lts, state_eq.as_pairs(), approx) is not None:
         raise NotABisimulation("state relation is not a bisimulation up to approx")
-    class_values = approx.class_tags()
-    vq = discrete(sorted(class_values, key=tag_sort_key))
+    vq = discrete(sorted(approx.class_tags(), key=tag_sort_key))
     inst = instantiate(parse(VALUE_FAMILY), Backend.PLAIN, vq, vq)
     carrier = discrete(sorted(state_eq.class_tags(), key=tag_sort_key))
     structure = {}
@@ -583,8 +582,7 @@ def quotient(lts, relation, approx):
             else:
                 rows.add(("inr", approx.class_tag(payload)))
         if len(rows) != 1:
-            raise NotABisimulation(
-                f"structure of class {block!r} depends on the representative")
+            raise NotABisimulation(f"structure of class {block!r} depends on the representative")
         structure[("cls", block)] = rows.pop()
     inputs = [x for x in state_eq.carrier() if lts.kind(x) == INPUT]
     for x, cls in itertools.product(inputs, vq.elements):  # value-representative independence
@@ -645,6 +643,7 @@ def lemma1_check(lts, approx):
     max_states, max_values = _LEMMA1_SIZE_CAP
     if len(lts.states) > max_states or len(lts.values) > max_values:
         raise SizeCapExceeded("lemma1_check is exhaustive; inputs are capped")
+    _check_partition(approx, lts)
     coalg = lts_to_coalgebra(lts)
     n = len(lts.states)
     masks = np.arange(1 << (n * n))  # bit i of a mask is the pair (i // n, i % n)
@@ -653,7 +652,7 @@ def lemma1_check(lts, approx):
     is_game = ~(stack & _game(lts, lts, approx.related)[2](stack)).any(axis=(1, 2))
     is_equivalence = _equivalence_flags(stack)
     for k in np.flatnonzero((is_game != is_lifting) | is_equivalence).tolist():
-        rel = _relation(lts.states, lts.states, stack[k])
+        rel = Relation._of(lts.states, lts.states, stack[k])
         if is_game[k] != is_lifting[k]:
             return False, rel.pairs
         try:

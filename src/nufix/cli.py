@@ -26,7 +26,7 @@ from .engine import (
 )
 from .errors import InputError, NufixError
 from .functors import Backend, instantiate, parse as parse_expr
-from .posets import DEFAULT_ELEMENT_CAP, poset_from_json, tag_to_json, unit
+from .posets import DEFAULT_ELEMENT_CAP, poset_from_json, tag_pairs_from_json, tag_to_json, unit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -150,10 +150,8 @@ def _load_ltss(args, most=2):
 def _relation_check(lts1, lts2, relation_path, approx):
     if relation_path is None:
         return None
-    rel = bisim_mod.relation_from_json(
-        _read_json(relation_path), lts1.states, lts2.states
-    )
-    violation = bisim_mod.is_game_bisim(lts1, lts2, rel.pairs, approx)
+    pairs = tag_pairs_from_json(_read_json(relation_path), "relation JSON")
+    violation = bisim_mod.is_game_bisim(lts1, lts2, pairs, approx)
     if violation is None:
         return {"relation_is_bisimulation": True, "violation": None}
     (pair, clause) = violation
@@ -224,10 +222,7 @@ def cmd_lemma1(args):
         param_rel = approx.as_pairs()
         ok, counterexample = True, None
         greatest = bisim_mod.dimmed_bisim(lts1, lts1, approx)
-        for pairs in (
-            frozenset((x, x) for x in lts1.states),
-            frozenset(greatest.pairs),
-        ):
+        for pairs in (frozenset((x, x) for x in lts1.states), greatest.pairs):
             game = bisim_mod.is_game_bisim(lts1, lts1, pairs, approx) is None
             lifted = bisim_mod.is_lifting_bisim(coalg, coalg, pairs, param_rel)
             if game != lifted:

@@ -696,11 +696,14 @@ def _lift(node, fx, fy, rel, pv, pw):
 
 
 def _pair_matrix(x, y, pairs):
-    """The |x| x |y| matrix of a set of tag pairs; other pairs are ignored."""
+    """The boolean |x| x |y| matrix of a set of tag pairs between two
+    carriers, each a poset or a sequence of distinct tags."""
+    xi, yi = ({t: i for i, t in enumerate(z)} for z in (x, y))
     m = np.zeros((len(x), len(y)), dtype=np.bool_)
     for a, b in pairs:
-        if a in x and b in y:
-            m[x.index(a), y.index(b)] = True
+        if a not in xi or b not in yi:
+            raise InputError(f"pair ({a!r}, {b!r}) outside the carriers")
+        m[xi[a], yi[b]] = True
     return m
 
 

@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from nufix import bisim as B
@@ -233,9 +234,13 @@ def _related(approx):
     return operator.eq if approx is None else approx.related
 
 
+def _tag_order(pair):
+    return P.tag_sort_key(pair[0]), P.tag_sort_key(pair[1])
+
+
 def _ref_violation(lts1, lts2, pairs, approx=None):
     """First pair in tag order failing the reference game, with its clause."""
-    for x, y in sorted(pairs, key=B._pair_sort_key):
+    for x, y in sorted(pairs, key=_tag_order):
         clause = _ref_clause(lts1, lts2, x, y, pairs, _related(approx))
         if clause is not None:
             return (x, y), clause
@@ -422,6 +427,64 @@ def test_is_equivalence_matches_the_definition():
     assert any(r.is_equivalence for r in cases) and not all(r.is_equivalence for r in cases)
     for rel in cases:
         assert rel.is_equivalence == _is_equivalence_by_definition(rel), rel
+
+
+def _flags_by_definition(stack):
+    carrier = tuple("abcdefgh"[:stack.shape[-1]])
+    return [_is_equivalence_by_definition(B.Relation(carrier, carrier, [
+        (carrier[i], carrier[j]) for i, j in np.argwhere(m).tolist()])) for m in stack]
+
+
+def test_equivalence_flags_match_the_definition():
+    for n in range(4):  # every relation over at most 3 elements, as one stack
+        masks = np.arange(1 << (n * n))
+        stack = (masks[:, None] >> np.arange(n * n) & 1).astype(np.bool_).reshape(len(masks), n, n)
+        flags = B._equivalence_flags(stack)
+        assert flags.tolist() == _flags_by_definition(stack)
+        assert flags.sum() == [1, 1, 2, 5][n]  # the Bell numbers
+    rng = np.random.RandomState(5)
+    for n in range(1, 9):  # random ones of up to 8 elements, singly and stacked
+        labels = rng.randint(0, rng.randint(1, n + 1), size=(40, n))
+        stack = labels[:, :, None] == labels[:, None, :]  # equivalences,
+        for m in stack[20:30]:  # some with one cell toggled,
+            m[rng.randint(n), rng.randint(n)] ^= True
+        stack[30:] = rng.rand(10, n, n) < 0.5  # and arbitrary relations
+        want = _flags_by_definition(stack)
+        assert any(want) and not all(want)
+        assert B._equivalence_flags(stack).tolist() == want
+        for m, flag in zip(stack, want):
+            assert B._equivalence_flags(m) == flag
+
+
+def _nested_tag(rng, depth=0):
+    if depth == 2 or rng.random() < 0.4:
+        return rng.choice(["a", "b", "ab", "ba", ""])
+    return tuple(_nested_tag(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+
+
+def test_sorted_pairs_and_json_follow_the_tag_order():
+    rng = random.Random(11)
+    for _ in range(40):
+        tags = list({_nested_tag(rng) for _ in range(rng.randint(0, 12))})
+        left = tuple(rng.sample(tags, len(tags)))
+        for right in (left, tuple(rng.sample(tags, len(tags)))):
+            universe = list(itertools.product(left, right))
+            rel = B.Relation(left, right, rng.sample(universe, rng.randint(0, len(universe))))
+            want = sorted(rel.pairs, key=lambda p: (P.tag_sort_key(p[0]), P.tag_sort_key(p[1])))
+            assert rel.sorted_pairs() == want
+            assert rel.to_json() == [[P.tag_to_json(a), P.tag_to_json(b)] for a, b in want]
+
+
+def test_a_large_relation_answers_without_its_pair_view():
+    states = [f"s{i}" for i in range(10_000)]
+    lts = random_lts(random.Random(1), states, ["a", "b", "c"])
+    rel = B.value_bisim(lts, lts)
+    assert len(rel) == 5_089_504
+    assert ("s0", "s0") in rel and ("s0", "ghost") not in rel
+    assert rel.is_equivalence
+    assert "pairs" not in vars(rel)
+    rel.matrix[-1, -2] ^= True  # in the last row chunk of the equivalence test
+    assert not rel.is_equivalence
 
 
 # --------------------------------------------------------------------------

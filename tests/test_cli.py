@@ -320,12 +320,19 @@ def test_check_laws_refuses_fewer_than_one_sample(capsys, samples):
     ("dimmed", [["p", "q"], []]),
     ("quotient", [[]]),
     ("dimmed", [["p"]]),  # does not cover the values
-], ids=["dimmed-empty-block", "quotient-empty-block", "dimmed-uncovered"])
+    ("quotient", [["p", "q", "zz"]]),  # covers more than the values
+    ("quotient", [["p"], ["q"], ["zz"]]),
+    ("lemma1", [["p", "q", "zz"]]),
+    ("lemma1", [["p"], ["q"], ["zz"]]),
+], ids=["dimmed-empty-block", "quotient-empty-block", "dimmed-uncovered", "quotient-extra",
+        "quotient-extra-block", "lemma1-extra", "lemma1-extra-block"])
 def test_an_approx_that_is_no_partition_exits_one(workdir, capsys, command, approx):
     argv = [command, "--lts", write_json(workdir / "lts.json", LTS),
             "--approx", write_json(workdir / "approx.json", approx)]
     if command == "quotient":
         argv += ["--relation", write_json(workdir / "rel.json", [["x", "x"], ["y", "y"]])]
+    if command == "lemma1":
+        argv += ["--exhaustive"]
     assert main(argv + ["--out", str(workdir / "rep.json")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1

@@ -663,6 +663,17 @@ def test_lifted_related_checks_the_relation_shape():
         F.lifted_related(pointed("Id"), np.ones((3, 2), dtype=np.bool_), BOOL, BOOL)
 
 
+def test_a_pair_outside_the_carriers_is_refused():
+    inst = F.instantiate("(V -> Id) + W", F.Backend.PLAIN, BOOL, BOOL)
+    ident = {(e, e) for e in BOOL.elements}
+    with pytest.raises(InputError):
+        F.lifted_related(inst, np.eye(2, dtype=np.bool_), BOOL, BOOL, ident | {("bot", "ghost")})
+    with pytest.raises(InputError):
+        F.rel_lift(inst, ident | {("ghost", "top")}, BOOL, BOOL)
+    with pytest.raises(InputError):
+        F.rel_lift(inst, ident, BOOL, BOOL, {("top", "ghost")})
+
+
 # --------------------------------------------------------------------------
 # coalgebra validation
 
