@@ -130,7 +130,7 @@ def cmd_terminal(args):
     w = _param(constants, args.w, "--w")
     inst = instantiate(expr, Backend.POINTED_STRICT, v, w, args.element_cap)
     seq = terminal_sequence(inst, args.inner_budget)
-    obj = serialize.terminal_report_json(seq, expr_text)
+    obj = serialize.terminal_report_json(seq, expr_text, args.inner_budget)
     _emit(obj, args.out)
     if args.render:
         _emit_dots(obj, args.out)

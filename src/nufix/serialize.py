@@ -4,41 +4,59 @@ and re-validating loaders.
 `dumps` writes sorted keys with no whitespace (`","` and `":"` separators)
 and escapes non-ASCII characters, so identical reports are identical bytes.
 
-Solution, terminal and mediator reports are format 2: a top-level
-`"format": 2` beside `"kind"`, and a `"posets"` pool that every other part
-of the report refers to by index.  A pool entry is
+Solution, terminal and mediator reports are format 3: a top-level
+`"format": 3` beside `"kind"`, and a `"posets"` pool that every other part
+of the report refers to by index.  A pool entry records how its poset was
+built, and an entry's operands come before it.  A leaf (a constant, `unit`,
+a discrete carrier) is
 
     {"elements": [element tags], "covers": [[i, j], ...], "bottom": b}
 
-with the tags as nested JSON lists (`posets.tag_to_json`), the Hasse
-covers as element-index pairs (i covered by j, in row-major order) and the
-bottom's element index, or null for an unpointed poset.  Constants files
-(`--constants`, `posets.poset_from_json`) keep their own format, whose
-`"leq"` lists order pairs of element tags.
+with the tags as nested JSON lists (`posets.tag_to_json`), the Hasse covers
+as element-index pairs (i covered by j, in row-major order) and the
+bottom's element index, or null for an unpointed poset.  A constructed
+poset is
+
+    {"kind": k, "children": [pool indices], "elements": [forms], "bottom": b}
+
+with k one of `product`, `sum`, `coalesced`, `lift`, `tables` and `upsets`,
+and each element in its short form (`posets.element_forms`): its head and
+its parts' indices in the operands, never the operands' tags.  A pair is
+`[i, j]`, a sum or lift element `["inl", i]`, `["inr", j]`, `["lup", i]`,
+`["cbot"]` or `["lbot"]`, a table its row of codomain indices and an upset
+its member indices.  Tables and upsets also record `"strict"`: whether every
+table keeps the bottom, or no upset holds it.  Each stage is so written once
+however deeply its tags nest the stage below, and equal constructions share
+one entry.  Constants files (`--constants`, `posets.poset_from_json`) keep
+their own format, whose `"leq"` lists order pairs of element tags.
 
 Loading a report reconstructs every poset, ep-pair, and witness iso through
 the same validating constructors used by the engine, so a tampered or
-corrupted report fails loudly rather than round-tripping: a pool poset goes
-through the builder behind `posets.validate_poset`, and a missing field, a
-field of the wrong JSON type, an index out of range or a report in another
-format raises InputError.  So does a solution report of a backend other
-than pointed-strict, and a claim that the verified objects contradict: a
-row status against the row's maps, a solution's budgets against its rows'
-lengths, statuses, stage sizes and carriers, its `exact` and outer status
-against its rows, vertical ep-pairs, `z`, witness and final coalgebra, and
-a mediator report's stage comparisons and status against the ones
-`mediator.compare_stages` derives from its two rows.  Terminal reports
-record no budget, so their row lengths are not checked against one.
+corrupted report fails loudly rather than round-tripping: a leaf goes
+through the builder behind `posets.validate_poset`, a constructed entry
+through `posets.poset_from_forms` (its constructor's layout or the table and
+inclusion order kernels, with every row checked and nothing enumerated), and
+a missing field, a field of the wrong JSON type, an index out of range, an
+operand that is not an earlier entry or a report in another format raises
+InputError.  So does a solution report of a backend other than
+pointed-strict, a strict map that lacks or moves a bottom, and a claim
+that the verified objects contradict: a row status against the row's maps,
+a solution's or terminal report's budgets against its rows' lengths,
+statuses and stage sizes, a solution's carriers, its `exact` and outer
+status against its rows, vertical ep-pairs, `z`, witness and final
+coalgebra, and a mediator report's stage comparisons and status against the
+ones `mediator.compare_stages` derives from its two rows.  Tags stay a view
+built on the first read: writing, loading and drawing a report build none
+for a constructed poset, and `dot_bundle` labels elements by their forms
+(`posets.element_labels`).
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .engine import SeqStatus
-from .errors import InputError
+from .errors import InputError, NotPointed
 from .functors import Backend
 from .mediator import _is_plain_iso, compare_stages
 from .posets import (
@@ -47,11 +65,14 @@ from .posets import (
     MonoMap,
     _indices,
     _poset_to_index_json,
+    _strict_space,
+    element_forms,
+    poset_from_forms,
     poset_from_json,
     poset_to_dot,
 )
 
-FORMAT = 2
+FORMAT = 3
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
@@ -80,29 +101,75 @@ def _checked(obj, kind):
 
 
 class _Pool:
+    """The posets of one report, each written once and referred to by
+    index: a leaf with its tags, covers and bottom, a constructed poset as
+    its kind, its operands' indices (written first), its `element_forms`
+    and bottom, and for tables and upsets whether every element keeps the
+    bottom.  An entry is keyed by its construction, so no poset is compared
+    and no tag is built."""
+
     def __init__(self):
-        self.posets = []
-        self._index = {}
+        self.entries = []
+        self._keys = {}
+        self._refs = {}  # id(poset) -> (index, poset), which keeps the id taken
 
     def ref(self, p):
-        idx = self._index.get(p)
-        if idx is None:
-            idx = len(self.posets)
-            self.posets.append(p)
-            self._index[p] = idx
-        return idx
+        hit = self._refs.get(id(p))
+        if hit is None:
+            stack = [p]
+            while stack:  # operands before the posets built from them
+                q = stack[-1]
+                todo = [c for c in q.children if id(c) not in self._refs]
+                if todo:
+                    stack += reversed(todo)  # the first operand first
+                    continue
+                stack.pop()
+                if id(q) not in self._refs:
+                    self._refs[id(q)] = (self._add(q), q)
+            hit = self._refs[id(p)]
+        return hit[0]
 
-    def dump(self):
-        return [_poset_to_index_json(p) for p in self.posets]
+    def _add(self, p):
+        rec = p._record
+        if rec.kind is None:
+            key = (None, rec.tags, p.leq.tobytes(), p.bottom_idx)
+        else:
+            refs = [self._refs[id(c)][0] for c in p.children]
+            rows = None if rec.rows is None else rec.rows.tobytes()
+            key = (rec.kind, tuple(refs), rows, p.bottom_idx)
+        idx = self._keys.get(key)
+        if idx is None:
+            idx = self._keys[key] = len(self.entries)
+            if rec.kind is None:
+                entry = _poset_to_index_json(p)
+            else:
+                entry = {"kind": rec.kind, "children": refs,
+                         "elements": element_forms(p), "bottom": p.bottom_idx}
+                if rec.rows is not None:
+                    entry["strict"] = _strict_space(p)
+            self.entries.append(entry)
+        return idx
 
 
 def _pool_from_json(obj):
-    """The pool's posets, each rebuilt from its covers and re-validated."""
+    """The pool's posets, in order: a leaf rebuilt from its covers, a
+    constructed poset by `poset_from_forms` over earlier entries."""
     posets = []
     for entry in _get(obj, "posets", list):
-        _get(entry, "covers", list)  # the index form, not a constants file's leq
-        _get(entry, "bottom")
-        posets.append(poset_from_json(entry))
+        if isinstance(entry, dict) and "kind" in entry:
+            kind, children = entry["kind"], []
+            for ref in _get(entry, "children", list):
+                if isinstance(ref, bool) or not isinstance(ref, int) or not 0 <= ref < len(posets):
+                    raise InputError(f"operand reference {ref!r} does not name one of the "
+                                     f"{len(posets)} pool entries before it")
+                children.append(posets[ref])
+            strict = _get(entry, "strict", bool) if kind in ("tables", "upsets") else False
+            posets.append(poset_from_forms(kind, children, _get(entry, "elements", list),
+                                           _get(entry, "bottom"), strict))
+        else:
+            _get(entry, "covers", list)  # the index form, not a constants file's leq
+            _get(entry, "bottom")
+            posets.append(poset_from_json(entry))
     return posets
 
 
@@ -154,15 +221,23 @@ def _map_json(m, pool):
 
 def _map_fields(obj, posets):
     """The domain, codomain, table and strict flag of a map's JSON object,
-    the table's indices checked against the codomain."""
+    the table's indices checked against the codomain and a strict map's
+    ends for a bottom."""
     dom = _pooled(posets, _get(obj, "dom"))
     cod = _pooled(posets, _get(obj, "cod"))
     table = _indices(_get(obj, "table", list), len(cod), "a map table")
-    return dom, cod, table, _get(obj, "strict", bool)
+    strict = _get(obj, "strict", bool)
+    if strict and not (dom.is_pointed and cod.is_pointed):
+        raise InputError("a strict map needs a pointed domain and codomain")
+    return dom, cod, table, strict
 
 
 def _map_from_json(obj, posets):
-    return MonoMap(*_map_fields(obj, posets))
+    fields = _map_fields(obj, posets)
+    try:
+        return MonoMap(*fields)
+    except NotPointed as exc:  # the ends are pointed, so the table drops the bottom
+        raise InputError(f"a strict map does not keep the bottom ({exc})") from exc
 
 
 def _ep_json(ep, pool):
@@ -174,9 +249,12 @@ def _ep_from_json(obj, posets):
     flags by `EpPair.from_tables` when the maps' endpoints agree."""
     x, y, e, se = _map_fields(_get(obj, "e"), posets)
     y2, x2, p, sp = _map_fields(_get(obj, "p"), posets)
-    if x2 != x or y2 != y:
-        return EpPair(MonoMap(x, y, e, se), MonoMap(y2, x2, p, sp))
-    return EpPair.from_tables(x, y, e, p, (se, sp))
+    try:
+        if x2 != x or y2 != y:
+            return EpPair(MonoMap(x, y, e, se), MonoMap(y2, x2, p, sp))
+        return EpPair.from_tables(x, y, e, p, (se, sp))
+    except NotPointed as exc:  # the ends are pointed, so a table drops the bottom
+        raise InputError(f"a strict map does not keep the bottom ({exc})") from exc
 
 
 def _iso_json(iso, pool):
@@ -273,7 +351,7 @@ def solution_report_json(rep):
             if rep.final.inverse is not None
             else None,
         }
-    obj["posets"] = pool.dump()
+    obj["posets"] = pool.entries
     return obj
 
 
@@ -329,19 +407,41 @@ def load_solution_report(obj):
     }
 
 
-def _check_budgets(budgets, status, params, rows):
-    """The recorded budgets against the rows they bound.  Row n unfolds at
-    most `inner` steps: a `budget` truncation took all of them (inner + 1
-    stages), an `element-cap` one stopped before the last, and a row that
-    stabilized (at an ep below `inner`) is unfolded by the outer iteration
-    to at most inner + 1 stages.  No stage exceeds `element_cap`.  There are
-    at most `outer` rows, exactly `outer` for an `outer-budget` truncation
-    (the other reason is `vertical-ep-unavailable`), and parameter n + 1 is
-    row n's carrier: the stage it stabilized at, or its last."""
-    inner, outer, cap = (_get(budgets, key) for key in ("inner", "outer", "element_cap"))
-    for key, value in (("inner", inner), ("outer", outer), ("element_cap", cap)):
+def _budget_values(budgets, keys):
+    """The recorded budgets named by `keys`, each an int of at least 1."""
+    values = [_get(budgets, key) for key in keys]
+    for key, value in zip(keys, values):
         if type(value) is not int or value < 1:
             raise InputError(f"budget {key!r} must be an int of at least 1, found {value!r}")
+    return values
+
+
+def _check_row_budgets(name, stages, status, inner, cap):
+    """A row unfolds at most `inner` steps: a `budget` truncation took all
+    of them (inner + 1 stages), an `element-cap` one stopped before the
+    last, and a row that stabilized (at an ep below `inner`) has at most
+    inner + 1 stages, the outer iteration's unfolding past its fixed point
+    included.  No stage exceeds `cap`."""
+    if status.stabilized:  # at < len(stages) - 1, so at < inner too
+        ok = len(stages) <= inner + 1
+    elif status.reason == "budget":
+        ok = len(stages) == inner + 1
+    else:
+        ok = status.reason == "element-cap" and len(stages) <= inner
+    if not ok:
+        raise InputError(f"{name}: {len(stages)} stages and status "
+                         f"{status.describe()} disagree with inner budget {inner}")
+    if max(len(s) for s in stages) > cap:
+        raise InputError(f"{name} has a stage larger than element cap {cap}")
+
+
+def _check_budgets(budgets, status, params, rows):
+    """The recorded budgets against the rows they bound: each row as
+    `_check_row_budgets` checks it.  There are at most `outer` rows, exactly
+    `outer` for an `outer-budget` truncation (the other reason is
+    `vertical-ep-unavailable`), and parameter n + 1 is row n's carrier: the
+    stage it stabilized at, or its last."""
+    inner, outer, cap = _budget_values(budgets, ("inner", "outer", "element_cap"))
     if len(params) != len(rows) + 1:
         raise InputError("a solution report has one parameter more than rows")
     if status.stabilized:
@@ -354,17 +454,7 @@ def _check_budgets(budgets, status, params, rows):
         raise InputError(f"{len(rows)} rows disagree with outer status "
                          f"{status.describe()} at outer budget {outer}")
     for n, (stages, _, row_status) in enumerate(rows):
-        if row_status.stabilized:  # at < len(stages) - 1, so at < inner too
-            ok = len(stages) <= inner + 1
-        elif row_status.reason == "budget":
-            ok = len(stages) == inner + 1
-        else:
-            ok = row_status.reason == "element-cap" and len(stages) <= inner
-        if not ok:
-            raise InputError(f"row {n}: {len(stages)} stages and status "
-                             f"{row_status.describe()} disagree with inner budget {inner}")
-        if max(len(s) for s in stages) > cap:
-            raise InputError(f"row {n} has a stage larger than element cap {cap}")
+        _check_row_budgets(f"row {n}", stages, row_status, inner, cap)
         carrier = stages[row_status.at] if row_status.stabilized else stages[-1]
         if params[n + 1] != carrier:
             raise InputError(f"parameter {n + 1} is not row {n}'s carrier")
@@ -397,14 +487,17 @@ def _check_solved(status, params, rows, vertical, z, witness, final):
 # terminal-sequence reports
 
 
-def terminal_report_json(seq, expr_text):
+def terminal_report_json(seq, expr_text, inner_budget):
+    """The report of `seq`, unfolded under `inner_budget` at its instance's
+    element cap."""
     pool = _Pool()
     obj = {
         "kind": "terminal-report",
         "format": FORMAT,
         "expr": expr_text,
+        "budgets": {"inner": inner_budget, "element_cap": seq.inst.element_cap},
         "row": _seq_json(seq, pool),
-        "posets": pool.dump(),
+        "posets": pool.entries,
     }
     return obj
 
@@ -413,8 +506,12 @@ def load_terminal_report(obj):
     _checked(obj, "terminal-report")
     posets = _pool_from_json(obj)
     stages, eps, status = _seq_from_json(_get(obj, "row"), posets)
+    budgets = _get(obj, "budgets", dict)
+    _check_row_budgets("the row", stages, status,
+                       *_budget_values(budgets, ("inner", "element_cap")))
     return {
         "expr": _get(obj, "expr", str),
+        "budgets": budgets,
         "status": status,
         "stages": stages,
         "eps": eps,
@@ -450,7 +547,7 @@ def mediator_report_json(rep):
         ],
         "posets": None,
     }
-    obj["posets"] = pool.dump()
+    obj["posets"] = pool.entries
     return obj
 
 

@@ -66,15 +66,15 @@ def test_reports_are_pinned(workdir):
     )
     cases = [
         (DET, ["solve", "--element-cap", "512"], 0,
-         "154305963c938731877e03163fa1c07226db3bd582f6b7bc125780172321ba26"),
+         "442d715a7257ec8547aa516904f601d7e8f1dd3c30e2ef69d7fa5ec797fe5463"),
         (DET + " + A", ["solve", "--element-cap", "512", "--constants", consts], 2,
-         "0a824daa4b2810620c2a8d41f91784eb44cf93c92b9576c007fde5bdcf8af36b"),
+         "e02d89ec5db1fba73ab0593d06b7b29bf946e820f8fd5a026a0f31b30a23d458"),
         ("U(Id)", ["terminal", "--inner-budget", "5", "--element-cap", "4096"], 2,
-         "19ffdc1678add475d2b7581f7ed978b2a6dee40f7cc4809fd408ab36156cdd83"),
+         "4441b9972bf7dbb92de4ea009b09b87c1ea33a812ec176012c208414ac17d793"),
         ("Us(Id)", ["terminal"], 0,
-         "dfeb9399111da4df856caa74c2af132fe10ca6cb52b18e1bada4f9e95cab77a9"),
+         "839e439ccf72ccedbf096c7de42c5b48dbb352878dcc4b772ddee5cb45a70139"),
         ("Lift((V -> Id) + W)", ["mediator", "--inner-budget", "6"], 0,
-         "f4aa042bb9413f8e0c961be9bd18a0de32518f2014001402e6a302d2bb83c2e3"),
+         "ffe131e470c0957cff49d751e7247f69948a8abcf348a2931591cc5e40ad91b6"),
     ]
     for k, (expr, argv, code, digest) in enumerate(cases):
         f = write(workdir / f"in{k}.expr", expr + "\n")
@@ -92,9 +92,9 @@ def test_larger_solve_reports_are_pinned(workdir):
     )
     cases = [
         (DET + " + A", "4096", 2,
-         "27238da190a4d9fb3a8c74beb423ba8794e82e550392ba67df30cb0d97a801f5"),
+         "d0b0fb4529668adaf9eb52688c11b5a1b52133e61a38105c6a3972dfc88d8c03"),
         ("Us(C * W * Id + C * (V -> Id) + Id)", "1024", 2,
-         "459b230acae3df28618cb6a9ca2b5bea3e8fa34d2273969283c789e5ccd2ad42"),
+         "d88f3d9f57cf1280f8c13ad309682fa8c2eb9ca56d4701bd3d3ec1eaa78055d4"),
     ]
     for k, (expr, cap, code, digest) in enumerate(cases):
         f = write(workdir / f"in{k}.expr", expr + "\n")
@@ -106,13 +106,31 @@ def test_larger_solve_reports_are_pinned(workdir):
 
 def test_deep_tag_report_stays_small(workdir):
     # U(Id) nests every element of stage k in the tags of stage k + 1; the
-    # pool writes each tag tree once and the covers as index pairs
+    # pool writes each stage once, its upsets as member indices of the last
     f = write(workdir / "u.expr", "U(Id)\n")
     out = workdir / "u.json"
     argv = ["terminal", "-f", f, "--inner-budget", "7", "--element-cap", "4096"]
     assert main(argv + ["--out", str(out)]) == 2
     assert out.stat().st_size < 150_000
     assert main(["render", "--report", str(out), "--out-dir", str(workdir / "dots")]) == 0
+
+
+def test_deep_tag_reports_grow_with_the_stages_not_the_tags(workdir):
+    # the tag trees grow about 7x a stage (0.49 MB at budget 8 in format 2);
+    # format 3 writes stage k's k + 1 upsets of at most k members each, so
+    # the report grows with the cube of the budget, not exponentially
+    f = write(workdir / "u.expr", "U(Id)\n")
+    sizes = {}
+    for budget in (8, 16, 40):
+        out = workdir / f"u{budget}.json"
+        argv = ["terminal", "-f", f, "--inner-budget", str(budget), "--element-cap", "4096"]
+        assert main(argv + ["--out", str(out)]) == 2
+        sizes[budget] = out.stat().st_size
+    assert sizes[8] < 5_000 and sizes[40] < 100_000
+    assert sizes[40] / sizes[16] < (41 / 17) ** 3
+    dots = workdir / "dots"
+    assert main(["render", "--report", str(workdir / "u40.json"), "--out-dir", str(dots)]) == 0
+    assert len(list(dots.iterdir())) == 41
 
 
 def test_missing_file_exit_one(workdir, capsys):

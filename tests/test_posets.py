@@ -954,3 +954,21 @@ def test_equal_operands_hit_the_memos_without_building_tags(monkeypatch):
     # state, so the sum is enumerated once, and no tag tree is read to see it
     assert [len(inst.on_object(P.chain(k))) for k in (1, 2, 3)] == [2, 2, 2]
     assert sums == [1] and not built
+
+
+def test_element_forms_rebuild_every_construction():
+    # bottoms off index 0 too: the relabelled 3-chain has its bottom at 2
+    low = P.FinPoset(["x", "y", "z"], np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], bool), 2)
+    a, b = P.lift(P.chain(2)), P.boolean_lattice()
+    made = [P.product(a, b), P.product(low, P.discrete(["u", "v"])),
+            P.separated_sum(a, P.discrete(["u"])), P.coalesced_sum(low, b),
+            P.coalesced_sum(a, b), P.lift(b), P.fun_space(low, b), P.strict_fun_space(low, a),
+            P.upsets(low), P.strict_upsets(low), include(P.lift(b)),
+            P.with_declared_bottom(P.separated_sum(P.empty_poset(), a))]
+    for p in made:
+        strict = p.rows is not None and P._strict_space(p)
+        q = P.poset_from_forms(p._record.kind, p.children, P.element_forms(p), p.bottom_idx,
+                               strict)
+        assert np.array_equal(q.leq, p.leq) and q.bottom_idx == p.bottom_idx
+        assert q.elements == p.elements and len(P.element_labels(q)) == len(p)
+    assert [P._strict_space(p) for p in made[6:10]] == [False, True, False, True]

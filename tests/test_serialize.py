@@ -4,6 +4,7 @@ constructors, and tampering is caught."""
 import copy
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ def test_tampered_ep_table_is_rejected():
 def test_tampered_ep_that_stays_monotone_breaks_the_ep_law():
     obj = _report_json(atom_report())
     ep = obj["vertical_eps"][1]
-    x = P.poset_from_json(obj["posets"][ep["e"]["dom"]])
-    y = P.poset_from_json(obj["posets"][ep["e"]["cod"]])
+    pool = S._pool_from_json(obj)
+    x, y = pool[ep["e"]["dom"]], pool[ep["e"]["cod"]]
     e, p = ep["e"]["table"], ep["p"]["table"]
     # send one more element to the top of x: an element of y other than the
     # bottom whose only strict upper bound is e(top), so p stays monotone
@@ -95,8 +96,7 @@ def _report_json(rep):
     return json.loads(S.dumps(S.solution_report_json(rep)))
 
 
-def _drop_last_stage(obj, n):
-    row = obj["rows"][n]
+def _drop_last_stage(row):
     for key in ("stages", "sizes", "eps"):
         row[key] = row[key][:-1]
 
@@ -105,7 +105,7 @@ BUDGET_TAMPERS = {
     "inner 4 -> 7": (lambda o: o["budgets"].update(inner=7), "inner budget 7"),
     "outer 3 -> 2": (lambda o: o["budgets"].update(outer=2), "outer budget 2"),
     "cap 512 -> 9": (lambda o: o["budgets"].update(element_cap=9), "element cap 9"),
-    "budget row short": (lambda o: _drop_last_stage(o, 1), "inner budget 4"),
+    "budget row short": (lambda o: _drop_last_stage(o["rows"][1]), "inner budget 4"),
     "wrong carrier": (lambda o: o["params"].__setitem__(1, o["params"][2]), "carrier"),
 }
 
@@ -241,7 +241,7 @@ def test_render_reports_a_bad_pool_reference(det_text, tmp_path, capsys):
 
 def terminal_report():
     inst = instantiate("U(Id)", Backend.POINTED_STRICT, P.unit(), P.unit())
-    return S.terminal_report_json(E.terminal_sequence(inst, inner_budget=4), "U(Id)")
+    return S.terminal_report_json(E.terminal_sequence(inst, inner_budget=4), "U(Id)", 4)
 
 
 def test_terminal_report_roundtrip():
@@ -286,7 +286,7 @@ def test_mediator_report_with_swapped_stages_is_rejected(row):
     obj = mediator_report()
     stages = obj[row]["stages"]
     stages[1], stages[2] = stages[2], stages[1]
-    obj[row]["sizes"] = [len(P.poset_from_json(obj["posets"][i])) for i in stages]
+    obj[row]["sizes"] = [len(obj["posets"][i]["elements"]) for i in stages]
     with pytest.raises(InputError):
         S.load_mediator_report(obj)
 
@@ -315,7 +315,7 @@ def test_dumps_is_deterministic():
 
 
 # --------------------------------------------------------------------------
-# format 2: the pool, the format field and required fields
+# format 3: the pool, the format field and required fields
 
 
 def _reports():
@@ -330,31 +330,62 @@ def _reports():
 
 REPORTS = _reports()
 
+# a terminal report over leaf parameters with covers: V is the chain b < a,
+# W the two-point lattice; stage 2 holds the strict tables [0, 0] and [0, 1]
+CHAIN_V = P.validate_poset(["b", "a"], [("b", "a")], "b")
+SMALL_SEQ = E.terminal_sequence(
+    instantiate("(V -!> Id) + W", Backend.POINTED_STRICT, CHAIN_V, P.boolean_lattice()), 4)
+SMALL = json.loads(S.dumps(S.terminal_report_json(SMALL_SEQ, "(V -!> Id) + W", 4)))
+
 
 def _covered_entry(obj):
-    """Index of the first pool poset with a cover."""
-    return next(i for i, p in enumerate(obj["posets"]) if p["covers"])
+    """Index of the first pool poset with a cover: a leaf."""
+    return next(i for i, p in enumerate(obj["posets"]) if p.get("covers"))
+
+
+def _entry(obj, kind, size=None):
+    """Index of the first pool entry of `kind` (with `size` elements)."""
+    return next(i for i, p in enumerate(obj["posets"]) if p.get("kind") == kind
+                and size in (None, len(p["elements"])))
 
 
 def test_pool_entries_hold_covers_by_index():
-    inst = instantiate("U(Id)", Backend.POINTED_STRICT, P.unit(), P.unit())
-    seq = E.terminal_sequence(inst, inner_budget=4)
-    obj = json.loads(S.dumps(S.terminal_report_json(seq, "U(Id)")))
-    assert obj["format"] == 2
-    for ref, stage in zip(obj["row"]["stages"], seq.stages):
-        assert obj["posets"][ref] == {
-            "elements": [P.tag_to_json(e) for e in stage.elements],
-            "covers": P._covers(stage),
-            "bottom": stage.bottom_idx,
-        }
-    assert obj["posets"][obj["row"]["stages"][-1]]["covers"]
-    assert S.load_report(obj)["stages"] == seq.stages
+    # a leaf keeps its tags and covers; a constructed poset is its kind,
+    # its operands' pool indices, its elements by index and its bottom
+    obj = SMALL
+    assert obj["format"] == 3
+    leaves = [p for p in obj["posets"] if "covers" in p]
+    assert leaves == [
+        {"elements": ["*"], "covers": [], "bottom": 0},
+        {"elements": ["b", "a"], "covers": [[0, 1]], "bottom": 0},
+        {"elements": ["bot", "top"], "covers": [[0, 1]], "bottom": 0},
+    ]
+    stage2 = obj["posets"][obj["row"]["stages"][2]]
+    tables = obj["posets"][stage2["children"][0]]
+    assert tables == {"kind": "tables", "children": [1, obj["row"]["stages"][1]],
+                      "elements": [[0, 0], [0, 1]], "bottom": 0, "strict": True}
+    assert stage2 == {"kind": "coalesced", "children": [stage2["children"][0], 3],
+                      "elements": [["cbot"], ["inl", 1], ["inr", 1]], "bottom": 0}
+    for k, p in enumerate(obj["posets"]):
+        assert all(ref < k for ref in p.get("children", ()))
+    assert S.load_report(obj)["stages"] == SMALL_SEQ.stages
+
+
+def test_uid_entries_are_upsets_of_the_stage_below():
+    obj = REPORTS["terminal"]
+    refs = obj["row"]["stages"]
+    assert [obj["posets"][r] for r in refs[2:4]] == [
+        {"kind": "upsets", "children": [refs[1]], "elements": [[], [1], [0, 1]],
+         "bottom": 0, "strict": False},
+        {"kind": "upsets", "children": [refs[2]], "elements": [[], [2], [1, 2], [0, 1, 2]],
+         "bottom": 0, "strict": False},
+    ]
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_REFS))
 @pytest.mark.parametrize("end", [0, 1])
 def test_bad_cover_index_is_rejected(bad, end):
-    obj = copy.deepcopy(REPORTS["terminal"])
+    obj = copy.deepcopy(SMALL)
     entry = obj["posets"][_covered_entry(obj)]
     entry["covers"][0][end] = BAD_REFS[bad](len(entry["elements"]))
     with pytest.raises(InputError, match="order pairs must be element indices"):
@@ -363,7 +394,7 @@ def test_bad_cover_index_is_rejected(bad, end):
 
 @pytest.mark.parametrize("covers", [[[0]], [[0, 1, 1]], [0], {"0": 1}, "01", 3])
 def test_malformed_covers_are_rejected(covers):
-    obj = copy.deepcopy(REPORTS["terminal"])
+    obj = copy.deepcopy(SMALL)
     obj["posets"][_covered_entry(obj)]["covers"] = covers
     with pytest.raises(InputError):
         S.load_report(obj)
@@ -371,7 +402,7 @@ def test_malformed_covers_are_rejected(covers):
 
 @pytest.mark.parametrize("bad", sorted(BAD_REFS))
 def test_bad_bottom_index_is_rejected(bad):
-    obj = copy.deepcopy(REPORTS["terminal"])
+    obj = copy.deepcopy(SMALL)
     entry = obj["posets"][_covered_entry(obj)]
     entry["bottom"] = BAD_REFS[bad](len(entry["elements"]))
     with pytest.raises(InputError, match="bottom must be element indices"):
@@ -379,7 +410,7 @@ def test_bad_bottom_index_is_rejected(bad):
 
 
 def test_bottom_that_is_not_least_is_rejected():
-    obj = copy.deepcopy(REPORTS["terminal"])
+    obj = copy.deepcopy(SMALL)
     entry = obj["posets"][_covered_entry(obj)]
     entry["bottom"] = entry["covers"][0][1]
     with pytest.raises(BottomNotLeast):
@@ -387,15 +418,123 @@ def test_bottom_that_is_not_least_is_rejected():
 
 
 def test_cyclic_covers_are_rejected():
-    obj = copy.deepcopy(REPORTS["terminal"])
+    obj = copy.deepcopy(SMALL)
     entry = obj["posets"][_covered_entry(obj)]
     entry["covers"].append(entry["covers"][0][::-1])
     with pytest.raises(CycleDetected):
         S.load_report(obj)
 
 
+def _tampered(obj, change):
+    obj = copy.deepcopy(obj)
+    change(obj["posets"])
+    return obj
+
+
+# each fault in a constructed entry, as a change to the SMALL report's pool:
+# TABLES is stage 2's tables [[0, 0], [0, 1]] from V (b < a, entry 1), and
+# the entry after it stage 2, their coalesced sum with W
+TABLES = _entry(SMALL, "tables", 2)
+FORM_TAMPERS = {
+    "operand-forward": (lambda ps: ps[TABLES]["children"].__setitem__(1, TABLES),
+                        "operand reference"),
+    "operand-past-the-end": (lambda ps: ps[TABLES]["children"].__setitem__(1, len(ps)),
+                             "operand reference"),
+    "operand-negative": (lambda ps: ps[TABLES]["children"].__setitem__(1, -1),
+                         "operand reference"),
+    "operand-bool": (lambda ps: ps[TABLES]["children"].__setitem__(0, True),
+                     "operand reference"),
+    "operand-missing": (lambda ps: ps[TABLES]["children"].pop(), "2 operands, not 1"),
+    "children-missing": (lambda ps: ps[TABLES].pop("children"), "'children' is missing"),
+    "elements-missing": (lambda ps: ps[TABLES].pop("elements"), "'elements' is missing"),
+    "bottom-missing": (lambda ps: ps[TABLES].pop("bottom"), "'bottom' is missing"),
+    "strict-missing": (lambda ps: ps[TABLES].pop("strict"), "'strict' is missing"),
+    "unknown-kind": (lambda ps: ps[TABLES].update(kind="graph"), "unknown construction kind"),
+    "kind-list": (lambda ps: ps[TABLES].update(kind=["tables"]), "unknown construction kind"),
+    "row-out-of-range": (lambda ps: ps[TABLES]["elements"][1].__setitem__(1, 2),
+                         "element indices below 2"),
+    "row-negative": (lambda ps: ps[TABLES]["elements"][1].__setitem__(1, -1),
+                     "element indices below 2"),
+    "row-bool": (lambda ps: ps[TABLES]["elements"][1].__setitem__(1, True),
+                 "element indices below 2"),
+    "row-too-short": (lambda ps: ps[TABLES]["elements"][1].pop(), "lists of 2 element"),
+    "duplicate-rows": (lambda ps: ps[TABLES]["elements"].__setitem__(1, [0, 0]), "twice"),
+    "not-monotone": (lambda ps: ps[TABLES]["elements"].__setitem__(1, [1, 0]),
+                     "not monotone"),
+    "not-strict": (lambda ps: ps[TABLES]["elements"].__setitem__(1, [1, 1]),
+                   "strict table"),
+    "strict-not-a-bool": (lambda ps: ps[TABLES].update(strict=1), "'strict'"),
+    "fewer-elements": (lambda ps: ps[TABLES + 1]["elements"].pop(), "has 3 elements, not 2"),
+    "more-elements": (lambda ps: ps[TABLES + 1]["elements"].append(["inr", 0]),
+                      "has 3 elements, not 4"),
+    "elements-out-of-order": (lambda ps: ps[TABLES + 1]["elements"].reverse(), "layout"),
+    "element-head": (lambda ps: ps[TABLES + 1]["elements"][1].__setitem__(0, "inr"),
+                     "layout"),
+    "bottom-not-least": (lambda ps: ps[TABLES + 1].update(bottom=1),
+                         "bottom 1 is not below every element"),
+    "bottom-past-the-end": (lambda ps: ps[TABLES + 1].update(bottom=3),
+                            "bottom must be element indices"),
+    "unpointed-summand": (lambda ps: ps[TABLES].update(bottom=None),
+                          "coalesced sum needs pointed summands"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(FORM_TAMPERS))
+def test_each_construction_field_is_checked(tamper):
+    assert SMALL["posets"][TABLES]["children"] == [1, TABLES - 1]
+    assert SMALL["posets"][TABLES + 1]["kind"] == "coalesced"
+    S.load_report(SMALL)
+    change, message = FORM_TAMPERS[tamper]
+    with pytest.raises(InputError, match=message):
+        S.load_report(_tampered(SMALL, change))
+
+
+UPSET_TAMPERS = {
+    "not-up-closed": (lambda ps, i: ps[i]["elements"].__setitem__(1, [0]), "up-closed"),
+    "member-twice": (lambda ps, i: ps[i]["elements"].__setitem__(1, [1, 1]), "twice"),
+    "member-out-of-range": (lambda ps, i: ps[i]["elements"].__setitem__(1, [2]),
+                            "indices below 2"),
+    "duplicate-upsets": (lambda ps, i: ps[i]["elements"].__setitem__(1, [0, 1]), "twice"),
+    "member-not-an-index": (lambda ps, i: ps[i]["elements"].__setitem__(1, 1), "lists"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(UPSET_TAMPERS))
+def test_each_upset_field_is_checked(tamper):
+    obj = REPORTS["terminal"]  # stage 2: the upsets [], [1], [0, 1] of a 2-chain
+    stage2 = obj["row"]["stages"][2]
+    change, message = UPSET_TAMPERS[tamper]
+    with pytest.raises(InputError, match=message):
+        S.load_report(_tampered(obj, lambda ps: change(ps, stage2)))
+
+
+def test_a_strict_upset_must_not_hold_the_bottom():
+    obj = stabilizing_report("Us(Id)")
+    stage1 = obj["posets"][obj["row"]["stages"][1]]
+    assert stage1 == {"kind": "upsets", "children": [0], "elements": [[]], "bottom": 0,
+                      "strict": True}
+    S.load_report(obj)
+    with pytest.raises(InputError, match="strict upset holds the bottom"):
+        S.load_report(_tampered(obj, lambda ps: ps[1].update(elements=[[0]])))
+
+
+def test_render_of_a_format_2_report_asks_for_a_rerun(tmp_path, capsys):
+    # the Us(Id) terminal report as format 2 wrote it
+    report = tmp_path / "old.json"
+    report.write_text(
+        '{"expr":"Us(Id)","format":2,"kind":"terminal-report","posets":[{"bottom":0,'
+        '"covers":[],"elements":["*"]},{"bottom":0,"covers":[],"elements":[["upset",[]]]}],'
+        '"row":{"eps":[{"e":{"cod":1,"dom":0,"strict":true,"table":[0]},"p":{"cod":0,'
+        '"dom":1,"strict":true,"table":[0]}}],"sizes":[1,1],"stages":[0,1],"status":'
+        '{"at":0,"reason":null,"state":"stabilized"}}}\n')
+    assert cli.main(["render", "--report", str(report), "--out-dir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InputError", "message": "report format 2 is not readable: this "
+                   "version reads format 3; rerun the command to rewrite it"}
+
+
 @pytest.mark.parametrize("kind", sorted(REPORTS))
-@pytest.mark.parametrize("fmt", [None, 1, 3, "2", 2.0, True])
+@pytest.mark.parametrize("fmt", [None, 1, 2, "3", 2.0, 3.0, True])
 def test_other_formats_are_rejected(kind, fmt):
     obj = copy.deepcopy(REPORTS[kind])
     if fmt is None:
@@ -501,7 +640,8 @@ def test_stabilized_at_a_non_iso_is_rejected():
 
 def stabilizing_report(expr):
     inst = instantiate(expr, Backend.POINTED_STRICT, P.unit(), P.unit())
-    return json.loads(S.dumps(S.terminal_report_json(E.terminal_sequence(inst), expr)))
+    seq = E.terminal_sequence(inst, E.DEFAULT_INNER_BUDGET)
+    return json.loads(S.dumps(S.terminal_report_json(seq, expr, E.DEFAULT_INNER_BUDGET)))
 
 
 @pytest.mark.parametrize("at", [-1, 0, 2, True])
@@ -621,3 +761,153 @@ def test_mediator_stage_witness_must_be_the_identity():
     S._iso_from_json(iso, S._pool_from_json(obj))  # a verified iso
     with pytest.raises(InputError, match="stage comparison 1 disagrees"):
         S.load_report(obj)
+
+
+# --------------------------------------------------------------------------
+# terminal budgets, and tampers that once escaped as other errors
+
+
+TERMINAL_BUDGET_TAMPERS = {
+    "row short": (lambda o: _drop_last_stage(o["row"]), "inner budget 4"),
+    "inner 4 -> 5": (lambda o: o["budgets"].update(inner=5), "inner budget 5"),
+    "inner 4 -> 3": (lambda o: o["budgets"].update(inner=3), "inner budget 3"),
+    "cap 512 -> 4": (lambda o: o["budgets"].update(element_cap=4), "element cap 4"),
+    "inner 0": (lambda o: o["budgets"].update(inner=0), "budget 'inner'"),
+    "cap missing": (lambda o: o["budgets"].pop("element_cap"), "'element_cap' is missing"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TERMINAL_BUDGET_TAMPERS))
+def test_terminal_report_budgets_must_bound_the_row(tamper):
+    obj = copy.deepcopy(REPORTS["terminal"])  # U(Id) truncated at inner budget 4
+    assert obj["budgets"] == {"inner": 4, "element_cap": 512}
+    assert obj["row"]["status"]["reason"] == "budget" and obj["row"]["sizes"] == [1, 2, 3, 4, 5]
+    assert S.load_report(obj)["budgets"] == obj["budgets"]
+    change, message = TERMINAL_BUDGET_TAMPERS[tamper]
+    change(obj)
+    with pytest.raises(InputError, match=message):
+        S.load_report(obj)
+
+
+def test_a_strict_witness_between_plain_stages_is_an_input_error():
+    obj = copy.deepcopy(MEDIATOR)
+    obj["stage_comparisons"][1]["iso"]["forward"]["strict"] = True
+    with pytest.raises(InputError, match="strict map needs a pointed domain and codomain"):
+        S.load_report(obj)
+
+
+@pytest.mark.parametrize("path", [("row", "eps", 1, "e"), ("row", "eps", 1, "p")])
+def test_a_strict_map_that_drops_the_bottom_is_an_input_error(path):
+    # [1, 2] and [1, 1, 1] are monotone but move the bottom, which the
+    # strict flag forbids
+    obj = copy.deepcopy(REPORTS["terminal"])
+    table = _at(obj, path)["table"]
+    _at(obj, path)["table"] = [1] * len(table) if path[-1] == "p" else [1, 2]
+    with pytest.raises(InputError, match="does not keep the bottom"):
+        S.load_report(obj)
+
+
+def test_a_pointed_stage_without_its_bottom_is_an_input_error():
+    obj = copy.deepcopy(MEDIATOR)
+    entry = obj["posets"][obj["pointed"]["stages"][1]]
+    assert entry["bottom"] == 0
+    entry["bottom"] = None
+    with pytest.raises(InputError, match="strict map needs a pointed domain and codomain"):
+        S.load_report(obj)
+
+
+# --------------------------------------------------------------------------
+# round trips: the engine's stages come back, and no tag tree is built
+
+STABILIZING = ("Us(Id)", "(V -!> Id) + W", "Lift(W)", "(V -!> Id) + W + Us(Id)",
+               "(V -!> Id) + W + Lift(W)", "Us(Id * Id)")
+FLAT2 = P.validate_poset(["b", "a"], [("b", "a")], "b")
+
+
+def _engine_run(name):
+    """A report writer and the engine's stages, row by row, for `name`."""
+    one = P.unit()
+    if name in STABILIZING:
+        seq = E.terminal_sequence(instantiate(name, Backend.POINTED_STRICT, one, one, 4096), 8)
+        return lambda: S.terminal_report_json(seq, name, 8), [seq.stages]
+    if name == "mediator":
+        rep = M.solve_lifted("Lift((V -> Id) + W)", one, one, inner_budget=6)
+        return (lambda: S.mediator_report_json(rep),
+                [rep.pointed_seq.stages, rep.plain_seq.stages])
+    if name == "atom":
+        rep = E.solve_hob("(V -!> Id) + W + A", constants={"A": FLAT2}, element_cap=4096)
+    else:
+        rep = E.solve_hob("Us(C * W * Id + C * (V -> Id) + Id)", constants={"C": FLAT2},
+                          element_cap=1024)
+    return lambda: S.solution_report_json(rep), [seq.stages for seq in rep.chain.rows]
+
+
+def _loaded_rows(loaded):
+    if "rows" in loaded:
+        return [stages for stages, _, _ in loaded["rows"]]
+    if "stages" in loaded:
+        return [loaded["stages"]]
+    return [loaded["pointed_stages"], loaded["plain_stages"]]
+
+
+def count_constructed_tag_reads(monkeypatch):
+    """A Counter of the calls through `posets._tags` on constructed posets,
+    by kind, from now on."""
+    reads, view = Counter(), P._tags
+
+    def counting(p):
+        if p._record.kind is not None:
+            reads[p._record.kind] += 1
+        return view(p)
+
+    monkeypatch.setattr(P, "_tags", counting)
+    return reads
+
+
+@pytest.mark.parametrize("name", STABILIZING + ("atom", "HO-CCS", "mediator"))
+def test_reloaded_stages_equal_the_engines(name, monkeypatch):
+    write, engine_rows = _engine_run(name)
+    reads = count_constructed_tag_reads(monkeypatch)
+    obj = json.loads(S.dumps(write()))
+    loaded = S.load_report(obj)
+    S.dot_bundle(obj)
+    assert not reads  # writing, loading and drawing build no tag tree
+    rows = _loaded_rows(loaded)
+    assert [len(r) for r in rows] == [len(r) for r in engine_rows]
+    assert all(s._record.tags is None for r in rows for s in r if s._record.kind)
+    for engine_stages, stages in zip(engine_rows, rows):
+        for a, b in zip(engine_stages, stages):
+            assert np.array_equal(a.leq, b.leq) and a.bottom_idx == b.bottom_idx
+            assert b.elements == a.elements  # the view, built now
+    assert reads
+
+
+def test_render_labels_elements_by_their_forms():
+    stage2 = S.dot_bundle(SMALL)["stage_0_2.dot"]
+    labels = re.findall(r'label="([^"]*)"', stage2)
+    assert labels == ["_|_", "l.1", "r.1"]
+    assert re.findall(r'label="([^"]*)"', S.dot_bundle(REPORTS["terminal"])["stage_0_3.dot"]) == [
+        "{}", "{2}", "{1,2}", "{0,1,2}"]
+    tables = P.fun_space(P.discrete(["x"]), P.chain(2))
+    pairs = P.product(P.chain(2), P.boolean_lattice())
+    assert P.element_labels(tables) == ["<0>", "<1>"]
+    assert P.element_labels(pairs) == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
+    assert P.element_labels(P.lift(P.discrete(["x"]))) == ["_|_", "^0"]
+    assert P.element_labels(P.separated_sum(P.unit(), P.unit())) == ["l.0", "r.0"]
+
+
+def test_the_pool_keys_entries_by_construction():
+    # equal constructions share an entry; other rows or another bottom over
+    # the same operands get their own, and none of it reads a tag
+    a, b = P.lift(P.chain(2)), P.boolean_lattice()
+    made = [P.fun_space(a, b), P.strict_fun_space(a, b), P.fun_space(a, b),
+            P.lift(b), M.include(P.lift(b)), P.lift(b)]
+    pool = S._Pool()
+    refs = [pool.ref(p) for p in made]
+    assert refs[0] == refs[2] != refs[1] and refs[3] == refs[5] != refs[4]
+    assert len(pool.entries) == 7  # a, b, the chain below a and four constructions
+    loaded = S._pool_from_json({"posets": json.loads(json.dumps(pool.entries))})
+    for p, ref in zip(made, refs):
+        q = loaded[ref]
+        assert np.array_equal(q.leq, p.leq) and q.bottom_idx == p.bottom_idx
+        assert q.elements == p.elements
