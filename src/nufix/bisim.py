@@ -113,8 +113,12 @@ class Relation:
 
 
 def _ranks(carrier):
-    """Each tag's position in `tag_sort_key` order of the carrier."""
-    return np.argsort(sorted(range(len(carrier)), key=lambda i: tag_sort_key(carrier[i])))
+    """Each tag's position in `tag_sort_key` order of the carrier: the sorted
+    index list, inverted in one pass."""
+    ranks = [0] * len(carrier)
+    for rank, i in enumerate(sorted(range(len(carrier)), key=lambda i: tag_sort_key(carrier[i]))):
+        ranks[i] = rank
+    return np.array(ranks)
 
 
 def _equivalence_flags(m):

@@ -12,8 +12,16 @@ k x k x n|cod|/64 words after a k x n|cod| gather.  Upset masks keep
 gather or |cod| factor to save, and the bitset form, one step per ground
 element, measured slower on them.
 
-Tables are enumerated by backtracking, upsets by a memoised split on the
-top element; both emit rows in a fixed order, so results are reproducible:
+Tables are enumerated by a bitset backtracker that hands what it has not
+entered, once it has used a fixed allowance of nodes, to frontier blocks:
+int32 arrays of value prefixes, each extended a position at a time by
+ANDing codomain rows and reading the pairs with `np.flatnonzero`.  Blocks
+are expanded depth-first and cut to what the limit still needs, so memory
+stays bounded, and both phases count their work against
+`TABLE_STEP_BUDGET`; past it the enumeration raises
+`errors.SearchBudgetExceeded`.  Upsets are enumerated by a memoised split
+on the top element.  Both emit rows in a fixed order, so results are
+reproducible:
 
 * monotone tables come out in lexicographic order of their values read
   along the domain's linear extension that sorts its elements stably by
@@ -159,14 +167,33 @@ def _linear_extension(rows):
     return sorted(range(len(rows)), key=below.__getitem__)
 
 
+TABLE_STEP_BUDGET = 2_000_000_000  # steps of `enum_monotone_tables`, about 4 s; see its docstring
+_BACKTRACK_STEPS = 512  # backtracker nodes before the frontier takes over
+_BLOCK_ROWS = 2048  # prefixes one frontier step extends, at most
+_BLOCK_CELLS = 1 << 16  # (prefix, codomain value) pairs one frontier step tests, at most
+
+
 def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     """Up to `limit` monotone tables dom -> cod, deterministic order.
 
     `strict = (dom_bottom, cod_bottom)` keeps only the tables sending the
     domain's bottom to the codomain's, the strict maps of pointed posets.
-    Tables come out int32 of shape (k, n).  The setup runs on Python
-    lists: a numpy call per position would cost more than the search on
-    most inputs, which have few rows.
+    Tables come out int32 of shape (k, n).
+
+    Two phases walk one search tree, whose positions are the domain's
+    elements along `_linear_extension`.  A bitset backtracker on Python
+    lists runs first: most calls return a few rows, where a numpy call per
+    position would cost more than the whole search.  The values left at
+    the last position are all tables, so it emits them in one inner loop.
+    Once it has visited `_BACKTRACK_STEPS` nodes, counting positions run
+    dry and tables, without finishing, the branches it has not entered go
+    to `_frontier`, which extends blocks of prefixes a position at a time.
+    Both phases emit in the same order.
+
+    A step of work is a backtracker node or a (prefix, value) pair that
+    the frontier tests.  Past `TABLE_STEP_BUDGET` steps, about 4 s of
+    frontier work on a 2-CPU machine, the call raises
+    SearchBudgetExceeded.
     """
     dom = np.asarray(leq_dom, dtype=np.bool_).tolist()
     n, m, limit = len(dom), len(leq_cod), int(limit)
@@ -183,35 +210,142 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     if strict is not None:
         dom_bottom, cod_bottom = map(int, strict)
         start[order.index(dom_bottom)] = 1 << cod_bottom
+    if n == 1:
+        return np.array(_members(start[0])[:limit], dtype=np.int32).reshape(-1, 1)
     preds = [[q for q in range(pos) if dom[order[q]][e]] for pos, e in enumerate(order)]
     vals = [0] * n
     rest = [0] * n
     rest[0] = start[0]
     flat = []
-    count = 0
+    count = dry = 0
+    allowance = _BACKTRACK_STEPS
+    stop = min(limit, allowance)
+    last = n - 1
     pos = 0
-    while pos >= 0:
+    while True:
         r = rest[pos]
-        if not r:
+        if not r:  # a position run dry
             pos -= 1
+            dry += 1
+            if pos < 0 or dry > allowance:
+                break
             continue
         low = r & -r
         rest[pos] = r ^ low
         vals[pos] = low.bit_length() - 1
-        if pos == n - 1:
+        pos += 1
+        c = start[pos]
+        for q in preds[pos]:
+            c &= up[vals[q]]
+        if pos < last:
+            rest[pos] = c
+            continue
+        while c:  # each value left at the last position is a table
+            low = c & -c
+            c ^= low
+            vals[last] = low.bit_length() - 1
             flat.extend(vals)
             count += 1
-            if count >= limit:
+            if count >= stop:
                 break
-        else:
-            pos += 1
-            c = start[pos]
-            for q in preds[pos]:
-                c &= up[vals[q]]
-            rest[pos] = c
-    out = np.empty((count, n), dtype=np.int32)
-    out[:, order] = np.array(flat, dtype=np.int32).reshape(count, n)
+        if count >= stop:
+            rest[last] = c
+            break
+        pos -= 1
+        dry += 1
+    rows = np.array(flat, dtype=np.int32).reshape(count, n)
+    if pos >= 0 and count < limit:  # the allowance ran out before the search did
+        if dry + count > TABLE_STEP_BUDGET:
+            raise SearchBudgetExceeded(
+                f"table enumeration gave up after {TABLE_STEP_BUDGET} steps")
+        # the branches not entered: at each position p up to pos, the
+        # values left in rest[p], each after the path's prefix
+        pending = [None] * (n + 1)
+        for p in range(pos + 1):
+            if rest[p]:
+                todo = _members(rest[p])
+                block = np.empty((len(todo), p + 1), dtype=np.int32)
+                block[:, :p] = vals[:p]
+                block[:, p] = todo
+                pending[p + 1] = block
+        rows = np.concatenate([rows, _frontier(
+            pending, np.asarray(leq_cod, dtype=np.bool_), start, preds,
+            limit - count, dry + count)])
+    out = np.empty(rows.shape, dtype=np.int32)
+    out[:, order] = rows
     return out
+
+
+def _frontier(pending, leq_cod, start, preds, need, steps):
+    """The first `need` tables below the prefixes in `pending`, in order,
+    as rows in position order; `steps` is the work spent before.
+
+    `pending[k]` holds prefixes of length k (values at positions 0..k-1),
+    or None.  Every table below a longer pending prefix comes before every
+    table below a shorter one, and within a length the prefixes are in
+    order; so a step may extend the head of any length k, and its result
+    goes after what length k + 1 holds.  A step takes at most `_BLOCK_ROWS`
+    prefixes, and at most as many as make `_BLOCK_CELLS` (prefix, value)
+    pairs.  It ANDs the codomain rows of each prefix's values at the
+    position's predecessors, and `np.flatnonzero` reads the pairs
+    row-major, so each prefix's extensions come out in value order and in
+    the prefix's place.
+
+    Steps go deepest first, so rows come out early and each length holds
+    at most one step's output and a remnant.  While the deepest length
+    holds fewer prefixes than a block and than `need`, the head of the
+    next shorter length is extended instead, which merges the
+    backtracker's remnants, a few prefixes per position, into full
+    blocks; a length that holds `need` prefixes may hold every row asked
+    for, so nothing behind it is extended early.  A block starts at `need`
+    prefixes, within the caps, and doubles each time a step leaves fewer
+    prefixes than it took: a frontier that dies out is where large blocks
+    pay."""
+    n, m = len(preds), len(leq_cod)
+    cap = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // m))
+    size = min(cap, need)
+    done = []
+    if pending[n] is not None:  # whole tables: the backtracker's last siblings
+        done.append(pending[n][:need])
+        need -= len(done[-1])
+    deep = n - 1
+    while need > 0:
+        while deep >= 0 and pending[deep] is None:
+            deep -= 1
+        if deep < 0:
+            break
+        k = deep
+        if len(pending[k]) < min(size, need):
+            k = next((j for j in range(k - 1, -1, -1) if pending[j] is not None), k)
+        block = pending[k][:size]
+        pending[k] = pending[k][size:] if len(pending[k]) > size else None
+        steps += len(block) * m
+        if steps > TABLE_STEP_BUDGET:
+            raise SearchBudgetExceeded(
+                f"table enumeration gave up after {TABLE_STEP_BUDGET} steps")
+        if preds[k]:
+            mask = leq_cod.take(block[:, preds[k][0]], axis=0)
+            for q in preds[k][1:]:
+                mask &= leq_cod.take(block[:, q], axis=0)
+        else:
+            mask = np.ones((len(block), m), dtype=np.bool_)
+        if start[k] != (1 << m) - 1:
+            mask &= _unpack([start[k]], m)
+        which, value = np.divmod(np.flatnonzero(mask), m)
+        grown = np.empty((len(which), k + 1), dtype=np.int32)
+        grown[:, :k] = block.take(which, axis=0)
+        grown[:, k] = value
+        if len(grown) < len(block):
+            size = min(cap, 2 * size)
+        if k + 1 == n:
+            done.append(grown[:need])
+            need -= len(done[-1])
+        elif len(grown):
+            if pending[k + 1] is not None:
+                grown = np.concatenate([pending[k + 1], grown])
+            pending[k + 1] = grown
+            deep = max(deep, k + 1)
+    return np.concatenate(done) if done else np.zeros((0, n), dtype=np.int32)
 
 
 def monotone_ok(leq_dom, leq_cod, table):
@@ -250,7 +384,7 @@ def count_monotone_stack(leq_doms, leq_cod, strict=None):
     and t is monotone from a domain when no byte of the two meets, which
     is one (d, |grid|) AND per byte.  `strict = (dom_bottoms, cod_bottom)`
     keeps only the tables sending each domain's bottom to the codomain's.
-    A grid filter that shares no code with the backtracking enumerator;
+    A grid filter that shares no code with the table enumerator;
     used by the law suites."""
     leq_doms = np.asarray(leq_doms, dtype=np.bool_)
     d, n = leq_doms.shape[:2]

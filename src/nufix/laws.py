@@ -2,9 +2,9 @@
 
 Each suite returns a LawResult with a deterministic transcript line; the
 whole run is reproducible from the seed.  The suites pair every
-implementation path with an independent oracle: backtracking enumerators
-against vectorised brute force, the ep action against hand-composed
-pairs, coinductive extensions against exhaustive morphism search, the
+implementation path with an independent oracle: the enumerators against
+vectorised brute force, the ep action against hand-composed pairs,
+coinductive extensions against exhaustive morphism search, the
 bisimulation refinement against the matching game's fixpoint.
 
 The brute-force monotone counts are tabulated first, one stacked grid

@@ -189,7 +189,7 @@ class FinPoset:
         return self._hash
 
     def __repr__(self):
-        point = f", bottom={pretty_tag(self.bottom)}" if self.is_pointed else ""
+        point = f", bottom={pretty_tag(_tag_at(self, self.bottom_idx))}" if self.is_pointed else ""
         return f"FinPoset({len(self)} elements{point})"
 
 
@@ -219,6 +219,33 @@ def _tags(p):
                 tags[0] = CBOT  # where both summands' bottoms went
         rec.tags = tuple(tags)
     return rec.tags
+
+
+def _tag_at(p, i):
+    """p's i-th tag, `_tags(p)[i]`, built alone from the record: the other
+    elements' tags stay unbuilt."""
+    rec = p._record
+    if rec.tags is not None:
+        return rec.tags[i]
+    kind, kids = rec.kind, rec.children
+    if kind == "product":
+        x, y = divmod(i, len(kids[1]))
+        return ("pair", _tag_at(kids[0], x), _tag_at(kids[1], y))
+    if kind == "tables":
+        return ("table", tuple(_tag_at(kids[1], v) for v in rec.rows[i].tolist()))
+    if kind == "upsets":
+        return ("upset", tuple(_tag_at(kids[0], j) for j in np.flatnonzero(rec.rows[i]).tolist()))
+    if kind == "lift":
+        return ("lup", _tag_at(kids[0], i - 1)) if i else LBOT
+    if kind == "coalesced" and i == 0:
+        return CBOT  # where both summands' bottoms went
+    # a sum: the summand whose injection holds i, the right one first, as
+    # `_tags` writes it last
+    for head, kid, inj in reversed(list(zip(("inl", "inr"), kids, rec.inj))):
+        hit = np.flatnonzero(inj == i)
+        if hit.size:
+            return (head, _tag_at(kid, int(hit[-1])))
+    return CBOT
 
 
 def _same_construction(p, q):

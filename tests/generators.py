@@ -4,6 +4,8 @@ for them.  Each generator draws from the random source it is given (an
 cases depend only on its seed.  A reference never calls the code it
 checks."""
 
+import itertools
+
 import numpy as np
 
 from nufix import kernels
@@ -24,6 +26,15 @@ def random_poset(rng, n, prefix):
     is related with probability 0.3, then closed, in index order."""
     rel = np.triu(rng.rand(n, n) < 0.3, 1)
     return FinPoset([f"{prefix}{i}" for i in range(n)], kernels.transitive_closure(rel))
+
+
+def with_bottom(leq, b):
+    """The order matrix with element b moved below every element: row b
+    all True, column b False but for b itself."""
+    out = np.array(leq, dtype=np.bool_)
+    out[:, b] = False
+    out[b] = True
+    return out
 
 
 def relabelled(rng, leq):
@@ -161,3 +172,30 @@ def find_isomorphism(leq_a, leq_b):
     if not np.array_equal(leq_b[perm][:, perm], leq_a):
         raise AssertionError("iso search produced an unverified mapping")
     return perm
+
+
+# --------------------------------------------------------------------------
+# ordered reference for `kernels.enum_monotone_tables`
+
+
+def linear_extension(leq):
+    """Reference for the enumerator's position order: element indices
+    sorted stably by their column sums, so x <= y puts x first."""
+    below = leq.sum(axis=0)
+    return np.argsort(below, kind="stable").astype(np.int32)
+
+
+def monotone_in_order(leq_dom, leq_cod, strict):
+    """Every monotone table by brute force, sorted lexicographically along
+    the linear extension of the domain; with `strict = (dom_bottom,
+    cod_bottom)`, only those sending the one bottom to the other."""
+    n, m = len(leq_dom), len(leq_cod)
+    cod = np.asarray(leq_cod).tolist()
+    below = [(i, j) for i in range(n) for j in range(n) if i != j and leq_dom[i, j]]
+    tables = [
+        t for t in itertools.product(range(m), repeat=n)
+        if all(cod[t[i]][t[j]] for i, j in below)
+        and (strict is None or t[strict[0]] == strict[1])
+    ]
+    order = linear_extension(leq_dom).tolist()
+    return sorted(tables, key=lambda t: [t[e] for e in order])

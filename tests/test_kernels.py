@@ -30,7 +30,8 @@ from nufix.posets import (
     with_declared_bottom,
 )
 
-from generators import cycle_incidence, random_order, relabelled, with_twins
+from generators import (cycle_incidence, linear_extension, monotone_in_order, random_order,
+                        relabelled, with_bottom, with_twins)
 from generators import find_isomorphism as reference_isomorphism
 
 
@@ -82,13 +83,6 @@ def test_inclusion_order_matches_pairwise_subsets():
             assert np.array_equal(got, want.reshape(k, k)), (k, w)
             if k > 1 and w:
                 assert 0 < got.sum() - k < k * (k - 1)
-
-
-def linear_extension(leq):
-    """Reference for the enumerator's position order: element indices
-    sorted stably by their column sums, so x <= y puts x first."""
-    below = leq.sum(axis=0)
-    return np.argsort(below, kind="stable").astype(np.int32)
 
 
 def down_set_order(tables, leq_cod):
@@ -162,20 +156,6 @@ def test_enumerator_positions_follow_the_linear_extension():
         assert kernels._linear_extension(leq.tolist()) == linear_extension(leq).tolist()
     assert kernels._linear_extension([]) == []
     assert ties > 250
-
-
-def _monotone_in_order(leq_dom, leq_cod, strict):
-    """Every monotone table by brute force, sorted lexicographically along
-    the linear extension of the domain; with `strict = (dom_bottom,
-    cod_bottom)`, only those sending the one bottom to the other."""
-    n, m = len(leq_dom), len(leq_cod)
-    tables = [
-        t for t in itertools.product(range(m), repeat=n)
-        if all(leq_cod[t[i], t[j]] for i in range(n) for j in range(n) if leq_dom[i, j])
-        and (strict is None or t[strict[0]] == strict[1])
-    ]
-    order = linear_extension(leq_dom).tolist()
-    return sorted(tables, key=lambda t: [t[e] for e in order])
 
 
 def _upsets_in_order(leq):
@@ -319,7 +299,7 @@ def test_monotone_enumeration_matches_bruteforce():
             if pb is not None and qb is not None:
                 cases.append((pb.bottom_idx, qb.bottom_idx))
             for strict in cases:
-                full = _monotone_in_order(p.leq, q.leq, strict)
+                full = monotone_in_order(p.leq, q.leq, strict)
                 if strict is None:
                     assert len(full) == count_monotone_bruteforce(p.leq, q.leq)
                 _check_prefixes(
@@ -339,8 +319,75 @@ def test_strict_enumeration_pins_a_bottom_at_any_index():
             strict = tuple(int(np.flatnonzero(leq.all(axis=1))[0]) for leq in (dom_r, cod_r))
             moved += strict != (0, 0)
             _check_prefixes(lambda k: kernels.enum_monotone_tables(dom_r, cod_r, k, strict),
-                            _monotone_in_order(dom_r, cod_r, strict))
+                            monotone_in_order(dom_r, cod_r, strict))
     assert moved > len(pointed) ** 2 // 2
+
+
+def _frontier_calls(monkeypatch):
+    """A list that counts the calls of `kernels._frontier` from now on."""
+    calls, frontier = [], kernels._frontier
+
+    def counting(*args):
+        calls.append(args[4])  # what the call still needs
+        return frontier(*args)
+
+    monkeypatch.setattr(kernels, "_frontier", counting)
+    return calls
+
+
+# (backtracker allowance, block rows, block cells): the frontier from the
+# first row or dead end on, with blocks of one prefix, three, or as many as
+# eight cells allow; and the module's own constants
+SWITCHES = [(0, 1, 1 << 16), (1, 3, 1 << 16), (5, 2048, 8), (40, 7, 1 << 16), (512, 2048, 1 << 16)]
+
+
+def test_frontier_blocks_match_the_ordered_reference(monkeypatch):
+    rng = np.random.RandomState(23)
+    entered = _frontier_calls(monkeypatch)
+    strict_cases = 0
+    for _ in range(30):
+        n, m = rng.randint(1, 8), rng.randint(1, 7)
+        while m ** n > 20000:
+            n -= 1
+        dom = random_order(rng, n, rng.choice([0.0, 0.2, 0.5]))
+        cod = random_order(rng, m, rng.choice([0.0, 0.3, 0.7]))
+        strict = None
+        if rng.rand() < 0.5:  # a bottom pair, or any pinned pair, which the
+            strict = (rng.randint(n), rng.randint(m))  # frontier may reach later
+            if rng.rand() < 0.5:
+                dom, cod = with_bottom(dom, strict[0]), with_bottom(cod, strict[1])
+            strict_cases += 1
+        full = monotone_in_order(dom, cod, strict)
+        for switch in SWITCHES:
+            for name, value in zip(("_BACKTRACK_STEPS", "_BLOCK_ROWS", "_BLOCK_CELLS"), switch):
+                monkeypatch.setattr(kernels, name, value)
+            for limit in (1, 7, 100, m ** n + 1):
+                got = kernels.enum_monotone_tables(dom, cod, limit, strict)
+                want = np.array(full[:limit], dtype=np.int32).reshape(-1, n)
+                assert got.dtype == np.int32 and got.shape == want.shape, (n, m, switch, limit)
+                assert np.array_equal(got, want), (n, m, strict, switch, limit)
+    assert strict_cases >= 8 and len(entered) > 200
+
+
+def test_table_enumeration_raises_past_its_step_budget(monkeypatch):
+    # a complete 6 -> 5 space of 2025 tables: the backtracker hands over
+    # after 512 nodes, and the frontier tests 5 values per prefix
+    dom, cod = random_order(np.random.RandomState(33), 6, 0.25), chain(5).leq
+    full = kernels.enum_monotone_tables(dom, cod, 5 ** 6 + 1)
+    entered = _frontier_calls(monkeypatch)
+    monkeypatch.setattr(kernels, "TABLE_STEP_BUDGET", 10)
+    with pytest.raises(SearchBudgetExceeded, match="table enumeration"):
+        kernels.enum_monotone_tables(dom, cod, 5 ** 6 + 1)
+    assert entered == []  # the backtracker's own steps ran past it
+    monkeypatch.setattr(kernels, "TABLE_STEP_BUDGET", 1000)
+    with pytest.raises(SearchBudgetExceeded, match="table enumeration"):
+        kernels.enum_monotone_tables(dom, cod, 5 ** 6 + 1)
+    assert len(entered) == 1  # the frontier's steps ran past it
+    monkeypatch.setattr(kernels, "TABLE_STEP_BUDGET", 10 ** 6)
+    assert np.array_equal(kernels.enum_monotone_tables(dom, cod, 5 ** 6 + 1), full)
+    # a small call finishes inside the allowance, before any budget check
+    monkeypatch.setattr(kernels, "TABLE_STEP_BUDGET", 1)
+    assert len(kernels.enum_monotone_tables(dom[:2, :2], cod, 100)) > 1
 
 
 def test_upset_enumeration_matches_bruteforce():

@@ -863,6 +863,11 @@ def test_every_constructor_matches_its_eager_tags(recorded):
             P.strict_fun_space(p, q)
     assert {build.__name__ for build, _, _ in recorded} == set(CONSTRUCTORS)
     ref = _reference(recorded)
+    alone = 0
+    for _, _, out in recorded:  # one tag at a time, while no tag tree is built
+        alone += out._record.tags is None
+        assert [P._tag_at(out, i) for i in range(len(out))] == list(ref(out))
+    assert alone > len(recorded) // 2
     for _, _, out in recorded:
         _assert_view_agrees(out, ref(out))
 
@@ -884,6 +889,16 @@ def test_nested_tags_match_the_eager_reference(recorded):
     assert outer.elements[1] == ("table", (inner.elements[0], inner.elements[1]))
     for _, _, out in recorded:
         assert out.elements == ref(out)
+
+
+def test_repr_of_a_deep_stage_builds_no_tags():
+    # repr labels the bottom by its own tag, built alone from the record
+    inst = F.instantiate(F.parse("U(Id)"), F.Backend.POINTED_STRICT, P.unit(), P.unit(), 4096)
+    deep = E.terminal_sequence(inst, inner_budget=12).stages[-1]
+    assert len(deep) == 13 and deep._record.tags is None
+    text = repr(deep)
+    assert deep._record.tags is None
+    assert text == f"FinPoset(13 elements, bottom={P.pretty_tag(deep.bottom)})"
 
 
 def count_tag_builds(monkeypatch):
