@@ -30,6 +30,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,81 +62,62 @@ from .posets import (
 )
 
 RESERVED = {"Id", "V", "W", "U", "Us", "Lift"}
+# the most operator nodes on a path from an expression's root to a leaf, and
+# the most parentheses open at once; the parser and every action recurse
+# along that path, at most four frames a level
+MAX_EXPR_DEPTH = 200
 
 
 # --------------------------------------------------------------------------
 # expression AST
 
 
-def _node(cls):
-    """A frozen dataclass whose hash is computed once per node.
-
-    The instance memos key on (node, poset) and look nodes up thousands of
-    times a solve; the generated hash would walk the whole subtree each
-    time.  The cached value is the generated one, and equality still
-    compares the fields.
-    """
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_node
+@dataclass(frozen=True)
 class ConstP:
     name: str
     poset: FinPoset
 
 
-@_node
+@dataclass(frozen=True)
 class IdF:
     pass
 
 
-@_node
+@dataclass(frozen=True)
 class ParamV:
     pass
 
 
-@_node
+@dataclass(frozen=True)
 class ParamW:
     pass
 
 
-@_node
+@dataclass(frozen=True)
 class Sum:
     left: object
     right: object
 
 
-@_node
+@dataclass(frozen=True)
 class Prod:
     left: object
     right: object
 
 
-@_node
+@dataclass(frozen=True)
 class LiftF:
     inner: object
 
 
-@_node
+@dataclass(frozen=True)
 class Fun:
     dom: object  # ConstP | ParamV
     cod: object
     strict: bool = False  # '-!>': bottom-strict tables only
 
 
-@_node
+@dataclass(frozen=True)
 class Upset:
     inner: object
     strict: bool = False  # 'Us': only the upsets that miss the bottom
@@ -148,6 +130,19 @@ def _operands(node):
     if isinstance(node, Fun):
         return node.dom, node.cod
     return (node.inner,) if isinstance(node, (LiftF, Upset)) else ()
+
+
+def _depth(expr):
+    """The most operator nodes on a path from the root to a leaf, counted a
+    level at a time, so that no recursion limit bounds the count."""
+    depth, level = -1, [expr]
+    while level:
+        depth, level = depth + 1, [op for node in level for op in _operands(node)]
+    return depth
+
+
+def _too_deep():
+    return ExprSyntaxError(f"expression nested more than {MAX_EXPR_DEPTH} deep")
 
 
 def subexprs(expr):
@@ -293,7 +288,8 @@ class _Parser:
 def parse(text, constants=None):
     """Parse concrete syntax into an expression AST.
 
-    `constants` maps names to posets; 'Bool' is always available.
+    `constants` maps names to posets; 'Bool' is always available.  Input
+    nested past `MAX_EXPR_DEPTH` raises `ExprSyntaxError`.
     """
     table = {"Bool": posets.boolean_lattice()}
     if constants:
@@ -301,10 +297,15 @@ def parse(text, constants=None):
             if name in RESERVED:
                 raise ExprSyntaxError(f"constant name {name!r} is reserved")
         table.update(constants)
-    parser = _Parser(_tokenize(text), table)
+    tokens = _tokenize(text)
+    if max(accumulate((t == "(") - (t == ")") for t in tokens), default=0) > MAX_EXPR_DEPTH:
+        raise _too_deep()  # before the parser recurses into them
+    parser = _Parser(tokens, table)
     expr = parser.parse_expr()
     if parser.pos != len(parser.tokens):
         raise ExprSyntaxError(f"trailing input at {parser.tokens[parser.pos]!r}")
+    if _depth(expr) > MAX_EXPR_DEPTH:  # a chain of n sums or products nests n - 1 deep
+        raise _too_deep()
     validate_variance(expr)
     return expr
 
@@ -370,9 +371,9 @@ class FunctorInstance:
     where function spaces act by post-composition).
 
     Objects and ep actions are memoized per instance, so one instance per
-    parameter pair builds each F(X), each constructed poset and each
-    F(e, p) once.  A memoized ep-pair was verified as a Galois insertion
-    on its two tables (`EpPair.from_tables`) when it was built.
+    parameter pair builds each F(X) and each F(e, p) once.  A memoized
+    ep-pair was verified as a Galois insertion on its two tables
+    (`EpPair.from_tables`) when it was built.
     """
 
     def __init__(self, expr, backend, v, w, element_cap=posets.DEFAULT_ELEMENT_CAP):
@@ -401,8 +402,7 @@ class FunctorInstance:
             raise BackendMismatch(
                 "strict arrows and strict upsets need a pointed backend"
             )
-        self._obj_memo = {}  # (node, state) -> object
-        self._built = {}  # (constructor, operands) -> object
+        self._obj_memo = {}  # state -> F(state)
         self._ep_memo = {}
         self._upset_free = not has_upset_nodes(expr)  # on_tables needs it
 
@@ -423,18 +423,16 @@ class FunctorInstance:
 
     def on_object(self, p):
         self._check_state(p)
-        return self._obj(self.expr, p)
+        return self._obj(p)
 
-    def _obj(self, node, p):
-        key = (node, p)
-        hit = self._obj_memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._obj_raw(node, p)
-        self._obj_memo[key] = out
-        return out
+    def _obj(self, p):
+        hit = self._obj_memo.get(p)
+        if hit is None:
+            hit = self._obj_memo[p] = self._build(self.expr, p)
+        return hit
 
-    def _obj_raw(self, node, p):
+    def _build(self, node, p):
+        """F(p) at `node`, built from its operands' objects at p."""
         if isinstance(node, ConstP):
             return node.poset
         if isinstance(node, IdF):
@@ -445,29 +443,21 @@ class FunctorInstance:
             raise VarianceError("'V' has no direct object action")
         if isinstance(node, Sum):
             build = coalesced_sum if self.backend is Backend.POINTED_STRICT else separated_sum
-            args = (self._obj(node.left, p), self._obj(node.right, p))
+            args = (self._build(node.left, p), self._build(node.right, p))
         elif isinstance(node, Prod):
-            build, args = product, (self._obj(node.left, p), self._obj(node.right, p))
+            build, args = product, (self._build(node.left, p), self._build(node.right, p))
         elif isinstance(node, LiftF):
-            build, args = lift, (self._obj(node.inner, p),)
+            build, args = lift, (self._build(node.inner, p),)
         elif isinstance(node, Fun):
             build = strict_fun_space if node.strict else fun_space
             dom = self.v if isinstance(node.dom, ParamV) else node.dom.poset
-            args = (dom, self._obj(node.cod, p))
+            args = (dom, self._build(node.cod, p))
         elif isinstance(node, Upset):
             build = strict_upsets if node.strict else upsets
-            args = (self._obj(node.inner, p),)
+            args = (self._build(node.inner, p),)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        # stages can give operands of one order (every strict table space out
-        # of a one-point V is a singleton): build each once, and record it over
-        # this node's operands, which give its tags and which the actions walk
-        key = (build, *map(_Order, args))
-        out = self._built.get(key)
-        if out is None:
-            out = self._built[key] = build(*args, self.element_cap)
-            return out
-        return posets._over(out, args)
+        return build(*args, self.element_cap)
 
     # -- ep action ----------------------------------------------------
 
@@ -503,7 +493,7 @@ class FunctorInstance:
             raise NotCovariant("upset nodes act on ep-pairs only")
         self._check_state(x)
         self._check_state(y)
-        fx, fy = self._obj(self.expr, x), self._obj(self.expr, y)  # both under the cap
+        fx, fy = self._obj(x), self._obj(y)  # both under the cap
         tables = np.asarray(tables)
         if tables.shape[-1:] != (len(x),):
             raise DomainMismatch("table length does not match domain size")
@@ -581,23 +571,6 @@ def _act(node, fa, fb, f, g, pf, pg):
 def _const(table, batch):
     """The same table for every state map of the batch."""
     return np.broadcast_to(table, batch + table.shape) if batch else table
-
-
-class _Order:
-    """A `_built` key's operand: equal to any poset of its order and bottom,
-    all that a construction's order and index arrays depend on."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        self.p = p
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def __eq__(self, other):
-        p, q = self.p, other.p
-        return p is q or (p.bottom_idx == q.bottom_idx and np.array_equal(p.leq, q.leq))
 
 
 class Reindex:

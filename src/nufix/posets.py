@@ -80,6 +80,9 @@ from .errors import (
 DEFAULT_ELEMENT_CAP = 512
 DEFAULT_ISO_CAP = 512
 _SHAPE_CHUNK_BYTES = 1 << 23  # relabeled order matrices per chunk of `all_posets_upto`
+# the most arrays a tag read from JSON nests; sorting and printing a tag
+# recurse two frames a level
+MAX_TAG_DEPTH = 200
 
 CBOT = ("cbot",)
 LBOT = ("lbot",)
@@ -106,9 +109,9 @@ class FinPoset:
     __slots__ = ("_record", "rows", "children", "leq", "bottom_idx", "_index", "_row_index",
                  "_hash")
 
-    def __init__(self, elements, leq, bottom_idx=None, rows=None):
+    def __init__(self, elements, leq, bottom_idx=None):
         if not isinstance(elements, _Record):
-            elements = _Record(None, rows=rows, tags=tuple(elements))
+            elements = _Record(None, tags=tuple(elements))
         # the record's index rows and operand posets, read on every action
         self._record, self.rows, self.children = elements, elements.rows, elements.children
         leq = np.ascontiguousarray(leq, dtype=np.bool_)
@@ -263,16 +266,6 @@ def _same_construction(p, q):
         return False
     r.tags, q._record = r.tags or s.tags, r
     return True
-
-
-def _over(p, children):
-    """p recorded over `children`, which have the orders and bottoms of its
-    own operands: p when they are the same constructions, else a poset with
-    p's order and index arrays whose tags come from `children`."""
-    rec = p._record
-    if all(map(_same_construction, rec.children, children)):
-        return p
-    return FinPoset(_Record(rec.kind, tuple(children), rec.rows, rec.inj), p.leq, p.bottom_idx)
 
 
 def _injection(p):
@@ -978,11 +971,17 @@ def tag_to_json(tag):
 
 def tag_from_json(obj):
     """The tag of a JSON array tree, read as a list or, as in a report not
-    yet dumped, a tuple."""
+    yet dumped, a tuple, and nested at most `MAX_TAG_DEPTH` arrays deep."""
+    return _tag_from_json(obj, MAX_TAG_DEPTH)
+
+
+def _tag_from_json(obj, room):
     if isinstance(obj, str):
         return obj
     if isinstance(obj, (list, tuple)):
-        return tuple(map(tag_from_json, obj))
+        if not room:
+            raise InputError(f"element tag nested more than {MAX_TAG_DEPTH} arrays deep")
+        return tuple(_tag_from_json(part, room - 1) for part in obj)
     raise InputError(f"bad element tag in JSON: {obj!r}")
 
 

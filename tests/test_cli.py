@@ -10,6 +10,7 @@ import pytest
 
 from nufix import cli
 from nufix import engine as E
+from nufix import functors as F
 from nufix import posets as P
 from nufix import serialize as S
 from nufix.cli import build_parser, main
@@ -95,6 +96,10 @@ def test_larger_solve_reports_are_pinned(workdir):
          "d0b0fb4529668adaf9eb52688c11b5a1b52133e61a38105c6a3972dfc88d8c03"),
         ("Us(C * W * Id + C * (V -> Id) + Id)", "1024", 2,
          "d88f3d9f57cf1280f8c13ad309682fa8c2eb9ca56d4701bd3d3ec1eaa78055d4"),
+        # rows of sizes [1, 4, 1805] and [1]: reindexing across rows reaches
+        # a 1805-element stage
+        ("Us(C * W * Id + C * (V -> Id) + Id)", "4096", 2,
+         "eeb99321bf5525fb3e9b82f38e96d211c64e91227fd1e9732f0922cc1135976d"),
     ]
     for k, (expr, cap, code, digest) in enumerate(cases):
         f = write(workdir / f"in{k}.expr", expr + "\n")
@@ -251,6 +256,14 @@ def test_dimmed_and_relation_check(workdir):
     assert obj["check"]["violation"]["clause"] == "output-match"
 
 
+def nested_tag(depth):
+    """A JSON tag nested `depth` arrays deep."""
+    tag = "a"
+    for _ in range(depth):
+        tag = [tag]
+    return tag
+
+
 LTS = {"values": ["p", "q"], "states": ["x", "y"],
        "behaviour": {"x": {"input": {"p": "y", "q": "x"}}, "y": {"output": "p"}}}
 OUT = {"output": "p"}
@@ -287,6 +300,9 @@ MALFORMED = {  # id: (file flag, its JSON), in place of the one good file of tha
     "leq-pair-of-one": ("--constants", {"A": {"elements": ["a"], "leq": [["a"]]}}),
     "leq-5": ("--constants", {"A": {"elements": ["a"], "leq": 5}}),
     "nested-too-deeply": ("--constants", RawText("[" * 100_000)),  # past the decoder's limit
+    "approx-tag-too-deep": ("--approx", [["p", "q"], [nested_tag(P.MAX_TAG_DEPTH + 1)]]),
+    "constant-tag-too-deep": ("--constants", {"A": {"elements": [
+        nested_tag(P.MAX_TAG_DEPTH + 1)]}}),
 }
 
 
@@ -304,6 +320,24 @@ def test_malformed_json_input_exits_one_with_an_error_object(workdir, capsys, fl
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "InputError"
+
+
+NESTED = {  # lazy expressions nested n deep, which every command takes
+    "lifts": lambda n: "Lift(" * n + "Id" + ")" * n,
+    "sums": lambda n: "Lift(" + " + ".join(["Id"] * n) + ")",  # n - 1 sums under a Lift
+    "parentheses": lambda n: "Lift(" + "(" * (n - 1) + "Id" + ")" * (n - 1) + ")",
+}
+
+
+@pytest.mark.parametrize("shape", NESTED.values(), ids=list(NESTED))
+def test_expressions_run_at_the_nesting_bound_and_exit_one_past_it(workdir, capsys, shape):
+    bound = F.MAX_EXPR_DEPTH
+    for command, code in (("terminal", 2), ("solve", 2), ("mediator", 0)):
+        argv = [command, "--out", str(workdir / "rep.json"), "-f"]
+        assert main(argv + [write(workdir / "ok.expr", shape(bound))]) == code, command
+        assert main(argv + [write(workdir / "deep.expr", shape(bound + 1))]) == 1, command
+        assert _error_line(capsys) == {"error": "ExprSyntaxError",
+                                       "message": f"expression nested more than {bound} deep"}
 
 
 def _error_line(capsys):

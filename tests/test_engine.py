@@ -428,21 +428,23 @@ def test_solve_is_deterministic():
     assert dumps(solution_report_json(r1)) == dumps(solution_report_json(r2))
 
 
-def test_solve_builds_each_function_space_and_sum_once(monkeypatch):
-    built = {}
-    for name in ("strict_fun_space", "coalesced_sum"):
-        real = getattr(F, name)
+def test_solve_builds_each_object_once_per_state(monkeypatch):
+    # an instance memoizes F(X) by the state X alone: its root is built once
+    # per state, however often the chain, the reindexing and the checks ask
+    roots = {}
+    real = F.FunctorInstance._build
 
-        def counting(p, q, cap, real=real, name=name):
-            built[name, p, q] = built.get((name, p, q), 0) + 1
-            return real(p, q, cap)
+    def counting(self, node, p):
+        if node is self.expr:
+            roots[self, p] = roots.get((self, p), 0) + 1
+        return real(self, node, p)
 
-        monkeypatch.setattr(F, name, counting)
+    monkeypatch.setattr(F.FunctorInstance, "_build", counting)
     flat2 = P.lift(P.discrete(["a"]))
     rep = E.solve_hob("(V -!> Id) + W + A", constants={"A": flat2}, element_cap=4096)
     assert [len(z) for z in rep.chain.params] == [1, 2, 17, 18]
-    assert {name for name, _, _ in built} == {"strict_fun_space", "coalesced_sum"}
-    assert set(built.values()) == {1}
+    assert {inst for inst, _ in roots} == {row.inst for row in rep.chain.rows}
+    assert set(roots.values()) == {1}
 
 
 def test_solve_reindexes_between_the_rows_instances(monkeypatch):
