@@ -134,10 +134,9 @@ def _retract_table(q, members):
 
 def _ep_onto_sub(q, members):
     """Inclusion/retraction ep-pair of a normal subposet of q, on the
-    sorted member indices."""
+    sorted member indices, which also tag its elements."""
     bottom = members.index(q.bottom_idx) if q.bottom_idx in members else None
-    sub = FinPoset(tuple(q.elements[i] for i in members), q.leq[np.ix_(members, members)],
-                   bottom)
+    sub = FinPoset(tuple(members), q.leq[np.ix_(members, members)], bottom)
     retract = _retract_table(q, members)
     pos = {m: i for i, m in enumerate(members)}
     e = MonoMap(sub, q, np.array(members, dtype=np.int32), strict=sub.is_pointed)

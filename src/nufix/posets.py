@@ -7,8 +7,8 @@ may well have a least element without being declared pointed, which is how
 the plain backend sees pointed objects after `mediator.include`.
 
 Element tags are strings for user-supplied posets and nested tuples for
-constructed ones (pairs, injections, tables, upsets, lifts), so that equal
-constructions produce identical posets, not merely isomorphic ones.
+constructed ones (pairs, injections, tables, upsets, lifts): a view to read
+and print elements by, which no comparison of posets builds.
 
 Each poset holds one `_Record` of how it was built.  A leaf's holds its
 tags; a constructor's holds its kind, its operand posets and its index
@@ -18,10 +18,11 @@ of the record (`_tags`), built from the children's tags on the first read
 of `elements` and kept on the record, which `include` and
 `with_declared_bottom` share.  Nothing on the order side reads a tag, and
 the tag index behind `index` and `in` is built on the first lookup, where a
-repeated tag raises `DuplicateElement`.  Identity is the declared bottom,
-the order and the tags; the hash comes from the order and the bottom, and
-equality compares records before tags, so that equal constructions never
-build their tag trees.  The layouts:
+repeated tag raises `DuplicateElement`.  A poset is its construction:
+equal posets have one bottom and are leaves of one order and stored tags,
+or one constructor's over equal operands (`_same_construction`), so a leaf
+with a construction's tags is another poset, and no comparison builds a
+tag tree.  The hash comes from the order and the bottom.  The layouts:
 
 - `product(p, q)`: the pair of p's i-th and q's j-th element is at
   `i * len(q) + j`.
@@ -103,8 +104,9 @@ class _Record:
 
 
 class FinPoset:
-    """A finite partial order with an optional declared bottom; `elements`
-    is a sequence of tags, or a constructor's `_Record` (module docstring)."""
+    """A finite partial order with an optional declared bottom, equal to the
+    posets of its construction; `elements` is a sequence of tags, or a
+    constructor's `_Record` (module docstring)."""
 
     __slots__ = ("_record", "rows", "children", "leq", "bottom_idx", "_index", "_row_index",
                  "_hash")
@@ -182,9 +184,7 @@ class FinPoset:
             return True
         if not isinstance(other, FinPoset):
             return NotImplemented
-        return _same_construction(self, other) or (
-            self.bottom_idx == other.bottom_idx and np.array_equal(self.leq, other.leq)
-            and self.elements == other.elements)
+        return _same_construction(self, other)
 
     def __hash__(self):
         if self._hash is None:
@@ -253,19 +253,19 @@ def _tag_at(p, i):
 
 def _same_construction(p, q):
     """Are p and q one construction (so equal): one bottom, and one record,
-    two leaves of one order with equal tags, or one kind with equal rows
-    over children that are one construction each?  Then q takes p's record
-    and tags, and the next comparison of the two is immediate."""
+    two leaves of one order with equal stored tags, or one kind with equal
+    rows over children that are one construction each?  A coalesced sum
+    forgets a one-point summand, which meets it only in the shared bottom,
+    so any two one-point summands count as one.  No tag is built."""
     r, s = p._record, q._record
     if p.bottom_idx != q.bottom_idx or r.kind != s.kind:
         return False
     if r is s or r.kind is None:
         return r is s or (np.array_equal(p.leq, q.leq) and r.tags == s.tags)
-    if not ((r.rows is s.rows or np.array_equal(r.rows, s.rows))
-            and all(map(_same_construction, r.children, s.children))):
-        return False
-    r.tags, q._record = r.tags or s.tags, r
-    return True
+    point = r.kind == "coalesced"
+    return ((r.rows is s.rows or np.array_equal(r.rows, s.rows))
+            and all(point and len(a) == len(b) == 1 or _same_construction(a, b)
+                    for a, b in zip(r.children, s.children)))
 
 
 def _injection(p):

@@ -11,7 +11,7 @@ import pytest
 
 from nufix import engine as E
 from nufix import functors as F
-from nufix import kernels
+from nufix import kernels, laws, serialize
 from nufix import posets as P
 from nufix.errors import (
     BottomNotLeast,
@@ -660,7 +660,11 @@ def test_poset_json_roundtrip():
     obj = {"elements": [["cbot"], ["inl", "a"], ["inr", "top"]],
            "leq": [[["cbot"], ["inl", "a"]], [["cbot"], ["inr", "top"]]], "bottom": ["cbot"]}
     back = P.poset_from_json(json.loads(json.dumps(obj)))
-    assert back == c
+    assert back.elements == c.elements and np.array_equal(back.leq, c.leq)
+    assert back.bottom == c.bottom and hash(back) == hash(c)
+    # a poset is its construction: the leaf read back is not the sum, and
+    # is the leaf read again
+    assert back != c and c != back and P.poset_from_json(obj) == back
 
 
 def test_dot_output_mentions_every_element():
@@ -719,7 +723,11 @@ def test_all_posets_upto_matches_the_iso_search_dedupe():
 
 
 # --------------------------------------------------------------------------
-# identity: the order and the tags, hashed by the order alone
+# identity: the construction, hashed by the order and the bottom alone
+
+
+# the two-element flat constant of the pinned atom reports
+FLAT = P.poset_from_json({"elements": ["b", "a"], "leq": [["b", "a"]], "bottom": "b"})
 
 
 def uid_stage(k):
@@ -735,13 +743,32 @@ def test_equal_constructions_are_equal_with_equal_hashes():
     back = P.poset_from_json({"elements": [empty, one, two],
                               "leq": [[empty, one], [one, two]], "bottom": empty})
     stage = uid_stage(2)
-    assert back.is_pointed and back == stage and hash(back) == hash(stage)
+    assert back.is_pointed and back.elements == stage.elements and back.bottom == stage.bottom
+    assert np.array_equal(back.leq, stage.leq) and hash(back) == hash(stage)
+    # a leaf twin of a construction is another poset; of a leaf, the same one
+    twin = P.FinPoset(back.elements, back.leq, back.bottom_idx)
+    assert back != stage and stage != back and back == twin and hash(back) == hash(twin)
 
 
-def test_same_order_with_other_tags_or_bottom_differs():
+def test_same_order_with_other_tags_or_bottom_differs(monkeypatch):
     assert P.chain(3) != P.chain(3, prefix="d")
     b = P.boolean_lattice()
     assert include(b) != b
+    # a leaf with a construction's tags, order and bottom is another poset,
+    # told apart without building the construction's tags
+    lp = P.lift(P.chain(2))
+    leaf = P.FinPoset((P.LBOT, ("lup", "c0"), ("lup", "c1")), lp.leq, 0)
+    built = count_tag_builds(monkeypatch)
+    assert leaf != lp and lp != leaf and hash(leaf) == hash(lp) and not built
+    assert leaf.elements == lp.elements
+    # tables out of leaves of one order and other tags: equal tags, other
+    # constructions
+    x = P.chain(2)
+    spaces = [P.fun_space(P.discrete(d), x) for d in (["a", "b"], ["u", "v"])]
+    assert spaces[0].elements == spaces[1].elements and spaces[0] != spaces[1]
+    # a coalesced sum forgets only one-point summands
+    assert P.coalesced_sum(b, P.unit()) != P.coalesced_sum(P.chain(2), P.unit())
+    assert P.coalesced_sum(b, P.unit()) == P.coalesced_sum(b, P.lift(P.empty_poset()))
 
 
 def test_duplicate_tags_raise_by_the_first_lookup():
@@ -830,7 +857,9 @@ def _assert_view_agrees(p, tags):
     eagerly tagged twin."""
     twin = P.FinPoset(tags, p.leq, p.bottom_idx)
     assert len(p) == len(twin) == len(tags) and hash(p) == hash(twin)
-    assert p == twin and twin == p
+    # a poset is its construction: the leaf twin of a leaf is the same
+    # poset, of a construction another one
+    assert (p == twin) == (twin == p) == (p._record.kind is None)
     assert p.elements == tags and list(p) == list(tags)
     assert all(p.index(t) == i for i, t in enumerate(tags)) and all(t in p for t in tags)
     assert ("no", "such", "tag") not in p
@@ -961,6 +990,22 @@ def test_equal_operands_hit_the_memos_without_building_tags(monkeypatch):
     # the strict tables out of the one-point V are a singleton at every
     # state, and no tag tree is read to build the sum over them
     assert [len(inst.on_object(P.chain(k))) for k in (1, 2, 3)] == [2, 2, 2]
+    # the atom: X2 differs from X1 only in its one-point summand, the
+    # strict tables out of V, which the coalesced sum forgets
+    atom = F.instantiate(F.parse("(V -!> Id) + W + A", {"A": FLAT}), F.Backend.POINTED_STRICT,
+                         P.unit(), P.unit())
+    x1 = atom.on_object(P.unit())
+    x2 = atom.on_object(x1)
+    assert x2 is not x1 and x2 == x1 and atom.on_object(x2) is x2
+    assert not built
+
+
+def test_atom_solve_report_and_ep_laws_build_no_tags(monkeypatch):
+    built = count_tag_builds(monkeypatch)
+    rep = E.solve_hob("(V -!> Id) + W + A", constants={"A": FLAT}, element_cap=4096)
+    assert [len(z) for z in rep.chain.params] == [1, 2, 17, 18]
+    serialize.solution_report_json(rep)
+    assert laws.law_functor_ep(7, samples=3).ok
     assert not built
 
 
