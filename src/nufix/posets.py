@@ -14,11 +14,13 @@ Each poset holds one `_Record` of how it was built.  A leaf's holds its
 tags; a constructor's holds its kind, its operand posets and its index
 arrays, and only this module reads them (`_map_parts` and `_relate_parts`
 assemble the functor actions of products, sums and lifts).  Tags are a view
-of the record (`_tags`), built from the children's tags on the first read
-of `elements` and kept on the record, which `include` and
-`with_declared_bottom` share.  Nothing on the order side reads a tag, and
-the tag index behind `index` and `in` is built on the first lookup, where a
-repeated tag raises `DuplicateElement`.  A poset is its construction:
+of the record (`_tags`): each element's `element_forms` with the operands'
+tags in place of their indices, built on the first read of `elements` and
+kept on the record, which `include` and `with_declared_bottom` share;
+`_tag_at` builds one tag alone, and DOT labels print the forms as tags.
+Nothing on the order side reads a tag, and the tag index behind `index`
+and `in` is built on the first lookup, where a repeated tag raises
+`DuplicateElement`.  A poset is its construction:
 equal posets have one bottom and are leaves of one order and stored tags,
 or one constructor's over equal operands (`_same_construction`), so a leaf
 with a construction's tags is another poset, and no comparison builds a
@@ -172,7 +174,7 @@ class FinPoset:
     def bottom(self):
         if self.bottom_idx is None:
             return None
-        return self.elements[self.bottom_idx]
+        return _tag_at(self, self.bottom_idx)
 
     def require_pointed(self, what="operation"):
         if not self.is_pointed:
@@ -192,63 +194,54 @@ class FinPoset:
         return self._hash
 
     def __repr__(self):
-        point = f", bottom={pretty_tag(_tag_at(self, self.bottom_idx))}" if self.is_pointed else ""
+        point = f", bottom={pretty_tag(self.bottom)}" if self.is_pointed else ""
         return f"FinPoset({len(self)} elements{point})"
 
 
 def _tags(p):
-    """p's element tags: the view of its record, built from the children's
-    tags on the first read and kept on the record."""
+    """p's element tags, the view of its record: its `element_forms` over
+    the operands' tags, built on the first read and kept on the record."""
     rec = p._record
     if rec.tags is None:
-        kind, kids = rec.kind, rec.children
-        if kind == "product":
-            qs = _tags(kids[1])
-            tags = [("pair", x, y) for x in _tags(kids[0]) for y in qs]
-        elif kind == "tables":
-            cod = _tags(kids[1])
-            tags = [("table", tuple([cod[v] for v in row])) for row in rec.rows.tolist()]
-        elif kind == "upsets":
-            ground = _tags(kids[0])
-            tags = [("upset", tuple(compress(ground, row))) for row in rec.rows.tolist()]
-        elif kind == "lift":
-            tags = [LBOT] + [("lup", x) for x in _tags(kids[0])]
-        else:  # a sum: each summand's tags at its injection
-            tags = [CBOT] * len(p)
-            for head, kid, inj in zip(("inl", "inr"), kids, rec.inj):
-                for i, x in zip(inj.tolist(), _tags(kid)):
-                    tags[i] = (head, x)
-            if kind == "coalesced":
-                tags[0] = CBOT  # where both summands' bottoms went
-        rec.tags = tuple(tags)
+        rec.tags = tuple(_form_tags(rec.kind, element_forms(p), lambda k: _tags(rec.children[k])))
     return rec.tags
 
 
 def _tag_at(p, i):
     """p's i-th tag, `_tags(p)[i]`, built alone from the record: the other
     elements' tags stay unbuilt."""
-    rec = p._record
-    if rec.tags is not None:
-        return rec.tags[i]
-    kind, kids = rec.kind, rec.children
+    return _TagsAt(p)[i]
+
+
+class _TagsAt:
+    """p's tags, each built alone when indexed, from forms read once."""
+
+    __slots__ = ("p", "forms", "operands")
+
+    def __init__(self, p):
+        self.p, self.forms, self.operands = p, None, None
+
+    def __getitem__(self, i):
+        rec = self.p._record
+        if rec.tags is not None:
+            return rec.tags[i]
+        if self.forms is None:
+            self.forms, self.operands = element_forms(self.p), list(map(_TagsAt, rec.children))
+        return _form_tags(rec.kind, [self.forms[i]], self.operands.__getitem__)[0]
+
+
+def _form_tags(kind, forms, operand):
+    """The tags of the elements with `element_forms` `forms` in a poset of
+    `kind`, where `operand(k)[i]` is the i-th tag of operand k."""
     if kind == "product":
-        x, y = divmod(i, len(kids[1]))
-        return ("pair", _tag_at(kids[0], x), _tag_at(kids[1], y))
-    if kind == "tables":
-        return ("table", tuple(_tag_at(kids[1], v) for v in rec.rows[i].tolist()))
-    if kind == "upsets":
-        return ("upset", tuple(_tag_at(kids[0], j) for j in np.flatnonzero(rec.rows[i]).tolist()))
-    if kind == "lift":
-        return ("lup", _tag_at(kids[0], i - 1)) if i else LBOT
-    if kind == "coalesced" and i == 0:
-        return CBOT  # where both summands' bottoms went
-    # a sum: the summand whose injection holds i, the right one first, as
-    # `_tags` writes it last
-    for head, kid, inj in reversed(list(zip(("inl", "inr"), kids, rec.inj))):
-        hit = np.flatnonzero(inj == i)
-        if hit.size:
-            return (head, _tag_at(kid, int(hit[-1])))
-    return CBOT
+        left, right = operand(0), operand(1)
+        return [("pair", left[i], right[j]) for i, j in forms]
+    if kind == "tables" or kind == "upsets":
+        head, parts = ("table", operand(1)) if kind == "tables" else ("upset", operand(0))
+        return [(head, tuple([parts[v] for v in f])) for f in forms]
+    # a sum or lift: a part of operand 1 only under "inr"
+    parts = [operand(k) for k in range(_ARITY[kind])]
+    return [(f[0], parts[f[0] == "inr"][f[1]]) if len(f) == 2 else tuple(f) for f in forms]
 
 
 def _same_construction(p, q):
@@ -1014,17 +1007,17 @@ def pretty_tag(tag):
     if head == "lup":
         return "^" + pretty_tag(tag[1])
     if head == "pair":
-        return "(" + ",".join(pretty_tag(t) for t in tag[1:]) + ")"
+        return "(" + ",".join(map(pretty_tag, tag[1:])) + ")"
     if head == "inl":
         return "l." + pretty_tag(tag[1])
     if head == "inr":
         return "r." + pretty_tag(tag[1])
     if head == "table":
-        return "<" + ",".join(pretty_tag(t) for t in tag[1]) + ">"
+        return "<" + ",".join(map(pretty_tag, tag[1])) + ">"
     if head == "upset":
-        return "{" + ",".join(pretty_tag(t) for t in tag[1]) + "}"
+        return "{" + ",".join(map(pretty_tag, tag[1])) + "}"
     if head == "cls":
-        return "[" + ",".join(pretty_tag(t) for t in tag[1]) + "]"
+        return "[" + ",".join(map(pretty_tag, tag[1])) + "]"
     return repr(tag)
 
 
@@ -1070,15 +1063,14 @@ def _dot_escape(s):
 # --------------------------------------------------------------------------
 # element forms: a constructed poset's elements by index into its operands
 
-_HEADS = {"inl": "l.", "inr": "r.", "lup": "^"}
-
 
 def element_forms(p):
     """Each element of a constructed poset as its head and the indices of
     its parts in p's operands, as JSON-ready lists: a pair `[i, j]`, a sum
     or lift element `["inl", i]`, `["inr", j]`, `["lup", i]`, `["cbot"]` or
     `["lbot"]`, a table its row of codomain indices and an upset its member
-    indices.  They are read from the record, so no tag is built."""
+    indices.  They are read from the record, so no tag is built; tags and
+    DOT labels are both built from them."""
     rec = p._record
     kind, kids = rec.kind, rec.children
     if kind == "product":
@@ -1089,10 +1081,10 @@ def element_forms(p):
     if kind == "upsets":
         ground = range(rec.rows.shape[1])
         return [list(compress(ground, row)) for row in rec.rows.tolist()]
-    if kind == "lift":
-        return [["lbot"]] + [["lup", i] for i in range(len(kids[0]))]
-    forms = [["cbot"]] * len(p)  # a sum: each summand's indices at its injection
-    for head, inj in zip(("inl", "inr"), rec.inj):
+    # a sum or lift: each operand's indices at its injection
+    lift = kind == "lift"
+    forms = [["lbot" if lift else "cbot"]] * len(p)
+    for head, inj in zip(("lup",) if lift else ("inl", "inr"), rec.inj):
         for i, k in enumerate(inj.tolist()):
             forms[k] = [head, i]
     if kind == "coalesced":
@@ -1101,19 +1093,14 @@ def element_forms(p):
 
 
 def element_labels(p):
-    """Display labels of p's elements: a leaf's tags by `pretty_tag`, a
-    constructed poset's element forms as `(i,j)`, `l.i`, `r.j`, `^i`, `_|_`,
-    `<0,2,1>` for a table and `{i,j}` for an upset."""
-    kind = p._record.kind
-    if kind is None:
-        return [pretty_tag(t) for t in p.elements]
-    forms = element_forms(p)
-    if kind in ("tables", "upsets"):
-        left, right = "<>" if kind == "tables" else "{}"
-        return [left + ",".join(map(str, f)) + right for f in forms]
-    if kind == "product":
-        return [f"({i},{j})" for i, j in forms]
-    return [_HEADS[f[0]] + str(f[1]) if len(f) == 2 else "_|_" for f in forms]
+    """Display labels of p's elements by `pretty_tag`: a leaf's tags, and a
+    constructed poset's tags with each operand element written as its index
+    (`(i,j)`, `l.i`, `r.j`, `^i`, `_|_`, `<0,2,1>` for a table, `{i,j}` for
+    an upset)."""
+    kind, kids = p._record.kind, p.children
+    tags = p.elements if kind is None else _form_tags(
+        kind, element_forms(p), lambda k: [str(i) for i in range(len(kids[k]))])
+    return [pretty_tag(t) for t in tags]
 
 
 def _strict_space(p):

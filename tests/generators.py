@@ -2,7 +2,8 @@
 for them.  Each generator draws from the random source it is given (an
 `np.random.RandomState`, or a `random.Random` for systems), so a test's
 cases depend only on its seed.  A reference never calls the code it
-checks."""
+checks.  The last section holds small helpers that several test files
+share."""
 
 import itertools
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from nufix import kernels
 from nufix.laws import random_lts  # noqa: F401  (the one random-system generator)
-from nufix.posets import FinPoset
+from nufix.posets import FinPoset, MonoMap
 
 
 def random_order(rng, n, density):
@@ -199,3 +200,26 @@ def monotone_in_order(leq_dom, leq_cod, strict):
     ]
     order = linear_extension(leq_dom).tolist()
     return sorted(tables, key=lambda t: [t[e] for e in order])
+
+
+# --------------------------------------------------------------------------
+# shared helpers
+
+
+def from_tags(dom, cod, assign, strict=False):
+    """The map sending each dom tag to the cod tag `assign` gives it."""
+    table = np.array([cod.index(assign[e]) for e in dom.elements], dtype=np.int32)
+    return MonoMap(dom, cod, table, strict)
+
+
+def not_monotone(leq_dom, leq_cod, row):
+    """Does the table `row` send some i <= j to an unordered pair?"""
+    return any(leq_dom[i, j] and not leq_cod[row[i], row[j]]
+               for i in range(len(row)) for j in range(len(row)))
+
+
+def set_last(rows, col, value):
+    """A copy of `rows` with the entry at `col` of its last row set to `value`."""
+    out = rows.copy()
+    out[-1, col] = value
+    return out

@@ -14,6 +14,8 @@ from nufix.laws import _stabilizing_instances
 from nufix.errors import DepthMismatch, InstanceMismatch, NotStabilized
 from nufix.serialize import dumps, solution_report_json
 
+from generators import not_monotone, set_last
+
 ONE = P.unit()
 BOOL = P.boolean_lattice()
 
@@ -288,11 +290,6 @@ def test_uniqueness_law_reverifies_the_batched_squares(monkeypatch):
     assert result.detail.startswith("batched square disagrees with on_map"), result.detail
 
 
-def _not_monotone(leq_dom, leq_cod, row):
-    return any(leq_dom[i, j] and not leq_cod[row[i], row[j]]
-               for i in range(len(row)) for j in range(len(row)))
-
-
 def _break_monotonicity(rows, carrier, fc):
     """The last row with one non-bottom entry changed so that it is no
     longer monotone, or None when no such change exists."""
@@ -302,23 +299,17 @@ def _break_monotonicity(rows, carrier, fc):
         for v in range(len(fc)):
             row = rows[-1].copy()
             row[i] = v
-            if _not_monotone(carrier.leq, fc.leq, row):
+            if not_monotone(carrier.leq, fc.leq, row):
                 return np.vstack([rows[:-1], row])
     return None
 
 
-def _set_last(rows, col, value):
-    out = rows.copy()
-    out[-1, col] = value
-    return out
-
-
 COALGEBRA_MUTATIONS = {
     "not-monotone": (_break_monotonicity, "non-monotone coalgebra"),
-    "out-of-range": (lambda rows, s, fc: _set_last(rows, -1, len(fc)),
+    "out-of-range": (lambda rows, s, fc: set_last(rows, -1, len(fc)),
                      "coalgebra value outside F(carrier)"),
     "not-strict": (lambda rows, s, fc: (
-        _set_last(rows, s.bottom_idx, (fc.bottom_idx + 1) % len(fc)) if len(fc) > 1 else None),
+        set_last(rows, s.bottom_idx, (fc.bottom_idx + 1) % len(fc)) if len(fc) > 1 else None),
         "non-strict coalgebra"),
     "wrong-width": (lambda rows, s, fc: rows[:, :-1], "coalgebra tables of the wrong width"),
 }

@@ -22,10 +22,7 @@ from nufix.errors import (
 )
 from nufix.laws import random_ep_chain
 
-
-def from_tags(dom, cod, assign):
-    """The map sending each dom tag to the cod tag `assign` gives it."""
-    return P.MonoMap(dom, cod, np.array([cod.index(assign[e]) for e in dom.elements]))
+from generators import from_tags
 
 
 ONE = P.unit()

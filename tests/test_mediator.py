@@ -19,6 +19,8 @@ from nufix.errors import (
     SizeCapExceeded,
 )
 
+from generators import not_monotone, set_last
+
 ONE = P.unit()
 BOOL = P.boolean_lattice()
 
@@ -110,11 +112,6 @@ def test_adjunction_check_matches_the_per_table_reference():
         assert M.adjunction_check(p, q) is per_table_adjunction_check(p, q) is True
 
 
-def _not_monotone(leq_dom, leq_cod, row):
-    return any(leq_dom[i, j] and not leq_cod[row[i], row[j]]
-               for i in range(len(row)) for j in range(len(row)))
-
-
 def _break_monotonicity(rows, leq_dom, leq_cod, strict):
     """The last row with one free entry changed so that it is no longer
     monotone, or None when no such change exists."""
@@ -124,15 +121,9 @@ def _break_monotonicity(rows, leq_dom, leq_cod, strict):
         for v in range(len(leq_cod)):
             row = rows[-1].copy()
             row[i] = v
-            if _not_monotone(leq_dom, leq_cod, row):
+            if not_monotone(leq_dom, leq_cod, row):
                 return np.vstack([rows[:-1], row])
     return None
-
-
-def _set_last(rows, col, value):
-    out = rows.copy()
-    out[-1, col] = value
-    return out
 
 
 MUTATIONS = {
@@ -141,10 +132,10 @@ MUTATIONS = {
     "repeat": lambda rows, dom, cod, strict: (
         np.vstack([rows[:-1], rows[:1]]) if len(rows) > 1 else None),
     "out-of-range": lambda rows, dom, cod, strict: (
-        _set_last(rows, -1, len(cod)) if rows.shape[1] else None),
+        set_last(rows, -1, len(cod)) if rows.shape[1] else None),
     "not-monotone": _break_monotonicity,
     "not-strict": lambda rows, dom, cod, strict: (
-        _set_last(rows, strict[0], (strict[1] + 1) % len(cod))
+        set_last(rows, strict[0], (strict[1] + 1) % len(cod))
         if strict is not None and len(cod) > 1 else None),
 }
 
@@ -334,7 +325,7 @@ def test_adjunction_check_rejects_a_non_monotone_pair_on_both_sides(monkeypatch)
         inner = leq_dom if strict is None else leq_dom[1:, 1:]  # lift puts P at 1..n
         bad = next((np.array(t, dtype=np.int32)
                     for t in itertools.product(range(len(leq_cod)), repeat=len(inner))
-                    if _not_monotone(inner, leq_cod, t)), None)
+                    if not_monotone(inner, leq_cod, t)), None)
         if bad is None:
             return rows
         extra = bad if strict is None else np.concatenate([[strict[1]], bad])

@@ -26,7 +26,7 @@ from nufix.errors import (
 )
 from nufix.mediator import include
 
-from generators import cycle_incidence, random_order, random_poset
+from generators import cycle_incidence, from_tags, random_order, random_poset
 
 
 def two_chain():
@@ -36,12 +36,6 @@ def two_chain():
 def leq(p, a, b):
     """Is tag a below tag b in p?"""
     return bool(p.leq[p.index(a), p.index(b)])
-
-
-def from_tags(dom, cod, assign, strict=False):
-    """The map sending each dom tag to the cod tag `assign` gives it."""
-    table = np.array([cod.index(assign[e]) for e in dom.elements], dtype=np.int32)
-    return P.MonoMap(dom, cod, table, strict)
 
 
 # --------------------------------------------------------------------------
@@ -923,7 +917,10 @@ def test_repr_of_a_deep_stage_builds_no_tags():
     assert len(deep) == 13 and deep._record.tags is None
     text = repr(deep)
     assert deep._record.tags is None
-    assert text == f"FinPoset(13 elements, bottom={P.pretty_tag(deep.bottom)})"
+    bottom = deep.bottom  # the bottom tag too, by the same path
+    assert deep._record.tags is None
+    assert bottom == ("upset", ())
+    assert text == f"FinPoset(13 elements, bottom={P.pretty_tag(bottom)})"
 
 
 def count_tag_builds(monkeypatch):

@@ -894,6 +894,13 @@ def test_render_labels_elements_by_their_forms():
     assert P.element_labels(pairs) == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
     assert P.element_labels(P.lift(P.discrete(["x"]))) == ["_|_", "^0"]
     assert P.element_labels(P.separated_sum(P.unit(), P.unit())) == ["l.0", "r.0"]
+    # a strict upset space, empty domains and operands, a one-point summand
+    flat = P.lift(P.discrete(["x", "y"]))
+    assert P.element_labels(P.strict_upsets(flat)) == ["{}", "{2}", "{1}", "{1,2}"]
+    assert P.element_labels(P.fun_space(P.empty_poset(), P.chain(2))) == ["<>"]
+    assert P.element_labels(P.product(P.empty_poset(), P.chain(2))) == []
+    assert P.element_labels(P.separated_sum(P.empty_poset(), P.chain(2))) == ["r.0", "r.1"]
+    assert P.element_labels(P.coalesced_sum(P.unit(), P.chain(3))) == ["_|_", "r.1", "r.2"]
 
 
 def test_the_pool_keys_entries_by_construction():
