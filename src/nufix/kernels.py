@@ -1,16 +1,17 @@
 """Hot kernels: closure, inclusion and pointwise orders, table/upset
 enumeration, cardinality certificates, iso search.
 
-Two kernels build order matrices.  `inclusion_order` compares boolean rows
-as 64-bit words; it orders upsets by inclusion of their masks.
+Two kernels build order matrices, of k rows each, by one method
+(`_and_rows`): per position and value, a bitset over the rows, and row i
+of the order ANDs the bitsets that its own values pick.
 `table_order` orders tables pointwise: per position it packs, for each
-codomain value v, the bitset of the rows whose value there lies above v,
-and ANDs the bitsets that a row's own values pick.  That is k x n x k/64
-word ANDs, where inclusion of the rows of codomain down-sets compares
-k x k x n|cod|/64 words after a k x n|cod| gather.  Upset masks keep
-`inclusion_order`: a mask is already a membership row, so there is no
-gather or |cod| factor to save, and the bitset form, one step per ground
-element, measured slower on them.
+codomain value v, the bitset of the rows whose value there lies above v.
+`inclusion_order` orders upsets by inclusion of their masks: per ground
+element it packs the bitset of the masks holding it, which a member
+picks and a non-member skips.  That is n gathers of k x ceil(k/64)
+words, for n positions or ground elements, where comparing the rows
+pairwise costs k x k x ceil(n/64) words: the bitsets save most where n
+is well below 64, as on the grounds that upsets are built on.
 
 Tables are enumerated by a bitset backtracker that hands what it has not
 entered, once it has used a fixed allowance of nodes, to frontier blocks:
@@ -34,8 +35,13 @@ A capped enumeration returns a prefix of the full list.  The certificates
 count without enumerating: `levels` groups a poset into antichains by
 longest chain, and `count_upsets` counts upsets exactly up to a limit.
 `count_chain_maps` counts the monotone maps into a chain the same way; a
-codomain's longest chain makes that a lower bound on its tables.  The
-stacked brute-force counters are independent oracles for the law suites.
+codomain's longest chain makes that a lower bound on its tables.  An
+exact count can cost more than the enumeration it guards, so
+`chain_maps_bound` first bounds the same maps from above by a greedy
+chain partition, in one pass over the elements; where that bound is
+within the cap, the count cannot prove an overflow and need not run.
+The stacked brute-force counters are independent oracles for the law
+suites.
 
 `find_isomorphism`, behind the public `posets.iso_check`, runs a cascade,
 cheapest first: the number of comparable pairs, the sorted (elements
@@ -61,13 +67,20 @@ import numpy as np
 from .errors import SearchBudgetExceeded
 
 
-def _row_bits(mat):
-    """One bitset per row of a boolean matrix: bit i of row r is mat[r, i]."""
-    packed = np.packbits(np.asarray(mat, dtype=np.bool_), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 _BIT_WEIGHTS = (1 << np.arange(8)).astype(np.uint8)
+_WORD_WEIGHTS = 1 << np.arange(64, dtype=np.uint64)
+
+
+def _row_bits(mat):
+    """One bitset per row of a boolean matrix: bit i of row r is mat[r, i].
+    Up to 64 columns each row is one product with the bit weights, a word
+    that numpy hands over as an int, at a third of the cost of a byte
+    string per row."""
+    mat = np.asarray(mat, dtype=np.bool_)
+    if mat.shape[1] <= 64:
+        return (mat @ _WORD_WEIGHTS[: mat.shape[1]]).tolist()
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _column_bits(leq, perm):
@@ -113,47 +126,50 @@ def transitive_closure(rel):
     return out
 
 
+def _and_rows(bits, picks):
+    """The order matrix whose row i is the AND over the positions p of
+    bits[p, picks[i, p]], unpacked: `bits` is (n, m, w) uint64, a bitset
+    over the k rows per position and value, and `picks` a (k, n) array of
+    value indices, n >= 1.  That is n gathers of k x w words."""
+    acc = bits[0].take(picks[:, 0], axis=0)
+    for p in range(1, picks.shape[1]):
+        acc &= bits[p].take(picks[:, p], axis=0)
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=len(picks),
+                         bitorder="little").view(np.bool_)
+
+
 def inclusion_order(masks):
     """leq[i, j] = (masks[i] is a subset of masks[j]) for a (k, w) boolean
-    array.  Rows are packed into 64-bit words; each block of rows ANDs
-    `(a & ~b) == 0` over the words, through one reused word buffer."""
-    packed = np.packbits(np.asarray(masks, dtype=np.bool_), axis=1, bitorder="little")
-    k, nbytes = packed.shape
-    words = np.zeros((k, -(-nbytes // 8) * 8), dtype=np.uint8)  # whole words
-    words[:, :nbytes] = packed
-    words = words.view(np.uint64)
-    outside = np.ascontiguousarray(~words.T)  # one row of complements per word
-    step = 32  # a 32 x k buffer: as fast as 64 rows, half the memory
-    leq = np.ones((k, k), dtype=np.bool_)
-    miss = np.empty((min(step, k), k), dtype=np.uint64)
-    for s in range(0, k, step):
-        block, buf = leq[s : s + step], miss[: min(step, k - s)]
-        for c in range(words.shape[1]):
-            np.bitwise_and(words[s : s + step, c, None], outside[c], out=buf)
-            block &= buf == 0
-    return leq
+    array.
+
+    Per ground element g, bits[g] packs over the rows j whether g is in
+    masks[j]; row i of the order ANDs the bitsets of its own members, and
+    all ones for each non-member (`_and_rows`)."""
+    masks = np.asarray(masks, dtype=np.bool_)
+    k, w = masks.shape
+    if k == 0 or w == 0:  # no rows, or every row is the empty set
+        return np.ones((k, k), dtype=np.bool_)
+    bits = np.zeros((w, 2, -(-k // 64) * 8), dtype=np.uint8)  # whole words
+    bits[:, 0] = 255
+    bits[:, 1, : (k + 7) // 8] = np.packbits(masks.T, axis=1, bitorder="little")
+    return _and_rows(bits.view(np.uint64), masks.view(np.uint8))
 
 
 def table_order(tables, leq_cod):
     """leq[i, j] = (tables[i] <= tables[j] pointwise) for a (k, n) stack of
     codomain indices, under the codomain order `leq_cod`.
 
-    bits[v, p] packs, over the rows j, whether v <= tables[j, p], into
+    bits[p, v] packs, over the rows j, whether v <= tables[j, p], into
     64-bit words; row i of the order is the AND over the positions p of
-    bits[tables[i, p], p], unpacked once at the end."""
+    bits[p, tables[i, p]] (`_and_rows`)."""
     k, n = tables.shape
     if k == 0 or n == 0:  # no rows, or every row is the empty table
         return np.ones((k, k), dtype=np.bool_)
     m = leq_cod.shape[0]
-    bits = np.zeros((m, n, -(-k // 64) * 8), dtype=np.uint8)  # whole words
+    bits = np.zeros((n, m, -(-k // 64) * 8), dtype=np.uint8)  # whole words
     bits[:, :, : (k + 7) // 8] = np.packbits(
-        leq_cod[:, tables.T], axis=2, bitorder="little")
-    bits = bits.view(np.uint64)
-    acc = bits[tables[:, 0], 0]
-    for p in range(1, n):
-        acc &= bits[tables[:, p], p]
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=k,
-                         bitorder="little").view(np.bool_)
+        leq_cod[:, tables.T], axis=2, bitorder="little").transpose(1, 0, 2)
+    return _and_rows(bits.view(np.uint64), tables)
 
 
 # --------------------------------------------------------------------------
@@ -183,12 +199,16 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     Two phases walk one search tree, whose positions are the domain's
     elements along `_linear_extension`.  A bitset backtracker on Python
     lists runs first: most calls return a few rows, where a numpy call per
-    position would cost more than the whole search.  The values left at
-    the last position are all tables, so it emits them in one inner loop.
-    Once it has visited `_BACKTRACK_STEPS` nodes, counting positions run
-    dry and tables, without finishing, the branches it has not entered go
-    to `_frontier`, which extends blocks of prefixes a position at a time.
-    Both phases emit in the same order.
+    position would cost more than the whole search.  A position's values
+    are bounded by those at the positions it covers (`_lower_covers`), not
+    at every position below it.  The values left at the last position are
+    all tables, so it emits them per prefix in one inner loop, and checks
+    the limit once per prefix.  Once it has visited `_BACKTRACK_STEPS`
+    nodes, counting positions run dry and tables, without finishing, the
+    branches it has not entered go to `_frontier`, which extends blocks of
+    prefixes a position at a time.
+    Both phases emit in the same order, and the rows are permuted back to
+    element order unless the linear extension is the identity.
 
     A step of work is a backtracker node or a (prefix, value) pair that
     the frontier tests.  Past `TABLE_STEP_BUDGET` steps, about 4 s of
@@ -204,15 +224,15 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     up = _row_bits(leq_cod)
     order = _linear_extension(dom)
     # per position: all of cod (the codomain's bottom alone at a strict
-    # domain bottom), and the earlier positions holding a dom predecessor,
-    # whose values bound this one from below
+    # domain bottom), and the earlier positions that it covers, whose
+    # values bound this one from below
     start = [(1 << m) - 1] * n
     if strict is not None:
         dom_bottom, cod_bottom = map(int, strict)
         start[order.index(dom_bottom)] = 1 << cod_bottom
     if n == 1:
         return np.array(_members(start[0])[:limit], dtype=np.int32).reshape(-1, 1)
-    preds = [[q for q in range(pos) if dom[order[q]][e]] for pos, e in enumerate(order)]
+    preds = _lower_covers(dom, order)
     vals = [0] * n
     rest = [0] * n
     rest[0] = start[0]
@@ -245,11 +265,11 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
             c ^= low
             vals[last] = low.bit_length() - 1
             flat.extend(vals)
-            count += 1
-            if count >= stop:
-                break
-        if count >= stop:
-            rest[last] = c
+        count = len(flat) // n
+        if count >= stop:  # the tables past `stop` go back to the last position
+            rest[last] = sum(1 << v for v in flat[stop * n + last :: n])
+            del flat[stop * n :]
+            count = stop
             break
         pos -= 1
         dry += 1
@@ -271,8 +291,33 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
         rows = np.concatenate([rows, _frontier(
             pending, np.asarray(leq_cod, dtype=np.bool_), start, preds,
             limit - count, dry + count)])
+    if order == list(range(n)):  # positions are elements
+        return rows
     out = np.empty(rows.shape, dtype=np.int32)
     out[:, order] = rows
+    return out
+
+
+def _lower_covers(dom, order):
+    """Per position of `order`, a linear extension of the order matrix
+    `dom` (lists), the earlier positions of the elements it covers.  A
+    position's covers are the highest earlier position below it, then the
+    highest one not below that, and so on; the positions below each are
+    kept as a bitset, so a position costs one test per cover and per
+    earlier position not below it."""
+    below, out = [], []
+    for pos, e in enumerate(order):
+        covers, todo, under = [], (1 << pos) - 1, 1 << pos
+        while todo:
+            q = todo.bit_length() - 1
+            if dom[order[q]][e]:
+                covers.append(q)
+                under |= below[q]
+                todo &= ~below[q]
+            else:
+                todo ^= 1 << q
+        below.append(under)
+        out.append(covers)
     return out
 
 
@@ -601,6 +646,36 @@ def count_chain_maps(leq_dom, h, limit):
         return min(math.comb(n + h - 1, n), int(limit))
     steps = np.triu(np.ones((h - 1, h - 1), dtype=np.bool_))
     return count_upsets(np.kron(leq_dom, steps), limit)
+
+
+def chain_maps_bound(leq_dom, h, limit):
+    """min(B, limit) for an upper bound B on the monotone maps dom -> an
+    h-element chain, so never below `count_chain_maps(leq_dom, h, limit)`.
+
+    B comes from a greedy chain partition: the elements go most elements
+    above first, a linear extension, each onto the first chain whose top
+    lies below it or else onto a new chain.  A monotone map is fixed by
+    its restrictions to the chains of a partition (Dilworth, Ann. Math.
+    51, 1950), and a chain of k elements has comb(k + h - 1, k) maps into
+    the h-chain, so B is the product of those.  An element put onto a
+    chain of k multiplies it by (k + h) / (k + 1), so the product only
+    grows, and the walk stops once it reaches `limit`.  It costs the row
+    bitsets and a test per element and chain.
+    """
+    leq = np.asarray(leq_dom, dtype=np.bool_)
+    up, limit = _row_bits(leq), int(limit)
+    tops, sizes, bound = [], [], 1
+    for e in sorted(range(len(up)), key=lambda e: -up[e].bit_count()):
+        c = next((c for c, t in enumerate(tops) if up[t] >> e & 1), len(tops))
+        if c == len(tops):
+            tops.append(e)
+            sizes.append(0)
+        k = sizes[c]
+        bound = bound * (k + h) // (k + 1)
+        if bound >= limit:
+            return limit
+        tops[c], sizes[c] = e, k + 1
+    return min(bound, limit)
 
 
 # --------------------------------------------------------------------------

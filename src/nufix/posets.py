@@ -17,7 +17,8 @@ assemble the functor actions of products, sums and lifts).  Tags are a view
 of the record (`_tags`): each element's `element_forms` with the operands'
 tags in place of their indices, built on the first read of `elements` and
 kept on the record, which `include` and `with_declared_bottom` share;
-`_tag_at` builds one tag alone, and DOT labels print the forms as tags.
+`_tag_at` builds one tag alone from that element's form (`_form_at`),
+and DOT labels print the forms as tags.
 Nothing on the order side reads a tag, and the tag index behind `index`
 and `in` is built on the first lookup, where a repeated tag raises
 `DuplicateElement`.  A poset is its construction:
@@ -54,8 +55,12 @@ domain (less its bottom, for the strict constructors) into a chain as long
 as the codomain's longest one, and raises `ElementCapExceeded` when there
 are more than `cap`.  An upset is a map into the 2-chain, so upsets are
 counted exactly; tables into a longest chain are some of all the tables.
-A certificate only raises early: a poset that fits is enumerated as
-before, and one that the count misses still raises after `cap + 1` rows.
+The count runs only where `kernels.chain_maps_bound`, the product over a
+greedy chain partition of the domain of each chain's maps into that
+chain, exceeds `cap`: within it the count cannot fire, and the
+enumeration at `cap + 1` decides alone.  A certificate only raises
+early: a poset that fits is enumerated as before, and one that the count
+misses still raises after `cap + 1` rows.
 
 Every monotone map is continuous at this scale (all chains stabilize), so
 no continuity side conditions appear anywhere.
@@ -214,20 +219,21 @@ def _tag_at(p, i):
 
 
 class _TagsAt:
-    """p's tags, each built alone when indexed, from forms read once."""
+    """p's tags, each built alone when indexed from its own element form
+    (`_form_at`)."""
 
-    __slots__ = ("p", "forms", "operands")
+    __slots__ = ("p", "operands")
 
     def __init__(self, p):
-        self.p, self.forms, self.operands = p, None, None
+        self.p, self.operands = p, None
 
     def __getitem__(self, i):
         rec = self.p._record
         if rec.tags is not None:
             return rec.tags[i]
-        if self.forms is None:
-            self.forms, self.operands = element_forms(self.p), list(map(_TagsAt, rec.children))
-        return _form_tags(rec.kind, [self.forms[i]], self.operands.__getitem__)[0]
+        if self.operands is None:
+            self.operands = list(map(_TagsAt, rec.children))
+        return _form_tags(rec.kind, [_form_at(self.p, i)], self.operands.__getitem__)[0]
 
 
 def _form_tags(kind, forms, operand):
@@ -496,13 +502,16 @@ def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
     When the naive bound exceeds `cap`, the monotone maps from `dom` (an
     order matrix, less its `bottom` for strict maps) into a longest chain of
     `cod` are counted first.  Each is a row, so more than `cap` of them
-    raise before enumerating.
+    raise before enumerating.  The count runs only where a chain partition
+    of `dom` leaves more than `cap` of them possible
+    (`kernels.chain_maps_bound`); elsewhere it cannot raise.
     """
     if cap is not None and naive > cap:
         if bottom is not None:
             dom = _drop_index(dom, bottom)
         h = len(kernels.levels(cod))
-        if kernels.count_chain_maps(dom, h, cap + 1) > cap:
+        if (kernels.chain_maps_bound(dom, h, cap + 1) > cap
+                and kernels.count_chain_maps(dom, h, cap + 1) > cap):
             raise ElementCapExceeded(f"{what} would have > {cap} elements: counted "
                                      f"≥ {cap + 1} maps into a chain of {h}")
     rows = enum(cap + 1 if cap is not None else naive + 1)
@@ -1090,6 +1099,27 @@ def element_forms(p):
     if kind == "coalesced":
         forms[0] = ["cbot"]  # where both summands' bottoms went
     return forms
+
+
+def _form_at(p, i):
+    """`element_forms(p)[i]` alone, read from the record: a table's or
+    upset's row, a pair by `divmod` over the right factor's size, and a sum
+    or lift element by the injection that reaches i."""
+    rec = p._record
+    kind = rec.kind
+    if kind == "product":
+        return list(divmod(i, len(rec.children[1])))
+    if kind == "tables":
+        return rec.rows[i].tolist()
+    if kind == "upsets":
+        return np.flatnonzero(rec.rows[i]).tolist()
+    if kind != "sum" and i == 0:  # the new or shared bottom
+        return ["lbot" if kind == "lift" else "cbot"]
+    for head, inj in zip(("lup",) if kind == "lift" else ("inl", "inr"), rec.inj):
+        hit = np.flatnonzero(inj == i)
+        if hit.size:
+            return [head, int(hit[0])]
+    raise IndexError(f"element {i} of a {len(p)}-element {kind}")
 
 
 def element_labels(p):

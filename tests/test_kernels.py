@@ -88,9 +88,15 @@ def test_inclusion_order_matches_pairwise_subsets():
 def down_set_order(tables, leq_cod):
     """Reference for `kernels.table_order`: t <= u pointwise iff the
     codomain down-set of t[p] lies inside that of u[p] at every p, so the
-    order is the inclusion of the rows of down-sets."""
+    order is the inclusion of the rows of down-sets.  Each pair is tested
+    as subsets, no member of t's row outside u's, broadcast over blocks of
+    pairs; no bitset is packed, so it shares no method with the kernels."""
     k, n = tables.shape
-    return kernels.inclusion_order(leq_cod.T[tables].reshape(k, n * len(leq_cod)))
+    downs = leq_cod.T[tables].reshape(k, n * len(leq_cod))
+    out = np.empty((k, k), dtype=np.bool_)
+    for s in range(0, k, 64):
+        out[s:s + 64] = ~(downs[s:s + 64, None, :] & ~downs[None, :, :]).any(axis=2)
+    return out
 
 
 def _tables_with_comparables(rng, k, n, leq_cod):
@@ -905,6 +911,32 @@ def test_count_chain_maps_from_a_chain_matches_the_upset_count():
                 if h ** n <= 4096:
                     exact = count_monotone_bruteforce(leq, chain(h).leq)
                     assert kernels.count_chain_maps(leq, h, 1 << 20) == exact
+
+
+def test_chain_maps_bound_is_at_least_the_count():
+    rng = np.random.RandomState(5)
+    shapes = [p.leq for p in all_posets_upto(5)]
+    shapes += [random_order(rng, n, density) for n in range(6, 13)
+               for density in (0.0, 0.1, 0.3, 0.6) for _ in range(3)]
+    huge, brute = 1 << 40, 0
+    for leq in shapes:
+        n = len(leq)
+        for h in range(1, 6):
+            bound = kernels.chain_maps_bound(leq, h, huge)
+            assert bound >= kernels.count_chain_maps(leq, h, huge), (n, h)
+            if h ** n <= 20000:
+                brute += 1
+                assert bound >= kernels.count_monotone_stack(leq[None], chain(h).leq)[0]
+            for limit in (1, 7, 100):
+                assert kernels.chain_maps_bound(leq, h, limit) == min(bound, limit)
+    assert brute > 500
+    # one chain, or one chain per element: the partition is exact
+    for n in range(8):
+        for h in range(6):
+            assert kernels.chain_maps_bound(chain(n).leq, h, huge) == (
+                kernels.count_chain_maps(chain(n).leq, h, huge))
+            antichain = np.eye(n, dtype=np.bool_)
+            assert kernels.chain_maps_bound(antichain, h, huge) == h ** n
 
 
 def _violations(leq_dom, leq_cod, table):

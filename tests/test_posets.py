@@ -307,6 +307,49 @@ def test_certificates_raise_before_enumerating(monkeypatch):
         P.strict_fun_space(P.chain(11), P.chain(10), cap=4096)
 
 
+def _cap_outcome(build):
+    """What `build` gives: the rows, order and bottom it built, or the
+    message of the `ElementCapExceeded` it raised."""
+    try:
+        p = build()
+    except ElementCapExceeded as exc:
+        return str(exc)
+    return p.rows.tobytes(), p.rows.shape, p.leq.tobytes(), p.bottom_idx
+
+
+def test_the_chain_bound_changes_no_cap_decision(monkeypatch):
+    # each case once as built, and once with the bound saying the count may
+    # fire, so that the exact certificate runs wherever the naive bound fails
+    rng = np.random.RandomState(29)
+    cases = []
+    for k in range(50):
+        p = random_poset(rng, rng.randint(0, 15), f"u{k}_")
+        q = random_poset(rng, rng.randint(1, 6), f"v{k}_")
+        small = random_poset(rng, rng.randint(0, 7), f"s{k}_")
+        for cap in (1, 5, 40, 300, 3000):
+            cases.append(lambda p=p, cap=cap: P.upsets(p, cap))
+            cases.append(lambda p=P.lift(p), cap=cap: P.strict_upsets(p, cap))
+            cases.append(lambda p=small, q=q, cap=cap: P.fun_space(p, q, cap))
+            cases.append(lambda p=P.lift(small), q=P.lift(q), cap=cap:
+                         P.strict_fun_space(p, q, cap))
+    bound, verdicts = kernels.chain_maps_bound, []
+
+    def recording(leq, h, limit):
+        out = bound(leq, h, limit)
+        verdicts.append(out < limit)
+        return out
+
+    monkeypatch.setattr(kernels, "chain_maps_bound", recording)
+    got = [_cap_outcome(build) for build in cases]
+    monkeypatch.setattr(kernels, "chain_maps_bound", lambda leq, h, limit: limit)
+    assert got == [_cap_outcome(build) for build in cases]
+    # the bound skipped the count often, and let it run often
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+    counted = sum(isinstance(o, str) and "counted" in o for o in got)
+    enumerated = sum(isinstance(o, str) and "counted" not in o for o in got)
+    assert counted > 200 and enumerated > 10
+
+
 def test_ho_ccs_at_cap_4096_never_enumerates_past_the_cap(monkeypatch):
     cap, seen = 4096, []
 
@@ -889,6 +932,29 @@ def test_every_constructor_matches_its_eager_tags(recorded):
     assert alone > len(recorded) // 2
     for _, _, out in recorded:
         _assert_view_agrees(out, ref(out))
+
+
+def test_one_element_form_is_that_of_all_forms(recorded):
+    # the form `_tag_at` reads for one element is its entry of all the forms
+    rng = np.random.RandomState(13)
+    plain = [P.discrete([]), P.chain(3), random_poset(rng, 4, "r")]
+    pointed = [P.unit(), P.validate_poset(["t", "a", "b"], [("b", "a"), ("a", "t")], "b"),
+               P.lift(plain[-1])]
+    for p in plain + pointed:
+        P.lift(p)
+        P.upsets(p)
+        for q in plain + pointed:
+            P.product(p, q)
+            P.separated_sum(p, q)
+            P.fun_space(p, q)
+    for p in pointed:
+        P.strict_upsets(p)
+        for q in pointed:
+            P.coalesced_sum(p, q)
+            P.strict_fun_space(p, q)
+    assert {build.__name__ for build, _, _ in recorded} == set(CONSTRUCTORS)
+    for _, _, out in recorded:
+        assert [P._form_at(out, i) for i in range(len(out))] == P.element_forms(out)
 
 
 def test_nested_tags_match_the_eager_reference(recorded):
