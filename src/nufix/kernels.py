@@ -32,16 +32,22 @@ reproducible:
   (so the empty set is first).
 
 A capped enumeration returns a prefix of the full list.  The certificates
-count without enumerating: `levels` groups a poset into antichains by
-longest chain, and `count_upsets` counts upsets exactly up to a limit.
-`count_chain_maps` counts the monotone maps into a chain the same way; a
-codomain's longest chain makes that a lower bound on its tables.  An
-exact count can cost more than the enumeration it guards, so
-`chain_maps_bound` first bounds the same maps from above by a greedy
-chain partition, in one pass over the elements; where that bound is
-within the cap, the count cannot prove an overflow and need not run.
-The stacked brute-force counters are independent oracles for the law
-suites.
+count without enumerating, up to a limit.  `levels` groups a poset into
+antichains by longest chain, and a codomain's longest chain makes the
+monotone maps into a chain that long (`count_chain_maps`) a lower bound
+on its tables.  Two greedy passes over the elements pinch those maps: an
+antichain A gives h ** |A| of them (`antichain_bound`), and a chain
+partition bounds them by the product of each chain's maps
+(`chain_maps_bound`); a largest antichain is as large as a smallest chain
+partition (Dilworth, Ann. Math. 51, 1950).  Where the upper bound is
+within the cap the count cannot prove an overflow and need not run, and
+where the lower bound reaches the limit it proves one at once.  Between
+them the count is exact: `count_upsets` splits on an element for the maps
+into the 2-chain, the upsets, and `count_upset_chains` counts the maps
+into a longer chain as multichains of the domain's upsets, by superset
+sums over their inclusion order (the order polynomial: Stanley,
+Enumerative Combinatorics vol. 1, ch. 3).  The stacked brute-force
+counters are independent oracles for the law suites.
 
 `find_isomorphism`, behind the public `posets.iso_check`, runs a cascade,
 cheapest first: the number of comparable pairs, the sorted (elements
@@ -126,15 +132,16 @@ def transitive_closure(rel):
     return out
 
 
-def _and_rows(bits, picks):
-    """The order matrix whose row i is the AND over the positions p of
-    bits[p, picks[i, p]], unpacked: `bits` is (n, m, w) uint64, a bitset
-    over the k rows per position and value, and `picks` a (k, n) array of
-    value indices, n >= 1.  That is n gathers of k x w words."""
+def _and_rows(bits, picks, k):
+    """The rows of an order matrix whose row i is the AND over the
+    positions p of bits[p, picks[i, p]], unpacked: `bits` is (n, m, w)
+    uint64, a bitset over the k rows per position and value, and `picks` an
+    (r, n) array of value indices, n >= 1, for r of the k rows.  That is n
+    gathers of r x w words."""
     acc = bits[0].take(picks[:, 0], axis=0)
     for p in range(1, picks.shape[1]):
         acc &= bits[p].take(picks[:, p], axis=0)
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=len(picks),
+    return np.unpackbits(acc.view(np.uint8), axis=1, count=k,
                          bitorder="little").view(np.bool_)
 
 
@@ -147,12 +154,20 @@ def inclusion_order(masks):
     all ones for each non-member (`_and_rows`)."""
     masks = np.asarray(masks, dtype=np.bool_)
     k, w = masks.shape
-    if k == 0 or w == 0:  # no rows, or every row is the empty set
+    if k <= 1 or w == 0:  # at most one row, or every row is the empty set
         return np.ones((k, k), dtype=np.bool_)
+    return _and_rows(_member_bits(masks), masks.view(np.uint8), k)
+
+
+def _member_bits(masks):
+    """The bitsets of `inclusion_order` for a (k, w) boolean array, w >= 1:
+    per ground element, all ones for a non-member to pick, then the rows
+    holding it, as (w, 2, ceil(k/64)) words."""
+    k, w = masks.shape
     bits = np.zeros((w, 2, -(-k // 64) * 8), dtype=np.uint8)  # whole words
     bits[:, 0] = 255
     bits[:, 1, : (k + 7) // 8] = np.packbits(masks.T, axis=1, bitorder="little")
-    return _and_rows(bits.view(np.uint64), masks.view(np.uint8))
+    return bits.view(np.uint64)
 
 
 def table_order(tables, leq_cod):
@@ -163,24 +178,24 @@ def table_order(tables, leq_cod):
     64-bit words; row i of the order is the AND over the positions p of
     bits[p, tables[i, p]] (`_and_rows`)."""
     k, n = tables.shape
-    if k == 0 or n == 0:  # no rows, or every row is the empty table
+    if k <= 1 or n == 0:  # at most one row, or every row is the empty table
         return np.ones((k, k), dtype=np.bool_)
     m = leq_cod.shape[0]
     bits = np.zeros((n, m, -(-k // 64) * 8), dtype=np.uint8)  # whole words
     bits[:, :, : (k + 7) // 8] = np.packbits(
         leq_cod[:, tables.T], axis=2, bitorder="little").transpose(1, 0, 2)
-    return _and_rows(bits.view(np.uint64), tables)
+    return _and_rows(bits.view(np.uint64), tables, k)
 
 
 # --------------------------------------------------------------------------
 # monotone table enumeration
 
 
-def _linear_extension(rows):
-    """Element indices of an order matrix given as lists, sorted stably by
-    the number of elements below each, so x <= y puts x first."""
-    below = [sum(col) for col in zip(*rows)]
-    return sorted(range(len(rows)), key=below.__getitem__)
+def _linear_extension(down):
+    """Element indices of an order given by its down-sets as bitsets
+    (`_row_bits` of the transposed matrix), sorted stably by the number of
+    elements below each, so x <= y puts x first."""
+    return sorted(range(len(down)), key=lambda e: down[e].bit_count())
 
 
 TABLE_STEP_BUDGET = 2_000_000_000  # steps of `enum_monotone_tables`, about 4 s; see its docstring
@@ -215,14 +230,14 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     frontier work on a 2-CPU machine, the call raises
     SearchBudgetExceeded.
     """
-    dom = np.asarray(leq_dom, dtype=np.bool_).tolist()
-    n, m, limit = len(dom), len(leq_cod), int(limit)
+    leq_dom = np.asarray(leq_dom, dtype=np.bool_)
+    n, m, limit = len(leq_dom), len(leq_cod), int(limit)
     if n == 0:
         return np.zeros((min(limit, 1), 0), dtype=np.int32)
     if m == 0 or limit == 0:
         return np.zeros((0, n), dtype=np.int32)
-    up = _row_bits(leq_cod)
-    order = _linear_extension(dom)
+    up, down = _row_bits(leq_cod), _row_bits(leq_dom.T)
+    order = _linear_extension(down)
     # per position: all of cod (the codomain's bottom alone at a strict
     # domain bottom), and the earlier positions that it covers, whose
     # values bound this one from below
@@ -232,7 +247,7 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
         start[order.index(dom_bottom)] = 1 << cod_bottom
     if n == 1:
         return np.array(_members(start[0])[:limit], dtype=np.int32).reshape(-1, 1)
-    preds = _lower_covers(dom, order)
+    preds = _lower_covers(down, order)
     vals = [0] * n
     rest = [0] * n
     rest[0] = start[0]
@@ -298,19 +313,19 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
     return out
 
 
-def _lower_covers(dom, order):
-    """Per position of `order`, a linear extension of the order matrix
-    `dom` (lists), the earlier positions of the elements it covers.  A
-    position's covers are the highest earlier position below it, then the
-    highest one not below that, and so on; the positions below each are
-    kept as a bitset, so a position costs one test per cover and per
-    earlier position not below it."""
+def _lower_covers(down, order):
+    """Per position of `order`, a linear extension of the order whose
+    down-sets are the bitsets `down`, the earlier positions of the elements
+    it covers.  A position's covers are the highest earlier position below
+    it, then the highest one not below that, and so on; the positions below
+    each are kept as a bitset, so a position costs one test per cover and
+    per earlier position not below it."""
     below, out = [], []
     for pos, e in enumerate(order):
-        covers, todo, under = [], (1 << pos) - 1, 1 << pos
+        covers, todo, under, lower = [], (1 << pos) - 1, 1 << pos, down[e]
         while todo:
             q = todo.bit_length() - 1
-            if dom[order[q]][e]:
+            if lower >> order[q] & 1:
                 covers.append(q)
                 under |= below[q]
                 todo &= ~below[q]
@@ -560,9 +575,9 @@ def _members(s):
 def count_upsets(leq, limit):
     """min(number of up-closed subsets, limit), exactly.
 
-    An antichain of w elements has 2**w upsets, so a wide level of `leq`
-    settles it at once.  Otherwise the count splits on the element x
-    comparable to most others, by whether an upset holds x:
+    An antichain of w elements has 2**w upsets, so a wide one
+    (`antichain_bound`) settles it at once.  Otherwise the count splits on
+    the element x comparable to most others, by whether an upset holds x:
     U(S) = U(S - up(x)) + U(S - down(x)).  Components multiply, a chain of
     k elements counts k + 1 and an antichain 2**k.  Sub-posets are
     Python-int bitsets; their counts are memoised, cut at `limit`, and
@@ -572,7 +587,7 @@ def count_upsets(leq, limit):
     n, limit = leq.shape[0], int(limit)
     if n == 0:
         return min(1, limit)
-    if 1 << max(len(group) for group in levels(leq)) >= limit:
+    if antichain_bound(leq, 2, limit) >= limit:
         return limit
     up, down = _row_bits(leq), _row_bits(leq.T)
     near = [u | d for u, d in zip(up, down)]
@@ -629,23 +644,86 @@ def count_upsets(leq, limit):
 def count_chain_maps(leq_dom, h, limit):
     """min(number of monotone maps dom -> an h-element chain, limit), exactly.
 
-    A map f into 0 < ... < h - 1 is the upset {(x, i) : f(x) + i >= h - 1}
-    of dom x (a chain of h - 1 elements), and each upset U is the map
-    x -> #{i : (x, i) in U} (Davey & Priestley, Introduction to Lattices
-    and Order, 2nd ed., 2002, ch. 1), so `count_upsets` counts them.
-    Upsets are the maps into the 2-chain.  From a chain of n the maps are
-    the multisets of n values out of h, counted in closed form: the grid
-    of a tall chain has narrow levels, where `count_upsets` splits element
-    by element.
+    Upsets are the maps into the 2-chain, so `count_upsets` counts those.
+    From a chain of n the maps are the multisets of n values out of h,
+    counted in closed form.  Otherwise a wide antichain proves an overflow
+    first (`antichain_bound`), and `count_upset_chains` counts what it
+    leaves.
     """
     leq_dom = np.asarray(leq_dom, dtype=np.bool_)
-    if h == 0:  # only the empty map, from the empty poset
-        return min(int(leq_dom.shape[0] == 0), int(limit))
-    if (leq_dom | leq_dom.T).all():  # every level holds one element
-        n = leq_dom.shape[0]
-        return min(math.comb(n + h - 1, n), int(limit))
-    steps = np.triu(np.ones((h - 1, h - 1), dtype=np.bool_))
-    return count_upsets(np.kron(leq_dom, steps), limit)
+    n, limit = leq_dom.shape[0], int(limit)
+    if h <= 1:  # the constant map, or the empty map from the empty poset
+        return min(int(h == 1 or n == 0), limit)
+    if h == 2:
+        return count_upsets(leq_dom, limit)
+    if (leq_dom | leq_dom.T).all():  # a chain
+        return min(math.comb(n + h - 1, n), limit)
+    if antichain_bound(leq_dom, h, limit) >= limit:
+        return limit
+    return count_upset_chains(leq_dom, h, limit)
+
+
+_SUM_CELLS = 1 << 18  # inclusion-order cells one block of `count_upset_chains` reads
+
+
+def count_upset_chains(leq_dom, h, limit):
+    """min(number of monotone maps dom -> an h-element chain, limit),
+    exactly, counted over the upsets of dom, for h >= 2.
+
+    A map f into 0 < ... < h - 1 is the chain of its upsets
+    {f >= 1} ⊇ ... ⊇ {f >= h - 1}, and every such multichain of h - 1
+    upsets is a map; their number is the order polynomial (Stanley,
+    Enumerative Combinatorics vol. 1, 2nd ed., 2012, ch. 3).
+    `enum_upsets(dom, limit)` gives the k upsets, and k = limit already
+    proves the overflow: the upsets are the maps onto the chain's ends.
+    Otherwise c(U) = 1 counts the chain of one upset, U, and each of h - 2
+    superset sums, c'(U) = sum of c(V) over the upsets V ⊇ U, cut at
+    `limit`, extends the chains by one upset U below their least; the count
+    is the sum of the last c.
+    The sums read the inclusion order (`_and_rows` over `_member_bits`) a
+    block of rows at a time, `_SUM_CELLS` cells and their int64 product, so
+    no k x k matrix is ever held; an order that fits one block is built
+    once.  Past int64 range the sums are of Python ints.
+    """
+    limit = int(limit)
+    masks = enum_upsets(leq_dom, limit)
+    k = len(masks)
+    if k >= limit or k <= 1 or h <= 2:  # k <= 1: the empty domain
+        return min(k, limit)
+    bits, picks = _member_bits(masks), masks.view(np.uint8)
+    rows = max(1, _SUM_CELLS // k)
+    held = [_and_rows(bits, picks, k)] if rows >= k else None  # the order is one block
+    counts = np.ones(k, dtype=np.int64 if k * limit < 1 << 63 else object)
+    for _ in range(h - 2):
+        blocks = held or (_and_rows(bits, picks[i : i + rows], k) for i in range(0, k, rows))
+        counts = np.minimum(np.concatenate([block @ counts for block in blocks]), limit)
+    return min(int(counts.sum()), limit)
+
+
+def antichain_bound(leq_dom, h, limit):
+    """min(h ** |A|, limit) for an antichain A of dom, a lower bound on the
+    monotone maps dom -> an h-element chain, so never above
+    `count_chain_maps(leq_dom, h, limit)`.
+
+    Any values on A, carried upward as the largest value at or below each
+    element (0 where there is none), make a monotone map that keeps them
+    on A, so each of the h ** |A| choices is another map (for h >= 1).  A
+    grows greedily: the live element with the fewest live elements
+    comparable to it joins A, and they all leave; the walk stops once
+    h ** |A| reaches `limit`.  It costs the row bitsets and a bit count per
+    live element and step.
+    """
+    leq = np.asarray(leq_dom, dtype=np.bool_)
+    near = [u | d for u, d in zip(_row_bits(leq), _row_bits(leq.T))]
+    alive, live, bound, limit = list(range(len(near))), (1 << len(near)) - 1, 1, int(limit)
+    if h == 0:  # no value to carry: only the empty map, from the empty poset
+        return min(int(not alive), limit)
+    while alive and bound < limit:
+        degree = [(near[e] & live).bit_count() for e in alive]
+        live &= ~near[alive[degree.index(min(degree))]]
+        alive = [e for e in alive if live >> e & 1]
+        bound *= h
+    return min(bound, limit)
 
 
 def chain_maps_bound(leq_dom, h, limit):

@@ -25,7 +25,8 @@ and `in` is built on the first lookup, where a repeated tag raises
 equal posets have one bottom and are leaves of one order and stored tags,
 or one constructor's over equal operands (`_same_construction`), so a leaf
 with a construction's tags is another poset, and no comparison builds a
-tag tree.  The hash comes from the order and the bottom.  The layouts:
+tag tree.  The hash comes from the bottom and a digest of the order, its
+size and the middle element's row and column.  The layouts:
 
 - `product(p, q)`: the pair of p's i-th and q's j-th element is at
   `i * len(q) + j`.
@@ -58,7 +59,10 @@ counted exactly; tables into a longest chain are some of all the tables.
 The count runs only where `kernels.chain_maps_bound`, the product over a
 greedy chain partition of the domain of each chain's maps into that
 chain, exceeds `cap`: within it the count cannot fire, and the
-enumeration at `cap + 1` decides alone.  A certificate only raises
+enumeration at `cap + 1` decides alone.  The count first grows a greedy
+antichain A of the domain, and h^|A| maps past `cap` raise without
+counting (`kernels.antichain_bound`); elsewhere it counts exactly, over
+the domain's upsets for chains of three or more.  A certificate only raises
 early: a poset that fits is enumerated as before, and one that the count
 misses still raises after `cap + 1` rows.
 
@@ -194,8 +198,12 @@ class FinPoset:
         return _same_construction(self, other)
 
     def __hash__(self):
+        # a digest of the order in O(n) bytes: the size, the bottom, and the
+        # elements above and below the middle element
         if self._hash is None:
-            self._hash = hash((self.leq.tobytes(), self.bottom_idx))
+            n = len(self)
+            middle = (self.leq[n // 2].tobytes(), self.leq[:, n // 2].tobytes()) if n else ()
+            self._hash = hash((n, self.bottom_idx, *middle))
         return self._hash
 
     def __repr__(self):
@@ -504,7 +512,9 @@ def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
     `cod` are counted first.  Each is a row, so more than `cap` of them
     raise before enumerating.  The count runs only where a chain partition
     of `dom` leaves more than `cap` of them possible
-    (`kernels.chain_maps_bound`); elsewhere it cannot raise.
+    (`kernels.chain_maps_bound`); elsewhere it cannot raise.  Within the
+    count, an antichain of `dom` with h^|A| > `cap` raises the same message
+    without counting (`kernels.antichain_bound`).
     """
     if cap is not None and naive > cap:
         if bottom is not None:

@@ -159,7 +159,8 @@ def test_enumerator_positions_follow_the_linear_extension():
         n = rng.randint(2, 13)
         leq = random_order(rng, n, rng.choice([0.0, 0.1, 0.3, 0.6]))
         ties += len(set(leq.sum(axis=0).tolist())) < n  # equal column sums
-        assert kernels._linear_extension(leq.tolist()) == linear_extension(leq).tolist()
+        down = kernels._row_bits(leq.T)
+        assert kernels._linear_extension(down) == linear_extension(leq).tolist()
     assert kernels._linear_extension([]) == []
     assert ties > 250
 
@@ -937,6 +938,82 @@ def test_chain_maps_bound_is_at_least_the_count():
                 kernels.count_chain_maps(chain(n).leq, h, huge))
             antichain = np.eye(n, dtype=np.bool_)
             assert kernels.chain_maps_bound(antichain, h, huge) == h ** n
+
+
+def _certificate_domains(seed):
+    """Every poset up to 5 elements and seeded random orders of 6-12, each
+    as it is and with a new bottom below it."""
+    rng = np.random.RandomState(seed)
+    shapes = [p.leq for p in all_posets_upto(5)]
+    shapes += [random_order(rng, n, density) for n in range(6, 13)
+               for density in (0.0, 0.1, 0.3, 0.6) for _ in range(3)]
+    out = []
+    for leq in shapes:
+        lifted = np.ones((len(leq) + 1,) * 2, dtype=np.bool_)
+        lifted[1:, 0] = False
+        lifted[1:, 1:] = leq
+        out += [leq, lifted]
+    return out
+
+
+def test_antichain_bound_is_at_most_the_count():
+    huge, brute = 1 << 40, 0
+    for leq in _certificate_domains(5):
+        n = len(leq)
+        for h in range(1, 6):
+            bound = kernels.antichain_bound(leq, h, huge)
+            if h ** n <= 20000:
+                brute += 1
+                assert bound <= kernels.count_monotone_stack(leq[None], chain(h).leq)[0], (n, h)
+            for limit in (1, 7, 100):
+                assert kernels.antichain_bound(leq, h, limit) == min(bound, limit)
+    assert brute > 1000
+    # one antichain: every map is monotone
+    for n in range(8):
+        for h in range(6):
+            assert kernels.antichain_bound(np.eye(n, dtype=np.bool_), h, huge) == h ** n
+
+
+def test_upset_chain_count_matches_the_brute_force():
+    huge, brute = 1 << 40, 0
+    for leq in _certificate_domains(11):
+        n = len(leq)
+        for h in range(2, 7):
+            if h ** n <= 20000:
+                brute += 1
+                exact = int(kernels.count_monotone_stack(leq[None], chain(h).leq)[0])
+                assert kernels.count_upset_chains(leq, h, huge) == exact, (n, h)
+                assert kernels.count_upset_chains(leq, h, 50) == min(exact, 50)
+    assert brute > 1000
+    # 8 upsets times a limit past int64 range: the sums are Python ints
+    assert kernels.count_upset_chains(np.eye(3, dtype=np.bool_), 4, 1 << 62) == 4 ** 3
+    assert kernels.count_upset_chains(np.eye(3, dtype=np.bool_), 4, 10 ** 30) == 4 ** 3
+
+
+def test_upset_chain_count_matches_the_product_grid_count():
+    # the certificate before the upset count: maps into an h-chain as the
+    # upsets of dom x (a chain of h - 1), counted by `count_upsets`
+    rng = np.random.RandomState(13)
+    domains = [random_order(rng, n, density) for n in range(1, 13)
+               for density in (0.0, 0.15, 0.4) for _ in range(2)]
+    for leq in domains:
+        for h in range(2, 7):
+            grid = np.kron(leq, np.triu(np.ones((h - 1, h - 1), dtype=np.bool_)))
+            for limit in (1, 7, 100, 1 << 20):
+                assert kernels.count_upset_chains(leq, h, limit) == (
+                    kernels.count_upsets(grid, limit)), (len(leq), h, limit)
+
+
+def test_upset_chain_count_holds_no_square_matrix():
+    # 4096 upsets of 12 unrelated elements, each pass of sums read in blocks
+    tracemalloc.start()
+    try:
+        got = kernels.count_upset_chains(np.eye(12, dtype=np.bool_), 5, 1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 5 ** 12
+    assert peak < 32 << 20, peak
 
 
 def _violations(leq_dom, leq_cod, table):

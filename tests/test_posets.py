@@ -318,8 +318,10 @@ def _cap_outcome(build):
 
 
 def test_the_chain_bound_changes_no_cap_decision(monkeypatch):
-    # each case once as built, and once with the bound saying the count may
-    # fire, so that the exact certificate runs wherever the naive bound fails
+    # each case once as built, once with the bound saying the count may
+    # fire, so that the exact certificate runs wherever the naive bound
+    # fails, and once more with the antichain bound never deciding, so that
+    # the exact count runs to the end
     rng = np.random.RandomState(29)
     cases = []
     for k in range(50):
@@ -333,18 +335,29 @@ def test_the_chain_bound_changes_no_cap_decision(monkeypatch):
             cases.append(lambda p=P.lift(small), q=P.lift(q), cap=cap:
                          P.strict_fun_space(p, q, cap))
     bound, verdicts = kernels.chain_maps_bound, []
+    lower, settled = kernels.antichain_bound, []
 
     def recording(leq, h, limit):
         out = bound(leq, h, limit)
         verdicts.append(out < limit)
         return out
 
+    def recording_lower(leq, h, limit):
+        out = lower(leq, h, limit)
+        settled.append(out >= limit)
+        return out
+
     monkeypatch.setattr(kernels, "chain_maps_bound", recording)
+    monkeypatch.setattr(kernels, "antichain_bound", recording_lower)
     got = [_cap_outcome(build) for build in cases]
     monkeypatch.setattr(kernels, "chain_maps_bound", lambda leq, h, limit: limit)
     assert got == [_cap_outcome(build) for build in cases]
-    # the bound skipped the count often, and let it run often
+    monkeypatch.setattr(kernels, "antichain_bound", lambda leq, h, limit: 0)
+    assert got == [_cap_outcome(build) for build in cases]
+    # the bound skipped the count often, and let it run often; the antichain
+    # bound settled many of the counts that ran, and left many
     assert 100 < sum(verdicts) < len(verdicts) - 100
+    assert 100 < sum(settled) < len(settled) - 100
     counted = sum(isinstance(o, str) and "counted" in o for o in got)
     enumerated = sum(isinstance(o, str) and "counted" not in o for o in got)
     assert counted > 200 and enumerated > 10
