@@ -39,13 +39,17 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_json(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+    # JSONDecodeError is a ValueError, as is an integer past Python's digit
+    # limit; a RecursionError is an input nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -53,15 +53,14 @@ counters are independent oracles for the law suites.
 cheapest first: the number of comparable pairs, the sorted (elements
 below, elements above) pairs, then the neighbourhood labels (`_labels`) of
 both orders in one pass.  Most non-isomorphic pairs stop at the first
-step.  The search behind them backtracks in a fixed order over fixed
-candidate lists, so the first witness found is always the same.  An
-individualization-refinement cut only drops branches that have no
-completion.  It makes regular orders, whose labels cannot tell elements
-apart, decide in milliseconds; twin candidates (the same elements above
-and below) are tried once and not refined.  Past `ISO_STEP_BUDGET` steps
-of work the search raises `errors.SearchBudgetExceeded`; it never returns
-an unproved None.  No result path runs the search: the mediator decides
-its stages by their orders alone.
+step.  The search behind them backtracks in a fixed order over the
+elements of equal labels, so the first witness found is always the same.
+Orders whose labels cannot tell elements apart, such as regular ones,
+leave it to try one map after another; past `ISO_STEP_BUDGET` steps of
+work, 0.1 to 1.5 s on a 2-CPU machine, it raises
+`errors.SearchBudgetExceeded`, and it never returns an unproved None.  No
+result path runs the search: the mediator decides its stages by their
+orders alone.
 """
 
 from __future__ import annotations
@@ -760,165 +759,67 @@ def chain_maps_bound(leq_dom, h, limit):
 # isomorphism search
 
 
-ISO_STEP_BUDGET = 20_000_000  # steps of `_iso_search`, about 4 s; see its docstring
+ISO_STEP_BUDGET = 20_000_000  # steps of `_iso_search`, at most about 1.5 s; see its docstring
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _MASK = np.uint64((1 << 63) - 1)
-_FRESH = 1 << 63  # individualized colours, above every mixed label
 
 
 def _mix(x):
     return ((x ^ (x >> np.uint64(31))) * _MIX) & _MASK
 
 
-def _strict_pairs(leq):
-    """The strictly related pairs x < y of an order matrix, or of a
-    (d, n, n) stack of them, as index arrays into the sums that
-    `_refine_round` builds: the dn up-sums (element k of order s is
-    s * n + k), then the dn down-sums.  Each y is added into x's up-sum
-    and each x into y's down-sum."""
-    d, n = math.prod(leq.shape[:-2]), leq.shape[-1]  # d = 1 for one matrix
-    side, x, y = np.nonzero(leq.reshape(d, n, n) & ~np.eye(n, dtype=np.bool_))
-    x, y = side * n + x, side * n + y
-    return np.concatenate([x, y + d * n]), np.concatenate([y, x])
-
-
-def _refine_round(pairs, labels):
-    """Each label mixed with the sums of the mixed labels strictly above and
-    below it, over the orders' `_strict_pairs`, so a round costs the number
-    of related pairs.  The uint64 sums wrap modulo 2^64, so cut to 63 bits
-    they are those of a loop that masks after every addition.  `labels` is
-    (n,), or (d, n) for a stack of d orders."""
-    into, source = pairs
-    sums = np.zeros(2 * labels.size, dtype=np.uint64)
-    np.add.at(sums, into, _mix(labels).reshape(-1)[source])
-    up, down = _mix(sums & _MASK).reshape(2, *labels.shape)
-    return _mix(labels ^ up ^ _mix(down))
-
-
-def _labels(pairs, below, above):
-    """Iso-invariant labels of an order, or of a (d, n, n) stack, from its
-    `_strict_pairs` and (below, above) counts by three `_refine_round`s."""
+def _labels(leq):
+    """Iso-invariant labels of an order, or of a (d, n, n) stack of them:
+    each element's (below, above) counts, mixed three times with the sums
+    of the mixed labels strictly above and below it.  The sums are uint64
+    matrix-vector products, which wrap modulo 2^64, so cut to 63 bits they
+    are those of a loop that masks after every addition."""
+    n = leq.shape[-1]
+    strict = (leq & ~np.eye(n, dtype=np.bool_)).astype(np.uint64)
+    below, above = leq.sum(axis=-2), leq.sum(axis=-1)
     labels = (below.astype(np.uint64) << np.uint64(20)) ^ above.astype(np.uint64)
     for _ in range(3):
-        labels = _refine_round(pairs, labels)
+        mixed = _mix(labels)[..., None]
+        up = (strict @ mixed)[..., 0] & _MASK
+        down = (strict.swapaxes(-1, -2) @ mixed)[..., 0] & _MASK
+        labels = _mix(labels ^ _mix(up) ^ _mix(_mix(down)))
     return labels.astype(np.int64)
 
 
-def _refine(pairs, colours):
-    """Refine a (2, n) stack of colourings of two orders, given by their
-    `_strict_pairs`, to a fixpoint; returns it, or None as soon as the
-    sides' colour histograms differ, with the number of rounds run.
-
-    Both sides go through the same rounds, so an isomorphism that respects
-    the input colours respects every round's; differing histograms prove
-    there is none.  A round that splits no class ends the refinement."""
-    classes, rounds = None, 0
-    while True:
-        hist = np.sort(colours, axis=1)
-        if not np.array_equal(hist[0], hist[1]):
-            return None, rounds
-        now = 1 + np.count_nonzero(hist[0, 1:] != hist[0, :-1])
-        if now == classes:
-            return colours, rounds
-        classes, rounds = now, rounds + 1
-        colours = _refine_round(pairs, colours)
-
-
-def _twin_classes(leq):
-    """Class ids of the elements of an order, equal exactly for twins:
-    elements with the same strict up-set and down-set."""
-    strict = leq & ~np.eye(len(leq), dtype=np.bool_)
-    keys = np.packbits(np.hstack([strict, strict.T]), axis=1)
-    ids = {}
-    return [ids.setdefault(key.tobytes(), len(ids)) for key in keys]
-
-
-def _iso_search(leq_a, leq_b, order, cands, related, labels, budget):
+def _iso_search(leq_a, leq_b, order, cands, budget):
     """Depth-first search along `order`, trying each element's candidates
     in list order; returns the first consistent bijection or None.
 
-    Individualization-refinement (McKay & Piperno, J. Symbolic Comput. 60,
-    2014) cuts dead branches.  `refined` holds colourings on the current
-    path, first the labels.  A candidate must have its element's colour
-    in the latest one.  Where two or more unused candidates have that
-    colour, the node is a split: the pairs mapped since then and the new
-    pair each get a fresh colour on both sides, and `_refine` cuts the
-    branch or records the refined colouring.  Where those candidates are
-    all twins in b, swapping two of them is an automorphism of b that fixes
-    every mapped element, so they all extend or none does: the node tries
-    the first one alone and does not refine.  The cuts only drop branches
-    with no completion, so the first witness is the plain backtracker's.
-
-    The budget counts steps: each candidate looked at costs one, one
-    checked against the pos elements mapped before it pos more, and a
-    refinement round about as much as checking against 200 + p/24, for p
-    related pairs in the two orders (a step is about 0.2 us on a 2-CPU
+    The budget counts steps: each candidate looked at in position pos
+    costs 1 + pos, one for the look and one for each element mapped before
+    it that the check may read (a step is at most about 0.07 us on a 2-CPU
     machine).  Past `budget` steps the search raises SearchBudgetExceeded,
     so it never returns an unproved None.
     """
     n = len(order)
-    a = leq_a.tolist()
-    b = leq_b.tolist()
-    mapped = [-1] * n
-    used = [False] * n
-    choice = [-1] * n
-    kind = [None] * n  # "plain", "split" or "twins", set on entering a position
-    twins = None  # b's twin classes, computed at the first node with a choice
-    refined = [(-1, labels, *labels.tolist())]  # (position, colours, as lists)
-    steps, round_steps = 0, 200 + len(related[0]) // 48
-    pos = 0
+    a, b = leq_a.tolist(), leq_b.tolist()
+    mapped, used, choice = [-1] * n, [False] * n, [-1] * n
+    steps = pos = 0
     while pos < n:
         i = order[pos]
         mine = cands[i]
-        while refined[-1][0] >= pos:
-            refined.pop()
-        last, colours, ca, cb = refined[-1]
-        t = choice[pos] + 1
-        if t == 0:
-            live = [j for j in mine if not used[j] and cb[j] == ca[i]]
-            kind[pos] = "plain"
-            if len(live) > 1:
-                if twins is None:
-                    twins = _twin_classes(leq_b)
-                kind[pos] = "twins" if len({twins[j] for j in live}) == 1 else "split"
-        elif kind[pos] == "twins":
-            t = len(mine)  # the twin tried had no completion, so none has
-        while t < len(mine):
+        for t in range(choice[pos] + 1, len(mine)):
             j = mine[t]
-            steps += 1
-            if not used[j] and cb[j] == ca[i]:
-                steps += pos
-                if steps > budget:
-                    raise SearchBudgetExceeded(
-                        f"iso search gave up after {budget} steps")
-                if all(a[i][i2] == b[j][mapped[i2]] and a[i2][i] == b[mapped[i2]][j]
-                       for i2 in order[:pos]):
-                    if kind[pos] != "split":
-                        break
-                    fresh = colours.copy()
-                    for q in range(last + 1, pos):
-                        fresh[0, order[q]] = fresh[1, mapped[order[q]]] = _FRESH + q
-                    fresh[0, i] = fresh[1, j] = _FRESH + pos
-                    fresh, rounds = _refine(related, fresh)
-                    steps += rounds * round_steps
-                    if fresh is not None:
-                        refined.append((pos, fresh, *fresh.tolist()))
-                        break
-            t += 1
-        if t == len(mine):
+            steps += 1 + pos
+            if steps > budget:
+                raise SearchBudgetExceeded(f"iso search gave up after {budget} steps")
+            if not used[j] and all(a[i][k] == b[j][mapped[k]] and a[k][i] == b[mapped[k]][j]
+                                   for k in order[:pos]):
+                choice[pos], mapped[i], used[j] = t, j, True
+                pos += 1
+                break
+        else:  # no candidate left: back to the position before
             choice[pos] = -1
             pos -= 1
             if pos < 0:
                 return None
-            i2 = order[pos]
-            used[mapped[i2]] = False
-            mapped[i2] = -1
-        else:
-            choice[pos] = t
-            mapped[i] = mine[t]
-            used[mine[t]] = True
-            pos += 1
+            used[mapped[order[pos]]] = False
     return np.array(mapped, dtype=np.int32)
 
 
@@ -927,31 +828,25 @@ def find_isomorphism(leq_a, leq_b):
 
     The cheapest invariants decide first: the number of comparable pairs,
     then the sorted (elements below, elements above) pairs, then the
-    sorted `_labels`, computed for both orders in one pass.
-    Candidates are the elements with equal labels, and `_iso_search` runs
-    with the refinement cut under `ISO_STEP_BUDGET` steps.  Complete (every
-    cut is an iso-invariant) and sound (the final mapping is fully
-    re-verified).
+    sorted `_labels`, computed for both orders in one pass.  Candidates
+    are the elements with equal labels, and `_iso_search` runs under
+    `ISO_STEP_BUDGET` steps.  Complete (every cut is an iso-invariant) and
+    sound (the final mapping is fully re-verified).
     """
     leq_a = np.asarray(leq_a, dtype=np.bool_)
     leq_b = np.asarray(leq_b, dtype=np.bool_)
     n = leq_a.shape[0]
     if leq_b.shape[0] != n:
         return None
-    if n == 0:
-        return np.zeros(0, dtype=np.int32)
-    if np.array_equal(leq_a, leq_b):
+    if np.array_equal(leq_a, leq_b):  # the identity, also of the empty order
         return np.arange(n, dtype=np.int32)
     if np.count_nonzero(leq_a) != np.count_nonzero(leq_b):
         return None
     stack = np.stack([leq_a, leq_b])
-    below, above = stack.sum(axis=1), stack.sum(axis=2)
-    degrees = np.sort(below * (n + 1) + above, axis=1)
+    degrees = np.sort(stack.sum(axis=1) * (n + 1) + stack.sum(axis=2), axis=1)
     if not np.array_equal(degrees[0], degrees[1]):
         return None
-    related = _strict_pairs(stack)
-    labels = _labels(related, below, above)
-    la, lb = labels.tolist()
+    la, lb = _labels(stack).tolist()
     if sorted(la) != sorted(lb):
         return None
     buckets = {}
@@ -959,8 +854,7 @@ def find_isomorphism(leq_a, leq_b):
         buckets.setdefault(lb[j], []).append(j)
     cands = [buckets[la[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(cands[i]), i))
-    perm = _iso_search(leq_a, leq_b, order, cands, related, labels.view(np.uint64),
-                       ISO_STEP_BUDGET)
+    perm = _iso_search(leq_a, leq_b, order, cands, ISO_STEP_BUDGET)
     if perm is None:
         return None
     if not np.array_equal(leq_b[perm][:, perm], leq_a):  # pragma: no cover

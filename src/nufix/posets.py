@@ -929,12 +929,13 @@ def iso_check(p, q):
     and above DEFAULT_ISO_CAP elements raises SizeCapExceeded.  There
     `kernels.find_isomorphism` decides: the number of comparable pairs, the
     sorted (below, above) degrees and the sorted neighbourhood labels reject
-    most pairs at once; the backtracking search behind them prunes with an
-    individualization-refinement cut, so regular orders such as the
-    incidence orders of C_2n and 2.C_n decide in milliseconds.  A search
-    that runs out of its step budget (`kernels.ISO_STEP_BUDGET`, about four
-    seconds of work) raises SearchBudgetExceeded, never an unproved None.
-    No result path calls it: `mediator.compare_stages` compares orders.
+    most pairs at once, and a backtracking search over the elements of
+    equal labels decides the rest.  Orders whose labels cannot tell their
+    elements apart, such as the incidence orders of C_2n and 2.C_n, leave
+    it to try map after map; one that runs out of its step budget
+    (`kernels.ISO_STEP_BUDGET`, 0.1 to 1.5 s of work) raises
+    SearchBudgetExceeded, never an unproved None.  No result path calls it:
+    `mediator.compare_stages` compares orders.
     """
     if len(p) != len(q):
         return None

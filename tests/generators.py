@@ -75,8 +75,21 @@ def cycle_incidence(lengths):
 
 
 # --------------------------------------------------------------------------
-# witness reference for `kernels.find_isomorphism`: its plain backtracker,
-# three rounds of labels and no refinement cut, kept as it was
+# references for `kernels.find_isomorphism`: a search over every
+# permutation, which shares nothing with it, and its witness reference, the
+# same label-filtered backtracker written as loops, without a step budget
+
+
+def brute_isomorphic(leq_a, leq_b):
+    """The first permutation, in lexicographic order, that maps order a
+    onto order b, or None; tries them all, so keep both orders small."""
+    if len(leq_a) != len(leq_b):
+        return None
+    for perm in itertools.permutations(range(len(leq_a))):
+        perm = np.array(perm, dtype=np.int32)
+        if np.array_equal(leq_b[perm][:, perm], leq_a):
+            return perm
+    return None
 
 
 def _iso_backtrack(leq_a, leq_b, order, cands):

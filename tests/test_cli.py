@@ -322,6 +322,26 @@ def test_malformed_json_input_exits_one_with_an_error_object(workdir, capsys, fl
     assert json.loads(err)["error"] == "InputError"
 
 
+def test_undecodable_text_and_oversized_integers_exit_one_with_an_error_object(
+        workdir, capsys):
+    # bytes that are not UTF-8, in each kind of input file, and an integer
+    # of 5000 digits, past the limit of the Python builds that have one
+    bad = str(workdir / "bad.txt")
+    with open(bad, "wb") as fh:
+        fh.write(b"\xff")
+    big = write(workdir / "big.json", '{"A": ' + "9" * 5000 + "}")
+    expr, out = write(workdir / "w.expr", "W"), str(workdir / "out.json")
+    for argv in (["solve", "-f", bad],
+                 ["terminal", "-f", expr, "--constants", bad],
+                 ["bisim", "--lts", bad],
+                 ["render", "--report", bad],
+                 ["terminal", "-f", expr, "--constants", big],
+                 ["render", "--report", big]):
+        assert main(argv + (["--out-dir", str(workdir / "dots")] if argv[0] == "render"
+                            else ["--out", out])) == 1, argv
+        assert _error_line(capsys)["error"] == "InputError", argv
+
+
 NESTED = {  # lazy expressions nested n deep, which every command takes
     "lifts": lambda n: "Lift(" * n + "Id" + ")" * n,
     "sums": lambda n: "Lift(" + " + ".join(["Id"] * n) + ")",  # n - 1 sums under a Lift

@@ -26,7 +26,7 @@ from nufix.errors import (
 )
 from nufix.mediator import include
 
-from generators import cycle_incidence, from_tags, random_order, random_poset
+from generators import brute_isomorphic, cycle_incidence, from_tags, random_order, random_poset
 
 
 def two_chain():
@@ -622,13 +622,7 @@ def test_iso_check_complete_against_permutations():
         p = rng.choice(shapes)
         q = rng.choice(shapes)
         got = P.iso_check(p, q)
-        brute = False
-        if len(p) == len(q):
-            for perm in itertools.permutations(range(len(p))):
-                perm = np.array(perm)
-                if np.array_equal(q.leq[perm][:, perm], p.leq):
-                    brute = True
-                    break
+        brute = brute_isomorphic(p.leq, q.leq) is not None
         assert (got is not None) == brute
 
 
@@ -646,10 +640,7 @@ def test_iso_check_complete_on_random_medium_posets():
             if len(a) != len(b):
                 continue
             got = P.iso_check(a, b)
-            brute = any(
-                np.array_equal(b.leq[np.array(perm)][:, np.array(perm)], a.leq)
-                for perm in itertools.permutations(range(len(a)))
-            )
+            brute = brute_isomorphic(a.leq, b.leq) is not None
             assert (got is not None) == brute
 
 
@@ -751,7 +742,7 @@ def iso_search_shapes(n):
                     leq[i, j] = True
             if not np.array_equal(kernels.transitive_closure(leq), leq):
                 continue
-            labels = kernels._labels(kernels._strict_pairs(leq), leq.sum(-2), leq.sum(-1))
+            labels = kernels._labels(leq)
             labels = tuple(sorted(labels.tolist()))
             same = by_labels.setdefault(labels, [])
             if any(kernels.find_isomorphism(leq, r) is not None for r in same):
