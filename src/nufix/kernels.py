@@ -1,17 +1,20 @@
 """Hot kernels: closure, inclusion and pointwise orders, table/upset
 enumeration, cardinality certificates, iso search.
 
-Two kernels build order matrices, of k rows each, by one method
-(`_and_rows`): per position and value, a bitset over the rows, and row i
-of the order ANDs the bitsets that its own values pick.
-`table_order` orders tables pointwise: per position it packs, for each
+Two kernels build orders of k rows each by one method (`_and_rows`): per
+position and value, a bitset over the rows, and row i of the order ANDs
+the bitsets that its own values pick.  The result is packed rows, k x
+ceil(k/64) uint64 words with the bits past k zero (`pack_rows`), which the
+table and upset posets keep; `unpack_rows` turns them into a matrix.
+`table_words` orders tables pointwise: per position it packs, for each
 codomain value v, the bitset of the rows whose value there lies above v.
-`inclusion_order` orders upsets by inclusion of their masks: per ground
+`inclusion_words` orders upsets by inclusion of their masks: per ground
 element it packs the bitset of the masks holding it, which a member
 picks and a non-member skips.  That is n gathers of k x ceil(k/64)
 words, for n positions or ground elements, where comparing the rows
 pairwise costs k x k x ceil(n/64) words: the bitsets save most where n
 is well below 64, as on the grounds that upsets are built on.
+`table_order` and `inclusion_order` are the same orders unpacked.
 
 Tables are enumerated by a bitset backtracker that hands what it has not
 entered, once it has used a fixed allowance of nodes, to frontier blocks:
@@ -131,22 +134,44 @@ def transitive_closure(rel):
     return out
 
 
-def _and_rows(bits, picks, k):
-    """The rows of an order matrix whose row i is the AND over the
-    positions p of bits[p, picks[i, p]], unpacked: `bits` is (n, m, w)
-    uint64, a bitset over the k rows per position and value, and `picks` an
-    (r, n) array of value indices, n >= 1, for r of the k rows.  That is n
-    gathers of r x w words."""
+def pack_rows(mat):
+    """The rows of a boolean array, along its last axis of n, as packed
+    words, ceil(n/64) uint64 per row: bit b of word c of row r is
+    mat[r, 64c + b], and the bits past n are zero, so equal rows are equal
+    words.  `unpack_rows` inverts it."""
+    n = mat.shape[-1]
+    out = np.zeros(mat.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)  # whole words
+    out[..., : (n + 7) // 8] = np.packbits(mat, axis=-1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def unpack_rows(words, n):
+    """The boolean rows of n columns of the packed rows `words` (`pack_rows`)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n,
+                         bitorder="little").view(np.bool_)
+
+
+def _and_rows(bits, picks):
+    """The packed rows (`pack_rows`) of an order matrix whose row i is the
+    AND over the positions p of bits[p, picks[i, p]]: `bits` is (n, m, w)
+    uint64, a bitset over the k rows per position and value with the bits
+    past k zero in every bitset that some row picks, and `picks` an (r, n)
+    array of value indices, n >= 1, for r of the k rows.  That is n gathers
+    of r x w words."""
     acc = bits[0].take(picks[:, 0], axis=0)
     for p in range(1, picks.shape[1]):
         acc &= bits[p].take(picks[:, p], axis=0)
-    return np.unpackbits(acc.view(np.uint8), axis=1, count=k,
-                         bitorder="little").view(np.bool_)
+    return acc
 
 
 def inclusion_order(masks):
     """leq[i, j] = (masks[i] is a subset of masks[j]) for a (k, w) boolean
-    array.
+    array: `inclusion_words` unpacked."""
+    return unpack_rows(inclusion_words(masks), len(masks))
+
+
+def inclusion_words(masks):
+    """The packed rows (`pack_rows`) of `inclusion_order(masks)`.
 
     Per ground element g, bits[g] packs over the rows j whether g is in
     masks[j]; row i of the order ANDs the bitsets of its own members, and
@@ -154,36 +179,38 @@ def inclusion_order(masks):
     masks = np.asarray(masks, dtype=np.bool_)
     k, w = masks.shape
     if k <= 1 or w == 0:  # at most one row, or every row is the empty set
-        return np.ones((k, k), dtype=np.bool_)
-    return _and_rows(_member_bits(masks), masks.view(np.uint8), k)
+        return pack_rows(np.ones((k, k), dtype=np.bool_))
+    return _and_rows(_member_bits(masks), masks.view(np.uint8))
 
 
 def _member_bits(masks):
     """The bitsets of `inclusion_order` for a (k, w) boolean array, w >= 1:
-    per ground element, all ones for a non-member to pick, then the rows
+    per ground element, all k ones for a non-member to pick, then the rows
     holding it, as (w, 2, ceil(k/64)) words."""
     k, w = masks.shape
-    bits = np.zeros((w, 2, -(-k // 64) * 8), dtype=np.uint8)  # whole words
-    bits[:, 0] = 255
-    bits[:, 1, : (k + 7) // 8] = np.packbits(masks.T, axis=1, bitorder="little")
-    return bits.view(np.uint64)
+    bits = np.empty((w, 2, -(-k // 64)), dtype=np.uint64)
+    bits[:, 0] = pack_rows(np.ones(k, dtype=np.bool_))
+    bits[:, 1] = pack_rows(masks.T)
+    return bits
 
 
 def table_order(tables, leq_cod):
     """leq[i, j] = (tables[i] <= tables[j] pointwise) for a (k, n) stack of
-    codomain indices, under the codomain order `leq_cod`.
+    codomain indices, under the codomain order `leq_cod`: `table_words`
+    unpacked."""
+    return unpack_rows(table_words(tables, leq_cod), len(tables))
+
+
+def table_words(tables, leq_cod):
+    """The packed rows (`pack_rows`) of `table_order(tables, leq_cod)`.
 
     bits[p, v] packs, over the rows j, whether v <= tables[j, p], into
     64-bit words; row i of the order is the AND over the positions p of
     bits[p, tables[i, p]] (`_and_rows`)."""
     k, n = tables.shape
     if k <= 1 or n == 0:  # at most one row, or every row is the empty table
-        return np.ones((k, k), dtype=np.bool_)
-    m = leq_cod.shape[0]
-    bits = np.zeros((n, m, -(-k // 64) * 8), dtype=np.uint8)  # whole words
-    bits[:, :, : (k + 7) // 8] = np.packbits(
-        leq_cod[:, tables.T], axis=2, bitorder="little").transpose(1, 0, 2)
-    return _and_rows(bits.view(np.uint64), tables, k)
+        return pack_rows(np.ones((k, k), dtype=np.bool_))
+    return _and_rows(pack_rows(leq_cod[:, tables.T]).transpose(1, 0, 2), tables)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +235,8 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
 
     `strict = (dom_bottom, cod_bottom)` keeps only the tables sending the
     domain's bottom to the codomain's, the strict maps of pointed posets.
-    Tables come out int32 of shape (k, n).
+    Tables come out int32 of shape (k, n).  Into one point there is one
+    table, the constant one, returned before any setup over the domain.
 
     Two phases walk one search tree, whose positions are the domain's
     elements along `_linear_extension`.  A bitset backtracker on Python
@@ -235,6 +263,8 @@ def enum_monotone_tables(leq_dom, leq_cod, limit, strict=None):
         return np.zeros((min(limit, 1), 0), dtype=np.int32)
     if m == 0 or limit == 0:
         return np.zeros((0, n), dtype=np.int32)
+    if m == 1:  # the constant table, strict too: the one point is the bottom
+        return np.zeros((1, n), dtype=np.int32)
     up, down = _row_bits(leq_cod), _row_bits(leq_dom.T)
     order = _linear_extension(down)
     # per position: all of cod (the codomain's bottom alone at a strict
@@ -679,10 +709,13 @@ def count_upset_chains(leq_dom, h, limit):
     superset sums, c'(U) = sum of c(V) over the upsets V ⊇ U, cut at
     `limit`, extends the chains by one upset U below their least; the count
     is the sum of the last c.
-    The sums read the inclusion order (`_and_rows` over `_member_bits`) a
-    block of rows at a time, `_SUM_CELLS` cells and their int64 product, so
-    no k x k matrix is ever held; an order that fits one block is built
-    once.  Past int64 range the sums are of Python ints.
+    The sums read the inclusion order (`_and_rows` over `_member_bits`,
+    unpacked) a block of rows at a time, `_SUM_CELLS` cells and their
+    product, so no k x k matrix is ever held; an order that fits one block
+    is built once.  No partial sum passes k * limit, so while that is below
+    2^53 the sums are float64 and exact, and numpy runs the products
+    through BLAS, which it does not for integers; past it they are of
+    Python ints.
     """
     limit = int(limit)
     masks = enum_upsets(leq_dom, limit)
@@ -691,10 +724,11 @@ def count_upset_chains(leq_dom, h, limit):
         return min(k, limit)
     bits, picks = _member_bits(masks), masks.view(np.uint8)
     rows = max(1, _SUM_CELLS // k)
-    held = [_and_rows(bits, picks, k)] if rows >= k else None  # the order is one block
-    counts = np.ones(k, dtype=np.int64 if k * limit < 1 << 63 else object)
+    held = [unpack_rows(_and_rows(bits, picks), k)] if rows >= k else None  # one block
+    counts = np.ones(k, dtype=np.float64 if k * limit < 1 << 53 else object)
     for _ in range(h - 2):
-        blocks = held or (_and_rows(bits, picks[i : i + rows], k) for i in range(0, k, rows))
+        blocks = held or (unpack_rows(_and_rows(bits, picks[i : i + rows]), k)
+                          for i in range(0, k, rows))
         counts = np.minimum(np.concatenate([block @ counts for block in blocks]), limit)
     return min(int(counts.sum()), limit)
 

@@ -1,10 +1,15 @@
 """Finite (pointed) posets and their category.
 
-Objects are `FinPoset` values: a tuple of canonical element tags, the full
-reflexive-transitive order matrix, and an optional *declared* bottom.  The
-bottom flag records pointedness (membership in the strict backend); a poset
-may well have a least element without being declared pointed, which is how
-the plain backend sees pointed objects after `mediator.include`.
+Objects are `FinPoset` values: a tuple of canonical element tags, the
+reflexive-transitive order, and an optional *declared* bottom.  The order
+is the read-only matrix `leq`.  Table and upset posets hold it as the packed
+rows of `kernels.pack_rows` instead, an eighth of the bytes, until the
+first read of `leq` unpacks them and keeps the matrix in their place; every
+other poset holds the matrix its constructor builds.  Size, hash, equality, the bottom, `locate` and
+`element_forms` read no order matrix.  The bottom flag records pointedness
+(membership in the strict backend); a poset may well have a least element
+without being declared pointed, which is how the plain backend sees
+pointed objects after `mediator.include`.
 
 Element tags are strings for user-supplied posets and nested tuples for
 constructed ones (pairs, injections, tables, upsets, lifts): a view to read
@@ -26,7 +31,8 @@ equal posets have one bottom and are leaves of one order and stored tags,
 or one constructor's over equal operands (`_same_construction`), so a leaf
 with a construction's tags is another poset, and no comparison builds a
 tag tree.  The hash comes from the bottom and a digest of the order, its
-size and the middle element's row and column.  The layouts:
+size and the middle element's row, unpacked alone from packed rows, so one
+order hashes alike in either form.  The layouts:
 
 - `product(p, q)`: the pair of p's i-th and q's j-th element is at
   `i * len(q) + j`.
@@ -43,8 +49,9 @@ size and the middle element's row and column.  The layouts:
 Sums and lifts record these as one injection per child (a coalesced
 summand's bottom goes to 0); `rows` is None for other posets, and `locate`
 maps index rows back to element indices.  Tables are ordered by
-`kernels.table_order` (per-position bitsets of the rows above each
-codomain value), upsets by `kernels.inclusion_order` on their masks.
+`kernels.table_words` (per-position bitsets of the rows above each
+codomain value), upsets by `kernels.inclusion_words` on their masks, and
+both keep those packed rows.
 `element_forms` writes each element of a constructed poset by index into
 its operands (a report pool entry), and `poset_from_forms` rebuilds and
 checks a poset from them with the same layouts and kernels.
@@ -119,30 +126,62 @@ class FinPoset:
     posets of its construction; `elements` is a sequence of tags, or a
     constructor's `_Record` (module docstring)."""
 
-    __slots__ = ("_record", "rows", "children", "leq", "bottom_idx", "_index", "_row_index",
-                 "_hash")
+    __slots__ = ("_record", "rows", "children", "_leq", "_words", "bottom_idx", "_index",
+                 "_row_index", "_hash")
 
     def __init__(self, elements, leq, bottom_idx=None):
         if not isinstance(elements, _Record):
             elements = _Record(None, tags=tuple(elements))
-        # the record's index rows and operand posets, read on every action
-        self._record, self.rows, self.children = elements, elements.rows, elements.children
         leq = np.ascontiguousarray(leq, dtype=np.bool_)
         leq.flags.writeable = False
-        self.leq = leq
-        self.bottom_idx = bottom_idx
+        self._hold(elements, leq, None, bottom_idx)
+
+    @classmethod
+    def _of_words(cls, record, words, bottom_idx=None):
+        """The poset of `record` whose order is the packed rows `words`
+        (`kernels.pack_rows`), unpacked into `leq` on its first read."""
+        words.flags.writeable = False
+        p = cls.__new__(cls)
+        p._hold(record, None, words, bottom_idx)
+        return p
+
+    def _hold(self, record, leq, words, bottom_idx):
+        # the record's index rows and operand posets, read on every action
+        self._record, self.rows, self.children = record, record.rows, record.children
+        self._leq, self._words, self.bottom_idx = leq, words, bottom_idx
         self._index = self._row_index = self._hash = None
+
+    @property
+    def leq(self):
+        """The order matrix, read-only: leq[i, j] is element i <= element j.
+        A table or upset poset holds packed rows until this first read, which
+        unpacks them and keeps the matrix in their place."""
+        if self._leq is None:
+            leq = kernels.unpack_rows(self._words, len(self))
+            leq.flags.writeable = False
+            self._leq, self._words = leq, None
+        return self._leq
 
     @property
     def elements(self):
         return _tags(self)
 
     def with_bottom(self, bottom_idx):
-        """The same record and order, declaring `bottom_idx` (or None)."""
-        return FinPoset(self._record, self.leq, bottom_idx)
+        """The same record and order, in the form p holds it, declaring
+        `bottom_idx` (or None)."""
+        p = FinPoset.__new__(FinPoset)
+        p._hold(self._record, self._leq, self._words, bottom_idx)
+        return p
 
     def __len__(self):
-        return self.leq.shape[0]
+        return len(self._words if self._leq is None else self._leq)
+
+    def _row(self, i):
+        """Row i of the order matrix, unpacked alone while the matrix is
+        unbuilt."""
+        if self._leq is None:
+            return kernels.unpack_rows(self._words[i : i + 1], len(self))[0]
+        return self._leq[i]
 
     def __iter__(self):
         return iter(self.elements)
@@ -199,11 +238,10 @@ class FinPoset:
 
     def __hash__(self):
         # a digest of the order in O(n) bytes: the size, the bottom, and the
-        # elements above and below the middle element
+        # elements above the middle one, read alike from either form
         if self._hash is None:
             n = len(self)
-            middle = (self.leq[n // 2].tobytes(), self.leq[:, n // 2].tobytes()) if n else ()
-            self._hash = hash((n, self.bottom_idx, *middle))
+            self._hash = hash((n, self.bottom_idx, self._row(n // 2).tobytes() if n else b""))
         return self._hash
 
     def __repr__(self):
@@ -497,11 +535,11 @@ def lift(p, cap=None):
 
 def _tables_to_poset(tables, dom, cod):
     """Build the pointwise-ordered poset of assignment tables."""
-    leq = kernels.table_order(tables, cod.leq)
+    words = kernels.table_words(tables, cod.leq)
     bottom_idx = None
     if cod.is_pointed:  # the constant bottom table is always enumerated
         bottom_idx = int(np.argmax((tables == cod.bottom_idx).all(axis=1)))
-    return FinPoset(_Record("tables", (dom, cod), tables), leq, bottom_idx)
+    return FinPoset._of_words(_Record("tables", (dom, cod), tables), words, bottom_idx)
 
 
 def _rows_within_cap(enum, naive, cap, what, dom, cod, bottom=None):
@@ -553,9 +591,9 @@ _TWO = np.triu(np.ones((2, 2), dtype=np.bool_))  # an upset is a map into the 2-
 
 def _masks_to_poset(masks, ground):
     """Build the inclusion-ordered poset of full-ground membership masks."""
-    leq = kernels.inclusion_order(masks)
+    words = kernels.inclusion_words(masks)
     bottom_idx = int(np.argmax(~masks.any(axis=1)))  # the empty upset
-    return FinPoset(_Record("upsets", (ground,), masks), leq, bottom_idx)
+    return FinPoset._of_words(_Record("upsets", (ground,), masks), words, bottom_idx)
 
 
 def upsets(p, cap=DEFAULT_ELEMENT_CAP):
@@ -1197,7 +1235,7 @@ def poset_from_forms(kind, children, forms, bottom, strict):
     if bottom is not None and (type(bottom) is not int or not 0 <= bottom < len(p)):
         raise InputError(f"bottom must be element indices below {len(p)}")
     if bottom != p.bottom_idx:  # a layout's own bottom is least by construction
-        if bottom is not None and not p.leq[bottom].all():
+        if bottom is not None and not p._row(bottom).all():
             raise InputError(f"bottom {bottom} is not below every element")
         p = p.with_bottom(bottom)
     return p
@@ -1225,7 +1263,8 @@ def _tables_from_forms(dom, cod, forms, strict):
     if strict and not (dom.is_pointed and cod.is_pointed
                        and (rows[:, dom.bottom_idx] == cod.bottom_idx).all()):
         raise InputError("a strict table does not keep the bottom")
-    return FinPoset(_Record("tables", (dom, cod), rows), kernels.table_order(rows, cod.leq))
+    return FinPoset._of_words(_Record("tables", (dom, cod), rows),
+                              kernels.table_words(rows, cod.leq))
 
 
 def _upsets_from_forms(ground, forms, strict):
@@ -1242,4 +1281,4 @@ def _upsets_from_forms(ground, forms, strict):
         raise InputError("an upset is not up-closed")
     if strict and not (ground.is_pointed and not masks[:, ground.bottom_idx].any()):
         raise InputError("a strict upset holds the bottom")
-    return FinPoset(_Record("upsets", (ground,), masks), kernels.inclusion_order(masks))
+    return FinPoset._of_words(_Record("upsets", (ground,), masks), kernels.inclusion_words(masks))

@@ -48,8 +48,10 @@ def relabelled(rng, leq):
 def with_twins(rng, leq, copies):
     """An order matrix with `copies` more elements, each a twin of a random
     element of `leq`: the same elements strictly above and below it, and
-    incomparable to it and to its other twins."""
+    incomparable to it and to its other twins.  The empty order has none."""
     n = len(leq)
+    if n == 0:  # nothing to twin
+        return leq.copy()
     idx = np.concatenate([np.arange(n), rng.randint(0, n, copies)])
     out = leq[np.ix_(idx, idx)]
     out[idx[:, None] == idx[None, :]] = False

@@ -26,7 +26,10 @@ from nufix.posets import (
     all_posets_upto,
     chain,
     discrete,
+    fun_space,
     lift,
+    strict_fun_space,
+    unit,
     validate_poset,
     with_declared_bottom,
 )
@@ -377,6 +380,21 @@ def test_frontier_blocks_match_the_ordered_reference(monkeypatch):
     assert strict_cases >= 8 and len(entered) > 200
 
 
+def test_a_wide_domain_into_one_point_gives_its_one_table_without_setup(monkeypatch):
+    # 1500 elements, a bottom below an antichain, into the one-point
+    # codomain: the constant table, plain and strict, with no O(n^2) setup
+    dom, one = with_bottom(np.eye(1500, dtype=np.bool_), 0), np.ones((1, 1), dtype=np.bool_)
+    for name in ("_row_bits", "_linear_extension", "_lower_covers"):
+        monkeypatch.setattr(kernels, name, lambda *args: pytest.fail("set up a one-point call"))
+    for strict in (None, (0, 0)):
+        for limit in (1, 2, 10 ** 9):
+            got = kernels.enum_monotone_tables(dom, one, limit, strict)
+            assert got.dtype == np.int32 and np.array_equal(got, np.zeros((1, 1500))), strict
+    assert kernels.enum_monotone_tables(dom, one, 0).shape == (0, 1500)
+    p = FinPoset([f"x{i}" for i in range(1500)], dom, 0)
+    assert len(fun_space(p, unit())) == len(strict_fun_space(p, unit())) == 1
+
+
 def test_table_enumeration_raises_past_its_step_budget(monkeypatch):
     # a complete 6 -> 5 space of 2025 tables: the backtracker hands over
     # after 512 nodes, and the frontier tests 5 values per prefix
@@ -679,11 +697,11 @@ def test_find_isomorphism_decides_cycle_incidence_pairs_quickly(monkeypatch):
 def test_find_isomorphism_tries_one_of_twin_candidates():
     # twins, elements with the same elements above and below, share their
     # labels and so their candidate lists; the witness stays the kept
-    # backtracker's
+    # backtracker's.  n = 0 draws the empty order, which has no twins
     rng = np.random.RandomState(25)
     found = 0
     for _ in range(150):
-        n, copies = rng.randint(1, 9), rng.randint(1, 8)
+        n, copies = rng.randint(0, 9), rng.randint(1, 8)
         a = with_twins(rng, random_order(rng, n, 0.3), copies)
         b = (relabelled(rng, a) if rng.rand() < 0.7
              else with_twins(rng, random_order(rng, n, 0.3), copies))

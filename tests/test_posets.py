@@ -230,6 +230,69 @@ def test_table_and_upset_orders_match_their_definitions():
     assert len(P.upsets(empty)) == 1
 
 
+def _defined_order(p):
+    """The order of a table or upset poset from its definition: tables
+    pointwise under the codomain's order, upsets by inclusion."""
+    rows = p.rows
+    if p._record.kind == "tables":
+        return p.children[1].leq[rows[:, None, :], rows[None, :, :]].all(axis=2)
+    return ~(rows[:, None, :] & ~rows[None, :, :]).any(axis=2)
+
+
+def test_packed_rows_and_the_dense_view_agree():
+    # table and upset posets hold their order as packed rows, and `leq`
+    # unpacks them: both are the order of the definitions, within one word,
+    # at its edges and past it
+    rng = np.random.RandomState(36)
+    sizes = (0, 1, 63, 64, 65, 201)
+    made = [P.fun_space(P.chain(2), P.empty_poset())]  # no tables
+    for n in sizes[1:]:  # chains of n elements
+        made += [P.fun_space(P.discrete(["x"]), P.chain(n)),
+                 P.strict_fun_space(P.chain(2), P.chain(n)),
+                 P.upsets(P.chain(n - 1), cap=None), P.strict_upsets(P.chain(n), cap=None)]
+    made += [P.fun_space(random_poset(rng, 5, "a"), random_poset(rng, 4, "b"), cap=None),
+             P.strict_fun_space(P.lift(random_poset(rng, 4, "a")),
+                                P.lift(random_poset(rng, 3, "b")), cap=None),
+             P.upsets(random_poset(rng, 12, "u"), cap=None),
+             P.strict_upsets(P.lift(random_poset(rng, 9, "s")), cap=None)]
+    # the report loaders, on n elements drawn from larger spaces
+    dom, cod, ground = (P.FinPoset([f"{x}{i}" for i in range(n)], random_order(rng, n, 0.15))
+                        for x, n in (("d", 5), ("c", 4), ("g", 11)))
+    spaces = [P.fun_space(dom, P.lift(cod), cap=None), P.upsets(ground, cap=None)]
+    for space in spaces:
+        assert len(space) >= 201
+        forms = P.element_forms(space)
+        for n in sizes:
+            pick = np.sort(rng.choice(len(space), n, replace=False))
+            made.append(P.poset_from_forms(space._record.kind, space.children,
+                                           [forms[i] for i in pick], None, False))
+    assert {len(p) for p in made} >= set(sizes)
+    for p in made:
+        assert p._leq is None
+        want = _defined_order(p)
+        assert np.array_equal(p._words, kernels.pack_rows(want))  # bits past n are zero
+        unpacked = np.unpackbits(p._words.view(np.uint8), axis=1, count=len(p),
+                                 bitorder="little")
+        assert np.array_equal(unpacked, want) and np.array_equal(p.leq, want)
+        assert p.leq is p.leq and not p.leq.flags.writeable and p._words is None
+
+
+def test_a_large_function_space_builds_no_dense_order_to_be_counted_compared_or_written():
+    space = P.fun_space(P.discrete("wxyz"), P.chain(7), cap=4096)
+    twin = P.fun_space(P.discrete("wxyz"), P.chain(7), cap=4096)
+    plain = space.with_bottom(None)
+    assert len(space) == len(plain) == 2401 and plain._words is space._words
+    assert space == twin and plain != space and space.with_bottom(space.bottom_idx) == space
+    assert hash(space) == hash(twin) == hash(space.with_bottom(space.bottom_idx))
+    assert space.bottom == ("table", ("c0",) * 4)
+    assert space.locate(space.rows[::7]).tolist() == list(range(0, 2401, 7))
+    assert len(P.element_forms(space)) == 2401
+    assert space._leq is None and twin._leq is None and plain._leq is None
+    # a leaf of the same order, read from the twin's view, hashes alike
+    leaf = P.FinPoset([str(i) for i in range(2401)], twin.leq, twin.bottom_idx)
+    assert hash(leaf) == hash(space) and space._leq is None and twin._leq is not None
+
+
 def test_fun_space_counts_against_bruteforce_small():
     shapes = P.all_posets_upto(4)
     for p in shapes:
